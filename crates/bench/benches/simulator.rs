@@ -1,29 +1,36 @@
-//! Criterion benches for the S-parameter simulator: backend comparison
-//! (the DESIGN.md ablation), mesh-size scaling and full-band sweeps.
+//! Criterion benches for the S-parameter simulator: the planned solver
+//! against the dense oracle, mesh-size scaling and full-band sweeps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use picbench_math::{decomp, MeshScheme};
+use picbench_math::{decomp, CMatrix, MeshScheme};
 use picbench_problems::meshes::mesh_netlist;
 use picbench_sim::{
-    evaluate, sweep, sweep_naive, sweep_serial, Backend, Circuit, ModelRegistry, SweepPlan,
-    WavelengthGrid,
+    evaluate, sweep, sweep_naive, sweep_serial, Circuit, ModelRegistry, SweepPlan, WavelengthGrid,
 };
 
-fn backend_comparison(c: &mut Criterion) {
+/// One planned solve at 1.55 µm on a prebuilt plan and workspace — the
+/// per-point cost a sweep pays.
+fn bench_planned_point(b: &mut criterion::Bencher, circuit: &Circuit) {
+    let plan = SweepPlan::new(circuit).unwrap();
+    let mut ws = plan.workspace();
+    let mut out = CMatrix::zeros(0, 0);
+    b.iter(|| plan.evaluate_into(&mut ws, 1.55, &mut out).unwrap());
+}
+
+fn solver_comparison(c: &mut Criterion) {
     let registry = ModelRegistry::with_builtins();
-    let mut group = c.benchmark_group("backend");
+    let mut group = c.benchmark_group("solver");
     for id in ["mzi-ps", "benes-8x8", "clements-8x8"] {
         let problem = picbench_problems::find(id).expect("problem exists");
         let circuit = Circuit::elaborate(&problem.golden, &registry, None).unwrap();
-        for backend in Backend::ALL {
-            group.bench_with_input(
-                BenchmarkId::new(backend.to_string(), id),
-                &circuit,
-                |b, circuit| {
-                    b.iter(|| evaluate(circuit, 1.55, backend).unwrap());
-                },
-            );
-        }
+        group.bench_with_input(BenchmarkId::new("oracle", id), &circuit, |b, circuit| {
+            b.iter(|| evaluate(circuit, 1.55).unwrap());
+        });
+        group.bench_with_input(
+            BenchmarkId::new("planned", id),
+            &circuit,
+            bench_planned_point,
+        );
     }
     group.finish();
 }
@@ -36,9 +43,11 @@ fn mesh_scaling(c: &mut Criterion) {
         let mesh = decomp::clements_decompose(&target).unwrap();
         let netlist = mesh_netlist(&mesh);
         let circuit = Circuit::elaborate(&netlist, &registry, None).unwrap();
-        group.bench_with_input(BenchmarkId::new("clements", n), &circuit, |b, circuit| {
-            b.iter(|| evaluate(circuit, 1.55, Backend::default()).unwrap());
-        });
+        group.bench_with_input(
+            BenchmarkId::new("clements", n),
+            &circuit,
+            bench_planned_point,
+        );
     }
     group.finish();
 }
@@ -53,15 +62,15 @@ fn full_band_sweep(c: &mut Criterion) {
         ("paper-default-81pt", WavelengthGrid::paper_default()),
     ] {
         group.bench_with_input(BenchmarkId::new("wdm-demux", name), &grid, |b, grid| {
-            b.iter(|| sweep(&circuit, grid, Backend::default()).unwrap());
+            b.iter(|| sweep(&circuit, grid).unwrap());
         });
     }
     group.finish();
 }
 
-/// The tentpole ablation: naive per-point rebuild vs the plan/execute
-/// pipeline on the 64-point × 16-port reference mesh (see `sweep_bench`
-/// for the committed `BENCH_pipeline.json` numbers).
+/// The dense oracle swept point by point vs the plan/execute pipeline on
+/// the 64-point × 16-port reference mesh (see `sweep_bench` for the
+/// committed `BENCH_pipeline.json` numbers).
 fn plan_vs_naive_sweep(c: &mut Criterion) {
     let registry = ModelRegistry::with_builtins();
     let target = decomp::dft_matrix(8);
@@ -71,30 +80,24 @@ fn plan_vs_naive_sweep(c: &mut Criterion) {
     let grid = WavelengthGrid::new(1.51, 1.59, 64);
     let mut group = c.benchmark_group("sweep-pipeline");
     group.sample_size(10);
-    for backend in Backend::ALL {
-        group.bench_with_input(
-            BenchmarkId::new("naive", backend.to_string()),
-            &grid,
-            |b, grid| {
-                b.iter(|| sweep_naive(&circuit, grid, backend).unwrap());
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("plan", backend.to_string()),
-            &grid,
-            |b, grid| {
-                b.iter(|| sweep_serial(&circuit, grid, backend).unwrap());
-            },
-        );
-        // Plan construction alone, to show it amortizes after one point.
-        group.bench_with_input(
-            BenchmarkId::new("plan-build", backend.to_string()),
-            &circuit,
-            |b, circuit| {
-                b.iter(|| SweepPlan::new(circuit, backend).unwrap());
-            },
-        );
-    }
+    group.bench_with_input(BenchmarkId::new("naive", "oracle"), &grid, |b, grid| {
+        b.iter(|| sweep_naive(&circuit, grid).unwrap());
+    });
+    group.bench_with_input(
+        BenchmarkId::new("plan", "block-sparse"),
+        &grid,
+        |b, grid| {
+            b.iter(|| sweep_serial(&circuit, grid).unwrap());
+        },
+    );
+    // Plan construction alone, to show it amortizes after one point.
+    group.bench_with_input(
+        BenchmarkId::new("plan-build", "block-sparse"),
+        &circuit,
+        |b, circuit| {
+            b.iter(|| SweepPlan::new(circuit).unwrap());
+        },
+    );
     group.finish();
 }
 
@@ -117,7 +120,7 @@ fn decomposition(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    backend_comparison,
+    solver_comparison,
     mesh_scaling,
     full_band_sweep,
     plan_vs_naive_sweep,

@@ -1,18 +1,18 @@
 //! `campaign_bench` — end-to-end campaign throughput, written to
 //! `BENCH_campaign.json`.
 //!
-//! Two engine configurations run the identical synthetic campaign
-//! (`problems × models × feedback settings × samples`):
+//! The production engine — `(problem × model × feedback)` cells claimed
+//! from an atomic queue, serial planned block-sparse sweeps per worker —
+//! runs the identical synthetic campaign
+//! (`problems × models × feedback settings × samples`) twice per
+//! repetition:
 //!
-//! * **baseline** — the PR-1 engine: one work unit per problem
-//!   ([`CampaignGrain::PerProblem`]), no evaluation cache, legacy sweep
-//!   semantics (every grid point solved, per-sweep internal
-//!   parallelism);
-//! * **cached** — the content-addressed engine: fine-grained
-//!   `(problem × model × feedback)` work units
-//!   ([`CampaignGrain::PerCell`]), a shared sharded [`EvalCache`](picbench_core::EvalCache) seeded
-//!   with the golden responses, serial sweeps (the campaign parallelizes
-//!   across cells instead).
+//! * **cached** — the default: a shared sharded
+//!   [`EvalCache`](picbench_core::EvalCache) seeded with the golden
+//!   responses;
+//! * **uncached** — the same engine with the cache switched off
+//!   ([`CampaignBuilder::cache`](picbench_core::CampaignBuilder::cache)),
+//!   so every candidate is simulated.
 //!
 //! Both must produce **bit-identical** [`CampaignReport`]s — the bench
 //! asserts it, and additionally re-runs the cached engine at several
@@ -30,8 +30,8 @@
 //! [`EvalStoreStats`](picbench_core::EvalStoreStats) counters of the
 //! warm store handle are printed and land in the JSON either way.
 //!
-//! `--min-speedup X` exits non-zero when the cached engine is not at
-//! least `X`× faster than the baseline — CI runs a small workload with
+//! `--min-speedup X` exits non-zero when the cached run is not at least
+//! `X`× faster than the uncached one — CI runs a small workload with
 //! `--min-speedup 1.0` as a tripwire against silently disabling the
 //! cache.
 //!
@@ -44,10 +44,7 @@
 //! run replay journalled cells outright instead of re-evaluating
 //! through the disk tier.
 
-use picbench_core::{
-    run_campaign, Campaign, CampaignConfig, CampaignGrain, CampaignReport, EvalStore,
-    SharedEvalStore,
-};
+use picbench_core::{Campaign, CampaignConfig, CampaignReport, EvalStore, SharedEvalStore};
 use picbench_problems::Problem;
 use picbench_sim::WavelengthGrid;
 use picbench_synthllm::ModelProfile;
@@ -60,7 +57,21 @@ fn median_ms(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Builds the cached-engine campaign with a persistent store attached —
+fn run_matrix(
+    profiles: &[ModelProfile],
+    problems: &[Problem],
+    config: &CampaignConfig,
+) -> CampaignReport {
+    Campaign::builder()
+        .problems(problems.iter().cloned())
+        .profiles(profiles)
+        .config(config.clone())
+        .build()
+        .expect("valid campaign definition")
+        .run()
+}
+
+/// Builds the cached campaign with a persistent store attached —
 /// journalling (and resuming, when asked) through it.
 fn store_campaign(
     problems: &[Problem],
@@ -206,18 +217,11 @@ fn main() {
         threads: args.threads,
         ..CampaignConfig::default()
     };
-    let baseline_config = CampaignConfig {
-        grain: CampaignGrain::PerProblem,
+    let uncached_config = CampaignConfig {
         cache: false,
-        legacy_sweeps: true,
         ..base_config.clone()
     };
-    let cached_config = CampaignConfig {
-        grain: CampaignGrain::PerCell,
-        cache: true,
-        legacy_sweeps: false,
-        ..base_config.clone()
-    };
+    let cached_config = base_config.clone();
 
     let cells = problems.len() * profiles.len() * base_config.feedback_iters.len();
     let samples_total = cells * args.samples;
@@ -240,21 +244,24 @@ fn main() {
         worker_cap.min(cells),
     );
 
-    let mut baseline_ms = Vec::with_capacity(args.reps);
+    let mut uncached_ms = Vec::with_capacity(args.reps);
     let mut cached_ms = Vec::with_capacity(args.reps);
-    let mut baseline_report: Option<CampaignReport> = None;
+    let mut uncached_report: Option<CampaignReport> = None;
     let mut cached_report: Option<CampaignReport> = None;
     for rep in 0..args.reps {
         let t = Instant::now();
-        let report = run_campaign(&profiles, &problems, &baseline_config);
-        baseline_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        if let Some(reference) = &baseline_report {
-            assert!(reference.same_results(&report), "baseline not reproducible");
+        let report = run_matrix(&profiles, &problems, &uncached_config);
+        uncached_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        if let Some(reference) = &uncached_report {
+            assert!(
+                reference.same_results(&report),
+                "uncached run not reproducible"
+            );
         }
-        baseline_report = Some(report);
+        uncached_report = Some(report);
 
         let t = Instant::now();
-        let report = run_campaign(&profiles, &problems, &cached_config);
+        let report = run_matrix(&profiles, &problems, &cached_config);
         cached_ms.push(t.elapsed().as_secs_f64() * 1e3);
         if let Some(reference) = &cached_report {
             assert!(
@@ -264,25 +271,25 @@ fn main() {
         }
         cached_report = Some(report);
         eprintln!(
-            "rep {}/{}: baseline {:.0} ms, cached {:.0} ms",
+            "rep {}/{}: uncached {:.0} ms, cached {:.0} ms",
             rep + 1,
             args.reps,
-            baseline_ms[rep],
+            uncached_ms[rep],
             cached_ms[rep],
         );
     }
-    let baseline_report = baseline_report.expect("at least one rep");
+    let uncached_report = uncached_report.expect("at least one rep");
     let cached_report = cached_report.expect("at least one rep");
 
-    // Determinism: cached+fine-grained must reproduce the baseline bit
-    // for bit, at every thread count.
+    // Determinism: the cached run must reproduce the uncached one bit for
+    // bit, at every thread count.
     assert!(
-        baseline_report.same_results(&cached_report),
-        "cache/grain changed campaign results"
+        uncached_report.same_results(&cached_report),
+        "the cache changed campaign results"
     );
     let mut identical_across_threads = true;
     for threads in [1usize, 2, 4] {
-        let report = run_campaign(
+        let report = run_matrix(
             &profiles,
             &problems,
             &CampaignConfig {
@@ -293,7 +300,7 @@ fn main() {
         identical_across_threads &= report.same_results(&cached_report);
     }
     assert!(identical_across_threads, "thread count changed results");
-    println!("report bit-identical to uncached baseline and across thread counts: true");
+    println!("report bit-identical to the uncached run and across thread counts: true");
 
     // Warm-start through the persistent store: a cold campaign populates
     // the journal and the disk cache tier, then a second campaign over a
@@ -375,18 +382,17 @@ fn main() {
         store_stats.degraded,
     );
 
-    let baseline = median_ms(baseline_ms);
+    let uncached = median_ms(uncached_ms);
     let cached = median_ms(cached_ms);
-    let speedup = baseline / cached;
+    let speedup = uncached / cached;
     let stats = cached_report.cache_stats.expect("cached run has stats");
     let hit_rate = stats.hit_rate();
     println!(
-        "baseline (PR-1 engine: per-problem, uncached, legacy sweeps): {baseline:.0} ms \
-         ({:.2} cells/s)",
-        cells as f64 / (baseline / 1e3)
+        "uncached: {uncached:.0} ms ({:.2} cells/s)",
+        cells as f64 / (uncached / 1e3)
     );
     println!(
-        "cached (per-cell, content-addressed): {cached:.0} ms ({:.2} cells/s)",
+        "cached (content-addressed): {cached:.0} ms ({:.2} cells/s)",
         cells as f64 / (cached / 1e3)
     );
     println!(
@@ -411,11 +417,11 @@ fn main() {
          \"grid_points\": {}\n  }},\n  \"repetitions\": {},\n  \
          \"metric\": \"median wall-clock per full campaign, milliseconds\",\n  \
          \"host_cpus\": {cpus},\n  \"threads_used\": {},\n  \
-         \"baseline_definition\": \"PR-1 engine: per-problem work queue, no evaluation \
-         cache, legacy sweep semantics (every grid point solved)\",\n  \"results\": {{\n    \
-         \"baseline_pr1_engine_ms\": {baseline:.1},\n    \
-         \"cached_per_cell_ms\": {cached:.1},\n    \"speedup\": {speedup:.2},\n    \
-         \"baseline_cells_per_sec\": {:.2},\n    \"cached_cells_per_sec\": {:.2}\n  }},\n  \
+         \"engine\": \"per-cell work queue, serial planned block-sparse sweeps; \
+         cached vs the same engine with the evaluation cache off\",\n  \"results\": {{\n    \
+         \"uncached_ms\": {uncached:.1},\n    \
+         \"cached_ms\": {cached:.1},\n    \"speedup\": {speedup:.2},\n    \
+         \"uncached_cells_per_sec\": {:.2},\n    \"cached_cells_per_sec\": {:.2}\n  }},\n  \
          \"cache\": {{\n    \"lookups\": {},\n    \"response_hits\": {},\n    \
          \"report_hits\": {},\n    \"sim_hits\": {},\n    \"misses\": {},\n    \
          \"hit_rate\": {hit_rate:.4}\n  }},\n  \
@@ -435,7 +441,7 @@ fn main() {
         args.points,
         args.reps,
         worker_cap.min(cells),
-        cells as f64 / (baseline / 1e3),
+        cells as f64 / (uncached / 1e3),
         cells as f64 / (cached / 1e3),
         stats.lookups(),
         stats.response_hits,

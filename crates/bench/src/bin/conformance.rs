@@ -1,11 +1,11 @@
 //! `conformance` — the generative conformance gate.
 //!
 //! Generates `--cases` seeded circuits across the structural families,
-//! sweeps each through every configured differential axis (backends,
-//! constant fold, parallelism, cache, canonicalization, naive sweep,
-//! SIMD-vs-scalar dispatch) and
-//! the physics oracles (reciprocity, passivity, unitarity for lossless
-//! mixes, wavelength continuity), shrinks any failure to a minimal
+//! sweeps each through every configured differential axis (planned solver
+//! vs dense oracle, constant fold, parallelism, cache, canonicalization,
+//! default vs scalar SIMD tier) and the physics oracles (reciprocity,
+//! passivity, unitarity for lossless mixes, wavelength continuity) on
+//! each selected solver path, shrinks any failure to a minimal
 //! counterexample and writes it as a replayable corpus case.
 //!
 //! Exit status is non-zero on any disagreement or oracle violation, so
@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! conformance [--cases N] [--seed S] [--axes a,b,..] [--families f,g,..]
-//!             [--grid-points P] [--oracle-backends all|port-elimination|dense|block-sparse]
+//!             [--grid-points P] [--oracle-backends all|planned|oracle]
 //!             [--no-shrink] [--failures-dir DIR] [--replay FILE]
 //!             [--emit-corpus DIR] [--out PATH]
 //! ```
@@ -33,9 +33,9 @@
 
 use picbench_conformance::{
     check_circuit, load_corpus_dir, run_conformance, ConformanceConfig, CorpusCase, DiffAxis,
-    DiffRunner, Family,
+    DiffRunner, Family, SolverPath,
 };
-use picbench_sim::{Backend, ModelRegistry, WavelengthGrid};
+use picbench_sim::{ModelRegistry, WavelengthGrid};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -44,7 +44,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let usage = "usage: conformance [--cases N] [--seed S] [--axes a,b,..] \
                  [--families f,g,..] [--grid-points P] \
-                 [--oracle-backends all|port-elimination|dense|block-sparse] [--no-shrink] \
+                 [--oracle-backends all|planned|oracle] [--no-shrink] \
                  [--failures-dir DIR] [--replay FILE] [--emit-corpus DIR] [--out PATH]";
     let mut config = ConformanceConfig {
         cases: 64,
@@ -111,15 +111,12 @@ fn main() {
             }
             "--oracle-backends" => {
                 i += 1;
-                config.oracle_backends = match args.get(i).map(String::as_str) {
-                    // `both` predates the third backend; kept as an
-                    // alias so existing invocations keep covering
-                    // everything.
-                    Some("all" | "both") => Backend::ALL.to_vec(),
-                    Some(token) => vec![token.parse::<Backend>().unwrap_or_else(|e| {
+                config.oracle_paths = match args.get(i).map(String::as_str) {
+                    Some("all") => SolverPath::ALL.to_vec(),
+                    Some(token) => vec![token.parse::<SolverPath>().unwrap_or_else(|e| {
                         fail(&format!("--oracle-backends: {e} (or use `all`)"))
                     })],
-                    None => fail("--oracle-backends needs all|port-elimination|dense|block-sparse"),
+                    None => fail("--oracle-backends needs all|planned|oracle"),
                 };
             }
             "--no-shrink" => config.shrink = false,
@@ -248,12 +245,12 @@ fn replay_cases(path: &Path, config: &ConformanceConfig) -> i32 {
         let runner = DiffRunner::new(case.grid).with_axes(config.axes.iter().copied());
         let diff = runner.check(&case.netlist).err();
         let violations: Vec<String> = config
-            .oracle_backends
+            .oracle_paths
             .iter()
-            .flat_map(|&backend| {
-                check_circuit(&case.gen_circuit(), &registry, backend, &config.oracle)
+            .flat_map(|&path| {
+                check_circuit(&case.gen_circuit(), &registry, path, &config.oracle)
                     .into_iter()
-                    .map(move |v| format!("{backend}: {v}"))
+                    .map(move |v| format!("{path}: {v}"))
             })
             .collect();
         if diff.is_none() && violations.is_empty() {
@@ -275,7 +272,7 @@ fn replay_cases(path: &Path, config: &ConformanceConfig) -> i32 {
 
 /// Emits `config.cases` verified-conformant seed cases per enabled
 /// family into `dir`. Every case is checked through all axes and both
-/// backends' oracles before it is written, so the corpus starts green.
+/// solver paths' oracles before it is written, so the corpus starts green.
 fn emit_corpus_cases(dir: &Path, config: &ConformanceConfig) -> i32 {
     use picbench_conformance::{CircuitStrategy, GeneratorConfig};
 
@@ -301,8 +298,8 @@ fn emit_corpus_cases(dir: &Path, config: &ConformanceConfig) -> i32 {
                 eprintln!("refusing to emit a disagreeing case ({family} #{k})");
                 return 1;
             }
-            for backend in Backend::ALL {
-                let violations = check_circuit(&gen, &registry, backend, &config.oracle);
+            for path in SolverPath::ALL {
+                let violations = check_circuit(&gen, &registry, path, &config.oracle);
                 if !violations.is_empty() {
                     eprintln!("refusing to emit an oracle-violating case ({family} #{k})");
                     return 1;
@@ -316,7 +313,7 @@ fn emit_corpus_cases(dir: &Path, config: &ConformanceConfig) -> i32 {
                 grid: config.grid,
                 note: format!(
                     "seed corpus: generated from seed {} (case {k} of family {family}), \
-                     verified conformant on all axes and every backend at emit time",
+                     verified conformant on all axes and both solver paths at emit time",
                     config.seed
                 ),
                 netlist: gen.netlist,

@@ -10,7 +10,7 @@
 //! endpoints reference real instance ports, no port is used twice, every
 //! component is bound to a built-in model, external ports follow the
 //! benchmark's `I1..In`/`O1..Om` convention, and the circuit elaborates
-//! and simulates on every backend. Validity is by construction (each
+//! and simulates on both solver paths. Validity is by construction (each
 //! family is wired as a closed recipe), and re-checked by the harness
 //! tests against the real validator.
 

@@ -14,13 +14,14 @@
 //!    emitted netlist is guaranteed valid.
 //! 2. [`oracle`] — physics oracles: reciprocity (`S = Sᵀ`), passivity,
 //!    unitarity for lossless model mixes, and wavelength continuity with
-//!    an analytic per-circuit bound.
+//!    an analytic per-circuit bound, probed on either [`SolverPath`].
 //! 3. [`differential`] — a runner sweeping every circuit through the
-//!    configuration axes that are required to agree (Dense vs port
-//!    elimination, constant-fold on/off, serial vs parallel, cached vs
-//!    uncached evaluation, canonicalized vs raw documents, naive vs
-//!    planned sweeps), with greedy counterexample [`shrink`]ing and a
-//!    replayable JSON [`corpus`].
+//!    configuration axes that are required to agree (the planned
+//!    block-sparse solver vs the naive dense oracle, constant-fold
+//!    on/off, serial vs parallel, cached vs uncached evaluation,
+//!    canonicalized vs raw documents, default vs scalar SIMD tier), with
+//!    greedy counterexample [`shrink`]ing and a replayable JSON
+//!    [`corpus`].
 //!
 //! The [`runner`] module ties the layers into the single-call sweep the
 //! `conformance` bench binary and CI gate drive.
@@ -52,6 +53,8 @@ pub mod shrink;
 pub use corpus::{load_corpus_dir, CorpusCase, CorpusError};
 pub use differential::{response_diff, DiffAxis, DiffRunner, Disagreement, Perturbation};
 pub use generator::{shuffle_netlist, CircuitStrategy, Family, GenCircuit, GeneratorConfig};
-pub use oracle::{check_circuit, effective_optical_length_um, OracleConfig, OracleViolation};
+pub use oracle::{
+    check_circuit, effective_optical_length_um, OracleConfig, OracleViolation, SolverPath,
+};
 pub use runner::{run_conformance, CaseFailure, ConformanceConfig, ConformanceReport, FailureKind};
 pub use shrink::{normalize_port_names, shrink_netlist};

@@ -5,7 +5,7 @@
 //! simulator's output:
 //!
 //! * **Reciprocity** — every built-in model satisfies `S = Sᵀ`, and both
-//!   composition algorithms preserve the property, so the external
+//!   solver paths ([`SolverPath`]) preserve the property, so the external
 //!   S-matrix of *any* generated circuit must be reciprocal.
 //! * **Passivity** — no column's total output power may exceed unity:
 //!   the models have no gain and composition cannot create energy.
@@ -20,8 +20,69 @@
 
 use crate::generator::GenCircuit;
 use picbench_netlist::Netlist;
-use picbench_sim::{evaluate, Backend, Circuit, ModelRegistry, SimError};
+use picbench_sim::{evaluate, sweep_serial, Circuit, ModelRegistry, SimError, WavelengthGrid};
+use picbench_sparams::SMatrix;
 use std::fmt;
+use std::str::FromStr;
+
+/// The two independent ways the simulator can compose a circuit — the
+/// solver paths the oracles probe and the differential runner compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SolverPath {
+    /// The production solver: a planned block-sparse sweep
+    /// ([`picbench_sim::SweepPlan`]).
+    Planned,
+    /// The independent reference: the naive dense solve
+    /// ([`picbench_sim::evaluate`]).
+    Oracle,
+}
+
+impl SolverPath {
+    /// Both paths, production first.
+    pub const ALL: [SolverPath; 2] = [SolverPath::Planned, SolverPath::Oracle];
+
+    /// Stable kebab-case token used in CLI flags and reports.
+    pub fn token(&self) -> &'static str {
+        match self {
+            SolverPath::Planned => "planned",
+            SolverPath::Oracle => "oracle",
+        }
+    }
+
+    /// The circuit's external S-matrix at one wavelength on this path.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`SimError`] of the solve.
+    pub fn evaluate(&self, circuit: &Circuit, wavelength_um: f64) -> Result<SMatrix, SimError> {
+        match self {
+            SolverPath::Planned => {
+                let grid = WavelengthGrid::new(wavelength_um, wavelength_um, 1);
+                let response = sweep_serial(circuit, &grid)?;
+                Ok(response.sample(0).expect("one-point grid").clone())
+            }
+            SolverPath::Oracle => evaluate(circuit, wavelength_um),
+        }
+    }
+}
+
+impl fmt::Display for SolverPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.token())
+    }
+}
+
+impl FromStr for SolverPath {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        SolverPath::ALL
+            .iter()
+            .find(|p| p.token() == s)
+            .copied()
+            .ok_or_else(|| format!("unknown solver path {s:?}"))
+    }
+}
 
 /// Tolerances and probe settings of the oracle suite.
 #[derive(Debug, Clone)]
@@ -183,13 +244,13 @@ pub fn effective_optical_length_um(netlist: &Netlist) -> f64 {
 /// Runs every applicable oracle on a generated circuit, returning all
 /// violations found (empty = conformant).
 ///
-/// The circuit is evaluated with `backend` at each configured probe
+/// The circuit is evaluated on `path` at each configured probe
 /// wavelength; unitarity is only asserted when the generator marked the
 /// circuit lossless.
 pub fn check_circuit(
     gen: &GenCircuit,
     registry: &ModelRegistry,
-    backend: Backend,
+    path: SolverPath,
     config: &OracleConfig,
 ) -> Vec<OracleViolation> {
     let mut violations = Vec::new();
@@ -217,7 +278,7 @@ pub fn check_circuit(
         (slope_bound * config.continuity_delta_um * config.continuity_safety).max(1e-3);
 
     for &wl in &config.wavelengths_um {
-        let s = match evaluate(&circuit, wl, backend) {
+        let s = match path.evaluate(&circuit, wl) {
             Ok(s) => s,
             Err(e) => {
                 violations.push(evaluation_failure(wl, &e));
@@ -247,7 +308,7 @@ pub fn check_circuit(
                 });
             }
         }
-        match evaluate(&circuit, wl + config.continuity_delta_um, backend) {
+        match path.evaluate(&circuit, wl + config.continuity_delta_um) {
             Ok(nearby) => {
                 let jump = s.max_abs_diff(&nearby);
                 if jump > continuity_bound {
@@ -287,11 +348,11 @@ mod tests {
             let mut rng = TestRng::new(314);
             for case in 0..10 {
                 let gen = strategy.generate(&mut rng);
-                for backend in Backend::ALL {
-                    let violations = check_circuit(&gen, &registry, backend, &config);
+                for path in SolverPath::ALL {
+                    let violations = check_circuit(&gen, &registry, path, &config);
                     assert!(
                         violations.is_empty(),
-                        "{family} case {case} on {backend}: {violations:?}\n{}",
+                        "{family} case {case} on {path}: {violations:?}\n{}",
                         gen.netlist.to_json_string()
                     );
                 }
@@ -310,7 +371,7 @@ mod tests {
         let ok = check_circuit(
             &gen,
             &registry,
-            Backend::default(),
+            SolverPath::Planned,
             &OracleConfig::default(),
         );
         assert!(ok.is_empty(), "{ok:?}");
@@ -336,7 +397,7 @@ mod tests {
         let violations = check_circuit(
             &tampered,
             &registry,
-            Backend::default(),
+            SolverPath::Planned,
             &OracleConfig::default(),
         );
         assert!(

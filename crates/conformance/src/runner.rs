@@ -9,9 +9,9 @@
 use crate::corpus::CorpusCase;
 use crate::differential::{DiffAxis, DiffRunner, Disagreement};
 use crate::generator::{CircuitStrategy, Family, GenCircuit, GeneratorConfig};
-use crate::oracle::{check_circuit, OracleConfig, OracleViolation};
+use crate::oracle::{check_circuit, OracleConfig, OracleViolation, SolverPath};
 use crate::shrink::shrink_netlist;
-use picbench_sim::{Backend, ModelRegistry, WavelengthGrid};
+use picbench_sim::{ModelRegistry, WavelengthGrid};
 use proptest::strategy::Strategy;
 use proptest::TestRng;
 use std::fmt;
@@ -31,9 +31,9 @@ pub struct ConformanceConfig {
     pub oracle: OracleConfig,
     /// Sweep grid of the differential comparisons.
     pub grid: WavelengthGrid,
-    /// Backends the oracles probe (the differential axes always compare
-    /// both regardless).
-    pub oracle_backends: Vec<Backend>,
+    /// Solver paths the oracles probe (the differential axes always
+    /// compare both regardless).
+    pub oracle_paths: Vec<SolverPath>,
     /// Whether failures are shrunk before reporting (disable for a
     /// faster fail-fast sweep).
     pub shrink: bool,
@@ -48,7 +48,7 @@ impl Default for ConformanceConfig {
             axes: DiffAxis::ALL.to_vec(),
             oracle: OracleConfig::default(),
             grid: WavelengthGrid::new(1.51, 1.59, 7),
-            oracle_backends: Backend::ALL.to_vec(),
+            oracle_paths: SolverPath::ALL.to_vec(),
             shrink: true,
         }
     }
@@ -61,9 +61,9 @@ pub enum FailureKind {
     Differential(Disagreement),
     /// A physical invariant was violated.
     Oracle {
-        /// Backend on which the oracle fired.
-        backend: Backend,
-        /// All violations found on that backend.
+        /// Solver path on which the oracle fired.
+        path: SolverPath,
+        /// All violations found on that path.
         violations: Vec<OracleViolation>,
     },
 }
@@ -72,11 +72,8 @@ impl fmt::Display for FailureKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FailureKind::Differential(d) => write!(f, "differential: {d}"),
-            FailureKind::Oracle {
-                backend,
-                violations,
-            } => {
-                write!(f, "oracle on {backend}:")?;
+            FailureKind::Oracle { path, violations } => {
+                write!(f, "oracle on {path}:")?;
                 for v in violations {
                     write!(f, " [{v}]")?;
                 }
@@ -172,8 +169,8 @@ pub fn run_conformance(config: &ConformanceConfig) -> ConformanceReport {
             });
             continue;
         }
-        for &backend in &config.oracle_backends {
-            let violations = check_circuit(&gen, &registry, backend, &config.oracle);
+        for &path in &config.oracle_paths {
+            let violations = check_circuit(&gen, &registry, path, &config.oracle);
             if violations.is_empty() {
                 continue;
             }
@@ -186,7 +183,7 @@ pub fn run_conformance(config: &ConformanceConfig) -> ConformanceReport {
                         family,
                         lossless,
                     };
-                    !check_circuit(&candidate_gen, &registry, backend, &config.oracle).is_empty()
+                    !check_circuit(&candidate_gen, &registry, path, &config.oracle).is_empty()
                 })
             } else {
                 gen.netlist.clone()
@@ -195,10 +192,7 @@ pub fn run_conformance(config: &ConformanceConfig) -> ConformanceReport {
                 case_index,
                 family: gen.family,
                 lossless: gen.lossless,
-                kind: FailureKind::Oracle {
-                    backend,
-                    violations,
-                },
+                kind: FailureKind::Oracle { path, violations },
                 original: gen.netlist.clone(),
                 shrunk,
             });
@@ -223,7 +217,7 @@ mod tests {
         let config = ConformanceConfig {
             cases: 24,
             seed: 7,
-            oracle_backends: Backend::ALL.to_vec(),
+            oracle_paths: SolverPath::ALL.to_vec(),
             ..ConformanceConfig::default()
         };
         let report = run_conformance(&config);

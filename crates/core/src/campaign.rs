@@ -13,24 +13,22 @@
 //!   shared immutably across all workers;
 //! * work is distributed at the granularity of
 //!   `(problem × model × feedback)` **cells** claimed from an atomic
-//!   queue ([`CampaignGrain::PerCell`], the default) — a straggler
-//!   problem no longer idles the rest of the machine, and the worker
-//!   count is no longer capped by the problem count;
+//!   queue — a straggler problem never idles the rest of the machine,
+//!   and the worker count is not capped by the problem count;
 //! * all workers share one sharded, content-addressed [`EvalCache`], so
 //!   structurally identical candidates (identical first attempts across
 //!   feedback settings, retries converging to the golden, clean samples
 //!   from different models) are simulated once;
 //! * each worker owns its evaluator (schedule cache + solve workspace)
-//!   and sweeps serially — the campaign parallelizes *across* cells, not
-//!   within sweeps.
+//!   and sweeps serially with the planned block-sparse solver — the
+//!   campaign parallelizes *across* cells, not within sweeps.
 //!
 //! Each cell spawns a fresh model instance from its provider
 //! ([`ModelProvider::spawn_seeded`] with the campaign seed); because the
 //! synthetic models reseed per `(model, problem, sample)` and cached
 //! replay is bit-identical to cold evaluation, the resulting
-//! [`CampaignReport`] is **bit-identical** for any thread count, either
-//! grain, with the cache on or off, and across the builder and legacy
-//! [`run_campaign`] entry points. Aggregation iterates cells in a fixed
+//! [`CampaignReport`] is **bit-identical** for any thread count and with
+//! the cache on or off. Aggregation iterates cells in a fixed
 //! problem-major order, never in hash-map order.
 //!
 //! Campaigns are also **crash-safe**: attach a persistent
@@ -52,7 +50,7 @@ use crate::passk::{aggregate_pass_at_k, ProblemTally};
 use crate::persist::SharedEvalStore;
 use crate::supervisor::{run_sharded, ChaosPlan, InProcessLauncher, ShardLauncher};
 use picbench_problems::Problem;
-use picbench_sim::{Backend, FrequencyResponse, WavelengthGrid};
+use picbench_sim::{FrequencyResponse, WavelengthGrid};
 use picbench_store::fnv1a64;
 use picbench_synthllm::{ModelProfile, ModelProvider, RetryEvent, RetryPolicy, RetryProvider};
 use std::collections::{HashMap, HashSet};
@@ -60,20 +58,6 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Work-distribution granularity of [`run_campaign`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CampaignGrain {
-    /// One work unit per `(problem × model × feedback)` cell; workers
-    /// sweep serially. The default, and the fastest on loaded hosts.
-    #[default]
-    PerCell,
-    /// One work unit per problem (each worker runs all models × feedback
-    /// settings for its problem, sweeping with the simulator's default
-    /// parallelism) — the pre-cache engine, kept as the benchmark
-    /// baseline. Caps useful workers at the problem count.
-    PerProblem,
-}
 
 /// Campaign-wide configuration.
 #[derive(Debug, Clone)]
@@ -90,17 +74,11 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Wavelength grid for simulation/comparison.
     pub grid: WavelengthGrid,
-    /// Worker threads (0 = one per available core, capped by work units).
+    /// Worker threads (0 = one per available core, capped by the cell
+    /// count).
     pub threads: usize,
-    /// Work-distribution granularity.
-    pub grain: CampaignGrain,
     /// Whether workers share a content-addressed evaluation cache.
     pub cache: bool,
-    /// Reproduce the PR-1 sweep semantics inside workers: no
-    /// constant-response fold, per-sweep internal parallelism. Results
-    /// are bit-identical either way; this exists so benchmarks can time
-    /// the historical baseline engine in the current tree.
-    pub legacy_sweeps: bool,
     /// Retry policy wrapped around every provider at execute time
     /// (`None` = no retry layer). The wrapped providers keep their
     /// display names, so report rows are unchanged; retry decisions
@@ -119,9 +97,7 @@ impl Default for CampaignConfig {
             seed: 20_250_205, // the paper's arXiv date
             grid: WavelengthGrid::paper_fast(),
             threads: 0,
-            grain: CampaignGrain::PerCell,
             cache: true,
-            legacy_sweeps: false,
             retry: None,
         }
     }
@@ -450,8 +426,7 @@ impl Campaign {
     /// retry policy. Journal records are keyed by it, so a store can
     /// hold journals of many campaigns and a resumed run only replays
     /// cells whose inputs provably match. Scheduling knobs (threads,
-    /// grain, cache) and `k_values` are excluded — they cannot change
-    /// tallies.
+    /// cache) and `k_values` are excluded — they cannot change tallies.
     pub fn fingerprint(&self) -> u64 {
         let names: Vec<String> = self
             .providers
@@ -593,22 +568,9 @@ impl CampaignBuilder {
         self
     }
 
-    /// Work-distribution granularity.
-    pub fn grain(mut self, grain: CampaignGrain) -> Self {
-        self.config_mut().grain = grain;
-        self
-    }
-
     /// Whether workers share a content-addressed evaluation cache.
     pub fn cache(mut self, cache: bool) -> Self {
         self.config_mut().cache = cache;
-        self
-    }
-
-    /// Reproduce the PR-1 sweep semantics inside workers (benchmarking
-    /// baseline; results are bit-identical either way).
-    pub fn legacy_sweeps(mut self, legacy: bool) -> Self {
-        self.config_mut().legacy_sweeps = legacy;
         self
     }
 
@@ -808,52 +770,6 @@ impl CampaignBuilder {
             chaos: self.chaos,
         })
     }
-}
-
-/// Runs a campaign over the given model profiles and problems.
-///
-/// This is the legacy free-function entry point, kept as a thin shim over
-/// [`Campaign::builder`]: each profile becomes an `Arc<dyn ModelProvider>`
-/// spawning seed-faithful [`picbench_synthllm::SyntheticLlm`]s, so the
-/// report is bit-identical to the builder path.
-///
-/// # Panics
-///
-/// Panics if `problems`, `profiles` or `config.k_values` is empty, or if
-/// a golden design fails to simulate (a bug, not an input condition).
-pub fn run_campaign(
-    profiles: &[ModelProfile],
-    problems: &[Problem],
-    config: &CampaignConfig,
-) -> CampaignReport {
-    assert!(!problems.is_empty(), "campaign needs problems");
-    assert!(!profiles.is_empty(), "campaign needs model profiles");
-    assert!(!config.k_values.is_empty(), "campaign needs k values");
-    // Constructed directly rather than through build(): the builder's
-    // stricter validation (duplicate ids, empty feedback settings) is new
-    // API surface, and this entry point keeps its historical tolerance.
-    let campaign = Campaign {
-        problems: problems.to_vec(),
-        providers: profiles
-            .iter()
-            .map(|p| Arc::new(p.clone()) as Arc<dyn ModelProvider>)
-            .collect(),
-        config: config.clone(),
-        observer: None,
-        cancel: None,
-        store: None,
-        shared_cache: None,
-        scope: None,
-        resume: false,
-        kill: None,
-        shards: 0,
-        shard_dir: None,
-        launcher: None,
-        lease: LeaseConfig::default(),
-        clock: Arc::new(SystemClock),
-        chaos: None,
-    };
-    campaign.run()
 }
 
 /// FNV-1a over the campaign's result-relevant inputs; see
@@ -1102,16 +1018,8 @@ fn execute_campaign(
     let halted = || killed.load(Ordering::Acquire) || cancel.is_some_and(CancelToken::is_cancelled);
     let provider_names: Vec<String> = providers.iter().map(|p| p.name().to_string()).collect();
 
-    // Cells in problem-major order; `PerProblem` groups each problem's
-    // contiguous run of cells into one work unit.
-    let per_problem = providers.len() * config.feedback_iters.len();
+    // Cells in problem-major order, claimed one at a time by workers.
     let cells = matrix_cells(problems.len(), providers.len(), config.feedback_iters.len());
-    let units: Vec<std::ops::Range<usize>> = match config.grain {
-        CampaignGrain::PerCell => (0..cells.len()).map(|i| i..i + 1).collect(),
-        CampaignGrain::PerProblem => (0..problems.len())
-            .map(|p| p * per_problem..(p + 1) * per_problem)
-            .collect(),
-    };
 
     emit(CampaignEvent::CampaignStarted {
         problems: problems.len(),
@@ -1189,7 +1097,7 @@ fn execute_campaign(
         None => cache.stats(),
     };
     let goldens: Arc<HashMap<String, Arc<FrequencyResponse>>> = {
-        let mut evaluator = Evaluator::new(config.grid, Backend::default());
+        let mut evaluator = Evaluator::new(config.grid, Default::default());
         if let Some(cache) = &cache {
             evaluator = evaluator.with_cache(Arc::clone(cache));
         }
@@ -1224,18 +1132,10 @@ fn execute_campaign(
             .map(|n| n.get())
             .unwrap_or(4)
     }
-    .min(units.len())
+    .min(cells.len())
     .max(1);
-    let sweep_threads = if config.legacy_sweeps {
-        0
-    } else {
-        match config.grain {
-            CampaignGrain::PerCell => 1,
-            CampaignGrain::PerProblem => 0,
-        }
-    };
 
-    let next_unit = AtomicUsize::new(0);
+    let next_cell = AtomicUsize::new(0);
     let completed = AtomicUsize::new(cells_restored);
     let fresh = AtomicUsize::new(0);
     let store_degraded_reported = AtomicBool::new(false);
@@ -1247,10 +1147,9 @@ fn execute_campaign(
     std::thread::scope(|scope| {
         for _ in 0..worker_count {
             scope.spawn(|| {
-                let mut evaluator = Evaluator::new(config.grid, Backend::default())
+                let mut evaluator = Evaluator::new(config.grid, Default::default())
                     .with_shared_goldens(Arc::clone(&goldens))
-                    .with_sweep_threads(sweep_threads)
-                    .with_constant_fold(!config.legacy_sweeps);
+                    .with_sweep_threads(1);
                 if let Some(cache) = &cache {
                     evaluator = evaluator.with_cache(Arc::clone(cache));
                 }
@@ -1258,71 +1157,66 @@ fn execute_campaign(
                     evaluator = evaluator.with_cache_scope(Arc::clone(scope));
                 }
                 let mut local: Vec<(usize, ProblemTally)> = Vec::new();
-                'units: loop {
+                loop {
+                    // Cooperative abort at cell boundaries: a started cell
+                    // always finishes (and emits CellFinished), so the
+                    // event stream stays well-formed.
                     if halted() {
                         break;
                     }
-                    let unit = next_unit.fetch_add(1, Ordering::Relaxed);
-                    if unit >= units.len() {
+                    let cell_index = next_cell.fetch_add(1, Ordering::Relaxed);
+                    if cell_index >= cells.len() {
                         break;
                     }
-                    for cell_index in units[unit].clone() {
-                        // Cooperative abort at cell boundaries: a started
-                        // cell always finishes (and emits CellFinished),
-                        // so the event stream stays well-formed.
-                        if halted() {
-                            break 'units;
+                    // Restored cells were replayed up front.
+                    if restored[cell_index].is_some() {
+                        continue;
+                    }
+                    let cell = cells[cell_index];
+                    let problem = &problems[cell.problem];
+                    let feedback_iters = config.feedback_iters[cell.ef_idx];
+                    emit(CampaignEvent::CellStarted {
+                        problem_id: problem.id.clone(),
+                        model: provider_names[cell.profile].clone(),
+                        feedback_iters,
+                    });
+                    let tally = evaluate_cell(
+                        &providers[cell.profile],
+                        problem,
+                        feedback_iters,
+                        config,
+                        &mut evaluator,
+                    );
+                    // Durability barrier: the cell's journal record
+                    // is written and fsync'd *before* the cell is
+                    // counted complete, so any crash after this
+                    // point leaves a resumable journal.
+                    if let Some(store) = store {
+                        if !store.record_cell(fingerprint, cell_keys[cell_index], &tally)
+                            && !store_degraded_reported.swap(true, Ordering::AcqRel)
+                        {
+                            emit(CampaignEvent::StoreDegraded {
+                                write_errors: store.write_errors(),
+                            });
                         }
-                        // Restored cells were replayed up front.
-                        if restored[cell_index].is_some() {
-                            continue;
-                        }
-                        let cell = cells[cell_index];
-                        let problem = &problems[cell.problem];
-                        let feedback_iters = config.feedback_iters[cell.ef_idx];
-                        emit(CampaignEvent::CellStarted {
-                            problem_id: problem.id.clone(),
-                            model: provider_names[cell.profile].clone(),
-                            feedback_iters,
-                        });
-                        let tally = evaluate_cell(
-                            &providers[cell.profile],
-                            problem,
-                            feedback_iters,
-                            config,
-                            &mut evaluator,
-                        );
-                        // Durability barrier: the cell's journal record
-                        // is written and fsync'd *before* the cell is
-                        // counted complete, so any crash after this
-                        // point leaves a resumable journal.
-                        if let Some(store) = store {
-                            if !store.record_cell(fingerprint, cell_keys[cell_index], &tally)
-                                && !store_degraded_reported.swap(true, Ordering::AcqRel)
-                            {
-                                emit(CampaignEvent::StoreDegraded {
-                                    write_errors: store.write_errors(),
-                                });
-                            }
-                        }
-                        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                        emit(CampaignEvent::CellFinished {
-                            problem_id: problem.id.clone(),
-                            model: provider_names[cell.profile].clone(),
-                            feedback_iters,
-                            tally,
-                            completed: done,
-                            total: cells.len(),
-                        });
-                        local.push((cell_index, tally));
-                        if let Some(kill) = kill {
-                            if fresh.fetch_add(1, Ordering::Relaxed) + 1 >= kill.after_cells() {
-                                match kill {
-                                    KillPoint::Stop { .. } => {
-                                        killed.store(true, Ordering::Release);
-                                    }
-                                    KillPoint::Abort { .. } => std::process::abort(),
+                    }
+                    let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+                    emit(CampaignEvent::CellFinished {
+                        problem_id: problem.id.clone(),
+                        model: provider_names[cell.profile].clone(),
+                        feedback_iters,
+                        tally,
+                        completed: done,
+                        total: cells.len(),
+                    });
+                    local.push((cell_index, tally));
+                    if let Some(kill) = kill {
+                        if fresh.fetch_add(1, Ordering::Relaxed) + 1 >= kill.after_cells() {
+                            match kill {
+                                KillPoint::Stop { .. } => {
+                                    killed.store(true, Ordering::Release);
                                 }
+                                KillPoint::Abort { .. } => std::process::abort(),
                             }
                         }
                     }
@@ -1393,6 +1287,20 @@ mod tests {
             .collect()
     }
 
+    fn run_matrix(
+        profiles: &[ModelProfile],
+        problems: &[Problem],
+        config: &CampaignConfig,
+    ) -> CampaignReport {
+        Campaign::builder()
+            .problems(problems.to_vec())
+            .profiles(profiles)
+            .config(config.clone())
+            .build()
+            .unwrap()
+            .run()
+    }
+
     fn small_config() -> CampaignConfig {
         CampaignConfig {
             samples_per_problem: 4,
@@ -1409,7 +1317,7 @@ mod tests {
     #[test]
     fn campaign_produces_all_cells() {
         let profiles = vec![ModelProfile::gpt4(), ModelProfile::gemini15_pro()];
-        let report = run_campaign(&profiles, &small_problems(), &small_config());
+        let report = run_matrix(&profiles, &small_problems(), &small_config());
         // 2 models × 2 EF settings × 2 k values.
         assert_eq!(report.cells.len(), 8);
         assert!(report.cell("GPT-4", 0, 1).is_some());
@@ -1420,8 +1328,8 @@ mod tests {
     #[test]
     fn campaign_is_deterministic() {
         let profiles = vec![ModelProfile::claude35_sonnet()];
-        let a = run_campaign(&profiles, &small_problems(), &small_config());
-        let b = run_campaign(&profiles, &small_problems(), &small_config());
+        let a = run_matrix(&profiles, &small_problems(), &small_config());
+        let b = run_matrix(&profiles, &small_problems(), &small_config());
         assert!(a.same_results(&b));
         for (ca, cb) in a.cells.iter().zip(&b.cells) {
             assert_eq!(ca, cb);
@@ -1431,7 +1339,7 @@ mod tests {
     #[test]
     fn report_is_bit_identical_across_thread_counts() {
         let profiles = vec![ModelProfile::gpt4o()];
-        let reference = run_campaign(
+        let reference = run_matrix(
             &profiles,
             &small_problems(),
             &CampaignConfig {
@@ -1440,7 +1348,7 @@ mod tests {
             },
         );
         for threads in [2, 3, 8] {
-            let parallel = run_campaign(
+            let parallel = run_matrix(
                 &profiles,
                 &small_problems(),
                 &CampaignConfig {
@@ -1456,37 +1364,27 @@ mod tests {
     }
 
     #[test]
-    fn report_is_identical_across_grains_and_cache_settings() {
+    fn report_is_identical_with_and_without_cache() {
         let profiles = vec![ModelProfile::gpt4(), ModelProfile::claude35_sonnet()];
         let problems = small_problems();
-        let reference = run_campaign(&profiles, &problems, &small_config());
+        let reference = run_matrix(&profiles, &problems, &small_config());
         assert!(reference.cache_stats.is_some());
-        for (grain, cache) in [
-            (CampaignGrain::PerCell, false),
-            (CampaignGrain::PerProblem, true),
-            (CampaignGrain::PerProblem, false),
-        ] {
-            let other = run_campaign(
-                &profiles,
-                &problems,
-                &CampaignConfig {
-                    grain,
-                    cache,
-                    ..small_config()
-                },
-            );
-            assert!(
-                reference.same_results(&other),
-                "grain {grain:?} / cache {cache} changed the report"
-            );
-            assert_eq!(other.cache_stats.is_some(), cache);
-        }
+        let uncached = run_matrix(
+            &profiles,
+            &problems,
+            &CampaignConfig {
+                cache: false,
+                ..small_config()
+            },
+        );
+        assert!(reference.same_results(&uncached));
+        assert!(uncached.cache_stats.is_none());
     }
 
     #[test]
     fn cache_absorbs_repeated_structures() {
         let profiles = vec![ModelProfile::gpt4()];
-        let report = run_campaign(&profiles, &small_problems(), &small_config());
+        let report = run_matrix(&profiles, &small_problems(), &small_config());
         let stats = report.cache_stats.expect("cache on by default");
         assert!(stats.lookups() > 0);
         assert!(
@@ -1498,7 +1396,7 @@ mod tests {
     #[test]
     fn feedback_never_hurts() {
         let profiles = vec![ModelProfile::gpt4o()];
-        let report = run_campaign(&profiles, &small_problems(), &small_config());
+        let report = run_matrix(&profiles, &small_problems(), &small_config());
         let no_ef = report.cell("GPT-4o", 0, 1).unwrap();
         let one_ef = report.cell("GPT-4o", 1, 1).unwrap();
         assert!(one_ef.syntax >= no_ef.syntax);
@@ -1508,7 +1406,7 @@ mod tests {
     #[test]
     fn pass_at_5_bounds_pass_at_1() {
         let profiles = vec![ModelProfile::gpt4()];
-        let report = run_campaign(&profiles, &small_problems(), &small_config());
+        let report = run_matrix(&profiles, &small_problems(), &small_config());
         let p1 = report.cell("GPT-4", 0, 1).unwrap();
         let p4 = report.cell("GPT-4", 0, 4).unwrap();
         assert!(p4.syntax >= p1.syntax);
@@ -1518,7 +1416,7 @@ mod tests {
     #[test]
     fn scores_are_percentages() {
         let profiles = vec![ModelProfile::gpt_o1_mini()];
-        let report = run_campaign(&profiles, &small_problems(), &small_config());
+        let report = run_matrix(&profiles, &small_problems(), &small_config());
         for cell in &report.cells {
             assert!((0.0..=100.0).contains(&cell.syntax));
             assert!((0.0..=100.0).contains(&cell.functional));

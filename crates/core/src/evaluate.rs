@@ -21,7 +21,7 @@
 //!   bit for bit* — which is what makes cached replay indistinguishable
 //!   from cold evaluation;
 //! * an optional shared [`EvalCache`] memoizes at three levels: the
-//!   sweep outcome per `(netlist hash, grid, backend, port spec)`
+//!   sweep outcome per `(netlist hash, grid, SIMD tier, port spec)`
 //!   (level 1), the finished [`EvalReport`] additionally keyed by
 //!   problem and tolerance (level 2), and — because a verdict is a pure
 //!   function of the response text given those settings — whole verdicts
@@ -43,13 +43,13 @@
 //! [`SweepSchedule`]: picbench_sim::SweepSchedule
 
 use crate::classify;
+use picbench_math::SimdLevel;
 use picbench_netlist::extract::extract_payload;
 use picbench_netlist::{json, Fnv64, Netlist, ValidationIssue};
 use picbench_problems::Problem;
 use picbench_sim::{
-    sweep_planned, sweep_with_plan, Backend, Circuit, FrequencyResponse, ModelRegistry,
-    ResponseComparison, ScheduleCache, SimError, SimulateError, SolveWorkspace, SweepPlan,
-    WavelengthGrid,
+    sweep_planned, sweep_with_plan, Circuit, FrequencyResponse, ModelRegistry, ResponseComparison,
+    ScheduleCache, SimError, SimulateError, SolveWorkspace, SweepPlan, WavelengthGrid,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,9 +100,11 @@ impl EvalReport {
 }
 
 /// Identifies one simulation: canonical netlist digest, wavelength grid
-/// (bit pattern), backend, and the problem's external port-count spec
-/// (which participates in validation).
-pub(crate) type SimKey = (u64, (u64, u64, usize), Backend, (usize, usize));
+/// (bit pattern), the solver's SIMD tier (tiers agree only to the last
+/// bits, and cached replay must be bit-identical to cold evaluation), and
+/// the problem's external port-count spec (which participates in
+/// validation).
+pub(crate) type SimKey = (u64, (u64, u64, usize), SimdLevel, (usize, usize));
 
 /// A [`SimKey`] further scoped by problem-id digest and functional
 /// tolerance — the key of a finished [`EvalReport`]. (Digests rather
@@ -110,10 +112,10 @@ pub(crate) type SimKey = (u64, (u64, u64, usize), Backend, (usize, usize));
 pub(crate) type ReportKey = (SimKey, u64, u64);
 
 /// Identifies one raw-response evaluation: response-text digest, grid,
-/// backend, problem-id digest, tolerance. A verdict is a pure function
+/// SIMD tier, problem-id digest, tolerance. A verdict is a pure function
 /// of these (given the fixed built-in registry), so whole reports can be
 /// replayed from it.
-pub(crate) type ResponseKey = (u64, (u64, u64, usize), Backend, u64, u64);
+pub(crate) type ResponseKey = (u64, (u64, u64, usize), SimdLevel, u64, u64);
 
 /// The memoized outcome of simulating one structurally valid netlist.
 #[derive(Debug, Clone)]
@@ -205,7 +207,7 @@ impl CacheScope {
 /// A sharded, thread-safe, content-addressed evaluation cache.
 ///
 /// Level 1 memoizes sweep outcomes by simulation key (canonical netlist
-/// digest, grid, backend, port spec); level 2 memoizes complete
+/// digest, grid, SIMD tier, port spec); level 2 memoizes complete
 /// [`EvalReport`]s keyed additionally by problem and tolerance. Shards
 /// are plain mutexed hash maps — entries are only ever inserted
 /// (idempotently: every writer computes the identical value for a key, a
@@ -410,7 +412,8 @@ impl EvalCache {
 pub struct Evaluator {
     registry: ModelRegistry,
     grid: WavelengthGrid,
-    backend: Backend,
+    /// SIMD tier of every sweep's kernels.
+    simd: SimdLevel,
     tolerance: f64,
     /// Worker threads per sweep: `0` applies the simulator's default
     /// policy (parallel for large grids), `1` runs serially on the
@@ -433,23 +436,32 @@ pub struct Evaluator {
     workspace: SolveWorkspace,
     /// Rendered system prompts, memoized per restrictions flag.
     system_prompts: [Option<Arc<String>>; 2],
-    /// Whether sweeps may fold wavelength-independent circuits.
-    constant_fold: bool,
 }
 
 impl Default for Evaluator {
     fn default() -> Self {
-        Evaluator::new(WavelengthGrid::paper_fast(), Backend::default())
+        Evaluator::new(WavelengthGrid::paper_fast(), SimdLevel::default())
     }
 }
 
 impl Evaluator {
-    /// Creates an evaluator with the built-in model registry.
-    pub fn new(grid: WavelengthGrid, backend: Backend) -> Self {
+    /// Creates an evaluator with the built-in model registry, sweeping
+    /// with the planned block-sparse solver on the `simd` kernel tier
+    /// (`SimdLevel::default()` is the widest the process may use).
+    ///
+    /// # Panics
+    ///
+    /// Panics if this CPU cannot run `simd`
+    /// ([`picbench_math::simd::is_supported`]).
+    pub fn new(grid: WavelengthGrid, simd: SimdLevel) -> Self {
+        assert!(
+            picbench_math::simd::is_supported(simd),
+            "SIMD level {simd} is not supported on this CPU"
+        );
         Evaluator {
             registry: ModelRegistry::with_builtins(),
             grid,
-            backend,
+            simd,
             tolerance: DEFAULT_FUNCTIONAL_TOLERANCE,
             sweep_threads: 0,
             cache: None,
@@ -459,7 +471,6 @@ impl Evaluator {
             schedules: ScheduleCache::new(),
             workspace: SolveWorkspace::new(),
             system_prompts: [None, None],
-            constant_fold: true,
         }
     }
 
@@ -501,15 +512,6 @@ impl Evaluator {
         self
     }
 
-    /// Enables or disables the constant-response sweep fold for fully
-    /// wavelength-independent circuits (enabled by default; results are
-    /// bit-identical either way — disabling exists to reproduce pre-fold
-    /// baseline timings).
-    pub fn with_constant_fold(mut self, enabled: bool) -> Self {
-        self.constant_fold = enabled;
-        self
-    }
-
     /// The model registry in use.
     pub fn registry(&self) -> &ModelRegistry {
         &self.registry
@@ -537,7 +539,7 @@ impl Evaluator {
         (
             hash,
             self.grid_key(),
-            self.backend,
+            self.simd,
             (problem.spec.inputs, problem.spec.outputs),
         )
     }
@@ -551,9 +553,9 @@ impl Evaluator {
     ) -> Result<FrequencyResponse, SimulateError> {
         let circuit = Circuit::elaborate(canonical, &self.registry, Some(&problem.spec))?;
         let schedule = self.schedules.get_or_build(&circuit);
-        let plan = SweepPlan::with_schedule(&circuit, self.backend, schedule)
+        let plan = SweepPlan::with_schedule(&circuit, schedule)
             .map_err(SimulateError::Sim)?
-            .with_constant_fold(self.constant_fold);
+            .with_simd_level(self.simd);
         let grid = self.grid;
         let response = if self.sweep_threads == 1 {
             sweep_planned(&plan, &grid, &mut self.workspace)
@@ -766,14 +768,14 @@ impl Evaluator {
     /// With a cache attached, whole verdicts are replayed from the
     /// response text itself (level 0) before any extraction or parsing
     /// happens — a verdict is a pure function of
-    /// `(text, problem, grid, backend, tolerance)`, so replay is
+    /// `(text, problem, grid, SIMD tier, tolerance)`, so replay is
     /// indistinguishable from recomputation.
     pub fn evaluate_response(&mut self, problem: &Problem, response_text: &str) -> EvalReport {
         let key: Option<ResponseKey> = self.cache.as_ref().map(|_| {
             (
                 Fnv64::hash_str(response_text),
                 self.grid_key(),
-                self.backend,
+                self.simd,
                 Fnv64::hash_str(&problem.id),
                 self.tolerance.to_bits(),
             )

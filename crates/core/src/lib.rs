@@ -14,8 +14,7 @@
 //! * [`Campaign::builder`] — the session API behind Tables III and IV:
 //!   problems × pluggable [`ModelProvider`]s × feedback settings, with
 //!   typed progress events ([`CampaignObserver`]) and cooperative
-//!   cancellation ([`CancelToken`]); [`run_campaign`] remains as a thin
-//!   shim over it;
+//!   cancellation ([`CancelToken`]);
 //! * [`render_table`] / [`render_csv`] — paper-layout reporting.
 //!
 //! The evaluator's cached, canonical pipeline is continuously verified
@@ -74,8 +73,8 @@ pub mod supervisor;
 mod trace;
 
 pub use campaign::{
-    run_campaign, Campaign, CampaignBuildError, CampaignBuilder, CampaignConfig, CampaignGrain,
-    CampaignOutcome, CampaignReport, CellScore, ConditionTallies, KillPoint,
+    Campaign, CampaignBuildError, CampaignBuilder, CampaignConfig, CampaignOutcome, CampaignReport,
+    CellScore, ConditionTallies, KillPoint,
 };
 pub use evaluate::{
     CacheScope, EvalCache, EvalCacheStats, EvalReport, Evaluator, DEFAULT_FUNCTIONAL_TOLERANCE,

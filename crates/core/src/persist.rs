@@ -21,12 +21,11 @@ use crate::evaluate::{EvalReport, ReportKey, ResponseKey, SimKey};
 use crate::passk::ProblemTally;
 use picbench_math::{CMatrix, Complex};
 use picbench_netlist::{FailureType, ValidationIssue};
-use picbench_sim::{Backend, FrequencyResponse, ResponseComparison};
+use picbench_sim::{FrequencyResponse, ResponseComparison};
 use picbench_sparams::SMatrix;
 use picbench_store::{RecoveryReport, Snapshot, Store, StoreIo};
 use std::io;
 use std::path::Path;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -129,12 +128,17 @@ fn put_grid(out: &mut Vec<u8>, grid: &(u64, u64, usize)) {
     put_u64(out, grid.2 as u64);
 }
 
+/// Sweep-derived keys carry the solver's SIMD tier token (`scalar`,
+/// `avx2`, …). Stores written before the solver was unified carry a
+/// backend token (`port-elimination`, …) in that slot instead; such
+/// records never match a current key, so they are plain misses — never
+/// served, never treated as damage.
 pub(crate) fn encode_sim_key(key: &SimKey) -> Vec<u8> {
-    let (hash, grid, backend, spec) = key;
+    let (hash, grid, simd, spec) = key;
     let mut out = Vec::with_capacity(64);
     put_u64(&mut out, *hash);
     put_grid(&mut out, grid);
-    put_str(&mut out, backend.token());
+    put_str(&mut out, simd.token());
     put_u64(&mut out, spec.0 as u64);
     put_u64(&mut out, spec.1 as u64);
     out
@@ -149,11 +153,11 @@ pub(crate) fn encode_report_key(key: &ReportKey) -> Vec<u8> {
 }
 
 pub(crate) fn encode_response_key(key: &ResponseKey) -> Vec<u8> {
-    let (text, grid, backend, problem, tolerance) = key;
+    let (text, grid, simd, problem, tolerance) = key;
     let mut out = Vec::with_capacity(64);
     put_u64(&mut out, *text);
     put_grid(&mut out, grid);
-    put_str(&mut out, backend.token());
+    put_str(&mut out, simd.token());
     put_u64(&mut out, *problem);
     put_u64(&mut out, *tolerance);
     out
@@ -416,13 +420,6 @@ pub enum LeaseAdvance {
     Fenced,
     /// The store is degraded; liveness can no longer be recorded.
     Degraded,
-}
-
-/// Round-trips a [`Backend`] token so key encodings stay in sync with
-/// the backend list (compile-time drift shows up as a test failure).
-#[allow(dead_code)]
-fn backend_roundtrip(backend: Backend) -> Option<Backend> {
-    Backend::from_str(backend.token()).ok()
 }
 
 // ---------------------------------------------------------------------
@@ -855,6 +852,7 @@ pub type SharedEvalStore = Arc<EvalStore>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use picbench_math::SimdLevel;
     use picbench_sim::{sweep, Circuit, ModelRegistry, WavelengthGrid};
 
     fn sample_response() -> FrequencyResponse {
@@ -865,7 +863,7 @@ mod tests {
             Some(&problem.spec),
         )
         .unwrap();
-        sweep(&circuit, &WavelengthGrid::paper_fast(), Backend::default()).unwrap()
+        sweep(&circuit, &WavelengthGrid::paper_fast()).unwrap()
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -964,9 +962,18 @@ mod tests {
     }
 
     #[test]
-    fn backend_tokens_roundtrip() {
-        for backend in Backend::ALL {
-            assert_eq!(backend_roundtrip(backend), Some(backend));
+    fn keys_of_different_simd_tiers_never_collide() {
+        let key = |simd| encode_sim_key(&(42, (1, 2, 17), simd, (1, 1)));
+        let tiers = [
+            SimdLevel::Scalar,
+            SimdLevel::Avx2,
+            SimdLevel::Avx512,
+            SimdLevel::Neon,
+        ];
+        for (i, a) in tiers.iter().enumerate() {
+            for b in &tiers[i + 1..] {
+                assert_ne!(key(*a), key(*b), "{a} vs {b}");
+            }
         }
     }
 
@@ -1109,9 +1116,9 @@ mod tests {
                 rms_power_diff: 0.0,
             }),
         };
-        let sim_key: SimKey = (42, (1, 2, 17), Backend::default(), (1, 1));
+        let sim_key: SimKey = (42, (1, 2, 17), SimdLevel::Scalar, (1, 1));
         let report_key: ReportKey = (sim_key, 7, 8);
-        let response_key: ResponseKey = (9, (1, 2, 17), Backend::default(), 7, 8);
+        let response_key: ResponseKey = (9, (1, 2, 17), SimdLevel::Scalar, 7, 8);
         {
             let store = EvalStore::open(&dir).unwrap();
             store.put_sim(&sim_key, &response);
@@ -1124,7 +1131,7 @@ mod tests {
         assert!(store.get_report(&report_key).unwrap().functional_pass());
         assert!(store.get_verdict(&response_key).unwrap().functional_pass());
         assert!(store
-            .get_sim(&(43, (1, 2, 17), Backend::default(), (1, 1)))
+            .get_sim(&(43, (1, 2, 17), SimdLevel::Scalar, (1, 1)))
             .is_none());
         assert!(!store.degraded());
         let _ = std::fs::remove_dir_all(&dir);

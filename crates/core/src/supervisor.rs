@@ -37,7 +37,7 @@ use crate::lease::{lease_expired, Clock, SystemClock};
 use crate::persist::{EvalSnapshot, LeaseAdvance, LeaseRecord, ShardGenStats};
 use crate::shard::{latest_generation, merge_shard_journals, shard_journal_dir, ShardPlan};
 use picbench_problems::Problem;
-use picbench_sim::{Backend, FrequencyResponse};
+use picbench_sim::FrequencyResponse;
 use picbench_store::xorshift64;
 use picbench_synthllm::ModelProvider;
 use std::collections::{HashMap, HashSet};
@@ -560,12 +560,12 @@ fn shard_worker_body(
         .collect();
 
     // Mirror the engine's evaluator setup exactly: shared goldens primed
-    // up front, the same sweep-thread and constant-fold policy, an
+    // up front, the same serial sweeps, an
     // in-memory cache when configured (no disk tier — worker journals
     // hold cells and leases only, keeping supervisor polls cheap).
     let cache = cfg.cache.then(|| Arc::new(EvalCache::new()));
     let goldens: Arc<HashMap<String, Arc<FrequencyResponse>>> = {
-        let mut evaluator = Evaluator::new(cfg.grid, Backend::default());
+        let mut evaluator = Evaluator::new(cfg.grid, Default::default());
         if let Some(cache) = &cache {
             evaluator = evaluator.with_cache(Arc::clone(cache));
         }
@@ -584,11 +584,9 @@ fn shard_worker_body(
     }
 
     let providers = wrap_retry_providers(&workload.providers, cfg, None);
-    let sweep_threads = if cfg.legacy_sweeps { 0 } else { 1 };
-    let mut evaluator = Evaluator::new(cfg.grid, Backend::default())
+    let mut evaluator = Evaluator::new(cfg.grid, Default::default())
         .with_shared_goldens(goldens)
-        .with_sweep_threads(sweep_threads)
-        .with_constant_fold(!cfg.legacy_sweeps);
+        .with_sweep_threads(1);
     if let Some(cache) = &cache {
         evaluator = evaluator.with_cache(Arc::clone(cache));
     }

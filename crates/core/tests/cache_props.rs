@@ -4,9 +4,10 @@
 //! one cache entry and one frequency response.
 
 use picbench_core::{EvalCache, Evaluator};
+use picbench_math::SimdLevel;
 use picbench_netlist::{Connection, Instance, Netlist, OrderedMap};
 use picbench_problems::Problem;
-use picbench_sim::{Backend, WavelengthGrid};
+use picbench_sim::WavelengthGrid;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -90,9 +91,9 @@ proptest! {
         arm_bottom in 1.0f64..60.0,
         perm in any::<u64>(),
         points in 2usize..24,
-        backend_flip in any::<bool>(),
+        scalar_tier in any::<bool>(),
     ) {
-        let backend = if backend_flip { Backend::Dense } else { Backend::PortElimination };
+        let simd = if scalar_tier { SimdLevel::Scalar } else { SimdLevel::default() };
         let grid = WavelengthGrid::new(1.51, 1.59, points);
         let problem = problem();
         let netlist = random_mzi(arm_top, arm_bottom, perm);
@@ -100,8 +101,8 @@ proptest! {
         prop_assert_eq!(netlist.content_hash(), permuted.content_hash());
 
         let cache = Arc::new(EvalCache::new());
-        let mut cached = Evaluator::new(grid, backend).with_cache(Arc::clone(&cache));
-        let mut cold = Evaluator::new(grid, backend);
+        let mut cached = Evaluator::new(grid, simd).with_cache(Arc::clone(&cache));
+        let mut cold = Evaluator::new(grid, simd);
 
         // Cold response vs the response that seeds the cache: identical bits.
         let cold_response = cold

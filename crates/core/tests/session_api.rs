@@ -1,10 +1,8 @@
 //! Integration tests of the session-oriented campaign API: provider
-//! fan-out vs the legacy profile path, streaming events, cooperative
+//! fan-out vs the profile path, streaming events, cooperative
 //! cancellation, and resilience providers.
 
-use picbench_core::{
-    run_campaign, Campaign, CampaignBuildError, CampaignConfig, CampaignEvent, CancelToken,
-};
+use picbench_core::{Campaign, CampaignBuildError, CampaignConfig, CampaignEvent, CancelToken};
 use picbench_problems::Problem;
 use picbench_synthllm::{FlakyProvider, ModelProfile, ModelProvider, ReplayLlm};
 use std::sync::mpsc;
@@ -29,9 +27,15 @@ fn config(threads: usize) -> CampaignConfig {
 }
 
 #[test]
-fn provider_campaign_is_bit_identical_to_legacy_path_across_threads() {
+fn provider_campaign_is_bit_identical_to_profile_path_across_threads() {
     let profiles = vec![ModelProfile::gpt4(), ModelProfile::claude35_sonnet()];
-    let legacy = run_campaign(&profiles, &problems(), &config(1));
+    let reference = Campaign::builder()
+        .problems(problems())
+        .profiles(&profiles)
+        .config(config(1))
+        .build()
+        .unwrap()
+        .run();
     for threads in [1, 2, 5] {
         let session = Campaign::builder()
             .problems(problems())
@@ -45,12 +49,12 @@ fn provider_campaign_is_bit_identical_to_legacy_path_across_threads() {
             .unwrap()
             .run();
         assert!(
-            legacy.same_results(&session),
-            "dyn ModelProvider path diverged from the legacy path at {threads} threads"
+            reference.same_results(&session),
+            "dyn ModelProvider path diverged from the profile path at {threads} threads"
         );
         // Bit-identical, not approximately equal: the score rows match
         // exactly, f64 bits included.
-        for (a, b) in legacy.cells.iter().zip(&session.cells) {
+        for (a, b) in reference.cells.iter().zip(&session.cells) {
             assert_eq!(a, b);
         }
     }

@@ -1,8 +1,9 @@
 //! Partial-pivot LU decomposition for complex matrices.
 //!
-//! The dense scattering backend of the simulator solves
-//! `(I − P·S_ii) x = P·S_ie` at every wavelength point; this module provides
-//! the factorization, solves, inverse and determinant it needs.
+//! The simulator's dense reference solve (its independent oracle) solves
+//! `(I − P·S_ii) x = P·S_ie`; this module provides the factorization,
+//! solves, inverse and determinant it needs, plus the matrix tools
+//! (decompositions, inverses) built on them.
 
 use crate::{CMatrix, Complex};
 use std::error::Error;
@@ -102,83 +103,6 @@ impl LuDecomposition {
         Ok(LuDecomposition { lu, perm, swaps })
     }
 
-    /// An empty (0×0) factorization, ready to be filled by
-    /// [`LuDecomposition::factor_into`]. Useful as workspace storage that
-    /// is re-factored for every new system without reallocating.
-    pub fn empty() -> Self {
-        LuDecomposition {
-            lu: CMatrix::zeros(0, 0),
-            perm: Vec::new(),
-            swaps: 0,
-        }
-    }
-
-    /// Re-factors `a` into this decomposition **in place**, reusing the
-    /// existing matrix and permutation buffers (zero allocations once the
-    /// buffers have reached their high-water mark).
-    ///
-    /// The elimination kernel runs on contiguous row slices instead of the
-    /// bounds-asserted `Index` operator, which makes it several times
-    /// faster than [`LuDecomposition::factor`] while computing the exact
-    /// same factorization (same pivoting, same operation order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] exactly like
-    /// [`LuDecomposition::factor`]. On error the decomposition contents
-    /// are unspecified and must not be used for solves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not square.
-    pub fn factor_into(&mut self, a: &CMatrix) -> Result<(), SingularMatrixError> {
-        assert!(a.is_square(), "LU factorization requires a square matrix");
-        let n = a.rows();
-        self.lu.copy_from(a);
-        self.perm.clear();
-        self.perm.extend(0..n);
-        self.swaps = 0;
-
-        let data = self.lu.as_mut_slice();
-        for col in 0..n {
-            // Partial pivot: pick the row with the largest magnitude in col.
-            let mut pivot_row = col;
-            let mut pivot_mag = data[col * n + col].abs();
-            for r in col + 1..n {
-                let mag = data[r * n + col].abs();
-                if mag > pivot_mag {
-                    pivot_mag = mag;
-                    pivot_row = r;
-                }
-            }
-            // NaN pivots must also be rejected, hence the explicit check.
-            if pivot_mag.is_nan() || pivot_mag <= 1e-300 {
-                return Err(SingularMatrixError { column: col });
-            }
-            if pivot_row != col {
-                let (upper, lower) = data.split_at_mut(pivot_row * n);
-                upper[col * n..col * n + n].swap_with_slice(&mut lower[..n]);
-                self.perm.swap(pivot_row, col);
-                self.swaps += 1;
-            }
-            // Eliminate below the pivot, one contiguous row at a time.
-            let (pivot_rows, below) = data.split_at_mut((col + 1) * n);
-            let pivot_row_slice = &pivot_rows[col * n..(col + 1) * n];
-            let pivot = pivot_row_slice[col];
-            for row in below.chunks_exact_mut(n) {
-                let factor = row[col] / pivot;
-                row[col] = factor;
-                if factor == Complex::ZERO {
-                    continue;
-                }
-                for (x, &p) in row[col + 1..].iter_mut().zip(&pivot_row_slice[col + 1..]) {
-                    *x -= factor * p;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Matrix dimension.
     pub fn dim(&self) -> usize {
         self.lu.rows()
@@ -216,69 +140,20 @@ impl LuDecomposition {
     ///
     /// The pivot permutation is applied **once per solve** while the
     /// panel is copied in, and the eliminations then run across all
-    /// columns simultaneously (via [`LuDecomposition::solve_matrix_into`])
-    /// instead of re-traversing the permutation and the factors for every
-    /// column. The per-element operation order is unchanged, so the
-    /// results are identical to the historical column-at-a-time solve —
-    /// asserted by the `solve_matrix_hoists_the_pivot_permutation` test.
+    /// columns simultaneously on contiguous rows instead of re-traversing
+    /// the permutation and the factors for every column. The per-element
+    /// operation order is unchanged, so the results are identical to a
+    /// column-at-a-time solve — asserted by the
+    /// `solve_matrix_hoists_the_pivot_permutation` test.
     ///
     /// # Panics
     ///
     /// Panics if `b.rows()` does not match the matrix dimension.
     pub fn solve_matrix(&self, b: &CMatrix) -> CMatrix {
-        let mut out = CMatrix::zeros(0, 0);
-        self.solve_matrix_into(b, &mut out);
-        out
-    }
-
-    /// Solves `A·x = b` into a caller-provided buffer (resized, no
-    /// allocation at steady state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` does not match the matrix dimension.
-    pub fn solve_into(&self, b: &[Complex], x: &mut Vec<Complex>) {
-        let n = self.dim();
-        assert_eq!(b.len(), n, "right-hand side length mismatch");
-        x.clear();
-        x.extend(self.perm.iter().map(|&p| b[p]));
-        let lu = self.lu.as_slice();
-        // Forward substitution (L has unit diagonal).
-        for r in 1..n {
-            let mut acc = x[r];
-            for (c, &l) in lu[r * n..r * n + r].iter().enumerate() {
-                acc -= l * x[c];
-            }
-            x[r] = acc;
-        }
-        // Back substitution.
-        for r in (0..n).rev() {
-            let row = &lu[r * n..(r + 1) * n];
-            let mut acc = x[r];
-            for c in r + 1..n {
-                acc -= row[c] * x[c];
-            }
-            x[r] = acc / row[r];
-        }
-    }
-
-    /// Solves `A·X = B` into a caller-provided matrix (reshaped, no
-    /// allocation at steady state).
-    ///
-    /// All right-hand-side columns are eliminated simultaneously on
-    /// contiguous rows of `B`, which is both allocation-free and far more
-    /// cache-friendly than the column-at-a-time
-    /// [`LuDecomposition::solve_matrix`]; the per-element operation order
-    /// is identical, so the results match it exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.rows()` does not match the matrix dimension.
-    pub fn solve_matrix_into(&self, b: &CMatrix, out: &mut CMatrix) {
         let n = self.dim();
         assert_eq!(b.rows(), n, "right-hand side row count mismatch");
         let ncols = b.cols();
-        out.reshape(n, ncols);
+        let mut out = CMatrix::zeros(n, ncols);
         // Apply the row permutation while copying B in.
         for r in 0..n {
             let src = self.perm[r];
@@ -320,6 +195,7 @@ impl LuDecomposition {
                 *x /= d;
             }
         }
+        out
     }
 
     /// The matrix inverse `A⁻¹`.
@@ -455,47 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn factor_into_matches_factor() {
-        let mut ws = LuDecomposition::empty();
-        for n in [1, 2, 4, 7, 12] {
-            let a = test_matrix(n, 100 + n as u64);
-            let reference = LuDecomposition::factor(&a).unwrap();
-            ws.factor_into(&a).unwrap();
-            assert_eq!(ws.perm, reference.perm, "n={n}");
-            assert_eq!(ws.swaps, reference.swaps, "n={n}");
-            assert!(ws.lu.max_abs_diff(&reference.lu) < 1e-12, "n={n}");
-        }
-    }
-
-    #[test]
-    fn factor_into_reports_singularity() {
-        let a = CMatrix::from_rows(&[
-            vec![c(1.0, 0.0), c(2.0, 0.0)],
-            vec![c(2.0, 0.0), c(4.0, 0.0)],
-        ]);
-        let mut ws = LuDecomposition::empty();
-        assert_eq!(ws.factor_into(&a).unwrap_err().column, 1);
-        // The workspace recovers for the next well-posed system.
-        let good = test_matrix(3, 5);
-        ws.factor_into(&good).unwrap();
-        let reference = LuDecomposition::factor(&good).unwrap();
-        assert!(ws.lu.max_abs_diff(&reference.lu) < 1e-12);
-    }
-
-    #[test]
-    fn solve_into_matches_solve() {
-        let a = test_matrix(6, 21);
-        let lu = LuDecomposition::factor(&a).unwrap();
-        let b: Vec<Complex> = (0..6).map(|i| c(i as f64, 1.0 - i as f64)).collect();
-        let mut x = Vec::new();
-        lu.solve_into(&b, &mut x);
-        let reference = lu.solve(&b);
-        for (got, want) in x.iter().zip(&reference) {
-            assert!(got.approx_eq(*want, 1e-13));
-        }
-    }
-
-    #[test]
     fn solve_matrix_hoists_the_pivot_permutation() {
         // Micro-assertion: the panel solve (permutation applied once per
         // solve) must reproduce the historical column-at-a-time solve —
@@ -515,20 +350,6 @@ mod tests {
             }
             assert_eq!(hoisted, columnwise, "n={n}");
         }
-    }
-
-    #[test]
-    fn solve_matrix_into_matches_solve_matrix() {
-        let a = test_matrix(8, 2);
-        let b = test_matrix(8, 33);
-        let lu = LuDecomposition::factor(&a).unwrap();
-        let mut out = CMatrix::zeros(0, 0);
-        lu.solve_matrix_into(&b, &mut out);
-        assert!(out.max_abs_diff(&lu.solve_matrix(&b)) < 1e-12);
-        // Reuse of the same output buffer with a different shape.
-        let b2 = CMatrix::from_fn(8, 3, |r, cc| c(r as f64, cc as f64));
-        lu.solve_matrix_into(&b2, &mut out);
-        assert!(out.max_abs_diff(&lu.solve_matrix(&b2)) < 1e-12);
     }
 
     #[test]

@@ -180,11 +180,6 @@ impl CMatrix {
         self.cols = cols;
     }
 
-    /// Sets every entry to zero, keeping the dimensions.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(Complex::ZERO);
-    }
-
     /// Overwrites the matrix by interleaving a split-complex (SoA) pair
     /// of component slices, reshaping to `rows × cols`. A pure copy — the
     /// bits of each entry are exactly the source components.
@@ -233,17 +228,6 @@ impl CMatrix {
         CMatrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
     }
 
-    /// Writes the transpose of `self` into `out` (reshaped, no allocation
-    /// at steady state).
-    pub fn transpose_into(&self, out: &mut CMatrix) {
-        out.reshape(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                *out.at_mut(c, r) = self.at(r, c);
-            }
-        }
-    }
-
     /// Conjugate transpose (Hermitian adjoint).
     pub fn dagger(&self) -> CMatrix {
         CMatrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)].conj())
@@ -271,9 +255,18 @@ impl CMatrix {
     ///
     /// Panics if `v.len() != self.cols()`.
     pub fn mul_vec(&self, v: &[Complex]) -> Vec<Complex> {
-        let mut out = Vec::new();
-        self.mul_vec_into(v, &mut out);
-        out
+        assert_eq!(v.len(), self.cols, "dimension mismatch in mul_vec");
+        self.data
+            .chunks_exact(self.cols.max(1))
+            .take(self.rows)
+            .map(|row| {
+                let mut acc = Complex::ZERO;
+                for (&a, &b) in row.iter().zip(v) {
+                    acc += a * b;
+                }
+                acc
+            })
+            .collect()
     }
 
     /// Extracts the sub-matrix selecting `row_idx × col_idx`.
@@ -281,66 +274,6 @@ impl CMatrix {
         CMatrix::from_fn(row_idx.len(), col_idx.len(), |r, c| {
             self[(row_idx[r], col_idx[c])]
         })
-    }
-
-    /// Gathers the sub-matrix selecting `row_idx × col_idx` into `out`
-    /// (reshaped, no allocation at steady state).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if any index is out of bounds.
-    pub fn submatrix_into(&self, row_idx: &[usize], col_idx: &[usize], out: &mut CMatrix) {
-        out.reshape(row_idx.len(), col_idx.len());
-        for (r, &src_r) in row_idx.iter().enumerate() {
-            for (c, &src_c) in col_idx.iter().enumerate() {
-                *out.at_mut(r, c) = self.at(src_r, src_c);
-            }
-        }
-    }
-
-    /// Matrix product `self · rhs` written into `out` (reshaped, no
-    /// allocation at steady state). `out` must not alias either operand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    pub fn mul_into(&self, rhs: &CMatrix, out: &mut CMatrix) {
-        assert_eq!(self.cols, rhs.rows, "dimension mismatch in mul_into");
-        out.reshape(self.rows, rhs.cols);
-        out.fill_zero();
-        let n_cols = rhs.cols;
-        for r in 0..self.rows {
-            let out_row = &mut out.as_mut_slice()[r * n_cols..(r + 1) * n_cols];
-            for k in 0..self.cols {
-                let a = self.at(r, k);
-                if a == Complex::ZERO {
-                    continue;
-                }
-                let rhs_row = rhs.row_slice(k);
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
-            }
-        }
-    }
-
-    /// Matrix–vector product written into `out` (resized, no allocation at
-    /// steady state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()`.
-    pub fn mul_vec_into(&self, v: &[Complex], out: &mut Vec<Complex>) {
-        assert_eq!(v.len(), self.cols, "dimension mismatch in mul_vec_into");
-        out.clear();
-        out.resize(self.rows, Complex::ZERO);
-        for (row, slot) in self.data.chunks_exact(self.cols.max(1)).zip(out.iter_mut()) {
-            let mut acc = Complex::ZERO;
-            for (&a, &b) in row.iter().zip(v) {
-                acc += a * b;
-            }
-            *slot = acc;
-        }
     }
 
     /// Frobenius norm `√Σ|a_ij|²`.
@@ -684,16 +617,6 @@ mod tests {
         buf.reshape(2, 2);
         assert_eq!(buf.rows(), 2);
         assert_eq!(buf.cols(), 2);
-        buf.fill_zero();
-        assert!(buf.as_slice().iter().all(|&z| z == Complex::ZERO));
-    }
-
-    #[test]
-    fn transpose_into_matches_transpose() {
-        let a = CMatrix::from_fn(3, 5, |r, cc| c(r as f64, cc as f64 - 1.0));
-        let mut out = CMatrix::zeros(0, 0);
-        a.transpose_into(&mut out);
-        assert_eq!(out, a.transpose());
     }
 
     #[test]
@@ -702,31 +625,5 @@ mod tests {
         let mut b = a.clone();
         b.scale_in_place(c(0.5, -1.0));
         assert!(b.max_abs_diff(&a.scale(c(0.5, -1.0))) < 1e-15);
-    }
-
-    #[test]
-    fn mul_into_matches_operator() {
-        let a = CMatrix::from_fn(3, 4, |r, cc| c(r as f64, cc as f64));
-        let b = CMatrix::from_fn(4, 2, |r, cc| c(cc as f64 - r as f64, 1.0));
-        let mut out = CMatrix::zeros(7, 7);
-        a.mul_into(&b, &mut out);
-        assert!(out.max_abs_diff(&(&a * &b)) < 1e-13);
-    }
-
-    #[test]
-    fn mul_vec_into_matches_mul_vec() {
-        let a = CMatrix::from_fn(3, 2, |r, cc| c((r + cc) as f64, 1.0));
-        let v = vec![c(1.0, 0.0), c(0.0, 1.0)];
-        let mut out = Vec::new();
-        a.mul_vec_into(&v, &mut out);
-        assert_eq!(out, a.mul_vec(&v));
-    }
-
-    #[test]
-    fn submatrix_into_matches_submatrix() {
-        let a = CMatrix::from_fn(4, 4, |r, cc| c((r * 4 + cc) as f64, 0.0));
-        let mut out = CMatrix::zeros(0, 0);
-        a.submatrix_into(&[1, 3], &[0, 2], &mut out);
-        assert_eq!(out, a.submatrix(&[1, 3], &[0, 2]));
     }
 }

@@ -18,10 +18,13 @@
 //! [`crate::sparse`] uses so whole block rows are contiguous — runs
 //! through the same bodies as a packed block.
 //!
-//! [`kernels`] selects the widest available implementation once per
-//! process (cached), honouring the `PICBENCH_FORCE_SCALAR=1` environment
-//! override (read once, at first use) and the programmatic
-//! [`with_forced_scalar`] scope used by differential tests.
+//! There is no process-wide dispatch switch. Solver objects resolve a
+//! kernel table once, when they are built: [`kernels`] for the default
+//! tier ([`available_level`] — the widest the CPU supports, capped to
+//! scalar by the `PICBENCH_FORCE_SCALAR=1` environment override, read
+//! once at first use), or [`kernels_for`] for an explicit tier. Two
+//! solvers on different tiers can therefore run side by side in one
+//! process — which is how differential tests compare them.
 //!
 //! ## Lane order and numerical contract
 //!
@@ -47,8 +50,8 @@
 //!   rounding per product (≤ 1 ulp locally, and usually *more*
 //!   accurate), so SIMD and scalar results may differ in the last bits.
 //!   The deviation is bounded and gated — the `simd` conformance axis
-//!   sweeps every generator family differentially against
-//!   [`with_forced_scalar`] under a tight tolerance, and this module's
+//!   sweeps every generator family differentially against a
+//!   scalar-tier plan under a tight tolerance, and this module's
 //!   tests bound each kernel against its scalar instantiation.
 //! * Zero-coefficient skips test `f.re == 0.0 && f.im == 0.0`, the same
 //!   predicate as the scalar `f == Complex::ZERO`, independent of lane
@@ -61,7 +64,6 @@
 use crate::Complex;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// An instruction-set tier the kernels can run on.
@@ -86,6 +88,14 @@ impl SimdLevel {
             SimdLevel::Avx512 => "avx512",
             SimdLevel::Neon => "neon",
         }
+    }
+}
+
+/// The default tier is [`available_level`]: the widest this process may
+/// use.
+impl Default for SimdLevel {
+    fn default() -> Self {
+        available_level()
     }
 }
 
@@ -1178,32 +1188,14 @@ static NEON_KERNELS: Kernels = Kernels {
     axpy_add: neon::axpy_add,
 };
 
-/// Nesting depth of [`with_forced_scalar`] scopes (process-wide).
-static FORCE_SCALAR_DEPTH: AtomicUsize = AtomicUsize::new(0);
-
 fn detect() -> SimdLevel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // Both x86 tiers contract through FMA: AVX-512F carries its own
-        // fused ops, the AVX2 tier needs the separate `fma` feature (in
-        // practice present on every AVX2 part).
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return SimdLevel::Avx512;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            return SimdLevel::Avx2;
-        }
-        SimdLevel::Scalar
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        SimdLevel::Neon
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        SimdLevel::Scalar
-    }
+    // Both x86 tiers contract through FMA: AVX-512F carries its own fused
+    // ops, the AVX2 tier needs the separate `fma` feature (in practice
+    // present on every AVX2 part).
+    [SimdLevel::Avx512, SimdLevel::Avx2, SimdLevel::Neon]
+        .into_iter()
+        .find(|&level| is_supported(level))
+        .unwrap_or(SimdLevel::Scalar)
 }
 
 /// The widest tier this process may use: runtime CPU detection, capped to
@@ -1222,39 +1214,42 @@ pub fn available_level() -> SimdLevel {
     })
 }
 
-/// The tier the *next* kernel dispatch will use: [`available_level`],
-/// overridden to scalar inside any [`with_forced_scalar`] scope.
-pub fn active_level() -> SimdLevel {
-    if FORCE_SCALAR_DEPTH.load(Ordering::Acquire) > 0 {
-        SimdLevel::Scalar
-    } else {
-        available_level()
-    }
-}
-
-/// Runs `f` with kernel dispatch forced to the scalar tier (process-wide,
-/// re-entrant, panic-safe). The scope exists so differential tests and
-/// the `simd` conformance axis can compare the reference and vector
-/// paths deliberately; since the override is process-wide, callers that
-/// need a *pure* vector-tier run should not overlap it with one (results
-/// would still agree within the FMA-contraction tolerance, but not bit
-/// for bit).
-pub fn with_forced_scalar<R>(f: impl FnOnce() -> R) -> R {
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            FORCE_SCALAR_DEPTH.fetch_sub(1, Ordering::Release);
+/// Whether this CPU can run `level`'s kernels (runtime detection; the
+/// `PICBENCH_FORCE_SCALAR` override does not apply — it only lowers the
+/// [`available_level`] default, and scalar is supported everywhere).
+pub fn is_supported(level: SimdLevel) -> bool {
+    match level {
+        SimdLevel::Scalar => true,
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
         }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+        #[cfg(target_arch = "aarch64")]
+        SimdLevel::Neon => true,
+        #[allow(unreachable_patterns)]
+        _ => false,
     }
-    FORCE_SCALAR_DEPTH.fetch_add(1, Ordering::Acquire);
-    let _guard = Guard;
-    f()
 }
 
-/// The kernel table for [`active_level`] — resolved per call (two atomic
-/// loads), so a [`with_forced_scalar`] scope takes effect immediately.
-pub fn kernels() -> &'static Kernels {
-    match active_level() {
+/// The kernel table of an explicit tier. Callers resolve it once — at
+/// plan or factorization construction — so every kernel call of that
+/// object dispatches the same tier no matter what else runs in the
+/// process.
+///
+/// # Panics
+///
+/// Panics if this CPU cannot run `level` (see [`is_supported`]):
+/// dispatching an undetected instruction set would be undefined
+/// behaviour.
+pub fn kernels_for(level: SimdLevel) -> &'static Kernels {
+    assert!(
+        is_supported(level),
+        "SIMD level {level} is not supported on this CPU"
+    );
+    match level {
         SimdLevel::Scalar => &SCALAR_KERNELS,
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => &AVX2_KERNELS,
@@ -1262,11 +1257,15 @@ pub fn kernels() -> &'static Kernels {
         SimdLevel::Avx512 => &AVX512_KERNELS,
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => &NEON_KERNELS,
-        // A level that cannot be detected on this architecture is
-        // unreachable from `active_level`, but keep the dispatch total.
         #[allow(unreachable_patterns)]
-        _ => &SCALAR_KERNELS,
+        _ => unreachable!("is_supported rejects tiers of other architectures"),
     }
+}
+
+/// The kernel table of [`available_level`] — the default every solver
+/// object resolves at construction.
+pub fn kernels() -> &'static Kernels {
+    kernels_for(available_level())
 }
 
 #[cfg(test)]
@@ -1305,16 +1304,10 @@ mod tests {
     }
 
     #[test]
-    fn forced_scalar_scope_overrides_and_restores() {
-        let ambient = active_level();
-        with_forced_scalar(|| {
-            assert_eq!(active_level(), SimdLevel::Scalar);
-            assert_eq!(kernels().level(), SimdLevel::Scalar);
-            // Re-entrant.
-            with_forced_scalar(|| assert_eq!(active_level(), SimdLevel::Scalar));
-            assert_eq!(active_level(), SimdLevel::Scalar);
-        });
-        assert_eq!(active_level(), ambient);
+    fn explicit_levels_resolve_their_own_tables() {
+        assert_eq!(kernels_for(SimdLevel::Scalar).level(), SimdLevel::Scalar);
+        assert!(is_supported(available_level()));
+        assert_eq!(kernels().level(), available_level());
     }
 
     /// Element-wise closeness bound for the SIMD-vs-scalar comparisons:

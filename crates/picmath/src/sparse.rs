@@ -25,14 +25,14 @@
 //! Values live in **split-complex (SoA) storage** — [`SplitComplexVec`],
 //! parallel real/imaginary `f64` arrays — so the panel-shaped hot loops
 //! (Schur-update GEMMs, triangular panel solves) run through the
-//! runtime-dispatched SIMD kernels of [`crate::simd`]. The tiny
+//! SIMD kernels of [`crate::simd`], on the tier each [`BlockSparseLu`]
+//! resolves when it is built. The tiny
 //! sequential kernels (within-block pivoted LU, row pivots, the
 //! right-sided triangular solve) stay scalar: their blocks are a handful
-//! of entries wide and keeping them scalar keeps them trivially
-//! bit-identical. Every dispatched kernel is bit-identical to the scalar
-//! fallback by the lane-order contract documented in [`crate::simd`], so
-//! factorizations and solves produce the same bits on every instruction
-//! set (and under `PICBENCH_FORCE_SCALAR=1`).
+//! of entries wide. The vector tiers differ from the scalar tier only by
+//! FMA contraction, under the lane-order contract documented in
+//! [`crate::simd`]; within one tier, factorizations and solves are
+//! bit-stable.
 //!
 //! One symbolic object serves every wavelength point of a sweep and every
 //! worker thread; each [`BlockSparseLu`] is cheap per-worker state whose
@@ -66,7 +66,8 @@
 //! # Ok::<(), picbench_math::SingularMatrixError>(())
 //! ```
 
-use crate::{simd, Complex, SingularMatrixError};
+use crate::simd::{self, Kernels, SimdLevel};
+use crate::{Complex, SingularMatrixError};
 
 /// Split-complex (structure-of-arrays) storage: a logical `Vec<Complex>`
 /// held as two parallel `f64` arrays, one of real parts and one of
@@ -605,14 +606,17 @@ impl BlockSymbolic {
 /// shared [`BlockSymbolic`]; every buffer stops allocating once it
 /// reaches its high-water mark.
 ///
-/// The panel-shaped inner loops dispatch through [`crate::simd::kernels`]
-/// and are bit-identical across instruction sets; see the module docs.
+/// The panel-shaped inner loops run on the SIMD kernel table resolved
+/// at construction ([`BlockSparseLu::new`] takes the process default,
+/// [`BlockSparseLu::with_level`] an explicit tier), so concurrent
+/// factorizations on different tiers never influence each other.
 #[derive(Debug)]
 pub struct BlockSparseLu {
     values: SplitComplexVec,
     pivots: Vec<usize>,
     scratch: SplitComplexVec,
     diag_inv: Vec<Complex>,
+    kern: &'static Kernels,
 }
 
 impl Default for BlockSparseLu {
@@ -622,15 +626,31 @@ impl Default for BlockSparseLu {
 }
 
 impl BlockSparseLu {
-    /// An empty numeric workspace; size it with [`BlockSparseLu::reset`]
+    /// An empty numeric workspace on the default SIMD tier
+    /// ([`simd::available_level`]); size it with [`BlockSparseLu::reset`]
     /// or [`BlockSparseLu::load`] before assembling.
     pub fn new() -> Self {
+        BlockSparseLu::with_level(simd::available_level())
+    }
+
+    /// An empty numeric workspace whose kernels run on `level`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this CPU cannot run `level` ([`simd::is_supported`]).
+    pub fn with_level(level: SimdLevel) -> Self {
         BlockSparseLu {
             values: SplitComplexVec::new(),
             pivots: Vec::new(),
             scratch: SplitComplexVec::new(),
             diag_inv: Vec::new(),
+            kern: simd::kernels_for(level),
         }
+    }
+
+    /// The SIMD tier this workspace's kernels run on.
+    pub fn level(&self) -> SimdLevel {
+        self.kern.level()
     }
 
     /// Zeroes the value storage and sizes it for `sym`. Fill blocks start
@@ -683,7 +703,7 @@ impl BlockSparseLu {
         );
         self.pivots.clear();
         self.pivots.resize(sym.scalar_dim(), 0);
-        let kern = simd::kernels();
+        let kern = self.kern;
         let n = sym.block_count();
         for k in 0..n {
             let sk = sym.sizes[k];
@@ -814,7 +834,7 @@ impl BlockSparseLu {
         if ncols == 0 || sym.scalar_dim() == 0 {
             return;
         }
-        let kern = simd::kernels();
+        let kern = self.kern;
         let n = sym.block_count();
         let vr = &self.values.re;
         let vi = &self.values.im;
@@ -1162,8 +1182,8 @@ mod tests {
     }
 
     #[test]
-    fn forced_scalar_factor_and_solve_agree_within_tolerance() {
-        // The vector tiers deviate from the scalar fallback only by FMA
+    fn scalar_tier_factor_and_solve_agree_within_tolerance() {
+        // The vector tiers deviate from the scalar tier only by FMA
         // contraction (see `simd`'s module docs); verify end-to-end on a
         // filled system that factor and solution stay within a tolerance
         // far tighter than any structural divergence could produce.
@@ -1192,13 +1212,12 @@ mod tests {
         let mut simd_panel = SplitComplexVec::from_interleaved(&rhs);
         lu.solve_in_place(&sym, &mut simd_panel, ncols);
 
-        let (scalar_factor, scalar_panel) = simd::with_forced_scalar(|| {
-            lu.load(&baseline);
-            lu.factor(&sym).unwrap();
-            let mut panel = SplitComplexVec::from_interleaved(&rhs);
-            lu.solve_in_place(&sym, &mut panel, ncols);
-            (lu.values().clone(), panel)
-        });
+        let mut scalar = BlockSparseLu::with_level(SimdLevel::Scalar);
+        scalar.load(&baseline);
+        scalar.factor(&sym).unwrap();
+        let mut scalar_panel = SplitComplexVec::from_interleaved(&rhs);
+        scalar.solve_in_place(&sym, &mut scalar_panel, ncols);
+        let scalar_factor = scalar.values().clone();
 
         let close = |a: &SplitComplexVec, b: &SplitComplexVec, what: &str| {
             assert_eq!(a.len(), b.len());

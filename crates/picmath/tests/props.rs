@@ -101,74 +101,10 @@ proptest! {
         prop_assert!((&a * &b).is_unitary(1e-8));
     }
 
-    // In-place kernels must match the allocating reference paths. The
-    // workspace is reused across cases on purpose: stale state from a
-    // previous (differently sized) system must never leak through.
-
     #[test]
-    fn factor_into_matches_factor(m in matrix_strategy(6), m2 in matrix_strategy(4)) {
-        let mut ws = LuDecomposition::empty();
-        for m in [&m, &m2] {
-            let reference = LuDecomposition::factor(m);
-            let in_place = ws.factor_into(m);
-            match (reference, in_place) {
-                (Ok(reference), Ok(())) => {
-                    let b: Vec<Complex> = (0..m.rows()).map(|i| Complex::new(i as f64, 1.0)).collect();
-                    let want = reference.solve(&b);
-                    let mut got = Vec::new();
-                    ws.solve_into(&b, &mut got);
-                    for (g, w) in got.iter().zip(&want) {
-                        prop_assert!((*g - *w).abs() < 1e-12);
-                    }
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                (a, b) => prop_assert!(false, "verdicts disagree: {a:?} vs {b:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn solve_matrix_into_matches_solve_matrix(a in matrix_strategy(5), b in matrix_strategy(5)) {
-        let lu = match LuDecomposition::factor(&a) {
-            Ok(lu) => lu,
-            Err(_) => return Ok(()),
-        };
-        prop_assume!(lu.det().abs() > 1e-6);
-        let want = lu.solve_matrix(&b);
-        let mut got = CMatrix::zeros(0, 0);
-        lu.solve_matrix_into(&b, &mut got);
-        prop_assert!(got.max_abs_diff(&want) < 1e-12);
-    }
-
-    #[test]
-    fn mul_into_matches_operator_mul(a in matrix_strategy(4), b in matrix_strategy(4)) {
-        let mut out = CMatrix::zeros(2, 7); // deliberately wrong shape: mul_into reshapes
-        a.mul_into(&b, &mut out);
-        prop_assert!(out.max_abs_diff(&(&a * &b)) < 1e-12);
-    }
-
-    #[test]
-    fn transpose_and_scale_in_place_match(a in matrix_strategy(5), k in complex_strategy()) {
-        let mut t = CMatrix::zeros(0, 0);
-        a.transpose_into(&mut t);
-        prop_assert_eq!(t, a.transpose());
+    fn scale_in_place_matches_scale(a in matrix_strategy(5), k in complex_strategy()) {
         let mut s = a.clone();
         s.scale_in_place(k);
         prop_assert!(s.max_abs_diff(&a.scale(k)) < 1e-12);
-    }
-
-    #[test]
-    fn mul_vec_into_and_submatrix_into_match(a in matrix_strategy(5), v in proptest::collection::vec(complex_strategy(), 5)) {
-        let mut out = Vec::new();
-        a.mul_vec_into(&v, &mut out);
-        let want = a.mul_vec(&v);
-        for (g, w) in out.iter().zip(&want) {
-            prop_assert!((*g - *w).abs() < 1e-12);
-        }
-        let rows = [0usize, 2, 4];
-        let cols = [1usize, 3];
-        let mut sub = CMatrix::zeros(0, 0);
-        a.submatrix_into(&rows, &cols, &mut sub);
-        prop_assert_eq!(sub, a.submatrix(&rows, &cols));
     }
 }

@@ -58,7 +58,7 @@ pub fn mzm_golden() -> Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use picbench_sim::{simulate_netlist, Backend, ModelRegistry, PortSpec, WavelengthGrid};
+    use picbench_sim::{simulate_netlist, ModelRegistry, PortSpec, WavelengthGrid};
 
     #[test]
     fn mzi_ps_matches_builtin_mzi_shape() {
@@ -70,7 +70,6 @@ mod tests {
             &registry,
             Some(&PortSpec::new(1, 1)),
             &WavelengthGrid::paper_default(),
-            Backend::default(),
         )
         .unwrap();
 
@@ -85,7 +84,6 @@ mod tests {
             &registry,
             Some(&PortSpec::new(1, 1)),
             &WavelengthGrid::paper_default(),
-            Backend::default(),
         )
         .unwrap();
 
@@ -109,7 +107,6 @@ mod tests {
             &registry,
             None,
             &WavelengthGrid::paper_default(),
-            Backend::default(),
         )
         .unwrap();
         let powers: Vec<f64> = r
@@ -132,7 +129,6 @@ mod tests {
             &registry,
             Some(&PortSpec::new(1, 1)),
             &WavelengthGrid::paper_default(),
-            Backend::default(),
         )
         .unwrap();
         // Push-pull ±π/4 → |cos(π/4)|² = 1/2, balanced arms ⇒ flat.

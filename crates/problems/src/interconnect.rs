@@ -243,7 +243,7 @@ pub fn optical_hybrid_golden() -> Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use picbench_sim::{simulate_netlist, Backend, ModelRegistry, PortSpec, WavelengthGrid};
+    use picbench_sim::{simulate_netlist, ModelRegistry, PortSpec, WavelengthGrid};
 
     fn simulate(netlist: &Netlist, spec: PortSpec) -> picbench_sim::FrequencyResponse {
         let registry = ModelRegistry::with_builtins();
@@ -252,7 +252,6 @@ mod tests {
             &registry,
             Some(&spec),
             &WavelengthGrid::paper_default(),
-            Backend::default(),
         )
         .unwrap()
     }

@@ -143,12 +143,12 @@ pub fn nls_golden() -> Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use picbench_sim::{evaluate, Backend, Circuit, ModelRegistry};
+    use picbench_sim::{evaluate, Circuit, ModelRegistry};
 
     fn external_matrix(netlist: &Netlist, n_in: usize, wl: f64) -> CMatrix {
         let registry = ModelRegistry::with_builtins();
         let circuit = Circuit::elaborate(netlist, &registry, None).unwrap();
-        let s = evaluate(&circuit, wl, Backend::default()).unwrap();
+        let s = evaluate(&circuit, wl).unwrap();
         CMatrix::from_fn(n_in, n_in, |r, c| {
             s.s(&format!("I{}", c + 1), &format!("O{}", r + 1)).unwrap()
         })

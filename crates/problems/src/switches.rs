@@ -424,13 +424,13 @@ pub fn spankebenes_golden(n: usize) -> Netlist {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use picbench_sim::{evaluate, Backend, Circuit, ModelRegistry};
+    use picbench_sim::{evaluate, Circuit, ModelRegistry};
 
     /// Computes the power routing matrix `P[out][in]` at 1.55 µm.
     pub(crate) fn routing_matrix(netlist: &Netlist, n: usize) -> Vec<Vec<f64>> {
         let registry = ModelRegistry::with_builtins();
         let circuit = Circuit::elaborate(netlist, &registry, None).unwrap();
-        let s = evaluate(&circuit, 1.55, Backend::default()).unwrap();
+        let s = evaluate(&circuit, 1.55).unwrap();
         (0..n)
             .map(|o| {
                 (0..n)

@@ -171,7 +171,7 @@ pub fn extinction_ratio_db(values_db: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate_netlist, Backend, ModelRegistry, WavelengthGrid};
+    use crate::{simulate_netlist, ModelRegistry, WavelengthGrid};
     use picbench_netlist::NetlistBuilder;
 
     fn mzi_spectrum(delta: f64) -> (Vec<f64>, Vec<f64>) {
@@ -187,7 +187,6 @@ mod tests {
             &registry,
             None,
             &WavelengthGrid::new(1.51, 1.59, 801),
-            Backend::default(),
         )
         .unwrap();
         (

@@ -24,11 +24,12 @@
 //!   instance-local entries.
 //!
 //! The schedule is pure topology (no settings, no wavelengths), so it
-//! lives inside [`crate::SweepSchedule`] and is shared by the naive
-//! per-point backend and the planned sweep pipeline alike.
+//! lives inside [`crate::SweepSchedule`] and is shared by every plan of
+//! the same topology.
 
 use crate::elaborate::Circuit;
-use picbench_math::{simd, BlockSymbolic, CMatrix, Complex, SplitComplexVec};
+use picbench_math::simd::Kernels;
+use picbench_math::{BlockSymbolic, CMatrix, Complex, SplitComplexVec};
 
 /// One scatter target: read `global[(row, col)]`, combine into the flat
 /// destination offset `dst`.
@@ -300,31 +301,16 @@ impl BlockSchedule {
         }
     }
 
-    /// Scatters the complete system (identity + every instance) — the
-    /// naive path's one-shot assembly.
-    pub fn scatter_all(
-        &self,
-        n_instances: usize,
-        global: &CMatrix,
-        values: &mut SplitComplexVec,
-        rhs: &mut SplitComplexVec,
-    ) {
-        self.scatter_identity(values);
-        for ii in 0..n_instances {
-            self.scatter_matrix_instance(ii, global, values);
-            self.scatter_rhs_instance(ii, global, rhs);
-        }
-    }
-
     /// Reconstructs the external S-matrix from the solved split panel `x`
     /// (row-major `n_int × n_ext` in elimination order):
     /// `out = S_ee + S_ei · X`, touching only structurally nonzero
     /// entries. The sum accumulates in the caller's split `stage` buffer
     /// (resized to `n_ext × n_ext`, no allocation at steady state) with
-    /// the `S_ei` rows running through the dispatched SIMD axpy; a final
+    /// the `S_ei` rows running through `kern`'s SIMD axpy; a final
     /// bit-exact interleave copy lands in `out`, reshaped `n_ext × n_ext`.
     pub fn combine(
         &self,
+        kern: &Kernels,
         global: &CMatrix,
         x: &SplitComplexVec,
         stage: &mut SplitComplexVec,
@@ -335,7 +321,6 @@ impl BlockSchedule {
         for t in &self.ee_terms {
             stage.add_assign(t.r * n_ext + t.c, global.at(t.row, t.col));
         }
-        let kern = simd::kernels();
         let (sr, si) = stage.parts_mut();
         for t in &self.ei_terms {
             let coeff = global.at(t.row, t.col);

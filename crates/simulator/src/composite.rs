@@ -2,21 +2,24 @@
 //! component.
 //!
 //! SAX supports nesting circuits as models of larger circuits; this is the
-//! equivalent. A [`CompositeModel`] elaborates its netlist once and then
-//! evaluates the sub-circuit's external S-matrix on demand, exposing the
-//! sub-circuit's external ports as its own.
+//! equivalent. A [`CompositeModel`] elaborates and schedules its netlist
+//! once and then solves the sub-circuit's external S-matrix on demand
+//! with the planned block-sparse solver, exposing the sub-circuit's
+//! external ports as its own.
 
-use crate::backend::{evaluate, Backend};
 use crate::elaborate::{Circuit, ElaborateError};
+use crate::plan::{SweepPlan, SweepSchedule};
 use crate::registry::ModelRegistry;
+use picbench_math::CMatrix;
 use picbench_netlist::Netlist;
 use picbench_sparams::{Model, ModelError, ModelInfo, PortDirection, SMatrix, Settings};
+use std::sync::Arc;
 
 /// A model backed by an elaborated sub-circuit.
 pub struct CompositeModel {
     info: ModelInfo,
     circuit: Circuit,
-    backend: Backend,
+    schedule: Arc<SweepSchedule>,
 }
 
 impl std::fmt::Debug for CompositeModel {
@@ -54,6 +57,7 @@ impl CompositeModel {
                 _ => outputs.push(port.clone()),
             }
         }
+        let schedule = Arc::new(SweepSchedule::for_circuit(&circuit));
         Ok(CompositeModel {
             info: ModelInfo {
                 name,
@@ -63,7 +67,7 @@ impl CompositeModel {
                 params: Vec::new(),
             },
             circuit,
-            backend: Backend::default(),
+            schedule,
         })
     }
 
@@ -80,14 +84,16 @@ impl Model for CompositeModel {
 
     fn s_matrix(&self, wavelength_um: f64, settings: &Settings) -> Result<SMatrix, ModelError> {
         picbench_sparams::check_known_params(&self.info, settings)?;
-        let inner = evaluate(&self.circuit, wavelength_um, self.backend).map_err(|e| {
-            ModelError::InvalidValue {
+        let mut solved = CMatrix::zeros(0, 0);
+        SweepPlan::with_schedule(&self.circuit, Arc::clone(&self.schedule))
+            .and_then(|plan| plan.evaluate_into(&mut plan.workspace(), wavelength_um, &mut solved))
+            .map_err(|e| ModelError::InvalidValue {
                 model: self.info.name.to_string(),
                 param: "<subcircuit>".to_string(),
                 value: wavelength_um,
                 constraint: e.to_string(),
-            }
-        })?;
+            })?;
+        let inner = SMatrix::from_matrix(self.circuit.external_names(), solved);
         // Reorder to the declared inputs-then-outputs port order.
         let ports = self.info.ports();
         let mut s = SMatrix::new(ports.clone());
@@ -104,8 +110,8 @@ impl Model for CompositeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::evaluate;
     use picbench_netlist::NetlistBuilder;
-    use std::sync::Arc;
 
     fn mzi_netlist() -> Netlist {
         NetlistBuilder::new()
@@ -154,14 +160,11 @@ mod tests {
             .model("mymzi", "mymzi")
             .build();
         let circuit = Circuit::elaborate(&outer, &registry, None).unwrap();
-        let s = evaluate(&circuit, 1.55, Backend::default()).unwrap();
+        let s = evaluate(&circuit, 1.55).unwrap();
 
         // Two cascaded identical MZIs square the single-stage transfer.
         let inner = Circuit::elaborate(&mzi_netlist(), &registry, None).unwrap();
-        let single = evaluate(&inner, 1.55, Backend::default())
-            .unwrap()
-            .s("I1", "O1")
-            .unwrap();
+        let single = evaluate(&inner, 1.55).unwrap().s("I1", "O1").unwrap();
         let cascade = s.s("I1", "O1").unwrap();
         assert!((cascade - single * single).abs() < 1e-10);
     }

@@ -6,25 +6,26 @@
 //!
 //! Pipeline: a JSON [`Netlist`] is validated and [`Circuit::elaborate`]d
 //! against a [`ModelRegistry`], then [`sweep`]-simulated over a
-//! [`WavelengthGrid`] with one of two independent composition
-//! [`Backend`]s, yielding a [`FrequencyResponse`] that the benchmark
-//! compares against golden designs.
+//! [`WavelengthGrid`], yielding a [`FrequencyResponse`] that the
+//! benchmark compares against golden designs.
 //!
-//! Sweeps follow a **plan/execute** split: a [`SweepPlan`] freezes every
-//! wavelength-independent piece of the composition once per circuit
-//! (port partitions, permutations, elimination schedules, memoized
-//! dispersionless component S-matrices), and per-point solves run
-//! allocation-free on reusable [`SolveWorkspace`]s — serially for short
-//! grids, on scoped worker threads for grids of [`PARALLEL_THRESHOLD`]
-//! points or more, with element-wise identical results either way. The
-//! original rebuild-per-point path survives as [`sweep_naive`], the
-//! benchmark baseline and cross-check.
+//! There is one production solver: a topology-aware **block-sparse**
+//! scattering solve with a **plan/execute** split. A [`SweepPlan`]
+//! freezes every wavelength-independent piece of the composition once
+//! per circuit (block partition, fill-reducing symbolic factorization,
+//! scatter recipes, memoized dispersionless component S-matrices, the
+//! SIMD kernel tier), and per-point solves run allocation-free on
+//! reusable [`SolveWorkspace`]s — serially for short grids, on scoped
+//! worker threads for grids of [`PARALLEL_THRESHOLD`] points or more,
+//! with element-wise identical results either way. One independent
+//! oracle checks it: the naive dense solve [`evaluate`], swept point by
+//! point by [`sweep_naive`].
 //!
 //! ## Example
 //!
 //! ```
 //! use picbench_netlist::NetlistBuilder;
-//! use picbench_sim::{simulate_netlist, Backend, ModelRegistry, WavelengthGrid};
+//! use picbench_sim::{simulate_netlist, ModelRegistry, WavelengthGrid};
 //!
 //! let netlist = NetlistBuilder::new()
 //!     .instance_with("m", "mzi", &[("delta_length", 10.0)])
@@ -38,7 +39,6 @@
 //!     &registry,
 //!     None,
 //!     &WavelengthGrid::paper_default(),
-//!     Backend::default(),
 //! )?;
 //! assert_eq!(response.wavelengths().len(), 81);
 //! # Ok::<(), picbench_sim::SimulateError>(())
@@ -47,17 +47,17 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-mod backend;
 mod blocks;
 mod composite;
 mod elaborate;
+mod oracle;
 mod plan;
 mod registry;
 mod response;
 
-pub use backend::{evaluate, Backend, SimError};
 pub use composite::CompositeModel;
 pub use elaborate::{Circuit, ElabInstance, ElaborateError};
+pub use oracle::{evaluate, SimError};
 pub use plan::{ScheduleCache, SolveWorkspace, SweepPlan, SweepSchedule};
 pub use registry::ModelRegistry;
 pub use response::{
@@ -122,10 +122,9 @@ pub fn simulate_netlist(
     registry: &ModelRegistry,
     spec: Option<&PortSpec>,
     grid: &WavelengthGrid,
-    backend: Backend,
 ) -> Result<FrequencyResponse, SimulateError> {
     let circuit = Circuit::elaborate(netlist, registry, spec)?;
-    Ok(sweep(&circuit, grid, backend)?)
+    Ok(sweep(&circuit, grid)?)
 }
 
 #[cfg(test)]
@@ -147,7 +146,6 @@ mod tests {
             &registry,
             Some(&PortSpec::new(1, 1)),
             &WavelengthGrid::paper_fast(),
-            Backend::default(),
         )
         .unwrap();
         // 100 µm at 2 dB/cm = 0.02 dB loss.
@@ -164,14 +162,8 @@ mod tests {
             .model("warpdrive", "warpdrive")
             .build();
         let registry = ModelRegistry::with_builtins();
-        let err = simulate_netlist(
-            &netlist,
-            &registry,
-            None,
-            &WavelengthGrid::paper_fast(),
-            Backend::default(),
-        )
-        .unwrap_err();
+        let err =
+            simulate_netlist(&netlist, &registry, None, &WavelengthGrid::paper_fast()).unwrap_err();
         assert!(matches!(err, SimulateError::Elaborate(_)));
         assert!(err.to_string().contains("warpdrive"));
     }

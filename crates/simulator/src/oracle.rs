@@ -1,81 +1,26 @@
-//! S-parameter composition backends.
+//! The independent reference solve, and the simulator's error type.
 //!
-//! Three independent algorithms compute the external scattering matrix of
-//! an elaborated circuit:
+//! Production sweeps run the planned block-sparse solver
+//! ([`crate::SweepPlan`]). [`evaluate`] is the one independent oracle
+//! they are checked against: it rebuilds the circuit's global S-matrix
+//! from scratch at a single wavelength and solves the dense scattering
+//! system
 //!
-//! * [`Backend::PortElimination`] — Filipsson's subnetwork-growth
-//!   algorithm: place all instance S-matrices block-diagonally, then
-//!   eliminate each internal connection pairwise with the two-port
-//!   interconnect formula. O(C·P²), no linear solve, and the default.
-//! * [`Backend::Dense`] — the global scattering solve
-//!   `S_ext = S_ee + S_ei (I − P·S_ii)⁻¹ P·S_ie` where `P` swaps connected
-//!   port pairs, using the in-repo complex LU.
-//! * [`Backend::BlockSparse`] — the same scattering system factored by
-//!   the topology-aware block-sparse LU ([`picbench_math::sparse`]):
-//!   unknowns grouped by instance, a fill-reducing elimination order over
-//!   the connectivity graph, and dense pivoting confined to diagonal
-//!   blocks. Asymptotically the fastest on large sparse circuits (meshes,
-//!   lattices); see the README's backend-selection guide.
+//! ```text
+//! S_ext = S_ee + S_ei (I − P·S_ii)⁻¹ P·S_ie
+//! ```
 //!
-//! Having several lets property tests cross-check the physics: the
-//! backends agree on every benchmark golden design to ~1e-9.
+//! (`P` swaps connected port pairs) with the in-repo complex LU. It
+//! shares no structure, ordering or kernels with the planned solver, so
+//! agreement between the two (to ~1e-12 on every benchmark golden
+//! design) cross-checks the physics. Tests and the conformance harness
+//! use it; nothing on the campaign path does.
 
-use crate::blocks::BlockSchedule;
 use crate::elaborate::Circuit;
-use picbench_math::{BlockSparseLu, CMatrix, Complex, LuDecomposition, SplitComplexVec};
+use picbench_math::{CMatrix, LuDecomposition};
 use picbench_sparams::{ModelError, SMatrix};
 use std::error::Error;
 use std::fmt;
-use std::str::FromStr;
-
-/// Which composition algorithm to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Backend {
-    /// Filipsson pairwise port elimination (default).
-    #[default]
-    PortElimination,
-    /// Dense global scattering solve with LU.
-    Dense,
-    /// Topology-aware block-sparse scattering solve.
-    BlockSparse,
-}
-
-impl Backend {
-    /// Every composition algorithm, in default-first order — the axis the
-    /// conformance harness sweeps when cross-checking backends.
-    pub const ALL: [Backend; 3] = [
-        Backend::PortElimination,
-        Backend::Dense,
-        Backend::BlockSparse,
-    ];
-
-    /// Stable kebab-case token used in CLI flags and reports.
-    pub fn token(&self) -> &'static str {
-        match self {
-            Backend::PortElimination => "port-elimination",
-            Backend::Dense => "dense",
-            Backend::BlockSparse => "block-sparse",
-        }
-    }
-}
-
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.token())
-    }
-}
-
-impl FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Backend::ALL
-            .iter()
-            .find(|b| b.token() == s)
-            .copied()
-            .ok_or_else(|| format!("unknown backend {s:?}"))
-    }
-}
 
 /// Error while evaluating a circuit at a wavelength.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,22 +94,15 @@ fn assemble_global(circuit: &Circuit, wavelength_um: f64) -> Result<CMatrix, Sim
     Ok(global)
 }
 
-/// Evaluates the circuit's external S-matrix at one wavelength.
+/// Evaluates the circuit's external S-matrix at one wavelength with the
+/// naive dense oracle (see the module docs).
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] when a model fails, the system is singular, or the
 /// result is non-finite.
-pub fn evaluate(
-    circuit: &Circuit,
-    wavelength_um: f64,
-    backend: Backend,
-) -> Result<SMatrix, SimError> {
-    let result = match backend {
-        Backend::Dense => evaluate_dense(circuit, wavelength_um),
-        Backend::PortElimination => evaluate_elimination(circuit, wavelength_um),
-        Backend::BlockSparse => evaluate_block_sparse(circuit, wavelength_um),
-    }?;
+pub fn evaluate(circuit: &Circuit, wavelength_um: f64) -> Result<SMatrix, SimError> {
+    let result = evaluate_dense(circuit, wavelength_um)?;
     if !result.matrix().is_finite() {
         return Err(SimError::NonFiniteResult { wavelength_um });
     }
@@ -219,87 +157,6 @@ fn evaluate_dense(circuit: &Circuit, wavelength_um: f64) -> Result<SMatrix, SimE
     Ok(SMatrix::from_matrix(circuit.external_names(), s_ext))
 }
 
-/// The naive block-sparse solve: rebuild the block structure, the
-/// symbolic analysis and the assembly from scratch at this one
-/// wavelength. The planned pipeline ([`crate::SweepPlan`]) runs the same
-/// arithmetic with the structure frozen once per topology.
-fn evaluate_block_sparse(circuit: &Circuit, wavelength_um: f64) -> Result<SMatrix, SimError> {
-    let global = assemble_global(circuit, wavelength_um)?;
-    let sched = BlockSchedule::for_circuit(circuit);
-    let mut lu = BlockSparseLu::new();
-    lu.reset(&sched.sym);
-    let mut rhs = SplitComplexVec::new();
-    rhs.resize_zero(sched.n_int * sched.n_ext);
-    sched.scatter_all(circuit.instances.len(), &global, lu.values_mut(), &mut rhs);
-    lu.factor(&sched.sym)
-        .map_err(|_| SimError::SingularSystem { wavelength_um })?;
-    lu.solve_in_place(&sched.sym, &mut rhs, sched.n_ext);
-    let mut out = CMatrix::zeros(0, 0);
-    let mut stage = SplitComplexVec::new();
-    sched.combine(&global, &rhs, &mut stage, &mut out);
-    Ok(SMatrix::from_matrix(circuit.external_names(), out))
-}
-
-fn evaluate_elimination(circuit: &Circuit, wavelength_um: f64) -> Result<SMatrix, SimError> {
-    let mut m = assemble_global(circuit, wavelength_um)?;
-    // active[g] = current row/col of global port g, or usize::MAX if gone.
-    let n0 = circuit.total_ports;
-    let mut index: Vec<usize> = (0..n0).collect();
-    const GONE: usize = usize::MAX;
-
-    for &(ga, gb) in &circuit.connections {
-        let p = index[ga];
-        let q = index[gb];
-        debug_assert!(p != GONE && q != GONE, "port connected twice");
-        let n = m.rows();
-
-        let s_pq = m[(p, q)];
-        let s_qp = m[(q, p)];
-        let s_pp = m[(p, p)];
-        let s_qq = m[(q, q)];
-        let denom = (Complex::ONE - s_pq) * (Complex::ONE - s_qp) - s_pp * s_qq;
-        if denom.abs() < 1e-300 {
-            return Err(SimError::SingularSystem { wavelength_um });
-        }
-        let inv_d = denom.recip();
-
-        // Surviving rows/cols in the old matrix.
-        let keep: Vec<usize> = (0..n).filter(|&k| k != p && k != q).collect();
-        let mut next = CMatrix::zeros(n - 2, n - 2);
-        for (ri, &i) in keep.iter().enumerate() {
-            let s_ip = m[(i, p)];
-            let s_iq = m[(i, q)];
-            for (cj, &j) in keep.iter().enumerate() {
-                let s_qj = m[(q, j)];
-                let s_pj = m[(p, j)];
-                let numer = s_qj * (Complex::ONE - s_pq) * s_ip
-                    + s_pj * s_qq * s_ip
-                    + s_pj * (Complex::ONE - s_qp) * s_iq
-                    + s_qj * s_pp * s_iq;
-                next[(ri, cj)] = m[(i, j)] + numer * inv_d;
-            }
-        }
-
-        // Re-index the surviving global ports.
-        let mut new_pos = vec![GONE; n];
-        for (ri, &old) in keep.iter().enumerate() {
-            new_pos[old] = ri;
-        }
-        for gi in index.iter_mut() {
-            if *gi != GONE {
-                *gi = new_pos[*gi];
-            }
-        }
-        m = next;
-    }
-
-    // Select external rows/cols from the reduced matrix.
-    let ext_rows: Vec<usize> = circuit.externals.iter().map(|(_, g)| index[*g]).collect();
-    debug_assert!(ext_rows.iter().all(|&r| r != GONE));
-    let s_ext = m.submatrix(&ext_rows, &ext_rows);
-    Ok(SMatrix::from_matrix(circuit.external_names(), s_ext))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,44 +191,11 @@ mod tests {
                 .model("waveguide", "waveguide")
                 .build(),
         );
-        for backend in Backend::ALL {
-            let chained = evaluate(&circuit, 1.55, backend).unwrap();
-            let direct = evaluate(&single, 1.55, backend).unwrap();
-            let a = chained.s("I1", "O1").unwrap();
-            let b = direct.s("I1", "O1").unwrap();
-            assert!((a - b).abs() < 1e-10, "{backend}: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn backends_agree_on_mzi_circuit() {
-        // Full MZI built from parts: splitter, two arms, combiner.
-        let netlist = NetlistBuilder::new()
-            .instance("split", "mmi1x2")
-            .instance("combine", "mmi1x2")
-            .instance_with("top", "waveguide", &[("length", 10.0)])
-            .instance_with("bottom", "waveguide", &[("length", 25.0)])
-            .connect("split,O1", "top,I1")
-            .connect("split,O2", "bottom,I1")
-            .connect("top,O1", "combine,O1")
-            .connect("bottom,O1", "combine,O2")
-            .port("I1", "split,I1")
-            .port("O1", "combine,I1")
-            .model("mmi1x2", "mmi1x2")
-            .model("waveguide", "waveguide")
-            .build();
-        let circuit = elaborate(&netlist);
-        let mut wl = 1.51;
-        while wl <= 1.59 {
-            let a = evaluate(&circuit, wl, Backend::PortElimination).unwrap();
-            let b = evaluate(&circuit, wl, Backend::Dense).unwrap();
-            assert!(
-                a.max_abs_diff(&b) < 1e-9,
-                "backends disagree at wl={wl}: {:.3e}",
-                a.max_abs_diff(&b)
-            );
-            wl += 0.005;
-        }
+        let chained = evaluate(&circuit, 1.55).unwrap();
+        let direct = evaluate(&single, 1.55).unwrap();
+        let a = chained.s("I1", "O1").unwrap();
+        let b = direct.s("I1", "O1").unwrap();
+        assert!((a - b).abs() < 1e-10, "{a} vs {b}");
     }
 
     #[test]
@@ -401,14 +225,8 @@ mod tests {
         let c1 = elaborate(&discrete);
         let c2 = elaborate(&builtin);
         for wl in [1.51, 1.53, 1.55, 1.57, 1.59] {
-            let t1 = evaluate(&c1, wl, Backend::PortElimination)
-                .unwrap()
-                .s("I1", "O1")
-                .unwrap();
-            let t2 = evaluate(&c2, wl, Backend::PortElimination)
-                .unwrap()
-                .s("I1", "O1")
-                .unwrap();
+            let t1 = evaluate(&c1, wl).unwrap().s("I1", "O1").unwrap();
+            let t2 = evaluate(&c2, wl).unwrap().s("I1", "O1").unwrap();
             assert!((t1 - t2).abs() < 1e-10, "wl={wl}: {t1} vs {t2}");
         }
     }
@@ -424,10 +242,8 @@ mod tests {
             .model("mmi1x2", "mmi1x2")
             .build();
         let circuit = elaborate(&netlist);
-        for backend in Backend::ALL {
-            let s = evaluate(&circuit, 1.55, backend).unwrap();
-            assert!((s.s("I1", "O1").unwrap().norm_sqr() - 0.5).abs() < 1e-12);
-        }
+        let s = evaluate(&circuit, 1.55).unwrap();
+        assert!((s.s("I1", "O1").unwrap().norm_sqr() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -439,10 +255,8 @@ mod tests {
             .model("waveguide", "waveguide")
             .build();
         let circuit = elaborate(&netlist);
-        for backend in Backend::ALL {
-            let s = evaluate(&circuit, 1.55, backend).unwrap();
-            assert!(s.s("I1", "O1").unwrap().abs() > 0.99);
-        }
+        let s = evaluate(&circuit, 1.55).unwrap();
+        assert!(s.s("I1", "O1").unwrap().abs() > 0.99);
     }
 
     #[test]
@@ -454,7 +268,7 @@ mod tests {
             .model("coupler", "coupler")
             .build();
         let circuit = elaborate(&netlist);
-        let err = evaluate(&circuit, 1.55, Backend::PortElimination).unwrap_err();
+        let err = evaluate(&circuit, 1.55).unwrap_err();
         match &err {
             SimError::Model { instance, .. } => assert_eq!(instance, "badcoupler"),
             other => panic!("unexpected {other:?}"),
@@ -489,15 +303,10 @@ mod tests {
 
         for wl in [1.52, 1.54, 1.551, 1.56, 1.58] {
             let builtin = ring.s_matrix(wl, &settings).unwrap();
-            for backend in Backend::ALL {
-                let discrete = evaluate(&circuit, wl, backend).unwrap();
-                let a = discrete.s("I1", "O1").unwrap();
-                let b = builtin.s("I1", "O1").unwrap();
-                assert!(
-                    (a.abs() - b.abs()).abs() < 1e-6,
-                    "{backend} wl={wl}: |{a}| vs |{b}|"
-                );
-            }
+            let discrete = evaluate(&circuit, wl).unwrap();
+            let a = discrete.s("I1", "O1").unwrap();
+            let b = builtin.s("I1", "O1").unwrap();
+            assert!((a.abs() - b.abs()).abs() < 1e-6, "wl={wl}: |{a}| vs |{b}|");
         }
     }
 }

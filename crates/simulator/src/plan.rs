@@ -1,108 +1,52 @@
-//! The plan/execute split of the wavelength-sweep hot path.
+//! The plan/execute split of the wavelength-sweep hot path — the
+//! production solver.
 //!
 //! A wavelength sweep evaluates the same circuit at many wavelengths. The
-//! naive path ([`crate::evaluate`]) rebuilds everything from scratch at
-//! every point: it re-derives the external/internal port partition, the
-//! connection permutation and the elimination order, allocates a dozen
-//! intermediate matrices, and re-evaluates every component model — even
-//! the dispersionless ones whose S-matrix cannot change.
+//! naive oracle ([`crate::evaluate`]) rebuilds everything from scratch at
+//! every point: it re-derives the port partition, allocates a dozen
+//! intermediate matrices, re-evaluates every component model — even the
+//! dispersionless ones whose S-matrix cannot change — and factors the
+//! full dense scattering system.
 //!
-//! The wavelength-independent work is split into two layers:
+//! The planned solver splits the wavelength-independent work into two
+//! layers:
 //!
 //! * a [`SweepSchedule`] — everything determined by the circuit's
-//!   **topology** alone (port partitions, pre-permuted gather indices,
-//!   the per-connection pivot/keep schedule of Filipsson's reduction).
+//!   **topology** alone: the instance-block partition of the scattering
+//!   system, its fill-reducing block-sparse symbolic factorization
+//!   ([`picbench_math::sparse`]) and the scatter/combine recipes.
 //!   Schedules are immutable, `Send + Sync`, shareable via `Arc`, and a
 //!   [`ScheduleCache`] memoizes them by [`Circuit::topology_hash`] so
 //!   that candidate circuits which differ only in *settings* (the common
 //!   case in evaluation campaigns) skip re-planning entirely;
 //! * a [`SweepPlan`] — the schedule plus the per-instance **settings**
-//!   state: an [`SMatrixMemo`] per instance holding the block of every
-//!   wavelength-independent model, evaluated exactly once.
+//!   state (an [`SMatrixMemo`] per instance holding the block of every
+//!   wavelength-independent model, evaluated exactly once) and the SIMD
+//!   kernel tier, resolved once when the plan is built.
 //!
-//! The per-point state lives in a [`SolveWorkspace`]: the assembled global
-//! matrix, the dense system and right-hand side, LU storage, the
-//! elimination buffer and two scratch rows. All of it is reused between
-//! points, so the steady-state scattering solve performs **zero heap
-//! allocations** on either backend (dispersive component models still
-//! build their own small S-matrices; every wavelength-independent model is
-//! served from the memo) — property-verified by the counting-allocator
-//! test in `tests/alloc.rs`. Each worker thread of the parallel sweep owns
-//! one workspace.
+//! The per-point state lives in a [`SolveWorkspace`]: the assembled
+//! global matrix, the baseline images of the wavelength-independent
+//! system and right-hand side, the numeric block-sparse factor and the
+//! solution panel. All of it is reused between points, so the
+//! steady-state scattering solve performs **zero heap allocations**
+//! (dispersive component models still build their own small S-matrices;
+//! every wavelength-independent model is served from the memo) —
+//! property-verified by the counting-allocator test in `tests/alloc.rs`.
+//! Each worker thread of the parallel sweep owns one workspace.
 //!
-//! The elimination backend reduces **in place** on a single buffer: each
-//! Filipsson step captures the pivot rows into scratch, hoists the two
-//! row coefficients (pre-multiplied by the inverse denominator) out of
-//! the inner loop, and compacts the surviving rows toward the origin as
-//! it updates them — no ping-pong copy, two complex multiplies per
-//! surviving entry.
-//!
-//! Two plan-based sweeps (serial or parallel) are bit-identical. Against
-//! the naive path, the Dense backend follows the same operation order
-//! exactly; the elimination backend regroups the Filipsson numerator into
-//! two fused coefficient terms, so plan and naive agree to machine
-//! precision (~1e-15) rather than bit for bit — cross-checks must compare
-//! with a tolerance, as the property tests do.
+//! Two plan-based sweeps on the same SIMD tier (serial or parallel, any
+//! chunking) are bit-identical. Against the oracle the planned solver
+//! agrees to machine precision (~1e-15), not bit for bit — it eliminates
+//! in a different order — so cross-checks compare with a tolerance.
 
-use crate::backend::{Backend, SimError};
 use crate::blocks::BlockSchedule;
 use crate::elaborate::Circuit;
-use picbench_math::{BlockSparseLu, CMatrix, Complex, LuDecomposition, SplitComplexVec};
+use crate::oracle::SimError;
+use picbench_math::simd::{self, Kernels, SimdLevel};
+use picbench_math::{BlockSparseLu, CMatrix, SplitComplexVec};
 use picbench_sparams::SMatrixMemo;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// One precomputed step of the port-elimination reduction: the current
-/// row/column positions of the connected port pair. (The surviving rows
-/// are always the ascending complement of `{p, q}` in `0..n`, so they
-/// are enumerated on the fly rather than stored.)
-#[derive(Debug, Clone, Copy)]
-struct ElimStep {
-    p: usize,
-    q: usize,
-}
-
-/// Fenwick tree over alive/dead flags: `rank(i)` counts alive entries
-/// strictly below `i`, which is exactly an entry's current row position
-/// in an order-preserving elimination.
-struct FenwickRank {
-    tree: Vec<i64>,
-}
-
-impl FenwickRank {
-    fn all_alive(n: usize) -> Self {
-        let mut tree = vec![0i64; n + 1];
-        for i in 1..=n {
-            tree[i] += 1;
-            let j = i + (i & i.wrapping_neg());
-            if j <= n {
-                let add = tree[i];
-                tree[j] += add;
-            }
-        }
-        FenwickRank { tree }
-    }
-
-    /// Number of alive entries in `0..i` (i.e. the current position of
-    /// entry `i`, assuming `i` itself is still alive).
-    fn rank(&self, i: usize) -> usize {
-        let mut sum = 0i64;
-        let mut j = i;
-        while j > 0 {
-            sum += self.tree[j];
-            j -= j & j.wrapping_neg();
-        }
-        sum as usize
-    }
-
-    fn kill(&mut self, i: usize) {
-        let mut j = i + 1;
-        while j < self.tree.len() {
-            self.tree[j] -= 1;
-            j += j & j.wrapping_neg();
-        }
-    }
-}
 
 /// Everything about a sweep that is determined by circuit *topology*
 /// alone — no settings, no wavelengths. Immutable and shareable across
@@ -112,86 +56,26 @@ impl FenwickRank {
 pub struct SweepSchedule {
     /// Total global ports of the topology this schedule was built for.
     total_ports: usize,
-    /// External port global indices, in netlist order.
-    ext_idx: Vec<usize>,
-    /// Internal (connected) port global indices — Dense backend.
-    int_idx: Vec<usize>,
-    /// `int_idx[swap[r]]`: row gather indices with the connection
-    /// permutation already applied, so `P·S_ii` and `P·S_ie` are direct
-    /// reads of the global matrix — Dense backend.
-    perm_int_idx: Vec<usize>,
-    /// Reduction schedule — PortElimination backend.
-    elim_steps: Vec<ElimStep>,
-    /// Final positions of the external ports after the reduction —
-    /// PortElimination backend.
-    elim_ext_rows: Vec<usize>,
     /// Block partition, symbolic factorization and scatter/combine
-    /// recipes — BlockSparse backend.
+    /// recipes.
     block: BlockSchedule,
 }
 
 impl SweepSchedule {
-    /// Computes the sweep structure of a circuit's topology: the
-    /// external/internal partition and pre-permuted gather rows (Dense),
-    /// the pivot/keep schedule of the pairwise reduction
-    /// (PortElimination), and the block partition plus symbolic
-    /// factorization of the connectivity graph (BlockSparse). All
-    /// backends' schedules are built — the work is index bookkeeping
-    /// plus a one-off symbolic analysis, negligible next to a single
-    /// sweep point.
+    /// Computes the sweep structure of a circuit's topology: the block
+    /// partition plus the symbolic factorization of the connectivity
+    /// graph — index bookkeeping and a one-off symbolic analysis,
+    /// negligible next to a single sweep point.
     pub fn for_circuit(circuit: &Circuit) -> Self {
-        let n0 = circuit.total_ports;
-        let ext_idx: Vec<usize> = circuit.externals.iter().map(|(_, i)| *i).collect();
-
-        // Dense: internal partition and pre-permuted gather rows.
-        let mut int_idx: Vec<usize> = Vec::with_capacity(circuit.connections.len() * 2);
-        for &(a, b) in &circuit.connections {
-            int_idx.push(a);
-            int_idx.push(b);
-        }
-        // Connected pairs sit at adjacent positions (2k, 2k+1), so the
-        // permutation swaps each even position with the following odd one.
-        let mut perm_int_idx = vec![0usize; int_idx.len()];
-        for k in 0..circuit.connections.len() {
-            perm_int_idx[2 * k] = int_idx[2 * k + 1];
-            perm_int_idx[2 * k + 1] = int_idx[2 * k];
-        }
-
-        // PortElimination: replay the index bookkeeping of the reduction
-        // once, recording pivot positions. Removing two rows keeps the
-        // relative order of the survivors, so a port's position at any
-        // step is its rank among the ports still alive — two Fenwick
-        // prefix-sum queries per connection instead of an O(ports)
-        // renumbering pass (the schedule is identical either way).
-        let mut alive = FenwickRank::all_alive(n0);
-        let mut elim_steps = Vec::with_capacity(circuit.connections.len());
-        for &(ga, gb) in &circuit.connections {
-            let p = alive.rank(ga);
-            let q = alive.rank(gb);
-            alive.kill(ga);
-            alive.kill(gb);
-            elim_steps.push(ElimStep { p, q });
-        }
-        let elim_ext_rows: Vec<usize> = circuit
-            .externals
-            .iter()
-            .map(|(_, g)| alive.rank(*g))
-            .collect();
-
         SweepSchedule {
-            total_ports: n0,
-            ext_idx,
-            int_idx,
-            perm_int_idx,
-            elim_steps,
-            elim_ext_rows,
+            total_ports: circuit.total_ports,
             block: BlockSchedule::for_circuit(circuit),
         }
     }
 
     /// Number of external ports.
     pub fn external_count(&self) -> usize {
-        self.ext_idx.len()
+        self.block.n_ext
     }
 
     /// Total global ports of the topology.
@@ -239,12 +123,11 @@ impl ScheduleCache {
 }
 
 /// A schedule bound to one concrete circuit: topology structure plus the
-/// per-instance wavelength-independent S-matrix memos. See the module
-/// docs of `plan` for the full story.
+/// per-instance wavelength-independent S-matrix memos and the SIMD
+/// kernel tier. See the module docs of `plan` for the full story.
 #[derive(Debug)]
 pub struct SweepPlan<'c> {
     circuit: &'c Circuit,
-    backend: Backend,
     schedule: Arc<SweepSchedule>,
     /// Per-instance memo; holds the block of every wavelength-independent
     /// model after construction.
@@ -253,6 +136,8 @@ pub struct SweepPlan<'c> {
     /// a single solved point (on by default; benchmarks disable it to
     /// time the per-point solver).
     allow_constant_fold: bool,
+    /// The SIMD kernel table every solve of this plan dispatches.
+    kernels: &'static Kernels,
 }
 
 /// Reference wavelength used to capture wavelength-independent S-matrices.
@@ -261,8 +146,8 @@ pub struct SweepPlan<'c> {
 const MEMO_WAVELENGTH_UM: f64 = 1.55;
 
 impl<'c> SweepPlan<'c> {
-    /// Builds the plan for sweeping `circuit` with `backend`, computing a
-    /// fresh schedule. Prefer [`SweepPlan::with_schedule`] plus a
+    /// Builds the plan for sweeping `circuit`, computing a fresh
+    /// schedule. Prefer [`SweepPlan::with_schedule`] plus a
     /// [`ScheduleCache`] when evaluating many circuits of few topologies.
     ///
     /// # Errors
@@ -270,12 +155,8 @@ impl<'c> SweepPlan<'c> {
     /// Returns [`SimError::Model`] when a wavelength-independent model
     /// rejects its settings (dispersive models are evaluated per point and
     /// report their errors from [`SweepPlan::evaluate_into`] instead).
-    pub fn new(circuit: &'c Circuit, backend: Backend) -> Result<Self, SimError> {
-        SweepPlan::with_schedule(
-            circuit,
-            backend,
-            Arc::new(SweepSchedule::for_circuit(circuit)),
-        )
+    pub fn new(circuit: &'c Circuit) -> Result<Self, SimError> {
+        SweepPlan::with_schedule(circuit, Arc::new(SweepSchedule::for_circuit(circuit)))
     }
 
     /// Builds the plan for `circuit` on a prebuilt (typically cached)
@@ -292,7 +173,6 @@ impl<'c> SweepPlan<'c> {
     /// rejects its settings.
     pub fn with_schedule(
         circuit: &'c Circuit,
-        backend: Backend,
         schedule: Arc<SweepSchedule>,
     ) -> Result<Self, SimError> {
         assert_eq!(
@@ -315,19 +195,31 @@ impl<'c> SweepPlan<'c> {
 
         Ok(SweepPlan {
             circuit,
-            backend,
             schedule,
             memos,
             allow_constant_fold: true,
+            kernels: simd::kernels(),
         })
+    }
+
+    /// Runs this plan's solves on an explicit SIMD tier instead of the
+    /// default [`simd::available_level`]. Sweeps on the scalar tier are
+    /// the reference the vector tiers are checked against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this CPU cannot run `level` ([`simd::is_supported`]).
+    pub fn with_simd_level(mut self, level: SimdLevel) -> Self {
+        self.kernels = simd::kernels_for(level);
+        self
     }
 
     /// Enables or disables the constant-response fold for fully
     /// wavelength-independent circuits (enabled by default). Disabling it
     /// forces sweeps to solve every grid point — it also switches the
-    /// block-sparse factor-once stripe batching off — the pre-fold
-    /// (PR-1) behavior, useful for benchmarking the per-point solver;
-    /// results are bit-identical either way.
+    /// factor-once stripe batching off — which is useful for
+    /// benchmarking the per-point solver; results are bit-identical
+    /// either way.
     pub fn with_constant_fold(mut self, enabled: bool) -> Self {
         self.allow_constant_fold = enabled;
         self
@@ -338,9 +230,9 @@ impl<'c> SweepPlan<'c> {
         self.circuit
     }
 
-    /// The composition backend this plan executes.
-    pub fn backend(&self) -> Backend {
-        self.backend
+    /// The SIMD tier this plan's solves run on.
+    pub fn simd_level(&self) -> SimdLevel {
+        self.kernels.level()
     }
 
     /// The underlying topology schedule.
@@ -350,7 +242,7 @@ impl<'c> SweepPlan<'c> {
 
     /// Number of external ports.
     pub fn external_count(&self) -> usize {
-        self.schedule.ext_idx.len()
+        self.schedule.external_count()
     }
 
     /// How many instances are served from the wavelength-independent memo
@@ -384,59 +276,41 @@ impl<'c> SweepPlan<'c> {
     }
 
     /// Re-targets an existing workspace at this plan, reusing its buffers:
-    /// sizes every matrix for this circuit, zeroes the global matrix and
-    /// rewrites the memoized blocks. After the call the workspace is
-    /// indistinguishable from a fresh [`SweepPlan::workspace`] — which is
-    /// what lets an evaluator keep one workspace across many circuits
-    /// without re-allocating at every candidate.
+    /// sizes every buffer for this circuit, rewrites the memoized blocks
+    /// and rebuilds the wavelength-independent baseline images. After the
+    /// call the workspace is indistinguishable from a fresh
+    /// [`SweepPlan::workspace`] — which is what lets an evaluator keep
+    /// one workspace across many circuits without re-allocating at every
+    /// candidate.
     pub fn reset_workspace(&self, ws: &mut SolveWorkspace) {
         let n0 = self.schedule.total_ports;
-        let n_int = self.schedule.int_idx.len();
-        let n_ext = self.schedule.ext_idx.len();
-        ws.global.reshape(n0, n0);
         // The staging matrix is block-diagonal by instance, and every
-        // block-sparse read of it (matrix/RHS scatters, ee/ei combine
-        // terms) stays inside one instance's diagonal block — written by
+        // read of it (matrix/RHS scatters, ee/ei combine terms) stays
+        // inside one instance's diagonal block — written by
         // `write_block` before any read (memoized below, dispersive per
-        // point). Only the dense and elimination gathers, which also read
-        // the zero cross-instance entries, need all n0² entries cleared.
-        if self.backend != Backend::BlockSparse {
-            ws.global.fill_zero();
-        }
+        // point) — so stale cross-instance entries are never read and
+        // need no clearing.
+        ws.global.reshape(n0, n0);
         for (inst, memo) in self.circuit.instances.iter().zip(&self.memos) {
             if let Some(block) = memo.cached() {
                 write_block(&mut ws.global, inst.port_offset, block.matrix());
             }
         }
-        // Only the active backend's buffers are sized — the others stay
-        // empty (or keep stale capacity for later reuse) and are never
-        // read.
-        match self.backend {
-            Backend::Dense => {
-                ws.system.reshape(n_int, n_int);
-                ws.rhs.reshape(n_int, n_ext);
-                ws.x.reshape(n_int, n_ext);
-            }
-            Backend::PortElimination => {
-                ws.elim.reshape(n0, n0);
-                ws.elim_row_p.resize(n0, Complex::ZERO);
-                ws.elim_row_q.resize(n0, Complex::ZERO);
-            }
-            Backend::BlockSparse => {
-                // Baselines: the wavelength-independent part of the
-                // system assembly (identity + every memoized instance)
-                // imaged once; per-point assembly copies the image and
-                // scatters only the dispersive instances.
-                let sched = &self.schedule.block;
-                ws.bs_baseline.resize_zero(sched.sym.values_len());
-                ws.bs_rhs_baseline.resize_zero(sched.n_int * sched.n_ext);
-                sched.scatter_identity(&mut ws.bs_baseline);
-                for (ii, memo) in self.memos.iter().enumerate() {
-                    if memo.is_cached() {
-                        sched.scatter_matrix_instance(ii, &ws.global, &mut ws.bs_baseline);
-                        sched.scatter_rhs_instance(ii, &ws.global, &mut ws.bs_rhs_baseline);
-                    }
-                }
+        if ws.lu.level() != self.simd_level() {
+            ws.lu = BlockSparseLu::with_level(self.simd_level());
+        }
+        // Baselines: the wavelength-independent part of the system
+        // assembly (identity + every memoized instance) imaged once;
+        // per-point assembly copies the image and scatters only the
+        // dispersive instances.
+        let sched = &self.schedule.block;
+        ws.baseline.resize_zero(sched.sym.values_len());
+        ws.rhs_baseline.resize_zero(sched.n_int * sched.n_ext);
+        sched.scatter_identity(&mut ws.baseline);
+        for (ii, memo) in self.memos.iter().enumerate() {
+            if memo.is_cached() {
+                sched.scatter_matrix_instance(ii, &ws.global, &mut ws.baseline);
+                sched.scatter_rhs_instance(ii, &ws.global, &mut ws.rhs_baseline);
             }
         }
     }
@@ -456,11 +330,7 @@ impl<'c> SweepPlan<'c> {
         out: &mut CMatrix,
     ) -> Result<(), SimError> {
         self.refresh_dispersive(ws, wavelength_um)?;
-        match self.backend {
-            Backend::Dense => self.evaluate_dense(ws, wavelength_um, out)?,
-            Backend::PortElimination => self.evaluate_elimination(ws, wavelength_um, out)?,
-            Backend::BlockSparse => self.evaluate_block_sparse(ws, wavelength_um, out)?,
-        }
+        self.solve(ws, wavelength_um, out)?;
         if !out.is_finite() {
             return Err(SimError::NonFiniteResult { wavelength_um });
         }
@@ -492,16 +362,16 @@ impl<'c> SweepPlan<'c> {
 
     /// Whether a batched sweep over this plan may factor the scattering
     /// system **once** and reuse the solved panel for every wavelength
-    /// point of a stripe: the BlockSparse backend, with every instance
-    /// that feeds the system matrix, the RHS panel or the `S_ei` combine
-    /// coefficients served from the wavelength-independent memo. (Only
-    /// instances with no internal ports may then still be dispersive —
-    /// they contribute `S_ee` entries re-read at every point.)
+    /// point of a stripe: every instance that feeds the system matrix,
+    /// the RHS panel or the `S_ei` combine coefficients is served from
+    /// the wavelength-independent memo. (Only instances with no internal
+    /// ports may then still be dispersive — they contribute `S_ee`
+    /// entries re-read at every point.)
     pub fn stripe_factors_once(&self) -> bool {
-        self.backend == Backend::BlockSparse
-            && self.memos.iter().enumerate().all(|(ii, memo)| {
-                memo.is_cached() || !self.schedule.block.instance_touches_system(ii)
-            })
+        self.memos
+            .iter()
+            .enumerate()
+            .all(|(ii, memo)| memo.is_cached() || !self.schedule.block.instance_touches_system(ii))
     }
 
     /// How a stripe of `points` grid points executes over this plan —
@@ -597,7 +467,7 @@ impl<'c> SweepPlan<'c> {
         self.refresh_dispersive(ws, wavelength_um)?;
         self.schedule
             .block
-            .combine(&ws.global, &ws.bs_x, &mut ws.bs_stage, out);
+            .combine(self.kernels, &ws.global, &ws.x, &mut ws.stage, out);
         if !out.is_finite() {
             return Err(SimError::NonFiniteResult { wavelength_um });
         }
@@ -608,7 +478,7 @@ impl<'c> SweepPlan<'c> {
     /// baseline image + dispersive scatter, numeric factor against the
     /// shared symbolic object, one panel solve for all `n_ext` RHS
     /// columns, sparse recombination.
-    fn evaluate_block_sparse(
+    fn solve(
         &self,
         ws: &mut SolveWorkspace,
         wavelength_um: f64,
@@ -616,186 +486,24 @@ impl<'c> SweepPlan<'c> {
     ) -> Result<(), SimError> {
         let sched = &self.schedule.block;
         if sched.n_int == 0 {
-            ws.bs_x.clear();
-            sched.combine(&ws.global, &ws.bs_x, &mut ws.bs_stage, out);
+            ws.x.clear();
+            sched.combine(self.kernels, &ws.global, &ws.x, &mut ws.stage, out);
             return Ok(());
         }
-        ws.bs_lu.load(&ws.bs_baseline);
-        ws.bs_x.copy_from(&ws.bs_rhs_baseline);
+        ws.lu.load(&ws.baseline);
+        ws.x.copy_from(&ws.rhs_baseline);
         for (ii, memo) in self.memos.iter().enumerate() {
             if memo.is_cached() {
                 continue;
             }
-            sched.scatter_matrix_instance(ii, &ws.global, ws.bs_lu.values_mut());
-            sched.scatter_rhs_instance(ii, &ws.global, &mut ws.bs_x);
+            sched.scatter_matrix_instance(ii, &ws.global, ws.lu.values_mut());
+            sched.scatter_rhs_instance(ii, &ws.global, &mut ws.x);
         }
-        ws.bs_lu
+        ws.lu
             .factor(&sched.sym)
             .map_err(|_| SimError::SingularSystem { wavelength_um })?;
-        ws.bs_lu
-            .solve_in_place(&sched.sym, &mut ws.bs_x, sched.n_ext);
-        sched.combine(&ws.global, &ws.bs_x, &mut ws.bs_stage, out);
-        Ok(())
-    }
-
-    /// Dense global scattering solve
-    /// `S_ext = S_ee + S_ei (I − P·S_ii)⁻¹ P·S_ie`, with the permutation
-    /// folded into gather indices and all products running on workspace
-    /// buffers.
-    fn evaluate_dense(
-        &self,
-        ws: &mut SolveWorkspace,
-        wavelength_um: f64,
-        out: &mut CMatrix,
-    ) -> Result<(), SimError> {
-        let sched = &*self.schedule;
-        let n_int = sched.int_idx.len();
-        let n_ext = sched.ext_idx.len();
-        out.reshape(n_ext, n_ext);
-
-        if n_int == 0 {
-            for r in 0..n_ext {
-                for c in 0..n_ext {
-                    *out.at_mut(r, c) = ws.global.at(sched.ext_idx[r], sched.ext_idx[c]);
-                }
-            }
-            return Ok(());
-        }
-
-        // system = I − P·S_ii and rhs = P·S_ie, gathered straight from the
-        // global matrix through the pre-permuted row indices.
-        ws.system.reshape(n_int, n_int);
-        ws.rhs.reshape(n_int, n_ext);
-        for r in 0..n_int {
-            let src_r = sched.perm_int_idx[r];
-            for c in 0..n_int {
-                let v = ws.global.at(src_r, sched.int_idx[c]);
-                *ws.system.at_mut(r, c) = if r == c { Complex::ONE - v } else { -v };
-            }
-            for c in 0..n_ext {
-                *ws.rhs.at_mut(r, c) = ws.global.at(src_r, sched.ext_idx[c]);
-            }
-        }
-
-        ws.lu
-            .factor_into(&ws.system)
-            .map_err(|_| SimError::SingularSystem { wavelength_um })?;
-        ws.lu.solve_matrix_into(&ws.rhs, &mut ws.x);
-
-        // S_ext = S_ee + S_ei · X, with S_ee and S_ei read directly from
-        // the global matrix.
-        for r in 0..n_ext {
-            let g_r = sched.ext_idx[r];
-            for c in 0..n_ext {
-                let mut acc = Complex::ZERO;
-                for (k, &g_k) in sched.int_idx.iter().enumerate() {
-                    acc += ws.global.at(g_r, g_k) * ws.x.at(k, c);
-                }
-                *out.at_mut(r, c) = ws.global.at(g_r, sched.ext_idx[c]) + acc;
-            }
-        }
-        Ok(())
-    }
-
-    /// Filipsson pairwise reduction over the precomputed schedule,
-    /// compacting **in place** on the single workspace buffer.
-    ///
-    /// Each step captures the two pivot rows (gathered onto the surviving
-    /// columns) into scratch, then rewrites every surviving row at its
-    /// compacted position. Writes land at `(ri·m + cj)` with
-    /// `ri ≤ keep[ri]`, `cj ≤ keep[cj]` and `m < n`, so every write is
-    /// strictly below all still-unread source entries — the update never
-    /// clobbers data it has yet to read.
-    fn evaluate_elimination(
-        &self,
-        ws: &mut SolveWorkspace,
-        wavelength_um: f64,
-        out: &mut CMatrix,
-    ) -> Result<(), SimError> {
-        let sched = &*self.schedule;
-        ws.elim.copy_from(&ws.global);
-        let buf = ws.elim.as_mut_slice();
-        let mut n = sched.total_ports;
-
-        for step in &sched.elim_steps {
-            let (p, q) = (step.p, step.q);
-            let m = n - 2;
-            debug_assert!(p < n && q < n && p != q);
-
-            let s_pq = buf[p * n + q];
-            let s_qp = buf[q * n + p];
-            let s_pp = buf[p * n + p];
-            let s_qq = buf[q * n + q];
-            let one_m_pq = Complex::ONE - s_pq;
-            let one_m_qp = Complex::ONE - s_qp;
-            let denom = one_m_pq * one_m_qp - s_pp * s_qq;
-            if denom.abs() < 1e-300 {
-                return Err(SimError::SingularSystem { wavelength_um });
-            }
-            let inv_d = denom.recip();
-
-            // The surviving columns are `0..n` minus the two pivots: three
-            // contiguous segments. Working segment-wise (rather than
-            // through the keep list) turns every gather into a sequential
-            // run the compiler can vectorize.
-            let (lo, hi) = (p.min(q), p.max(q));
-
-            // Capture the pivot rows gathered onto the surviving columns —
-            // the compaction below overwrites them.
-            let row_p = &mut ws.elim_row_p[..m];
-            let row_q = &mut ws.elim_row_q[..m];
-            row_p[..lo].copy_from_slice(&buf[p * n..p * n + lo]);
-            row_q[..lo].copy_from_slice(&buf[q * n..q * n + lo]);
-            row_p[lo..hi - 1].copy_from_slice(&buf[p * n + lo + 1..p * n + hi]);
-            row_q[lo..hi - 1].copy_from_slice(&buf[q * n + lo + 1..q * n + hi]);
-            row_p[hi - 1..].copy_from_slice(&buf[p * n + hi + 1..p * n + n]);
-            row_q[hi - 1..].copy_from_slice(&buf[q * n + hi + 1..q * n + n]);
-
-            let mut ri = 0usize;
-            for i in 0..n {
-                if i == lo || i == hi {
-                    continue;
-                }
-                let s_ip = buf[i * n + p];
-                let s_iq = buf[i * n + q];
-                // Hoist the shared row factors (and the division) out of
-                // the inner loop: two fused multiplies per entry.
-                let coeff_q = (one_m_pq * s_ip + s_pp * s_iq) * inv_d;
-                let coeff_p = (s_qq * s_ip + one_m_qp * s_iq) * inv_d;
-                let src = i * n;
-                let dst = ri * m;
-                let mut cj = 0usize;
-                let mut update = |j_start: usize, j_end: usize, cj: &mut usize| {
-                    for j in j_start..j_end {
-                        debug_assert!(dst + *cj <= src + j && src + j < buf.len());
-                        // SAFETY: `src + j < n·n ≤ buf.len()` and
-                        // `dst + cj < m·m < buf.len()`; the write index
-                        // never exceeds the read index (in-place ordering
-                        // proven in the method docs), checked above in
-                        // debug builds.
-                        unsafe {
-                            *buf.get_unchecked_mut(dst + *cj) = *buf.get_unchecked(src + j)
-                                + *row_q.get_unchecked(*cj) * coeff_q
-                                + *row_p.get_unchecked(*cj) * coeff_p;
-                        }
-                        *cj += 1;
-                    }
-                };
-                update(0, lo, &mut cj);
-                update(lo + 1, hi, &mut cj);
-                update(hi + 1, n, &mut cj);
-                ri += 1;
-            }
-            n = m;
-        }
-
-        let n_ext = sched.elim_ext_rows.len();
-        out.reshape(n_ext, n_ext);
-        for (r, &src_r) in sched.elim_ext_rows.iter().enumerate() {
-            for (c, &src_c) in sched.elim_ext_rows.iter().enumerate() {
-                *out.at_mut(r, c) = buf[src_r * n + src_c];
-            }
-        }
+        ws.lu.solve_in_place(&sched.sym, &mut ws.x, sched.n_ext);
+        sched.combine(self.kernels, &ws.global, &ws.x, &mut ws.stage, out);
         Ok(())
     }
 }
@@ -832,31 +540,17 @@ fn write_block(global: &mut CMatrix, offset: usize, block: &CMatrix) {
 pub struct SolveWorkspace {
     /// Assembled block-diagonal global S-matrix.
     global: CMatrix,
-    /// `I − P·S_ii` (Dense).
-    system: CMatrix,
-    /// `P·S_ie` (Dense).
-    rhs: CMatrix,
-    /// `(I − P·S_ii)⁻¹ P·S_ie` (Dense).
-    x: CMatrix,
-    /// LU factors + pivot permutation, re-factored in place per point.
-    lu: LuDecomposition,
-    /// In-place elimination buffer.
-    elim: CMatrix,
-    /// Scratch: pivot row `p` gathered onto the surviving columns.
-    elim_row_p: Vec<Complex>,
-    /// Scratch: pivot row `q` gathered onto the surviving columns.
-    elim_row_q: Vec<Complex>,
-    /// Numeric block-sparse factor, re-factored per point (BlockSparse).
-    bs_lu: BlockSparseLu,
+    /// Numeric block-sparse factor, re-factored per point.
+    lu: BlockSparseLu,
     /// Baseline image of the wavelength-independent system assembly
     /// (split-complex, the solver's panel layout).
-    bs_baseline: SplitComplexVec,
+    baseline: SplitComplexVec,
     /// Baseline image of the wavelength-independent RHS panel.
-    bs_rhs_baseline: SplitComplexVec,
+    rhs_baseline: SplitComplexVec,
     /// RHS panel, solved in place into the internal-wave solution `X`.
-    bs_x: SplitComplexVec,
+    x: SplitComplexVec,
     /// Split staging buffer for the `S_ee + S_ei·X` combine.
-    bs_stage: SplitComplexVec,
+    stage: SplitComplexVec,
 }
 
 impl SolveWorkspace {
@@ -866,18 +560,11 @@ impl SolveWorkspace {
     pub fn new() -> Self {
         SolveWorkspace {
             global: CMatrix::zeros(0, 0),
-            system: CMatrix::zeros(0, 0),
-            rhs: CMatrix::zeros(0, 0),
-            x: CMatrix::zeros(0, 0),
-            lu: LuDecomposition::empty(),
-            elim: CMatrix::zeros(0, 0),
-            elim_row_p: Vec::new(),
-            elim_row_q: Vec::new(),
-            bs_lu: BlockSparseLu::new(),
-            bs_baseline: SplitComplexVec::new(),
-            bs_rhs_baseline: SplitComplexVec::new(),
-            bs_x: SplitComplexVec::new(),
-            bs_stage: SplitComplexVec::new(),
+            lu: BlockSparseLu::new(),
+            baseline: SplitComplexVec::new(),
+            rhs_baseline: SplitComplexVec::new(),
+            x: SplitComplexVec::new(),
+            stage: SplitComplexVec::new(),
         }
     }
 }
@@ -891,7 +578,7 @@ impl Default for SolveWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::evaluate;
+    use crate::oracle::evaluate;
     use crate::registry::ModelRegistry;
     use picbench_netlist::{Netlist, NetlistBuilder};
 
@@ -918,30 +605,28 @@ mod tests {
     }
 
     #[test]
-    fn plan_matches_naive_evaluate_on_both_backends() {
+    fn plan_matches_the_dense_oracle() {
         let circuit = elaborate(&mzi_from_parts());
-        for backend in Backend::ALL {
-            let plan = SweepPlan::new(&circuit, backend).unwrap();
-            let mut ws = plan.workspace();
-            let mut out = CMatrix::zeros(0, 0);
-            let mut wl = 1.51;
-            while wl <= 1.59 {
-                plan.evaluate_into(&mut ws, wl, &mut out).unwrap();
-                let naive = evaluate(&circuit, wl, backend).unwrap();
-                assert!(
-                    out.max_abs_diff(naive.matrix()) < 1e-12,
-                    "{backend} disagrees at {wl}: {:.3e}",
-                    out.max_abs_diff(naive.matrix())
-                );
-                wl += 0.01;
-            }
+        let plan = SweepPlan::new(&circuit).unwrap();
+        let mut ws = plan.workspace();
+        let mut out = CMatrix::zeros(0, 0);
+        let mut wl = 1.51;
+        while wl <= 1.59 {
+            plan.evaluate_into(&mut ws, wl, &mut out).unwrap();
+            let oracle = evaluate(&circuit, wl).unwrap();
+            assert!(
+                out.max_abs_diff(oracle.matrix()) < 1e-12,
+                "plan disagrees at {wl}: {:.3e}",
+                out.max_abs_diff(oracle.matrix())
+            );
+            wl += 0.01;
         }
     }
 
     #[test]
     fn plan_memoizes_dispersionless_instances() {
         let circuit = elaborate(&mzi_from_parts());
-        let plan = SweepPlan::new(&circuit, Backend::Dense).unwrap();
+        let plan = SweepPlan::new(&circuit).unwrap();
         // The two MMIs are wavelength-independent; the two waveguides are
         // not.
         assert_eq!(plan.memoized_instance_count(), 2);
@@ -952,49 +637,52 @@ mod tests {
         // Evaluating the same wavelength twice through one workspace must
         // be bit-identical — stale state may not leak between points.
         let circuit = elaborate(&mzi_from_parts());
-        for backend in Backend::ALL {
-            let plan = SweepPlan::new(&circuit, backend).unwrap();
-            let mut ws = plan.workspace();
-            let mut first = CMatrix::zeros(0, 0);
-            let mut again = CMatrix::zeros(0, 0);
-            plan.evaluate_into(&mut ws, 1.55, &mut first).unwrap();
-            plan.evaluate_into(&mut ws, 1.532, &mut again).unwrap();
-            plan.evaluate_into(&mut ws, 1.55, &mut again).unwrap();
-            assert_eq!(first, again, "{backend}");
-        }
+        let plan = SweepPlan::new(&circuit).unwrap();
+        let mut ws = plan.workspace();
+        let mut first = CMatrix::zeros(0, 0);
+        let mut again = CMatrix::zeros(0, 0);
+        plan.evaluate_into(&mut ws, 1.55, &mut first).unwrap();
+        plan.evaluate_into(&mut ws, 1.532, &mut again).unwrap();
+        plan.evaluate_into(&mut ws, 1.55, &mut again).unwrap();
+        assert_eq!(first, again);
     }
 
     #[test]
     fn reset_workspace_matches_fresh_workspace() {
-        // A workspace left dirty by a *different* (larger) circuit must be
-        // fully re-targeted: same bits as a fresh workspace.
+        // A workspace left dirty by a *different* (larger) circuit, on a
+        // different SIMD tier, must be fully re-targeted: same bits as a
+        // fresh workspace.
         let big = elaborate(&mzi_from_parts());
         let small_netlist = NetlistBuilder::new()
             .instance_with("wg", "waveguide", &[("length", 5.0)])
+            .instance("split", "mmi1x2")
+            .connect("wg,O1", "split,I1")
             .port("I1", "wg,I1")
-            .port("O1", "wg,O1")
+            .port("O1", "split,O1")
+            .port("O2", "split,O2")
             .model("waveguide", "waveguide")
+            .model("mmi1x2", "mmi1x2")
             .build();
         let small = elaborate(&small_netlist);
-        for backend in Backend::ALL {
-            let big_plan = SweepPlan::new(&big, backend).unwrap();
-            let small_plan = SweepPlan::new(&small, backend).unwrap();
-            let mut ws = big_plan.workspace();
-            let mut scratch = CMatrix::zeros(0, 0);
-            big_plan.evaluate_into(&mut ws, 1.55, &mut scratch).unwrap();
-            // Re-target the dirty workspace at the small circuit.
-            small_plan.reset_workspace(&mut ws);
-            let mut reused = CMatrix::zeros(0, 0);
-            small_plan
-                .evaluate_into(&mut ws, 1.55, &mut reused)
-                .unwrap();
-            let mut fresh_ws = small_plan.workspace();
-            let mut fresh = CMatrix::zeros(0, 0);
-            small_plan
-                .evaluate_into(&mut fresh_ws, 1.55, &mut fresh)
-                .unwrap();
-            assert_eq!(reused, fresh, "{backend}");
-        }
+        let big_plan = SweepPlan::new(&big)
+            .unwrap()
+            .with_simd_level(SimdLevel::Scalar);
+        let small_plan = SweepPlan::new(&small).unwrap();
+        let mut ws = big_plan.workspace();
+        let mut scratch = CMatrix::zeros(0, 0);
+        big_plan.evaluate_into(&mut ws, 1.55, &mut scratch).unwrap();
+        // Re-target the dirty workspace at the small circuit.
+        small_plan.reset_workspace(&mut ws);
+        let mut reused = CMatrix::zeros(0, 0);
+        small_plan
+            .evaluate_into(&mut ws, 1.55, &mut reused)
+            .unwrap();
+        let mut fresh_ws = small_plan.workspace();
+        let mut fresh = CMatrix::zeros(0, 0);
+        small_plan
+            .evaluate_into(&mut fresh_ws, 1.55, &mut fresh)
+            .unwrap();
+        assert_eq!(reused, fresh);
     }
 
     #[test]
@@ -1016,21 +704,19 @@ mod tests {
         assert_eq!(cache.len(), 1);
 
         // A cached-schedule plan computes the same bits as a fresh plan.
-        for backend in Backend::ALL {
-            let cached_plan = SweepPlan::with_schedule(&b, backend, Arc::clone(&sb)).unwrap();
-            let fresh_plan = SweepPlan::new(&b, backend).unwrap();
-            let mut ws_c = cached_plan.workspace();
-            let mut ws_f = fresh_plan.workspace();
-            let mut out_c = CMatrix::zeros(0, 0);
-            let mut out_f = CMatrix::zeros(0, 0);
-            cached_plan
-                .evaluate_into(&mut ws_c, 1.547, &mut out_c)
-                .unwrap();
-            fresh_plan
-                .evaluate_into(&mut ws_f, 1.547, &mut out_f)
-                .unwrap();
-            assert_eq!(out_c, out_f, "{backend}");
-        }
+        let cached_plan = SweepPlan::with_schedule(&b, Arc::clone(&sb)).unwrap();
+        let fresh_plan = SweepPlan::new(&b).unwrap();
+        let mut ws_c = cached_plan.workspace();
+        let mut ws_f = fresh_plan.workspace();
+        let mut out_c = CMatrix::zeros(0, 0);
+        let mut out_f = CMatrix::zeros(0, 0);
+        cached_plan
+            .evaluate_into(&mut ws_c, 1.547, &mut out_c)
+            .unwrap();
+        fresh_plan
+            .evaluate_into(&mut ws_f, 1.547, &mut out_f)
+            .unwrap();
+        assert_eq!(out_c, out_f);
     }
 
     #[test]
@@ -1042,14 +728,12 @@ mod tests {
             .model("waveguide", "waveguide")
             .build();
         let circuit = elaborate(&netlist);
-        for backend in Backend::ALL {
-            let plan = SweepPlan::new(&circuit, backend).unwrap();
-            let mut ws = plan.workspace();
-            let mut out = CMatrix::zeros(0, 0);
-            plan.evaluate_into(&mut ws, 1.55, &mut out).unwrap();
-            let naive = evaluate(&circuit, 1.55, backend).unwrap();
-            assert!(out.max_abs_diff(naive.matrix()) < 1e-14);
-        }
+        let plan = SweepPlan::new(&circuit).unwrap();
+        let mut ws = plan.workspace();
+        let mut out = CMatrix::zeros(0, 0);
+        plan.evaluate_into(&mut ws, 1.55, &mut out).unwrap();
+        let oracle = evaluate(&circuit, 1.55).unwrap();
+        assert!(out.max_abs_diff(oracle.matrix()) < 1e-14);
     }
 
     #[test]
@@ -1063,7 +747,7 @@ mod tests {
         let circuit = elaborate(&netlist);
         // The coupler is wavelength-independent, so the invalid setting
         // surfaces at plan construction.
-        let err = SweepPlan::new(&circuit, Backend::Dense).unwrap_err();
+        let err = SweepPlan::new(&circuit).unwrap_err();
         match &err {
             SimError::Model { instance, .. } => assert_eq!(instance, "badcoupler"),
             other => panic!("unexpected {other:?}"),

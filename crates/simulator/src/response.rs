@@ -4,12 +4,12 @@
 //! per circuit, then executes the per-point solves on reusable
 //! [`SolveWorkspace`]s — serially for short grids, on scoped worker
 //! threads (one workspace each, deterministic output ordering) for grids
-//! of [`PARALLEL_THRESHOLD`] points or more. [`sweep_naive`] keeps the
-//! original rebuild-everything-per-point path alive as the benchmark
-//! baseline and cross-check reference.
+//! of [`PARALLEL_THRESHOLD`] points or more. [`sweep_naive`] sweeps the
+//! independent dense oracle ([`crate::evaluate`]) point by point — the
+//! cross-check reference and the benchmark baseline.
 
-use crate::backend::{evaluate, Backend, SimError};
 use crate::elaborate::Circuit;
+use crate::oracle::{evaluate, SimError};
 use crate::plan::{SolveWorkspace, StripeMode, SweepPlan};
 use picbench_math::{CMatrix, Complex};
 use picbench_sparams::SMatrix;
@@ -248,17 +248,8 @@ pub const PARALLEL_THRESHOLD: usize = 16;
 /// # Errors
 ///
 /// Returns the [`SimError`] of the lowest-indexed failing grid point.
-pub fn sweep(
-    circuit: &Circuit,
-    grid: &WavelengthGrid,
-    backend: Backend,
-) -> Result<FrequencyResponse, SimError> {
-    let threads = if grid.points >= PARALLEL_THRESHOLD {
-        available_threads()
-    } else {
-        1
-    };
-    sweep_with_threads(circuit, grid, backend, threads)
+pub fn sweep(circuit: &Circuit, grid: &WavelengthGrid) -> Result<FrequencyResponse, SimError> {
+    sweep_with_plan(&SweepPlan::new(circuit)?, grid, 0)
 }
 
 /// Plan-based sweep forced onto a single thread.
@@ -269,9 +260,8 @@ pub fn sweep(
 pub fn sweep_serial(
     circuit: &Circuit,
     grid: &WavelengthGrid,
-    backend: Backend,
 ) -> Result<FrequencyResponse, SimError> {
-    sweep_with_threads(circuit, grid, backend, 1)
+    sweep_parallel(circuit, grid, 1)
 }
 
 /// Plan-based sweep on an explicit number of worker threads (`0` means
@@ -283,7 +273,6 @@ pub fn sweep_serial(
 pub fn sweep_parallel(
     circuit: &Circuit,
     grid: &WavelengthGrid,
-    backend: Backend,
     threads: usize,
 ) -> Result<FrequencyResponse, SimError> {
     let threads = if threads == 0 {
@@ -291,12 +280,14 @@ pub fn sweep_parallel(
     } else {
         threads
     };
-    sweep_with_threads(circuit, grid, backend, threads)
+    sweep_with_plan(&SweepPlan::new(circuit)?, grid, threads)
 }
 
-/// The original sweep: rebuild the whole composition at every grid point
-/// via [`evaluate`]. Kept as the benchmark baseline and as an independent
-/// cross-check of the plan-based path.
+/// The oracle sweep: the dense reference solve ([`evaluate`]) rebuilt
+/// from scratch at every grid point. Shares nothing with the planned
+/// solver, so it is the independent cross-check of every plan-based
+/// sweep — and the baseline benchmarks measure the planned solver
+/// against.
 ///
 /// # Errors
 ///
@@ -304,12 +295,11 @@ pub fn sweep_parallel(
 pub fn sweep_naive(
     circuit: &Circuit,
     grid: &WavelengthGrid,
-    backend: Backend,
 ) -> Result<FrequencyResponse, SimError> {
     let wavelengths = grid.wavelengths();
     let mut samples = Vec::with_capacity(wavelengths.len());
     for &wl in &wavelengths {
-        samples.push(evaluate(circuit, wl, backend)?);
+        samples.push(evaluate(circuit, wl)?);
     }
     Ok(FrequencyResponse {
         wavelengths,
@@ -322,16 +312,6 @@ fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-fn sweep_with_threads(
-    circuit: &Circuit,
-    grid: &WavelengthGrid,
-    backend: Backend,
-    threads: usize,
-) -> Result<FrequencyResponse, SimError> {
-    let plan = SweepPlan::new(circuit, backend)?;
-    sweep_with_plan(&plan, grid, threads)
 }
 
 /// Sweeps over a grid on a prebuilt [`SweepPlan`] — the entry point for
@@ -560,7 +540,7 @@ mod tests {
     #[test]
     fn sweep_produces_one_sample_per_point() {
         let c = mzi_circuit(10.0);
-        let r = sweep(&c, &WavelengthGrid::paper_fast(), Backend::default()).unwrap();
+        let r = sweep(&c, &WavelengthGrid::paper_fast()).unwrap();
         assert_eq!(r.wavelengths().len(), 17);
         assert_eq!(r.ports(), &["I1".to_string(), "O1".to_string()]);
         assert!(r.sample(0).is_some());
@@ -573,8 +553,8 @@ mod tests {
         let c1 = mzi_circuit(10.0);
         let c2 = mzi_circuit(10.0);
         let g = WavelengthGrid::paper_fast();
-        let r1 = sweep(&c1, &g, Backend::default()).unwrap();
-        let r2 = sweep(&c2, &g, Backend::default()).unwrap();
+        let r1 = sweep(&c1, &g).unwrap();
+        let r2 = sweep(&c2, &g).unwrap();
         let cmp = r1.compare(&r2);
         assert!(cmp.is_equivalent(1e-12), "{cmp}");
     }
@@ -582,8 +562,8 @@ mod tests {
     #[test]
     fn different_delta_lengths_differ() {
         let g = WavelengthGrid::paper_default();
-        let r1 = sweep(&mzi_circuit(10.0), &g, Backend::default()).unwrap();
-        let r2 = sweep(&mzi_circuit(12.0), &g, Backend::default()).unwrap();
+        let r1 = sweep(&mzi_circuit(10.0), &g).unwrap();
+        let r2 = sweep(&mzi_circuit(12.0), &g).unwrap();
         let cmp = r1.compare(&r2);
         assert!(!cmp.is_equivalent(1e-3), "{cmp}");
         assert!(cmp.max_power_diff > 0.01);
@@ -601,8 +581,8 @@ mod tests {
             .build();
         let c2 = Circuit::elaborate(&netlist, &ModelRegistry::with_builtins(), None).unwrap();
         let g = WavelengthGrid::paper_fast();
-        let r1 = sweep(&c1, &g, Backend::default()).unwrap();
-        let r2 = sweep(&c2, &g, Backend::default()).unwrap();
+        let r1 = sweep(&c1, &g).unwrap();
+        let r2 = sweep(&c2, &g).unwrap();
         let cmp = r1.compare(&r2);
         assert!(!cmp.ports_match);
         assert!(!cmp.is_equivalent(1e9));
@@ -612,33 +592,29 @@ mod tests {
     fn parallel_sweep_is_element_wise_identical_to_serial() {
         let c = mzi_circuit(10.0);
         let g = WavelengthGrid::paper_default();
-        for backend in Backend::ALL {
-            let serial = sweep_serial(&c, &g, backend).unwrap();
-            for threads in [2, 3, 8] {
-                let parallel = sweep_parallel(&c, &g, backend, threads).unwrap();
-                // Bit-identical, not merely close: every point runs the
-                // exact same plan arithmetic regardless of the worker.
-                assert_eq!(serial, parallel, "{backend} with {threads} threads");
-            }
+        let serial = sweep_serial(&c, &g).unwrap();
+        for threads in [2, 3, 8] {
+            let parallel = sweep_parallel(&c, &g, threads).unwrap();
+            // Bit-identical, not merely close: every point runs the exact
+            // same plan arithmetic regardless of the worker.
+            assert_eq!(serial, parallel, "{threads} threads");
         }
     }
 
     #[test]
-    fn default_sweep_matches_naive_sweep() {
+    fn default_sweep_matches_oracle_sweep() {
         let c = mzi_circuit(10.0);
         let g = WavelengthGrid::paper_default();
-        for backend in Backend::ALL {
-            let planned = sweep(&c, &g, backend).unwrap();
-            let naive = sweep_naive(&c, &g, backend).unwrap();
-            let cmp = planned.compare(&naive);
-            assert!(cmp.is_equivalent(1e-12), "{backend}: {cmp}");
-        }
+        let planned = sweep(&c, &g).unwrap();
+        let oracle = sweep_naive(&c, &g).unwrap();
+        let cmp = planned.compare(&oracle);
+        assert!(cmp.is_equivalent(1e-12), "{cmp}");
     }
 
     #[test]
     fn parallel_error_reporting_is_deterministic() {
         // An undamped resonant loop: a lossless ring exactly on resonance
-        // is singular for the dense solve at some grid points. The sweep
+        // is singular at some grid points. The sweep
         // must report the lowest-indexed failure no matter how many
         // workers raced.
         let netlist = NetlistBuilder::new()
@@ -653,14 +629,14 @@ mod tests {
             .build();
         let c = Circuit::elaborate(&netlist, &ModelRegistry::with_builtins(), None).unwrap();
         let g = WavelengthGrid::paper_default();
-        let serial = sweep_serial(&c, &g, Backend::Dense);
+        let serial = sweep_serial(&c, &g);
         let Err(serial_err) = serial else {
             // The coupling-0 loop may happen to dodge exact resonance on
             // this grid; nothing to compare then.
             return;
         };
         for threads in [2, 5] {
-            let parallel_err = sweep_parallel(&c, &g, Backend::Dense, threads).unwrap_err();
+            let parallel_err = sweep_parallel(&c, &g, threads).unwrap_err();
             assert_eq!(serial_err, parallel_err, "{threads} threads");
         }
     }
@@ -668,7 +644,7 @@ mod tests {
     #[test]
     fn transmission_db_is_finite_for_passive_circuit() {
         let c = mzi_circuit(10.0);
-        let r = sweep(&c, &WavelengthGrid::paper_fast(), Backend::default()).unwrap();
+        let r = sweep(&c, &WavelengthGrid::paper_fast()).unwrap();
         for db in r.transmission_db("I1", "O1").unwrap() {
             assert!(db <= 0.5, "passive circuit cannot have gain, got {db} dB");
         }

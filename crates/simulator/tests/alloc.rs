@@ -4,14 +4,14 @@
 //! counters, so concurrently running tests cannot pollute each other) and
 //! drives [`SweepPlan::evaluate_into`] after a single warm-up point. For a
 //! circuit whose models are all wavelength-independent (served from the
-//! plan memo), the per-point solve of **both** backends must perform zero
-//! heap allocations — the acceptance bar the reusable-workspace design is
+//! plan memo), the per-point solve must perform zero heap allocations — the acceptance bar the reusable-workspace design is
 //! built around. A dispersive circuit is exercised too, asserting that the
 //! only allocations left come from the per-point model evaluations.
 
+use picbench_math::simd::{available_level, SimdLevel};
 use picbench_math::CMatrix;
 use picbench_netlist::{Netlist, NetlistBuilder};
-use picbench_sim::{Backend, Circuit, ModelRegistry, SweepPlan};
+use picbench_sim::{Circuit, ModelRegistry, SweepPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -86,43 +86,41 @@ fn memoizable_ladder(rungs: usize) -> Netlist {
 }
 
 #[test]
-fn per_point_solve_is_allocation_free_on_both_backends() {
+fn per_point_solve_is_allocation_free() {
     let circuit = elaborate(&memoizable_ladder(6));
-    for backend in Backend::ALL {
-        let plan = SweepPlan::new(&circuit, backend).unwrap();
-        assert_eq!(
-            plan.memoized_instance_count(),
-            circuit.instance_count(),
-            "ladder must be fully memoizable for this test to be meaningful"
-        );
-        let mut ws = plan.workspace();
-        let mut out = CMatrix::zeros(0, 0);
-        // Warm-up: reach every buffer's high-water mark.
-        plan.evaluate_into(&mut ws, 1.55, &mut out).unwrap();
+    let plan = SweepPlan::new(&circuit).unwrap();
+    assert_eq!(
+        plan.memoized_instance_count(),
+        circuit.instance_count(),
+        "ladder must be fully memoizable for this test to be meaningful"
+    );
+    let mut ws = plan.workspace();
+    let mut out = CMatrix::zeros(0, 0);
+    // Warm-up: reach every buffer's high-water mark.
+    plan.evaluate_into(&mut ws, 1.55, &mut out).unwrap();
 
-        let (allocations, result) = count_allocations(|| {
-            let mut status = Ok(());
-            let mut wl = 1.51;
-            while wl <= 1.59 {
-                if let Err(e) = plan.evaluate_into(&mut ws, wl, &mut out) {
-                    status = Err(e);
-                    break;
-                }
-                wl += 0.005;
+    let (allocations, result) = count_allocations(|| {
+        let mut status = Ok(());
+        let mut wl = 1.51;
+        while wl <= 1.59 {
+            if let Err(e) = plan.evaluate_into(&mut ws, wl, &mut out) {
+                status = Err(e);
+                break;
             }
-            status
-        });
-        result.unwrap();
-        assert_eq!(
-            allocations, 0,
-            "{backend}: steady-state per-point solve must not allocate"
-        );
-    }
+            wl += 0.005;
+        }
+        status
+    });
+    result.unwrap();
+    assert_eq!(
+        allocations, 0,
+        "steady-state per-point solve must not allocate"
+    );
 }
 
 #[test]
 fn batched_stripe_solve_is_allocation_free_after_warmup() {
-    // The block-sparse batched execution: after one warm-up stripe has
+    // The batched execution: after one warm-up stripe has
     // pushed every buffer (factor values, pivots, scratch, RHS panel,
     // output matrices) to its high-water mark, an entire stripe —
     // assembly, factorization, the panel solve and the per-point output
@@ -131,7 +129,7 @@ fn batched_stripe_solve_is_allocation_free_after_warmup() {
     // stripe path evaluates dispersive models per point, which allocate
     // by design; its correctness is covered in tests/block_sparse.rs.)
     let circuit = elaborate(&memoizable_ladder(6));
-    let plan = SweepPlan::new(&circuit, Backend::BlockSparse).unwrap();
+    let plan = SweepPlan::new(&circuit).unwrap();
     let wavelengths: Vec<f64> = (0..16).map(|i| 1.51 + 0.005 * i as f64).collect();
     let n_ext = 4;
     let mut ws = plan.workspace();
@@ -162,45 +160,29 @@ fn batched_stripe_solve_is_allocation_free_after_warmup() {
 #[test]
 fn warmed_soa_stripe_solve_is_allocation_free_on_every_dispatch_tier() {
     // The split-complex (SoA) panel kernels must not hide allocations
-    // behind ISA dispatch: once the stripe buffers are warmed, the
-    // whole solve stays allocation-free both under the ambient (widest
-    // detected) SIMD tier and with dispatch forced to the scalar
-    // kernels — the tiers share the panel workspace, they differ only
-    // in the kernel bodies.
+    // behind ISA dispatch: once the stripe buffers are warmed, the whole
+    // solve stays allocation-free both on the default (widest detected)
+    // SIMD tier and on a plan pinned to the scalar kernels — the tiers
+    // share the panel workspace layout, they differ only in the kernel
+    // bodies.
     let circuit = elaborate(&memoizable_ladder(6));
-    let plan = SweepPlan::new(&circuit, Backend::BlockSparse).unwrap();
     let wavelengths: Vec<f64> = (0..16).map(|i| 1.51 + 0.005 * i as f64).collect();
-    let mut ws = plan.workspace();
-    let mut outs: Vec<CMatrix> = (0..wavelengths.len())
-        .map(|_| CMatrix::zeros(4, 4))
-        .collect();
-    // Warm up under both tiers.
-    plan.evaluate_stripe_into(&mut ws, &wavelengths, &mut outs)
-        .unwrap();
-    picbench_math::simd::with_forced_scalar(|| {
+    for level in [available_level(), SimdLevel::Scalar] {
+        let plan = SweepPlan::new(&circuit).unwrap().with_simd_level(level);
+        let mut ws = plan.workspace();
+        let mut outs: Vec<CMatrix> = (0..wavelengths.len())
+            .map(|_| CMatrix::zeros(4, 4))
+            .collect();
         plan.evaluate_stripe_into(&mut ws, &wavelengths, &mut outs)
-    })
-    .unwrap();
-
-    let (ambient, result) =
-        count_allocations(|| plan.evaluate_stripe_into(&mut ws, &wavelengths, &mut outs));
-    result.map_err(|(_, e)| e).unwrap();
-    assert_eq!(
-        ambient,
-        0,
-        "warmed SoA stripe solve must not allocate under the {} tier",
-        picbench_math::simd::active_level().token()
-    );
-    let (scalar, result) = count_allocations(|| {
-        picbench_math::simd::with_forced_scalar(|| {
-            plan.evaluate_stripe_into(&mut ws, &wavelengths, &mut outs)
-        })
-    });
-    result.map_err(|(_, e)| e).unwrap();
-    assert_eq!(
-        scalar, 0,
-        "warmed SoA stripe solve must not allocate under forced-scalar dispatch"
-    );
+            .unwrap();
+        let (allocations, result) =
+            count_allocations(|| plan.evaluate_stripe_into(&mut ws, &wavelengths, &mut outs));
+        result.map_err(|(_, e)| e).unwrap();
+        assert_eq!(
+            allocations, 0,
+            "warmed SoA stripe solve must not allocate on the {level} tier"
+        );
+    }
 }
 
 #[test]
@@ -224,33 +206,31 @@ fn dispersive_circuits_only_allocate_in_model_evaluation() {
         .model("waveguide", "waveguide")
         .build();
     let circuit = elaborate(&netlist);
-    for backend in Backend::ALL {
-        let plan = SweepPlan::new(&circuit, backend).unwrap();
-        let mut ws = plan.workspace();
-        let mut out = CMatrix::zeros(0, 0);
-        plan.evaluate_into(&mut ws, 1.55, &mut out).unwrap();
+    let plan = SweepPlan::new(&circuit).unwrap();
+    let mut ws = plan.workspace();
+    let mut out = CMatrix::zeros(0, 0);
+    plan.evaluate_into(&mut ws, 1.55, &mut out).unwrap();
 
-        let points = 16u64;
-        let (allocations, result) = count_allocations(|| {
-            let mut status = Ok(());
-            for i in 0..points {
-                let wl = 1.51 + 0.005 * i as f64;
-                if let Err(e) = plan.evaluate_into(&mut ws, wl, &mut out) {
-                    status = Err(e);
-                    break;
-                }
+    let points = 16u64;
+    let (allocations, result) = count_allocations(|| {
+        let mut status = Ok(());
+        for i in 0..points {
+            let wl = 1.51 + 0.005 * i as f64;
+            if let Err(e) = plan.evaluate_into(&mut ws, wl, &mut out) {
+                status = Err(e);
+                break;
             }
-            status
-        });
-        result.unwrap();
-        // Two dispersive waveguides per point; each model evaluation may
-        // allocate a few small buffers (matrix data, port list). Anything
-        // beyond that budget means the solve itself regressed.
-        let budget = points * 2 * 8;
-        assert!(
-            allocations <= budget,
-            "{backend}: {allocations} allocations for {points} points exceeds the \
-             model-evaluation budget {budget}"
-        );
-    }
+        }
+        status
+    });
+    result.unwrap();
+    // Two dispersive waveguides per point; each model evaluation may
+    // allocate a few small buffers (matrix data, port list). Anything
+    // beyond that budget means the solve itself regressed.
+    let budget = points * 2 * 8;
+    assert!(
+        allocations <= budget,
+        "{allocations} allocations for {points} points exceeds the \
+         model-evaluation budget {budget}"
+    );
 }

@@ -1,23 +1,27 @@
-//! Property tests for the block-sparse backend: across every structural
-//! family of the conformance generator, `Backend::BlockSparse` must agree
-//! with `Backend::Dense` within the conformance oracle tolerance — they
-//! solve the same scattering system through different eliminations — and
-//! the batched stripe execution must be element-wise identical to
-//! point-by-point evaluation.
+//! Property tests for the planned block-sparse solver: across every
+//! structural family of the conformance generator it must agree with the
+//! naive dense oracle within the conformance tolerance — they solve the
+//! same scattering system through different eliminations — its SIMD
+//! tiers must agree with the scalar reference and never influence each
+//! other, and the batched stripe execution must be element-wise
+//! identical to point-by-point evaluation.
 
 use picbench_conformance::{CircuitStrategy, Family, GeneratorConfig};
+use picbench_math::simd::{available_level, SimdLevel};
 use picbench_math::CMatrix;
 use picbench_sim::{
-    sweep_naive, sweep_serial, Backend, Circuit, ModelRegistry, SweepPlan, WavelengthGrid,
+    sweep_naive, sweep_serial, sweep_with_plan, Circuit, FrequencyResponse, ModelRegistry,
+    SimError, SweepPlan, WavelengthGrid,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// The conformance backend tolerance: genuinely different algorithms on
-/// the same physics (see `DiffRunner::backend_tol`).
+/// The conformance oracle tolerance: genuinely different algorithms on
+/// the same physics (see `DiffRunner::oracle_tol`).
 const ORACLE_TOL: f64 = 1e-8;
 
 fn cases_per_family() -> usize {
     // Honour PROPTEST_CASES like the proptest-based suites, scaled down:
-    // these cases run three sweeps each.
+    // these cases run several sweeps each.
     std::env::var("PROPTEST_CASES")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -25,8 +29,18 @@ fn cases_per_family() -> usize {
         .unwrap_or(6)
 }
 
+/// A serial planned sweep on an explicit SIMD tier.
+fn sweep_on(
+    circuit: &Circuit,
+    grid: &WavelengthGrid,
+    level: SimdLevel,
+) -> Result<FrequencyResponse, SimError> {
+    let plan = SweepPlan::new(circuit)?.with_simd_level(level);
+    sweep_with_plan(&plan, grid, 1)
+}
+
 #[test]
-fn block_sparse_matches_dense_on_every_generator_family() {
+fn planned_solver_matches_the_dense_oracle_on_every_generator_family() {
     let registry = ModelRegistry::with_builtins();
     let grid = WavelengthGrid::new(1.51, 1.59, 7);
     let cases = cases_per_family();
@@ -38,48 +52,37 @@ fn block_sparse_matches_dense_on_every_generator_family() {
         for (k, gen) in strategy.sample(0xB10C5, cases).into_iter().enumerate() {
             let circuit = Circuit::elaborate(&gen.netlist, &registry, None)
                 .expect("generator netlists are valid");
-            let Ok(dense) = sweep_serial(&circuit, &grid, Backend::Dense) else {
-                // A resonance edge case neither backend can solve is not
+            let Ok(oracle) = sweep_naive(&circuit, &grid) else {
+                // A resonance edge case the oracle cannot solve is not
                 // this test's business (the conformance runner owns it).
                 continue;
             };
-            let sparse = sweep_serial(&circuit, &grid, Backend::BlockSparse)
-                .unwrap_or_else(|e| panic!("{family} case {k}: block-sparse failed: {e}"));
-            assert_eq!(dense.ports(), sparse.ports(), "{family} case {k}");
+            let planned = sweep_serial(&circuit, &grid)
+                .unwrap_or_else(|e| panic!("{family} case {k}: planned sweep failed: {e}"));
+            assert_eq!(oracle.ports(), planned.ports(), "{family} case {k}");
             for i in 0..grid.points {
-                let diff = dense
+                let diff = oracle
                     .sample(i)
                     .unwrap()
-                    .max_abs_diff(sparse.sample(i).unwrap());
+                    .max_abs_diff(planned.sample(i).unwrap());
                 assert!(
                     diff < ORACLE_TOL,
                     "{family} case {k}, grid point {i}: |ΔS| = {diff:.3e}\n{}",
                     gen.netlist.to_json_string()
                 );
             }
-            // The naive (rebuild-per-point) block-sparse path runs the
-            // same arithmetic as the planned one.
-            let naive = sweep_naive(&circuit, &grid, Backend::BlockSparse)
-                .unwrap_or_else(|e| panic!("{family} case {k}: naive block-sparse failed: {e}"));
-            let cmp = naive.compare(&sparse);
-            assert!(
-                cmp.is_equivalent(1e-12),
-                "{family} case {k}: naive vs planned {cmp}"
-            );
         }
     }
 }
 
 #[test]
-fn forced_scalar_and_simd_dispatch_agree_on_every_generator_family() {
-    // The block-sparse solve dispatches through the runtime-selected
-    // SIMD kernel table; the vector tiers contract multiply-adds into
-    // FMAs, so cross-tier agreement is tolerance-gated (the `simd`
-    // conformance axis documents the contract) while each tier on its
-    // own must be deterministic. On a host without vector units — or
-    // under `PICBENCH_FORCE_SCALAR=1` — both runs take the scalar path
-    // and the comparison is vacuously exact; the determinism half of the
-    // test still bites.
+fn scalar_and_default_simd_tiers_agree_on_every_generator_family() {
+    // The vector tiers contract multiply-adds into FMAs, so cross-tier
+    // agreement is tolerance-gated (the `simd` conformance axis documents
+    // the contract) while each tier on its own must be deterministic. On
+    // a host without vector units — or under `PICBENCH_FORCE_SCALAR=1` —
+    // both runs take the scalar path and the comparison is vacuously
+    // exact; the determinism half of the test still bites.
     const SIMD_TOL: f64 = 1e-9;
     let registry = ModelRegistry::with_builtins();
     let grid = WavelengthGrid::new(1.51, 1.59, 7);
@@ -92,13 +95,11 @@ fn forced_scalar_and_simd_dispatch_agree_on_every_generator_family() {
         for (k, gen) in strategy.sample(0x51D_FACE, cases).into_iter().enumerate() {
             let circuit = Circuit::elaborate(&gen.netlist, &registry, None)
                 .expect("generator netlists are valid");
-            let Ok(ambient) = sweep_serial(&circuit, &grid, Backend::BlockSparse) else {
+            let Ok(ambient) = sweep_on(&circuit, &grid, available_level()) else {
                 continue;
             };
-            let scalar = picbench_math::simd::with_forced_scalar(|| {
-                sweep_serial(&circuit, &grid, Backend::BlockSparse)
-            })
-            .unwrap_or_else(|e| panic!("{family} case {k}: forced-scalar sweep failed: {e}"));
+            let scalar = sweep_on(&circuit, &grid, SimdLevel::Scalar)
+                .unwrap_or_else(|e| panic!("{family} case {k}: scalar-tier sweep failed: {e}"));
             assert_eq!(ambient.ports(), scalar.ports(), "{family} case {k}");
             for i in 0..grid.points {
                 let diff = ambient
@@ -108,21 +109,74 @@ fn forced_scalar_and_simd_dispatch_agree_on_every_generator_family() {
                 assert!(
                     diff < SIMD_TOL,
                     "{family} case {k}, grid point {i}: {} tier vs scalar |ΔS| = {diff:.3e}\n{}",
-                    picbench_math::simd::active_level().token(),
+                    available_level(),
                     gen.netlist.to_json_string()
                 );
             }
             // Within the scalar tier the sweep is bit-deterministic.
-            let again = picbench_math::simd::with_forced_scalar(|| {
-                sweep_serial(&circuit, &grid, Backend::BlockSparse)
-            })
-            .unwrap();
+            let again = sweep_on(&circuit, &grid, SimdLevel::Scalar).unwrap();
             assert_eq!(
                 scalar, again,
-                "{family} case {k}: forced-scalar sweep is not deterministic"
+                "{family} case {k}: scalar-tier sweep is not deterministic"
             );
         }
     }
+}
+
+#[test]
+fn scalar_tier_sweeps_never_perturb_a_concurrent_default_tier_sweep() {
+    // Regression test for a process-global "force scalar" switch: one
+    // thread sweeping on the scalar tier must not change the kernels a
+    // concurrent default-tier sweep dispatches. The tier is a property
+    // of each plan, so the default-tier sweeps stay bit-identical to
+    // their reference however the two threads interleave.
+    let registry = ModelRegistry::with_builtins();
+    let grid = WavelengthGrid::new(1.51, 1.59, 9);
+    let strategy = CircuitStrategy::new(GeneratorConfig {
+        families: vec![Family::ClementsMesh],
+        ..GeneratorConfig::default()
+    });
+    let circuits: Vec<Circuit> = strategy
+        .sample(0xC0_FFEE, 3)
+        .iter()
+        .map(|gen| Circuit::elaborate(&gen.netlist, &registry, None).unwrap())
+        .collect();
+    let references: Vec<FrequencyResponse> = circuits
+        .iter()
+        .map(|c| sweep_on(c, &grid, available_level()).unwrap())
+        .collect();
+    /// Stops the scalar worker even when an assertion below panics, so a
+    /// failure reports instead of hanging the scope join.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let scalar_worker = scope.spawn(|| {
+            let mut sweeps = 0usize;
+            loop {
+                for circuit in &circuits {
+                    sweep_on(circuit, &grid, SimdLevel::Scalar).unwrap();
+                    sweeps += 1;
+                }
+                if stop.load(Ordering::Relaxed) {
+                    return sweeps;
+                }
+            }
+        });
+        let stop_guard = StopOnDrop(&stop);
+        for round in 0..40 {
+            for (circuit, reference) in circuits.iter().zip(&references) {
+                let again = sweep_on(circuit, &grid, available_level()).unwrap();
+                assert_eq!(&again, reference, "round {round}: default-tier bits moved");
+            }
+        }
+        drop(stop_guard);
+        assert!(scalar_worker.join().unwrap() > 0);
+    });
 }
 
 #[test]
@@ -152,7 +206,7 @@ fn recombine_stripe_matches_per_point_evaluation() {
         .build();
     let registry = ModelRegistry::with_builtins();
     let circuit = Circuit::elaborate(&netlist, &registry, None).unwrap();
-    let plan = SweepPlan::new(&circuit, Backend::BlockSparse).unwrap();
+    let plan = SweepPlan::new(&circuit).unwrap();
     assert!(
         plan.stripe_factors_once() && !plan.is_wavelength_independent(),
         "this circuit must exercise the recombine mode"
@@ -183,9 +237,7 @@ fn recombine_stripe_matches_per_point_evaluation() {
     // Disabling the constant fold must force genuine per-point solves
     // (the fold axis of the conformance harness relies on this) while
     // producing the same bits.
-    let unfolded = SweepPlan::new(&circuit, Backend::BlockSparse)
-        .unwrap()
-        .with_constant_fold(false);
+    let unfolded = SweepPlan::new(&circuit).unwrap().with_constant_fold(false);
     let mut ws = plan.workspace();
     let mut per_point: Vec<CMatrix> = (0..wavelengths.len())
         .map(|_| CMatrix::zeros(n_ext, n_ext))
@@ -208,7 +260,7 @@ fn stripe_execution_is_identical_to_per_point_evaluation() {
         });
         for gen in strategy.sample(0x57121BE, 4) {
             let circuit = Circuit::elaborate(&gen.netlist, &registry, None).unwrap();
-            let plan = SweepPlan::new(&circuit, Backend::BlockSparse).unwrap();
+            let plan = SweepPlan::new(&circuit).unwrap();
             let n_ext = plan.external_count();
 
             let mut ws = plan.workspace();

@@ -5,8 +5,8 @@
 
 use picbench_netlist::{Netlist, NetlistBuilder};
 use picbench_sim::{
-    sweep, sweep_naive, sweep_parallel, sweep_planned, sweep_serial, Backend, Circuit,
-    ModelRegistry, ScheduleCache, SweepPlan, WavelengthGrid,
+    sweep, sweep_naive, sweep_parallel, sweep_planned, sweep_serial, Circuit, ModelRegistry,
+    ScheduleCache, SweepPlan, WavelengthGrid,
 };
 use proptest::prelude::*;
 
@@ -51,12 +51,10 @@ proptest! {
     ) {
         let circuit = elaborate(&chain_netlist(&arms));
         let grid = WavelengthGrid::new(1.51, 1.59, points);
-        for backend in Backend::ALL {
-            let naive = sweep_naive(&circuit, &grid, backend).unwrap();
-            let planned = sweep_serial(&circuit, &grid, backend).unwrap();
-            let cmp = naive.compare(&planned);
-            prop_assert!(cmp.is_equivalent(1e-12), "{}: {}", backend, cmp);
-        }
+        let naive = sweep_naive(&circuit, &grid).unwrap();
+        let planned = sweep_serial(&circuit, &grid).unwrap();
+        let cmp = naive.compare(&planned);
+        prop_assert!(cmp.is_equivalent(1e-12), "{}", cmp);
     }
 
     #[test]
@@ -67,15 +65,13 @@ proptest! {
     ) {
         let circuit = elaborate(&chain_netlist(&arms));
         let grid = WavelengthGrid::new(1.51, 1.59, points);
-        for backend in Backend::ALL {
-            let serial = sweep_serial(&circuit, &grid, backend).unwrap();
-            let parallel = sweep_parallel(&circuit, &grid, backend, threads).unwrap();
-            // Element-wise identical, not merely within tolerance.
-            prop_assert_eq!(&serial, &parallel);
-            // The public default must agree with both.
-            let default = sweep(&circuit, &grid, backend).unwrap();
-            prop_assert_eq!(&serial, &default);
-        }
+        let serial = sweep_serial(&circuit, &grid).unwrap();
+        let parallel = sweep_parallel(&circuit, &grid, threads).unwrap();
+        // Element-wise identical, not merely within tolerance.
+        prop_assert_eq!(&serial, &parallel);
+        // The public default must agree with both.
+        let default = sweep(&circuit, &grid).unwrap();
+        prop_assert_eq!(&serial, &default);
     }
 
     #[test]
@@ -91,20 +87,16 @@ proptest! {
         let circuit_b = elaborate(&chain_netlist(&arms_b));
         let grid = WavelengthGrid::new(1.51, 1.59, points);
         let mut schedules = ScheduleCache::new();
-        for backend in Backend::ALL {
-            let plan_a =
-                SweepPlan::with_schedule(&circuit_a, backend, schedules.get_or_build(&circuit_a))
-                    .unwrap();
-            let mut ws = plan_a.workspace();
-            let reused_a = sweep_planned(&plan_a, &grid, &mut ws).unwrap();
-            // Same-length arm lists share a topology; the cache must not
-            // grow beyond the distinct topologies seen.
-            let plan_b =
-                SweepPlan::with_schedule(&circuit_b, backend, schedules.get_or_build(&circuit_b))
-                    .unwrap();
-            let reused_b = sweep_planned(&plan_b, &grid, &mut ws).unwrap();
-            prop_assert_eq!(&reused_a, &sweep_serial(&circuit_a, &grid, backend).unwrap());
-            prop_assert_eq!(&reused_b, &sweep_serial(&circuit_b, &grid, backend).unwrap());
-        }
+        let plan_a = SweepPlan::with_schedule(&circuit_a, schedules.get_or_build(&circuit_a))
+            .unwrap();
+        let mut ws = plan_a.workspace();
+        let reused_a = sweep_planned(&plan_a, &grid, &mut ws).unwrap();
+        // Same-length arm lists share a topology; the cache must not grow
+        // beyond the distinct topologies seen.
+        let plan_b = SweepPlan::with_schedule(&circuit_b, schedules.get_or_build(&circuit_b))
+            .unwrap();
+        let reused_b = sweep_planned(&plan_b, &grid, &mut ws).unwrap();
+        prop_assert_eq!(&reused_a, &sweep_serial(&circuit_a, &grid).unwrap());
+        prop_assert_eq!(&reused_b, &sweep_serial(&circuit_b, &grid).unwrap());
     }
 }

@@ -11,7 +11,7 @@ use picbench::sim::analysis::{
     bandwidth_3db, extinction_ratio_db, find_notches, find_peaks, free_spectral_range_um,
     insertion_loss_db,
 };
-use picbench::sim::{simulate_netlist, Backend, ModelRegistry, WavelengthGrid};
+use picbench::sim::{simulate_netlist, ModelRegistry, WavelengthGrid};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let radius = 5.0;
@@ -39,7 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &registry,
         None,
         &WavelengthGrid::new(1.51, 1.59, 4001),
-        Backend::default(),
     )?;
     let wl = response.wavelengths().to_vec();
     let drop_db = response.transmission_db("I1", "O2").unwrap();

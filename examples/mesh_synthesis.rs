@@ -8,7 +8,7 @@
 
 use picbench::math::{decomp, CMatrix, MeshScheme};
 use picbench::problems::meshes::mesh_netlist;
-use picbench::sim::{evaluate, Backend, Circuit, ModelRegistry};
+use picbench::sim::{evaluate, Circuit, ModelRegistry};
 use rand::SeedableRng;
 
 fn mesh_matrix(
@@ -17,7 +17,7 @@ fn mesh_matrix(
 ) -> Result<CMatrix, Box<dyn std::error::Error>> {
     let registry = ModelRegistry::with_builtins();
     let circuit = Circuit::elaborate(netlist, &registry, None)?;
-    let s = evaluate(&circuit, 1.55, Backend::default())?;
+    let s = evaluate(&circuit, 1.55)?;
     Ok(CMatrix::from_fn(n, n, |r, c| {
         s.s(&format!("I{}", c + 1), &format!("O{}", r + 1)).unwrap()
     }))

@@ -6,7 +6,7 @@
 //! ```
 
 use picbench::netlist::NetlistBuilder;
-use picbench::sim::{simulate_netlist, Backend, ModelRegistry, PortSpec, WavelengthGrid};
+use picbench::sim::{simulate_netlist, ModelRegistry, PortSpec, WavelengthGrid};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Describe the circuit: a 1×2 MMI splitter, two arms with a 15 µm
@@ -36,7 +36,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &registry,
         Some(&PortSpec::new(1, 1)),
         &WavelengthGrid::paper_default(),
-        Backend::default(),
     )?;
 
     // 3. Plot the fringe as ASCII art.

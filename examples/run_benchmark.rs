@@ -10,9 +10,24 @@
 //! cargo run --release --example run_benchmark
 //! ```
 
-use picbench::core::{render_csv, render_table, run_campaign, CampaignConfig};
+use picbench::core::{render_csv, render_table, Campaign, CampaignConfig, CampaignReport};
+use picbench::problems::Problem;
 use picbench::sim::WavelengthGrid;
 use picbench::synthllm::ModelProfile;
+
+fn run_matrix(
+    profiles: &[ModelProfile],
+    problems: &[Problem],
+    config: CampaignConfig,
+) -> CampaignReport {
+    Campaign::builder()
+        .problems(problems.to_vec())
+        .profiles(profiles)
+        .config(config)
+        .build()
+        .expect("a valid campaign definition")
+        .run()
+}
 
 fn main() {
     let profiles = vec![ModelProfile::gpt4o(), ModelProfile::claude35_sonnet()];
@@ -37,7 +52,7 @@ fn main() {
             threads: 0,
             ..CampaignConfig::default()
         };
-        let report = run_campaign(&profiles, &problems, &config);
+        let report = run_matrix(&profiles, &problems, config);
         let title = if restrictions {
             "Mini-campaign WITH restrictions"
         } else {
@@ -71,6 +86,6 @@ fn main() {
         seed: 7,
         ..CampaignConfig::default()
     };
-    let report = run_campaign(&profiles, &problems, &config);
+    let report = run_matrix(&profiles, &problems, config);
     println!("CSV export:\n{}", render_csv(&report));
 }

@@ -6,7 +6,7 @@
 //! ```
 
 use picbench::problems::routing::{route_benes, route_spankebenes};
-use picbench::sim::{evaluate, Backend, Circuit, ModelRegistry};
+use picbench::sim::{evaluate, Circuit, ModelRegistry};
 
 fn routing_matrix(
     netlist: &picbench::netlist::Netlist,
@@ -14,7 +14,7 @@ fn routing_matrix(
 ) -> Result<Vec<Vec<f64>>, Box<dyn std::error::Error>> {
     let registry = ModelRegistry::with_builtins();
     let circuit = Circuit::elaborate(netlist, &registry, None)?;
-    let s = evaluate(&circuit, 1.55, Backend::default())?;
+    let s = evaluate(&circuit, 1.55)?;
     Ok((0..n)
         .map(|o| {
             (0..n)

@@ -6,19 +6,13 @@
 //! ```
 
 use picbench::problems::interconnect::{wdm_demux_golden, WDM_CHANNELS_UM};
-use picbench::sim::{simulate_netlist, Backend, ModelRegistry, PortSpec, WavelengthGrid};
+use picbench::sim::{simulate_netlist, ModelRegistry, PortSpec, WavelengthGrid};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let registry = ModelRegistry::with_builtins();
     let demux = wdm_demux_golden();
     let grid = WavelengthGrid::new(1.51, 1.59, 321);
-    let response = simulate_netlist(
-        &demux,
-        &registry,
-        Some(&PortSpec::new(1, 4)),
-        &grid,
-        Backend::default(),
-    )?;
+    let response = simulate_netlist(&demux, &registry, Some(&PortSpec::new(1, 4)), &grid)?;
 
     println!("4-channel ring-based WDM demultiplexer");
     println!("channels: {WDM_CHANNELS_UM:?} um\n");

@@ -5,16 +5,16 @@
 //! A corpus case is a circuit that the conformance harness once found
 //! interesting — generator-seeded representatives of each structural
 //! family plus hand-seeded edge topologies. Each must keep agreeing
-//! across all configuration axes (backends, constant fold, parallelism,
-//! cache, canonicalization, naive sweeps) and keep satisfying the
-//! physics oracles forever; a solver or cache regression that breaks one
+//! across all configuration axes (planned solver vs dense oracle,
+//! constant fold, parallelism, cache, canonicalization, SIMD tier) and
+//! keep satisfying the physics oracles on both solver paths forever; a solver or cache regression that breaks one
 //! fails this test with the offending file named.
 //!
 //! Reproduce a failure by hand with:
 //! `cargo run -p picbench-bench --bin conformance -- --replay tests/corpus/<case>.json`
 
-use picbench::conformance::{check_circuit, load_corpus_dir, DiffRunner, OracleConfig};
-use picbench::sim::{Backend, ModelRegistry};
+use picbench::conformance::{check_circuit, load_corpus_dir, DiffRunner, OracleConfig, SolverPath};
+use picbench::sim::ModelRegistry;
 use std::path::Path;
 
 const MIN_CORPUS_SIZE: usize = 10;
@@ -38,9 +38,9 @@ fn corpus_replays_clean_through_all_axes_and_oracles() {
         if let Err(disagreement) = runner.check(&case.netlist) {
             failures.push(format!("{}: {disagreement}", path.display()));
         }
-        for backend in Backend::ALL {
-            for violation in check_circuit(&case.gen_circuit(), &registry, backend, &oracle) {
-                failures.push(format!("{}: {backend}: {violation}", path.display()));
+        for solver in SolverPath::ALL {
+            for violation in check_circuit(&case.gen_circuit(), &registry, solver, &oracle) {
+                failures.push(format!("{}: {solver}: {violation}", path.display()));
             }
         }
     }

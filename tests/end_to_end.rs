@@ -1,10 +1,28 @@
-//! Cross-crate integration: golden designs against both simulator
-//! backends, the oracle model through the full framework, and campaign
-//! determinism.
+//! Cross-crate integration: golden designs on both solver paths (the
+//! planned production solver and the dense oracle), the perfect model
+//! through the full framework, and campaign determinism.
 
-use picbench::core::{pass_at_k, run_campaign, run_sample, CampaignConfig, Evaluator, LoopConfig};
-use picbench::sim::{evaluate, Backend, Circuit, ModelRegistry, WavelengthGrid};
+use picbench::conformance::SolverPath;
+use picbench::core::{
+    pass_at_k, run_sample, Campaign, CampaignConfig, CampaignReport, Evaluator, LoopConfig,
+};
+use picbench::problems::Problem;
+use picbench::sim::{Circuit, ModelRegistry, WavelengthGrid};
 use picbench::synthllm::{ModelProfile, PerfectLlm};
+
+fn run_matrix(
+    profiles: &[ModelProfile],
+    problems: &[Problem],
+    config: &CampaignConfig,
+) -> CampaignReport {
+    Campaign::builder()
+        .problems(problems.to_vec())
+        .profiles(profiles)
+        .config(config.clone())
+        .build()
+        .unwrap()
+        .run()
+}
 
 #[test]
 fn both_backends_agree_on_every_golden_design() {
@@ -13,14 +31,16 @@ fn both_backends_agree_on_every_golden_design() {
         let circuit = Circuit::elaborate(&problem.golden, &registry, Some(&problem.spec))
             .unwrap_or_else(|e| panic!("{} failed to elaborate: {e}", problem.id));
         for wl in [1.51, 1.54, 1.55, 1.57, 1.59] {
-            let a = evaluate(&circuit, wl, Backend::PortElimination)
-                .unwrap_or_else(|e| panic!("{}: elimination failed: {e}", problem.id));
-            let b = evaluate(&circuit, wl, Backend::Dense)
-                .unwrap_or_else(|e| panic!("{}: dense failed: {e}", problem.id));
+            let a = SolverPath::Planned
+                .evaluate(&circuit, wl)
+                .unwrap_or_else(|e| panic!("{}: planned solve failed: {e}", problem.id));
+            let b = SolverPath::Oracle
+                .evaluate(&circuit, wl)
+                .unwrap_or_else(|e| panic!("{}: dense oracle failed: {e}", problem.id));
             let diff = a.max_abs_diff(&b);
             assert!(
                 diff < 1e-8,
-                "{} at {wl} um: backends disagree by {diff:.2e}",
+                "{} at {wl} um: solver paths disagree by {diff:.2e}",
                 problem.id
             );
         }
@@ -33,7 +53,7 @@ fn golden_designs_are_passive_and_finite() {
     for problem in picbench::problems::suite() {
         let circuit = Circuit::elaborate(&problem.golden, &registry, None).unwrap();
         for wl in [1.52, 1.55, 1.58] {
-            let s = evaluate(&circuit, wl, Backend::default()).unwrap();
+            let s = SolverPath::Planned.evaluate(&circuit, wl).unwrap();
             assert!(
                 s.is_passive(1e-6),
                 "{} has gain at {wl} um — unphysical",
@@ -88,8 +108,8 @@ fn campaigns_are_reproducible_across_thread_counts() {
         threads: 1,
         ..CampaignConfig::default()
     };
-    let single = run_campaign(&profiles, &problems, &base);
-    let multi = run_campaign(
+    let single = run_matrix(&profiles, &problems, &base);
+    let multi = run_matrix(
         &profiles,
         &problems,
         &CampaignConfig {
@@ -132,7 +152,7 @@ fn restrictions_improve_restricted_models() {
             threads: 0,
             ..CampaignConfig::default()
         };
-        let report = run_campaign(&profiles, &problems, &config);
+        let report = run_matrix(&profiles, &problems, &config);
         scores[slot] = report.cell("Gemini 1.5 pro", 0, 1).unwrap().syntax;
     }
     assert!(

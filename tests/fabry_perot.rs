@@ -1,6 +1,7 @@
 //! Multiple-reflection physics validation: a Fabry-Perot cavity (two
-//! partial mirrors around a waveguide) simulated by both composition
-//! backends must reproduce the analytic Airy transmission
+//! partial mirrors around a waveguide) simulated on both solver paths —
+//! the planned production solver and the dense oracle — must reproduce
+//! the analytic Airy transmission
 //!
 //! ```text
 //! T(λ) = t⁴ / |1 − R·e^{2iφ(λ)}|²,   φ = 2π·n_eff(λ)·L/λ
@@ -10,8 +11,9 @@
 //! are feed-forward), so it is the sharpest test that the interconnect
 //! algebra — not just cascade multiplication — is implemented correctly.
 
+use picbench::conformance::SolverPath;
 use picbench::netlist::NetlistBuilder;
-use picbench::sim::{evaluate, Backend, Circuit, ModelRegistry};
+use picbench::sim::{Circuit, ModelRegistry};
 use picbench::sparams::models::{effective_index, DEFAULT_NEFF, DEFAULT_NG, DEFAULT_WL0_UM};
 
 fn cavity_netlist(reflectivity: f64, length_um: f64) -> picbench::netlist::Netlist {
@@ -50,12 +52,12 @@ fn cavity_matches_airy_formula_on_both_backends() {
         let mut wl = 1.51;
         while wl <= 1.59 {
             let expected = airy_transmission(reflectivity, length, wl);
-            for backend in [Backend::PortElimination, Backend::Dense] {
-                let s = evaluate(&circuit, wl, backend).unwrap();
+            for path in SolverPath::ALL {
+                let s = path.evaluate(&circuit, wl).unwrap();
                 let got = s.s("I1", "O1").unwrap().norm_sqr();
                 assert!(
                     (got - expected).abs() < 1e-9,
-                    "R={reflectivity} L={length} wl={wl} {backend}: {got} vs Airy {expected}"
+                    "R={reflectivity} L={length} wl={wl} {path}: {got} vs Airy {expected}"
                 );
             }
             wl += 0.003;
@@ -75,7 +77,7 @@ fn cavity_resonances_reach_unity_transmission() {
     let mut worst: f64 = 1.0;
     let mut wl = 1.54;
     while wl <= 1.56 {
-        let s = evaluate(&circuit, wl, Backend::default()).unwrap();
+        let s = SolverPath::Planned.evaluate(&circuit, wl).unwrap();
         let t = s.s("I1", "O1").unwrap().norm_sqr();
         best = best.max(t);
         worst = worst.min(t);
@@ -94,7 +96,7 @@ fn cavity_reflection_conserves_energy() {
     let netlist = cavity_netlist(0.7, 30.0);
     let circuit = Circuit::elaborate(&netlist, &registry, None).unwrap();
     for wl in [1.51, 1.53, 1.551, 1.572, 1.59] {
-        let s = evaluate(&circuit, wl, Backend::default()).unwrap();
+        let s = SolverPath::Planned.evaluate(&circuit, wl).unwrap();
         let t = s.s("I1", "O1").unwrap().norm_sqr();
         let r = s.s("I1", "I1").unwrap().norm_sqr();
         assert!(
