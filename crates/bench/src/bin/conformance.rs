@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! conformance [--cases N] [--seed S] [--axes a,b,..] [--families f,g,..]
-//!             [--grid-points P] [--oracle-backends all|planned|oracle]
+//!             [--grid-points P] [--solver-paths all|planned|oracle]
 //!             [--no-shrink] [--failures-dir DIR] [--replay FILE]
 //!             [--emit-corpus DIR] [--out PATH]
 //! ```
@@ -24,7 +24,7 @@
 //! `--replay FILE` re-checks one corpus case (or a directory of them)
 //! instead of generating new circuits — the hand tool for reproducing a
 //! shrunk failure from a checked-in JSON document. `--axes` and
-//! `--oracle-backends` narrow the replay the same way they narrow a
+//! `--solver-paths` narrow the replay the same way they narrow a
 //! sweep (both default to everything).
 //!
 //! `--emit-corpus DIR` writes `--cases` verified-conformant cases *per
@@ -44,7 +44,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let usage = "usage: conformance [--cases N] [--seed S] [--axes a,b,..] \
                  [--families f,g,..] [--grid-points P] \
-                 [--oracle-backends all|planned|oracle] [--no-shrink] \
+                 [--solver-paths all|planned|oracle] [--no-shrink] \
                  [--failures-dir DIR] [--replay FILE] [--emit-corpus DIR] [--out PATH]";
     let mut config = ConformanceConfig {
         cases: 64,
@@ -109,14 +109,14 @@ fn main() {
                     .filter(|&n| n >= 2)
                     .unwrap_or_else(|| fail("--grid-points needs an integer >= 2"));
             }
-            "--oracle-backends" => {
+            "--solver-paths" => {
                 i += 1;
                 config.oracle_paths = match args.get(i).map(String::as_str) {
                     Some("all") => SolverPath::ALL.to_vec(),
-                    Some(token) => vec![token.parse::<SolverPath>().unwrap_or_else(|e| {
-                        fail(&format!("--oracle-backends: {e} (or use `all`)"))
-                    })],
-                    None => fail("--oracle-backends needs all|planned|oracle"),
+                    Some(token) => vec![token
+                        .parse::<SolverPath>()
+                        .unwrap_or_else(|e| fail(&format!("--solver-paths: {e} (or use `all`)")))],
+                    None => fail("--solver-paths needs all|planned|oracle"),
                 };
             }
             "--no-shrink" => config.shrink = false,

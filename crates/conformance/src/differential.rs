@@ -7,12 +7,12 @@
 //!
 //! | axis | compared paths | agreement |
 //! |------|----------------|-----------|
-//! | `oracle` | planned block-sparse sweep vs the naive dense oracle | ≤ `oracle_tol` |
+//! | `oracle` | planned block-sparse sweep vs the naive dense oracle | ≤ [`ORACLE_TOL`] |
 //! | `constant-fold` | fold enabled vs disabled | bit-identical |
 //! | `parallelism` | serial sweep vs 3-worker sweep | bit-identical |
 //! | `cache` | cold, cached-cold and cached-hit evaluator | bit-identical |
-//! | `canonicalization` | raw vs canonicalized document | bit-identical via the evaluator, ≤ `oracle_tol` direct |
-//! | `simd` | planned sweep, default SIMD tier vs scalar tier | ≤ `simd_tol` |
+//! | `canonicalization` | raw vs canonicalized document | bit-identical via the evaluator, ≤ [`ORACLE_TOL`] direct |
+//! | `simd` | planned sweep, default SIMD tier vs scalar tier | ≤ [`SIMD_TOL`] |
 //!
 //! A failed comparison produces a [`Disagreement`]; [`DiffRunner::shrink`]
 //! then greedily minimizes the circuit while the disagreement reproduces,
@@ -130,14 +130,18 @@ impl fmt::Display for Disagreement {
 /// [`DiffAxis::Oracle`] comparison only.
 pub type Perturbation = Arc<dyn Fn(&Netlist, &mut FrequencyResponse) + Send + Sync>;
 
-/// The differential runner: fixed registry, grid, axis set and
-/// tolerances.
+/// Agreement bound of the planned-vs-oracle (and direct
+/// canonicalization) comparisons.
+pub const ORACLE_TOL: f64 = 1e-8;
+
+/// Agreement bound of the default-tier-vs-scalar-tier comparison.
+pub const SIMD_TOL: f64 = 1e-9;
+
+/// The differential runner: fixed registry, grid and axis set.
 pub struct DiffRunner {
     registry: ModelRegistry,
     grid: WavelengthGrid,
     axes: Vec<DiffAxis>,
-    oracle_tol: f64,
-    simd_tol: f64,
     perturbation: Option<Perturbation>,
 }
 
@@ -146,8 +150,6 @@ impl fmt::Debug for DiffRunner {
         f.debug_struct("DiffRunner")
             .field("grid", &self.grid)
             .field("axes", &self.axes)
-            .field("oracle_tol", &self.oracle_tol)
-            .field("simd_tol", &self.simd_tol)
             .field("perturbed", &self.perturbation.is_some())
             .finish()
     }
@@ -166,8 +168,6 @@ impl DiffRunner {
             registry: ModelRegistry::with_builtins(),
             grid,
             axes: DiffAxis::ALL.to_vec(),
-            oracle_tol: 1e-8,
-            simd_tol: 1e-9,
             perturbation: None,
         }
     }
@@ -175,19 +175,6 @@ impl DiffRunner {
     /// Restricts the axis set.
     pub fn with_axes(mut self, axes: impl IntoIterator<Item = DiffAxis>) -> Self {
         self.axes = axes.into_iter().collect();
-        self
-    }
-
-    /// Overrides the planned-vs-oracle (and direct canonicalization)
-    /// tolerance.
-    pub fn with_oracle_tol(mut self, tol: f64) -> Self {
-        self.oracle_tol = tol;
-        self
-    }
-
-    /// Overrides the default-tier-vs-scalar-tier tolerance.
-    pub fn with_simd_tol(mut self, tol: f64) -> Self {
-        self.simd_tol = tol;
         self
     }
 
@@ -260,7 +247,7 @@ impl DiffRunner {
         if let Some(perturbation) = &self.perturbation {
             perturbation(netlist, &mut planned);
         }
-        close_enough(DiffAxis::Oracle, &oracle, &planned, self.oracle_tol)
+        close_enough(DiffAxis::Oracle, &oracle, &planned, ORACLE_TOL)
     }
 
     fn check_constant_fold(&self, circuit: &Circuit) -> Result<(), Disagreement> {
@@ -370,7 +357,7 @@ impl DiffRunner {
         // The canonical form may expose the same ports in sorted order;
         // compare entries by port name, not position.
         let diff = response_diff_by_name(reference, &direct);
-        if diff <= self.oracle_tol {
+        if diff <= ORACLE_TOL {
             Ok(())
         } else {
             Err(Disagreement {
@@ -378,7 +365,7 @@ impl DiffRunner {
                 max_diff: diff,
                 detail: format!(
                     "direct simulation of the canonical form diverged beyond {:.1e}",
-                    self.oracle_tol
+                    ORACLE_TOL
                 ),
             })
         }
@@ -402,7 +389,7 @@ impl DiffRunner {
                 max_diff: f64::INFINITY,
                 detail: format!("scalar-tier sweep failed where the default tier succeeded: {e}"),
             })?;
-        close_enough(DiffAxis::Simd, &scalar, reference, self.simd_tol)
+        close_enough(DiffAxis::Simd, &scalar, reference, SIMD_TOL)
     }
 
     /// Wraps a netlist as a self-golden problem so it can flow through

@@ -1,7 +1,8 @@
 //! The worker-side coord client: typed RPC wrappers over any
 //! [`CoordTransport`], with deadlines inherited from the transport and
-//! bounded, deterministically-jittered retry reusing the provider
-//! layer's [`RetryPolicy`] and transient/fatal classification.
+//! bounded, deterministically-jittered retry decided by the provider
+//! layer's [`RetryPolicy::retry_after`], the workspace's one retry
+//! schedule.
 //!
 //! Failure semantics mirror the provider stack: transient failures
 //! (connection refused/reset, timeouts, 5xx replies, garbled bodies)
@@ -18,12 +19,10 @@ use crate::proto::{
 use crate::transport::CoordTransport;
 use crate::{proto, WireReply};
 use picbench_core::{LeaseAdvance, LeaseRecord, ProblemTally};
-use picbench_store::xorshift64;
-use picbench_synthllm::{RetryPolicy, TransportErrorKind};
+use picbench_synthllm::{Jitter, RetryPolicy, TransportErrorKind};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Counters of retry-layer decisions a [`CoordClient`] made.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,39 +40,22 @@ pub struct ClientCounters {
 pub struct CoordClient {
     transport: Arc<dyn CoordTransport>,
     policy: RetryPolicy,
-    /// Jitter stream state, shared across calls (per-client determinism;
+    /// Jitter stream, shared across calls (per-client determinism;
     /// cross-thread interleaving only reorders draws from one stream).
-    jitter: AtomicU64,
+    jitter: Jitter,
     calls: AtomicU64,
     retries: AtomicU64,
     failures: AtomicU64,
 }
 
 impl CoordClient {
-    /// A client with the default coord retry policy: 5 attempts,
-    /// 50 ms base backoff capped at 1 s, real sleeps (this is a real
-    /// network, not a simulated one).
-    pub fn new(transport: Arc<dyn CoordTransport>) -> Self {
-        CoordClient::with_policy(
-            transport,
-            RetryPolicy {
-                max_attempts: 5,
-                base_backoff_ms: 50,
-                max_backoff_ms: 1_000,
-                budget_ms: 10_000,
-                sleep: true,
-                ..RetryPolicy::default()
-            },
-        )
-    }
-
-    /// A client with an explicit retry policy (chaos drills stretch
+    /// A client retrying under `policy` (chaos drills stretch
     /// attempts/budget to ride out scheduled partitions).
     pub fn with_policy(transport: Arc<dyn CoordTransport>, policy: RetryPolicy) -> Self {
         CoordClient {
             transport,
             policy,
-            jitter: AtomicU64::new(xorshift64(policy.seed)),
+            jitter: Jitter::new(policy.seed),
             calls: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             failures: AtomicU64::new(0),
@@ -87,33 +69,6 @@ impl CoordClient {
             retries: self.retries.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
         }
-    }
-
-    fn next_jitter(&self) -> u64 {
-        // fetch_update keeps one coherent xorshift stream under
-        // concurrent callers.
-        let prev = self
-            .jitter
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |x| {
-                Some(xorshift64(x))
-            })
-            .unwrap_or(1);
-        xorshift64(prev)
-    }
-
-    /// Deterministic backoff for the given 1-based failed attempt:
-    /// exponential doubling, capped, ±25% seeded jitter.
-    fn backoff_ms(&self, attempt: u32) -> u64 {
-        let base = self
-            .policy
-            .base_backoff_ms
-            .saturating_mul(1u64 << (attempt - 1).min(16))
-            .min(self.policy.max_backoff_ms);
-        let quarter = base / 4;
-        if quarter == 0 {
-            return base;
-        }
-        base - quarter + self.next_jitter() % (2 * quarter + 1)
     }
 
     /// One RPC with bounded retry. Returns the parsed 200-reply JSON,
@@ -131,21 +86,14 @@ impl CoordClient {
                     }
                     Err((kind, err)) => (kind, err),
                 },
-                Err(err) => (classify_io(&err), err),
+                Err(err) => (TransportErrorKind::from_io(&err), err),
             };
-            let out_of_attempts = attempt >= self.policy.max_attempts.max(1);
-            if !kind.is_transient() || out_of_attempts {
+            let retry = self
+                .policy
+                .retry_after(attempt, kind, &mut budget_left, &self.jitter);
+            if retry.is_none() {
                 self.failures.fetch_add(1, Ordering::Relaxed);
                 return Err(err);
-            }
-            let backoff = self.backoff_ms(attempt);
-            if backoff > budget_left {
-                self.failures.fetch_add(1, Ordering::Relaxed);
-                return Err(err);
-            }
-            budget_left -= backoff;
-            if self.policy.sleep {
-                std::thread::sleep(Duration::from_millis(backoff));
             }
             self.retries.fetch_add(1, Ordering::Relaxed);
             attempt += 1;
@@ -247,14 +195,6 @@ fn classify_reply(
             format!("coord `{op}` returned {}: {}", reply.status, reply.body),
         ),
     ))
-}
-
-/// Classifies a delivery failure by IO error kind.
-fn classify_io(err: &io::Error) -> TransportErrorKind {
-    match err.kind() {
-        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => TransportErrorKind::Timeout,
-        _ => TransportErrorKind::TransientIo,
-    }
 }
 
 #[cfg(test)]
@@ -396,18 +336,21 @@ mod tests {
         let client = CoordClient::with_policy(
             transport,
             RetryPolicy {
+                max_attempts: 7,
                 base_backoff_ms: 100,
                 max_backoff_ms: 400,
+                seed: 9,
                 ..fast_policy()
             },
         );
-        for attempt in 1..=6 {
-            let backoff = client.backoff_ms(attempt);
-            let base = 100u64.saturating_mul(1 << (attempt - 1)).min(400);
-            assert!(
-                backoff >= base - base / 4 && backoff <= base + base / 4,
-                "attempt {attempt}: {backoff} outside ±25% of {base}"
-            );
+        // Pinned: the retry decisions `rpc` takes, each within ±25 % of
+        // 100·2ⁿ ≤ 400 ms.
+        let (kind, mut budget) = (TransportErrorKind::TransientIo, u64::MAX);
+        for (attempt, pinned) in (1..).zip([104, 153, 414, 308, 492, 418]) {
+            let retry = client
+                .policy
+                .retry_after(attempt, kind, &mut budget, &client.jitter);
+            assert_eq!(retry, Some(pinned), "attempt {attempt}");
         }
     }
 }

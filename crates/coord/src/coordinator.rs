@@ -30,16 +30,28 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The reply `Coordinator::handle` produces: an HTTP-ish status code
-/// plus a JSON body, transport-agnostic so the loopback transport and
-/// the server route share one implementation.
+/// An HTTP status code plus JSON body. `Coordinator::handle` produces
+/// one, transport-agnostic so the loopback transport and the server
+/// route share one implementation; [`read_response`](crate::read_response)
+/// reads one off the wire for every HTTP client.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoordReply {
-    /// Status code (200 applied, 400 malformed, 404 unknown op,
-    /// 503 store unavailable).
+    /// Status code (a coordinator answers 200 applied, 400 malformed,
+    /// 404 unknown op, 503 store unavailable).
     pub status: u16,
-    /// JSON body.
+    /// The body, decoded as UTF-8.
     pub body: String,
+}
+
+impl CoordReply {
+    /// Parses the body as JSON.
+    ///
+    /// # Errors
+    ///
+    /// Returns the parse error message when the body is not JSON.
+    pub fn json(&self) -> Result<Value, String> {
+        json::parse(&self.body).map_err(|e| e.to_string())
+    }
 }
 
 struct CoordEntry {

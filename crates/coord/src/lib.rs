@@ -13,13 +13,14 @@
 //!   transport instead of writing a local store. The worker body is
 //!   byte-for-byte the PR 7 one.
 //! - [`CoordClient`] — typed RPCs with deadlines and bounded,
-//!   deterministically-jittered retry (reusing the provider layer's
-//!   [`RetryPolicy`](picbench_synthllm::RetryPolicy) and transient/fatal
-//!   classification).
+//!   deterministically-jittered retry under the workspace's one retry
+//!   schedule, [`RetryPolicy`](picbench_synthllm::RetryPolicy).
 //! - [`CoordTransport`] — the delivery seam: [`HttpTransport`] for real
 //!   sockets, [`LoopbackTransport`] for in-process tests, and
 //!   [`FaultyTransport`] executing a deterministic [`NetFaultPlan`]
 //!   (drops, delays, duplicated deliveries, partitions) against either.
+//!   [`write_request`] and [`read_response`] are the one HTTP/1.1 client
+//!   exchange, shared with the service's `ApiClient`.
 //! - [`Coordinator`] — applies lease/append/cells/state operations to
 //!   the same per-`(shard, generation)` `EvalStore` directories a local
 //!   worker would write, with exactly-once append dedup that survives
@@ -46,6 +47,7 @@ pub use proto::{
 };
 pub use remote::{RemoteJournal, RemoteLauncher};
 pub use transport::{
-    CoordTransport, FaultyTransport, HttpTransport, InjectedFaults, LoopbackTransport,
-    NetFaultPlan, WireReply,
+    read_response, read_response_head, write_request, CoordTransport, FaultyTransport,
+    HttpTransport, InjectedFaults, LoopbackTransport, NetFaultPlan, WireReply,
+    MAX_RESPONSE_BODY_BYTES,
 };

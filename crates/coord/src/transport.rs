@@ -4,10 +4,15 @@
 //! every network failure — drop, delay, duplicate, partition —
 //! reproducible in-process, scheduled like a
 //! [`ChaosPlan`](picbench_core::ChaosPlan).
+//!
+//! The HTTP/1.1 client exchange — [`write_request`], then
+//! [`read_response`] (or [`read_response_head`] for a stream) — is the
+//! one the service's `ApiClient` speaks too.
 
 use crate::coordinator::{CoordReply, Coordinator};
 use picbench_store::xorshift64;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::fmt::Write as _;
+use std::io::{self, BufRead, BufReader, Read, Take, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -78,69 +83,147 @@ impl HttpTransport {
 
 impl CoordTransport for HttpTransport {
     fn call(&self, op: &str, body: &str) -> io::Result<WireReply> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.deadline)?;
+        let mut stream = TcpStream::connect_timeout(&self.addr, self.deadline)?;
         stream.set_read_timeout(Some(self.deadline))?;
         stream.set_write_timeout(Some(self.deadline))?;
-        let mut stream = stream;
-        let request = format!(
-            "POST /v1/coord/{op} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            self.addr,
-            body.len(),
-        );
-        stream.write_all(request.as_bytes())?;
-        read_reply(stream)
+        write_request(
+            &mut stream,
+            "POST",
+            &format!("/v1/coord/{op}"),
+            &self.addr.to_string(),
+            &[],
+            Some(body),
+        )?;
+        read_response(&mut BufReader::new(stream))
     }
 }
 
-/// Parses a sized (or close-delimited) HTTP response into a
-/// [`WireReply`].
-fn read_reply(stream: TcpStream) -> io::Result<WireReply> {
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let status: u16 = status_line
+/// Largest response body [`read_response`] buffers; a peer declaring
+/// or sending more gets [`io::ErrorKind::InvalidData`].
+pub const MAX_RESPONSE_BODY_BYTES: u64 = 64 << 20;
+
+/// Largest response head (status line plus headers) the reader accepts.
+const MAX_RESPONSE_HEAD_BYTES: u64 = 64 << 10;
+
+/// Writes one HTTP/1.1 request asking the peer to close the connection
+/// after its response. `headers` are extra `(name, value)` lines; a
+/// `body` is sent as sized JSON. The request goes out in one write, so
+/// a short body never waits on a delayed ACK.
+///
+/// # Errors
+///
+/// Propagates write failures.
+pub fn write_request(
+    stream: &mut impl Write,
+    method: &str,
+    path: &str,
+    host: &str,
+    headers: &[(&str, &str)],
+    body: Option<&str>,
+) -> io::Result<()> {
+    let mut request = format!("{method} {path} HTTP/1.1\r\nHost: {host}\r\nConnection: close\r\n");
+    for (name, value) in headers {
+        let _ = write!(request, "{name}: {value}\r\n");
+    }
+    if let Some(body) = body {
+        let len = body.len();
+        let _ = write!(
+            request,
+            "Content-Type: application/json\r\nContent-Length: {len}\r\n"
+        );
+    }
+    request.push_str("\r\n");
+    request.push_str(body.unwrap_or(""));
+    stream.write_all(request.as_bytes())?;
+    stream.flush()
+}
+
+/// Reads a response's status line and headers, returning the status
+/// code and the declared `Content-Length`, if any. The reader is left
+/// at the first body byte.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::UnexpectedEof`] when the peer closes before the
+/// blank line that ends the head; [`io::ErrorKind::InvalidData`] for a
+/// malformed status line or `Content-Length`, or a head over 64 KiB.
+pub fn read_response_head(reader: &mut impl BufRead) -> io::Result<(u16, Option<u64>)> {
+    let mut head = reader.take(MAX_RESPONSE_HEAD_BYTES);
+    let status_line = read_head_line(&mut head)?;
+    let status = status_line
         .split_whitespace()
         .nth(1)
         .and_then(|code| code.parse().ok())
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed status line: {status_line:?}"),
-            )
-        })?;
-    let mut content_length: Option<usize> = None;
+        .ok_or_else(|| invalid_data(format!("malformed status line: {status_line:?}")))?;
+    let mut content_length = None;
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-headers",
-            ));
-        }
-        let line = line.trim_end();
+        let line = read_head_line(&mut head)?;
         if line.is_empty() {
-            break;
+            return Ok((status, content_length));
         }
         if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().ok();
+            if name.trim().eq_ignore_ascii_case("content-length") {
+                let len = value.trim().parse().map_err(|_| {
+                    invalid_data(format!("malformed Content-Length: {:?}", value.trim()))
+                })?;
+                content_length = Some(len);
             }
         }
     }
-    let body = match content_length {
-        Some(len) => {
-            let mut buf = vec![0u8; len];
-            reader.read_exact(&mut buf)?;
-            String::from_utf8(buf)
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 body"))?
-        }
-        None => {
-            let mut buf = String::new();
-            reader.read_to_string(&mut buf)?;
-            buf
-        }
-    };
+}
+
+/// Reads one whole response: the head, then a body sized by
+/// `Content-Length` or, without one, delimited by the peer closing.
+///
+/// # Errors
+///
+/// The errors of [`read_response_head`]; [`io::ErrorKind::InvalidData`]
+/// for a body over [`MAX_RESPONSE_BODY_BYTES`] or not UTF-8;
+/// [`io::ErrorKind::UnexpectedEof`] when a sized body is cut short.
+pub fn read_response(reader: &mut impl BufRead) -> io::Result<WireReply> {
+    let (status, content_length) = read_response_head(reader)?;
+    let cap = MAX_RESPONSE_BODY_BYTES;
+    let mut body = Vec::new();
+    // A close-delimited body is read one byte past the cap to detect an
+    // overrun; a declared length over the cap is not read at all.
+    if content_length.is_none_or(|len| len <= cap) {
+        reader
+            .take(content_length.unwrap_or(cap + 1))
+            .read_to_end(&mut body)?;
+    }
+    let read = body.len() as u64;
+    if content_length.unwrap_or(read) > cap {
+        return Err(invalid_data(format!("response body exceeds {cap} bytes")));
+    }
+    if content_length.is_some_and(|len| read < len) {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-body",
+        ));
+    }
+    let body = String::from_utf8(body).map_err(|_| invalid_data("non-UTF-8 body".into()))?;
     Ok(WireReply { status, body })
+}
+
+/// One CRLF-terminated head line, terminator stripped.
+fn read_head_line(head: &mut Take<impl BufRead>) -> io::Result<String> {
+    let mut line = String::new();
+    head.read_line(&mut line)?;
+    if !line.ends_with('\n') {
+        return Err(if head.limit() == 0 {
+            invalid_data(format!(
+                "response head exceeds {MAX_RESPONSE_HEAD_BYTES} bytes"
+            ))
+        } else {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-head")
+        });
+    }
+    line.truncate(line.trim_end().len());
+    Ok(line)
+}
+
+fn invalid_data(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 // ---------------------------------------------------------------------
@@ -343,6 +426,48 @@ mod tests {
                 body: "{}".to_string(),
             })
         }
+    }
+
+    fn read(response: impl Read) -> io::Result<WireReply> {
+        read_response(&mut BufReader::new(response))
+    }
+
+    #[test]
+    fn responses_parse_sized_and_close_delimited_bodies() {
+        let sized = read(&b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\n{}tail"[..]).unwrap();
+        assert_eq!((sized.status, sized.body.as_str()), (200, "{}"));
+        let closed = read(&b"HTTP/1.1 503 Unavailable\r\nX: y\r\n\r\n{}"[..]).unwrap();
+        assert_eq!((closed.status, closed.body.as_str()), (503, "{}"));
+    }
+
+    #[test]
+    fn malformed_truncated_or_endless_responses_are_typed_errors() {
+        use io::ErrorKind::{InvalidData, UnexpectedEof};
+        let ok = "HTTP/1.1 200 OK\r\n";
+        let cases = [
+            ("", UnexpectedEof),
+            (ok, UnexpectedEof),
+            (
+                "HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\n{}",
+                UnexpectedEof,
+            ),
+            ("garbage\r\n\r\n", InvalidData),
+            ("HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", InvalidData),
+        ];
+        for (response, kind) in cases {
+            assert_eq!(
+                read(response.as_bytes()).unwrap_err().kind(),
+                kind,
+                "{response:?}"
+            );
+        }
+        let non_utf8 = io::Cursor::new(format!("{ok}\r\n")).chain(&[0xffu8][..]);
+        // Endless peers stop at the head and body caps.
+        let endless_head = io::Cursor::new(format!("{ok}X-Pad: ")).chain(io::repeat(b'x'));
+        let endless_body = io::Cursor::new(format!("{ok}\r\n")).chain(io::repeat(b'x'));
+        assert_eq!(read(non_utf8).unwrap_err().kind(), InvalidData);
+        assert_eq!(read(endless_head).unwrap_err().kind(), InvalidData);
+        assert_eq!(read(endless_body).unwrap_err().kind(), InvalidData);
     }
 
     #[test]

@@ -414,7 +414,6 @@ pub struct Evaluator {
     grid: WavelengthGrid,
     /// SIMD tier of every sweep's kernels.
     simd: SimdLevel,
-    tolerance: f64,
     /// Worker threads per sweep: `0` applies the simulator's default
     /// policy (parallel for large grids), `1` runs serially on the
     /// reusable workspace. Campaign workers use `1` — the campaign
@@ -462,7 +461,6 @@ impl Evaluator {
             registry: ModelRegistry::with_builtins(),
             grid,
             simd,
-            tolerance: DEFAULT_FUNCTIONAL_TOLERANCE,
             sweep_threads: 0,
             cache: None,
             scope: None,
@@ -472,12 +470,6 @@ impl Evaluator {
             workspace: SolveWorkspace::new(),
             system_prompts: [None, None],
         }
-    }
-
-    /// Overrides the functional tolerance (max |ΔS|² across the sweep).
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
     }
 
     /// Attaches a shared evaluation cache.
@@ -670,12 +662,11 @@ impl Evaluator {
         match outcome {
             SimOutcome::Failed(e) => EvalReport::syntax_fail(vec![classify::classify_sim_error(e)]),
             SimOutcome::Response(response) => {
-                let tolerance = self.tolerance;
                 let golden = self.golden_response_arc(problem);
                 let comparison = response.compare(&golden);
                 EvalReport {
                     syntax: Ok(()),
-                    functional: Some(comparison.is_equivalent(tolerance)),
+                    functional: Some(comparison.is_equivalent(DEFAULT_FUNCTIONAL_TOLERANCE)),
                     comparison: Some(comparison),
                 }
             }
@@ -739,7 +730,7 @@ impl Evaluator {
             (
                 self.sim_key(problem, hash),
                 Fnv64::hash_str(&problem.id),
-                self.tolerance.to_bits(),
+                DEFAULT_FUNCTIONAL_TOLERANCE.to_bits(),
             )
         });
 
@@ -777,7 +768,7 @@ impl Evaluator {
                 self.grid_key(),
                 self.simd,
                 Fnv64::hash_str(&problem.id),
-                self.tolerance.to_bits(),
+                DEFAULT_FUNCTIONAL_TOLERANCE.to_bits(),
             )
         });
         if let (Some(cache), Some(key)) = (&self.cache, &key) {

@@ -564,11 +564,6 @@ impl BlockSymbolic {
         self.values_len
     }
 
-    /// Number of stored blocks, including fill.
-    pub fn stored_block_count(&self) -> usize {
-        self.col_idx.len()
-    }
-
     /// Number of blocks introduced by fill-in (stored minus structural).
     pub fn fill_block_count(&self) -> usize {
         self.col_idx.len() - self.structural

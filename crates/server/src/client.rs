@@ -1,38 +1,24 @@
 //! A small blocking HTTP client for the benchmark service.
 //!
-//! Deliberately dependency-free and deliberately *not* general: it
-//! speaks exactly the dialect the server serves (one request per
-//! connection, sized JSON responses, close-delimited NDJSON streams).
-//! The load generator and the integration tests both drive the server
-//! through it, so what CI measures is the same path a real client
-//! takes.
+//! Deliberately *not* general: it speaks exactly the dialect the server
+//! serves (one request per connection, sized JSON responses,
+//! close-delimited NDJSON streams). The load generator and the
+//! integration tests both drive the server through it, so what CI
+//! measures is the same path a real client takes. Requests go through
+//! the coord crate's HTTP/1.1 exchange ([`write_request`],
+//! [`read_response`]) and retry under the provider layer's
+//! [`RetryPolicy`] schedule, like `CoordClient` and `RetryProvider`.
 
-use picbench_netlist::json::{self, Value};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use picbench_coord::{read_response, read_response_head, write_request};
+use picbench_synthllm::{Jitter, RetryPolicy, TransportErrorKind, PAPER_SEED};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// A buffered (non-streaming) HTTP response.
-#[derive(Debug)]
-pub struct ApiResponse {
-    /// HTTP status code.
-    pub status: u16,
-    /// The response body, decoded as UTF-8.
-    pub body: String,
-}
-
-impl ApiResponse {
-    /// Parses the body as JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error message when the body is not JSON.
-    pub fn json(&self) -> Result<Value, String> {
-        json::parse(&self.body).map_err(|e| e.to_string())
-    }
-}
+/// A buffered (non-streaming) HTTP response: the reply type of the
+/// shared exchange.
+pub use picbench_coord::WireReply as ApiResponse;
 
 /// A live NDJSON event stream (`GET /v1/campaigns/{id}/events`).
 #[derive(Debug)]
@@ -75,72 +61,35 @@ impl EventStream {
     }
 }
 
-/// Bounded-retry policy for *idempotent* requests: transient
-/// connect/reset failures on `GET`s (including stream opens) are
-/// retried with seeded exponential backoff, so a server restart or a
-/// refused connection during bring-up does not fail the whole load run.
-/// Non-idempotent methods (`POST`, `DELETE`) are never retried — a
-/// campaign submission that timed out may still have been admitted.
-#[derive(Debug, Clone)]
-pub struct ClientRetry {
-    /// Total attempts per idempotent request (first try included).
-    pub max_attempts: u32,
-    /// First backoff; doubles per retry.
-    pub base_backoff_ms: u64,
-    /// Backoff ceiling.
-    pub max_backoff_ms: u64,
-    /// Jitter seed — same seed, same backoff schedule.
-    pub seed: u64,
-}
-
-impl Default for ClientRetry {
-    fn default() -> Self {
-        ClientRetry {
-            max_attempts: 3,
-            base_backoff_ms: 25,
-            max_backoff_ms: 400,
-            seed: picbench_synthllm::PAPER_SEED,
-        }
-    }
-}
-
-/// Connection-level failures worth a retry; anything else (including
-/// every HTTP status — a 4xx/5xx is an *answer*, not a transport
-/// failure) surfaces immediately.
-fn transient(kind: io::ErrorKind) -> bool {
-    matches!(
-        kind,
-        io::ErrorKind::ConnectionRefused
-            | io::ErrorKind::ConnectionReset
-            | io::ErrorKind::ConnectionAborted
-            | io::ErrorKind::BrokenPipe
-            | io::ErrorKind::UnexpectedEof
-            | io::ErrorKind::TimedOut
-            | io::ErrorKind::WouldBlock
-            | io::ErrorKind::Interrupted
-    )
-}
+/// The retry policy of idempotent requests (`GET`s, stream opens), so a
+/// refused connection during a server restart or bring-up does not fail
+/// a load run. `POST`s and `DELETE`s are never retried — a campaign
+/// submission that timed out may still have been admitted.
+const RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 3,
+    base_backoff_ms: 25,
+    max_backoff_ms: 400,
+    budget_ms: 1_000,
+    seed: PAPER_SEED,
+    sleep: true,
+};
 
 /// A blocking client bound to one server address and one tenant.
 #[derive(Debug, Clone)]
 pub struct ApiClient {
     addr: SocketAddr,
     tenant: Option<String>,
-    retry: ClientRetry,
-    jitter: Arc<AtomicU64>,
+    jitter: Arc<Jitter>,
     retries: Arc<AtomicU64>,
 }
 
 impl ApiClient {
     /// A client for the server at `addr` (default tenant).
     pub fn new(addr: SocketAddr) -> Self {
-        let retry = ClientRetry::default();
-        let jitter = Arc::new(AtomicU64::new(retry.seed | 1));
         ApiClient {
             addr,
             tenant: None,
-            retry,
-            jitter,
+            jitter: Arc::new(Jitter::new(RETRY.seed)),
             retries: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -152,158 +101,83 @@ impl ApiClient {
         self
     }
 
-    /// Replaces the idempotent-request retry policy.
-    pub fn with_retry(mut self, retry: ClientRetry) -> Self {
-        self.jitter = Arc::new(AtomicU64::new(retry.seed | 1));
-        self.retry = retry;
-        self
-    }
-
     /// Transient-failure retries performed so far, across this client
     /// and its clones.
     pub fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
     }
 
-    fn backoff_ms(&self, attempt: u32) -> u64 {
-        let exp = self
-            .retry
-            .base_backoff_ms
-            .checked_shl(attempt.saturating_sub(1).min(16))
-            .unwrap_or(u64::MAX)
-            .min(self.retry.max_backoff_ms)
-            .max(1);
-        let draw = self
-            .jitter
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |x| {
-                Some(picbench_store::xorshift64(x))
-            })
-            .unwrap_or(1);
-        // ±25% deterministic jitter around the exponential step.
-        let spread = exp / 2;
-        exp - exp / 4 + if spread > 0 { draw % spread } else { 0 }
-    }
-
-    /// Runs an idempotent operation under the retry policy.
+    /// Runs an idempotent operation under [`RETRY`]. An HTTP status is
+    /// an answer, not a failed delivery, so only IO errors retry.
     fn with_retries<T>(&self, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
         let mut attempt = 1u32;
+        let mut budget_left = RETRY.budget_ms;
         loop {
-            match op() {
+            let err = match op() {
                 Ok(value) => return Ok(value),
-                Err(e) if transient(e.kind()) && attempt < self.retry.max_attempts.max(1) => {
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_millis(self.backoff_ms(attempt)));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
+                Err(err) => err,
+            };
+            let kind = TransportErrorKind::from_io(&err);
+            RETRY
+                .retry_after(attempt, kind, &mut budget_left, &self.jitter)
+                .ok_or(err)?;
+            self.retries.fetch_add(1, Ordering::Relaxed);
+            attempt += 1;
         }
     }
 
-    fn connect_and_send(
+    /// Connects and writes one request, returning the reader of its
+    /// response. No read deadline: event streams legitimately idle
+    /// between paced events.
+    fn send(
         &self,
         method: &str,
         path: &str,
         body: Option<&str>,
-    ) -> io::Result<TcpStream> {
+    ) -> io::Result<BufReader<TcpStream>> {
         let mut stream = TcpStream::connect(self.addr)?;
-        let mut head =
-            format!("{method} {path} HTTP/1.1\r\nHost: picbench\r\nConnection: close\r\n");
-        if let Some(tenant) = &self.tenant {
-            head.push_str(&format!("x-picbench-tenant: {tenant}\r\n"));
-        }
-        match body {
-            Some(body) => head.push_str(&format!(
-                "Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            )),
-            None => head.push_str("\r\n"),
-        }
-        stream.write_all(head.as_bytes())?;
-        stream.flush()?;
-        Ok(stream)
-    }
-
-    fn read_head(reader: &mut BufReader<TcpStream>) -> io::Result<(u16, Vec<(String, String)>)> {
-        let mut status_line = String::new();
-        reader.read_line(&mut status_line)?;
-        let status = status_line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse::<u16>().ok())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-        let mut headers = Vec::new();
-        loop {
-            let mut line = String::new();
-            reader.read_line(&mut line)?;
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-            }
-        }
-        Ok((status, headers))
-    }
-
-    fn request_once(
-        &self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> io::Result<ApiResponse> {
-        let stream = self.connect_and_send(method, path, body)?;
-        let mut reader = BufReader::new(stream);
-        let (status, headers) = Self::read_head(&mut reader)?;
-        let mut body = Vec::new();
-        match headers
-            .iter()
-            .find(|(n, _)| n == "content-length")
-            .and_then(|(_, v)| v.parse::<usize>().ok())
-        {
-            Some(len) => {
-                body.resize(len, 0);
-                reader.read_exact(&mut body)?;
-            }
-            None => {
-                reader.read_to_end(&mut body)?;
-            }
-        }
-        Ok(ApiResponse {
-            status,
-            body: String::from_utf8_lossy(&body).into_owned(),
-        })
+        let tenant = self.tenant.as_deref().map(|t| ("x-picbench-tenant", t));
+        write_request(
+            &mut stream,
+            method,
+            path,
+            "picbench",
+            tenant.as_slice(),
+            body,
+        )?;
+        Ok(BufReader::new(stream))
     }
 
     /// Sends one request and buffers the whole response. `GET`s retry
-    /// transient connect/reset failures under [`ClientRetry`]; other
-    /// methods get exactly one attempt (a lost response does not prove
-    /// the request was not applied).
+    /// failed deliveries with bounded seeded backoff; other methods get
+    /// exactly one attempt (a lost response does not prove the request
+    /// was not applied).
     ///
     /// # Errors
     ///
-    /// Propagates transport failures (after retries, for `GET`s).
+    /// Propagates transport failures (after retries, for `GET`s),
+    /// including a truncated response or a body over
+    /// [`MAX_RESPONSE_BODY_BYTES`](picbench_coord::MAX_RESPONSE_BODY_BYTES).
     pub fn request(&self, method: &str, path: &str, body: Option<&str>) -> io::Result<ApiResponse> {
+        let exchange = || read_response(&mut self.send(method, path, body)?);
         if method == "GET" {
-            self.with_retries(|| self.request_once(method, path, body))
+            self.with_retries(exchange)
         } else {
-            self.request_once(method, path, body)
+            exchange()
         }
     }
 
     /// Opens an event stream; the caller reads lines until `None`.
     /// Opening is idempotent (the stream replays from the start), so
-    /// transient failures are retried under [`ClientRetry`].
+    /// failed deliveries are retried like `GET`s.
     ///
     /// # Errors
     ///
     /// Propagates transport failures after retries.
     pub fn open_stream(&self, path: &str) -> io::Result<EventStream> {
         self.with_retries(|| {
-            let stream = self.connect_and_send("GET", path, None)?;
-            let mut reader = BufReader::new(stream);
-            let (status, _headers) = Self::read_head(&mut reader)?;
+            let mut reader = self.send("GET", path, None)?;
+            let (status, _) = read_response_head(&mut reader)?;
             Ok(EventStream { status, reader })
         })
     }

@@ -37,7 +37,7 @@ pub mod server;
 pub mod session;
 pub mod wire;
 
-pub use client::{ApiClient, ApiResponse, ClientRetry, EventStream};
+pub use client::{ApiClient, ApiResponse, EventStream};
 pub use pace::PacedProvider;
 pub use server::{PicbenchServer, ServerConfig, ServerHandle};
 pub use session::{SessionState, SessionStats};

@@ -7,13 +7,16 @@
 //!   worker thread is freed for the next request;
 //! * [`ApiClient`] retries transient connect failures on idempotent
 //!   requests only, with a bounded, seeded backoff schedule;
+//! * both HTTP clients answer a response cut off mid-head, or one
+//!   declaring an impossible body, with a typed error;
 //! * a whole sharded campaign whose workers journal over HTTP merges
 //!   bit-identical to the single-process engine;
 //! * a coordinator (server) restart mid-campaign loses no journalled
 //!   state: replays dedup, new appends continue.
 
 use picbench_coord::{
-    AppendOutcome, AppendRequest, CoordClient, HttpTransport, RecordMsg, RemoteJournal,
+    AppendOutcome, AppendRequest, CoordClient, CoordTransport, HttpTransport, RecordMsg,
+    RemoteJournal,
 };
 use picbench_core::{
     run_shard_worker_with, Campaign, CampaignConfig, CampaignReport, LeaseAdvance, LeaseRecord,
@@ -21,12 +24,12 @@ use picbench_core::{
     WorkerRequest, WorkerState,
 };
 use picbench_problems::Problem;
-use picbench_server::{ApiClient, ClientRetry, PicbenchServer, ServerConfig, ServerHandle};
+use picbench_server::{ApiClient, PicbenchServer, ServerConfig, ServerHandle};
 use picbench_sim::WavelengthGrid;
 use picbench_store::xorshift64;
 use picbench_synthllm::{ModelProfile, RetryPolicy};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -199,12 +202,7 @@ fn idempotent_requests_retry_transient_failures_and_mutations_do_not() {
     let addr = vacant.local_addr().expect("addr");
     drop(vacant);
 
-    let client = ApiClient::new(addr).with_retry(ClientRetry {
-        max_attempts: 3,
-        base_backoff_ms: 1,
-        max_backoff_ms: 2,
-        seed: 9,
-    });
+    let client = ApiClient::new(addr);
     let err = client
         .request("GET", "/v1/stats", None)
         .expect_err("nothing is listening");
@@ -242,6 +240,48 @@ fn idempotent_requests_retry_transient_failures_and_mutations_do_not() {
     );
     assert_eq!(live.retries(), 0);
     server.shutdown();
+}
+
+/// A fake peer answering one connection with the raw `reply` bytes.
+/// It then drains the request until the client hangs up, so its close
+/// is orderly rather than a reset.
+fn one_shot_peer(reply: &'static [u8]) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        stream.write_all(reply).expect("reply");
+        stream.shutdown(std::net::Shutdown::Write).expect("close");
+        io::copy(&mut stream, &mut io::sink()).expect("drain");
+    });
+    (addr, peer)
+}
+
+#[test]
+fn truncated_or_impossible_responses_are_typed_errors_in_both_clients() {
+    let cases: [(&[u8], io::ErrorKind); 2] = [
+        (
+            b"HTTP/1.1 200 OK\r\nContent-Le",
+            io::ErrorKind::UnexpectedEof,
+        ),
+        (
+            b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n",
+            io::ErrorKind::InvalidData,
+        ),
+    ];
+    for (reply, kind) in cases {
+        let (addr, peer) = one_shot_peer(reply);
+        let api = ApiClient::new(addr).request("POST", "/v1/campaigns", Some("{}"));
+        peer.join().expect("peer");
+        let (addr, peer) = one_shot_peer(reply);
+        let coord = HttpTransport::new(addr, Duration::from_secs(5)).call("state", "{}");
+        peer.join().expect("peer");
+        let kinds = [
+            api.expect_err("ApiClient").kind(),
+            coord.expect_err("HttpTransport").kind(),
+        ];
+        assert_eq!(kinds, [kind; 2], "{:?}", String::from_utf8_lossy(reply));
+    }
 }
 
 // ---- full remote campaign over real HTTP --------------------------------

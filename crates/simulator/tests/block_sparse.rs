@@ -16,7 +16,7 @@ use picbench_sim::{
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The conformance oracle tolerance: genuinely different algorithms on
-/// the same physics (see `DiffRunner::oracle_tol`).
+/// the same physics (see `picbench_conformance::differential::ORACLE_TOL`).
 const ORACLE_TOL: f64 = 1e-8;
 
 fn cases_per_family() -> usize {

@@ -47,7 +47,8 @@ pub use provider::{
     TIMEOUT_RESPONSE, TRANSIENT_IO_RESPONSE,
 };
 pub use retry::{
-    classify_transport, RetryEvent, RetryPolicy, RetryProvider, RetrySink, TransportErrorKind,
+    classify_transport, Jitter, RetryEvent, RetryPolicy, RetryProvider, RetrySink,
+    TransportErrorKind,
 };
 pub use synthetic::{PerfectLlm, SyntheticLlm};
 

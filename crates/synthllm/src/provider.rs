@@ -134,11 +134,6 @@ impl ReplayLlm {
             .push(response.into());
         self
     }
-
-    /// Number of recorded `(problem, sample)` transcripts.
-    pub fn transcript_count(&self) -> usize {
-        self.book.transcripts.values().map(HashMap::len).sum()
-    }
 }
 
 impl LanguageModel for ReplayLlm {
@@ -255,7 +250,9 @@ impl FlakySchedule {
     }
 }
 
-fn xorshift64(mut x: u64) -> u64 {
+/// One xorshift64 step: the jitter stream of failure schedules and
+/// retry backoff.
+pub(crate) fn xorshift64(mut x: u64) -> u64 {
     x = x.max(1);
     x ^= x << 13;
     x ^= x >> 7;

@@ -16,14 +16,22 @@
 //! simulated per-sample budget* rather than sleeping — campaigns stay
 //! bit-identical and fast. Set [`RetryPolicy::sleep`] for wall-clock
 //! behaviour against real APIs.
+//!
+//! This is the workspace's one retry schedule: the coord client and
+//! the service's HTTP client also decide each retry with
+//! [`RetryPolicy::retry_after`] over a [`Jitter`] stream, and classify
+//! failed deliveries with [`TransportErrorKind::from_io`].
 
 use crate::provider::{
-    FATAL_AUTH_RESPONSE, GARBLED_SUFFIX, RATE_LIMIT_RESPONSE, TIMEOUT_RESPONSE,
+    xorshift64, FATAL_AUTH_RESPONSE, GARBLED_SUFFIX, RATE_LIMIT_RESPONSE, TIMEOUT_RESPONSE,
     TRANSIENT_IO_RESPONSE,
 };
 use crate::{LanguageModel, ModelProvider};
+use picbench_netlist::Fnv64;
 use picbench_problems::Problem;
 use picbench_prompt::Conversation;
+use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How a failure response was classified at the transport layer.
@@ -47,14 +55,13 @@ impl TransportErrorKind {
         !matches!(self, TransportErrorKind::Fatal)
     }
 
-    /// Stable label for events and logs.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TransportErrorKind::RateLimit => "rate-limit",
-            TransportErrorKind::TransientIo => "transient-io",
-            TransportErrorKind::Timeout => "timeout",
-            TransportErrorKind::Garbled => "garbled",
-            TransportErrorKind::Fatal => "fatal",
+    /// Classifies a failed network delivery. Every delivery failure is
+    /// transient — the peer may well answer the next attempt — and an
+    /// expired deadline is labelled [`TransportErrorKind::Timeout`].
+    pub fn from_io(err: &io::Error) -> Self {
+        match err.kind() {
+            io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => TransportErrorKind::Timeout,
+            _ => TransportErrorKind::TransientIo,
         }
     }
 }
@@ -124,20 +131,77 @@ impl RetryPolicy {
     /// so a resumed run cannot silently continue under a different
     /// retry regime.
     pub fn digest(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut write = |v: u64| {
-            for b in v.to_le_bytes() {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        write(u64::from(self.max_attempts));
-        write(self.base_backoff_ms);
-        write(self.max_backoff_ms);
-        write(self.budget_ms);
-        write(self.seed);
-        write(u64::from(self.sleep));
-        hash
+        let mut hash = Fnv64::new();
+        hash.write_u64(u64::from(self.max_attempts));
+        hash.write_u64(self.base_backoff_ms);
+        hash.write_u64(self.max_backoff_ms);
+        hash.write_u64(self.budget_ms);
+        hash.write_u64(self.seed);
+        hash.write_u64(u64::from(self.sleep));
+        hash.finish()
+    }
+
+    /// Backoff after the `attempt`-th (1-based) failure. Jitter is drawn
+    /// only when the backoff is at least 4 ms, so that there is room.
+    fn backoff_ms(&self, attempt: u32, jitter: &Jitter) -> u64 {
+        let base = self
+            .base_backoff_ms
+            .saturating_mul(1u64 << (attempt - 1).min(16))
+            .min(self.max_backoff_ms);
+        let quarter = base / 4;
+        if quarter == 0 {
+            return base;
+        }
+        // base - 25% .. base + 25%, uniform over the jitter stream.
+        base - quarter + jitter.draw() % (2 * quarter + 1)
+    }
+
+    /// The retry decision after the `attempt`-th (1-based) failure, of
+    /// kind `kind`. `None` means give up: the failure is fatal, the
+    /// attempts are spent, or the backoff would overdraw
+    /// `budget_left_ms`. Otherwise the backoff — `base_backoff_ms`
+    /// doubling per attempt, capped at `max_backoff_ms`, with ±25 %
+    /// jitter drawn from `jitter` — is deducted from
+    /// `budget_left_ms`, slept through when [`RetryPolicy::sleep`] is
+    /// set, and returned.
+    pub fn retry_after(
+        &self,
+        attempt: u32,
+        kind: TransportErrorKind,
+        budget_left_ms: &mut u64,
+        jitter: &Jitter,
+    ) -> Option<u64> {
+        if !kind.is_transient() || attempt >= self.max_attempts.max(1) {
+            return None;
+        }
+        let backoff = self.backoff_ms(attempt, jitter);
+        // Degrade rather than stall once the budget is spent.
+        *budget_left_ms = budget_left_ms.checked_sub(backoff)?;
+        if self.sleep {
+            std::thread::sleep(std::time::Duration::from_millis(backoff));
+        }
+        Some(backoff)
+    }
+}
+
+/// A seeded xorshift stream of backoff jitter. Threads may share one:
+/// interleaving only reorders their draws.
+#[derive(Debug)]
+pub struct Jitter(AtomicU64);
+
+impl Jitter {
+    /// A stream seeded by `seed`.
+    pub fn new(seed: u64) -> Self {
+        Jitter(AtomicU64::new(xorshift64(seed)))
+    }
+
+    fn draw(&self) -> u64 {
+        // One coherent stream under concurrent callers; it publishes no
+        // other data.
+        let prev = self
+            .0
+            .update(Ordering::Relaxed, Ordering::Relaxed, xorshift64);
+        xorshift64(prev)
     }
 }
 
@@ -180,34 +244,6 @@ pub enum RetryEvent {
 /// Observer of [`RetryEvent`]s (campaigns bridge this into
 /// `CampaignEvent`s).
 pub type RetrySink = Arc<dyn Fn(&RetryEvent) + Send + Sync>;
-
-fn xorshift64(mut x: u64) -> u64 {
-    x = x.max(1);
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x
-}
-
-fn fnv_combine(parts: &[u64]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for part in parts {
-        for b in part.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    hash
-}
-
-fn fnv_str(s: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in s.as_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
-}
 
 /// A decorating provider that retries transient transport failures per a
 /// [`RetryPolicy`].
@@ -256,7 +292,7 @@ impl ModelProvider for RetryProvider {
             problem: String::new(),
             sample: 0,
             budget_left_ms: self.policy.budget_ms,
-            rng: 0,
+            jitter: Jitter::new(0),
         })
     }
 }
@@ -269,7 +305,7 @@ struct RetryLlm {
     problem: String,
     sample: u64,
     budget_left_ms: u64,
-    rng: u64,
+    jitter: Jitter,
 }
 
 impl RetryLlm {
@@ -277,23 +313,6 @@ impl RetryLlm {
         if let Some(sink) = &self.sink {
             sink(&event);
         }
-    }
-
-    /// Deterministic backoff for the given 1-based failed attempt:
-    /// exponential base doubling, capped, with ±25% seeded jitter.
-    fn backoff_ms(&mut self, attempt: u32) -> u64 {
-        let base = self
-            .policy
-            .base_backoff_ms
-            .saturating_mul(1u64 << (attempt - 1).min(16))
-            .min(self.policy.max_backoff_ms);
-        self.rng = xorshift64(self.rng);
-        let quarter = base / 4;
-        if quarter == 0 {
-            return base;
-        }
-        // base - 25% .. base + 25%, uniform over the jitter stream.
-        base - quarter + self.rng % (2 * quarter + 1)
     }
 }
 
@@ -308,12 +327,12 @@ impl LanguageModel for RetryLlm {
         self.budget_left_ms = self.policy.budget_ms;
         // Jitter seeded per (policy, spawn, problem, sample): independent
         // of thread interleaving, stable across resumes.
-        self.rng = xorshift64(fnv_combine(&[
-            self.policy.seed,
-            self.spawn_seed,
-            fnv_str(&self.problem),
-            sample_index,
-        ]));
+        let mut seed = Fnv64::new();
+        seed.write_u64(self.policy.seed);
+        seed.write_u64(self.spawn_seed);
+        seed.write_u64(Fnv64::hash_str(&self.problem));
+        seed.write_u64(sample_index);
+        self.jitter = Jitter::new(seed.finish());
         self.inner.begin_sample(problem, sample_index);
     }
 
@@ -324,8 +343,8 @@ impl LanguageModel for RetryLlm {
             let Some(kind) = classify_transport(&response) else {
                 return response;
             };
-            let out_of_attempts = attempt >= self.policy.max_attempts.max(1);
-            if !kind.is_transient() || out_of_attempts {
+            let budget = &mut self.budget_left_ms;
+            let Some(backoff) = self.policy.retry_after(attempt, kind, budget, &self.jitter) else {
                 self.emit(RetryEvent::Degraded {
                     provider: self.inner.name().to_string(),
                     problem: self.problem.clone(),
@@ -334,23 +353,7 @@ impl LanguageModel for RetryLlm {
                     kind,
                 });
                 return response;
-            }
-            let backoff = self.backoff_ms(attempt);
-            if backoff > self.budget_left_ms {
-                // Budget exhausted: degrade rather than stall the sample.
-                self.emit(RetryEvent::Degraded {
-                    provider: self.inner.name().to_string(),
-                    problem: self.problem.clone(),
-                    sample: self.sample,
-                    attempts: attempt,
-                    kind,
-                });
-                return response;
-            }
-            self.budget_left_ms -= backoff;
-            if self.policy.sleep {
-                std::thread::sleep(std::time::Duration::from_millis(backoff));
-            }
+            };
             self.emit(RetryEvent::Retried {
                 provider: self.inner.name().to_string(),
                 problem: self.problem.clone(),
@@ -585,7 +588,18 @@ mod tests {
             let events = events.lock().unwrap().clone();
             events
         };
-        assert_eq!(run(), run());
+        let events = run();
+        assert_eq!(events, run());
+        // Pinned schedule (0 marks the final `Degraded`): the seeded
+        // jitter stream feeds journalled `SampleRetried` events.
+        let backoffs: Vec<u64> = events
+            .iter()
+            .map(|event| match event {
+                RetryEvent::Retried { backoff_ms, .. } => *backoff_ms,
+                RetryEvent::Degraded { .. } => 0,
+            })
+            .collect();
+        assert_eq!(backoffs, [125, 213, 340, 0]);
     }
 
     #[test]
@@ -597,5 +611,19 @@ mod tests {
         };
         assert_eq!(a.digest(), RetryPolicy::default().digest());
         assert_ne!(a.digest(), b.digest());
+        // Campaign fingerprints fold the digest in: it must not drift.
+        assert_eq!(a.digest(), 0xa194_8654_3884_9b12);
+    }
+
+    #[test]
+    fn io_failures_are_transient_and_deadlines_are_timeouts() {
+        use io::ErrorKind::*;
+        let classify = |kind| TransportErrorKind::from_io(&io::Error::from(kind));
+        assert_eq!(
+            [TimedOut, WouldBlock].map(classify),
+            [TransportErrorKind::Timeout; 2]
+        );
+        let others = [ConnectionRefused, UnexpectedEof, InvalidData].map(classify);
+        assert_eq!(others, [TransportErrorKind::TransientIo; 3]);
     }
 }

@@ -10,7 +10,7 @@
 use crate::corrupt::{sample_functional_corruption, sample_syntax_corruption, Corruption};
 use crate::profile::ModelProfile;
 use crate::LanguageModel;
-use picbench_netlist::{FailureType, Netlist};
+use picbench_netlist::{FailureType, Fnv64, Netlist};
 use picbench_problems::Problem;
 use picbench_prompt::{Conversation, Role, FUNCTIONAL_FEEDBACK};
 use rand::rngs::StdRng;
@@ -23,24 +23,17 @@ use std::sync::Arc;
 const CORRECTION_MARKER: &str = "fixing the errors in previous code";
 
 fn mix_seed(parts: &[&str], numbers: &[u64]) -> u64 {
-    // FNV-1a over the textual parts and numbers: deterministic, stable
-    // across runs and platforms.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    // FNV-1a over the textual parts (each closed by a 0xff byte) and
+    // numbers: deterministic, stable across runs and platforms.
+    let mut h = Fnv64::new();
     for part in parts {
-        for b in part.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(0x1000_0000_01b3);
+        h.write_bytes(part.as_bytes());
+        h.write_bytes(&[0xff]);
     }
-    for n in numbers {
-        for b in n.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
+    for &n in numbers {
+        h.write_u64(n);
     }
-    h
+    h.finish()
 }
 
 /// Per-sample generation state.
