@@ -1,10 +1,73 @@
-//! Criterion benches for the evaluation pipeline: JSON parsing, netlist
-//! validation, response evaluation (pass and fail paths) and Pass@k.
+//! Criterion benches for the evaluation pipeline: synthetic response
+//! generation, netlist JSON writing, JSON parsing, netlist validation,
+//! response evaluation (pass and fail paths) and Pass@k.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use picbench_core::{pass_at_k, Evaluator};
-use picbench_netlist::{json, validate, Netlist, PortRef};
+use picbench_netlist::{json, validate, FailureType, Netlist, PortRef, ValidationIssue};
+use picbench_prompt::{
+    render_system_prompt, syntax_feedback, Conversation, Role, SystemPromptConfig,
+};
 use picbench_sim::ModelRegistry;
+use picbench_synthllm::{LanguageModel, ModelProfile, SyntheticLlm, PAPER_SEED};
+
+/// The netlist writer (`direct`, what production runs) beside the
+/// `Value`-tree path it replaced, which stays as the test oracle.
+fn json_writing(c: &mut Criterion) {
+    let mut group = c.benchmark_group("to_json");
+    let golden = picbench_problems::find("spanke-8x8")
+        .expect("problem exists")
+        .golden;
+    group.bench_with_input(BenchmarkId::new("direct", "spanke-8x8"), &golden, |b, n| {
+        b.iter(|| n.to_json_string());
+    });
+    group.bench_with_input(BenchmarkId::new("value", "spanke-8x8"), &golden, |b, n| {
+        b.iter(|| json::to_string_pretty(&n.to_value()));
+    });
+    group.finish();
+}
+
+/// One synthetic model answering on spanke-8x8: `initial` is a fresh
+/// sample's first answer; `feedback` is that answer plus the answer to a
+/// correction request naming every mistake category, so the feedback
+/// turn alone costs the difference.
+fn synthetic_responses(c: &mut Criterion) {
+    let mut group = c.benchmark_group("respond");
+    let problem = picbench_problems::find("spanke-8x8").expect("problem exists");
+    let models = picbench_sparams::builtin_models();
+    let system = render_system_prompt(
+        models.iter().map(|m| m.info()),
+        SystemPromptConfig::default(),
+    );
+    let mut initial = Conversation::with_system(system);
+    initial.push(Role::User, problem.description.clone());
+    let issues: Vec<ValidationIssue> = FailureType::ALL
+        .into_iter()
+        .map(|f| ValidationIssue::new(f, "details"))
+        .collect();
+    let mut correction = initial.clone();
+    correction.push(Role::Assistant, problem.golden.to_json_string());
+    correction.push(Role::User, syntax_feedback(&problem.id, &issues));
+
+    let mut llm = SyntheticLlm::new(ModelProfile::gpt4(), PAPER_SEED);
+    let mut sample = 0u64;
+    group.bench_function(BenchmarkId::new("initial", "spanke-8x8"), |b| {
+        b.iter(|| {
+            sample = (sample + 1) % 64;
+            llm.begin_sample(&problem, sample);
+            llm.respond(&initial)
+        });
+    });
+    group.bench_function(BenchmarkId::new("feedback", "spanke-8x8"), |b| {
+        b.iter(|| {
+            sample = (sample + 1) % 64;
+            llm.begin_sample(&problem, sample);
+            llm.respond(&initial);
+            llm.respond(&correction)
+        });
+    });
+    group.finish();
+}
 
 fn json_parsing(c: &mut Criterion) {
     let mut group = c.benchmark_group("json");
@@ -88,6 +151,8 @@ fn pass_at_k_bench(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    json_writing,
+    synthetic_responses,
     json_parsing,
     validation,
     response_evaluation,

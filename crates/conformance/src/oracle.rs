@@ -340,7 +340,7 @@ mod tests {
     use proptest::TestRng;
 
     #[test]
-    fn generated_circuits_satisfy_all_oracles_on_both_backends() {
+    fn generated_circuits_satisfy_all_oracles_on_both_solver_paths() {
         let registry = ModelRegistry::with_builtins();
         let config = OracleConfig::default();
         for family in Family::ALL {

@@ -10,9 +10,15 @@
 //! Objects preserve key order (they are backed by a `Vec` of pairs), which
 //! keeps serialized netlists in the author's order — important for
 //! readable golden designs and byte-stable round-trips.
+//!
+//! The parser accepts at most [`MAX_DEPTH`] nested arrays and objects,
+//! so untrusted input (HTTP bodies, LLM responses) cannot exhaust the
+//! stack. The serializer appends straight into one `String`: no
+//! per-line indentation strings and no per-number temporaries.
 
 use std::error::Error;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A JSON value.
 #[derive(Debug, Clone)]
@@ -155,7 +161,15 @@ pub enum JsonErrorKind {
     /// A `//` or `/* */` comment was found (JSON forbids comments; the
     /// benchmark classifies this as extra content).
     CommentFound,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    NestingTooDeep,
 }
+
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so the limit bounds its stack use:
+/// a hostile `[[[[…` document gets a typed error instead of overflowing
+/// the stack of whichever thread parses it. Netlists nest five deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parse error with position information.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -178,6 +192,9 @@ impl fmt::Display for JsonError {
             JsonErrorKind::TrailingContent => "unexpected content after the JSON value".to_string(),
             JsonErrorKind::Expected(tok) => format!("expected {tok}"),
             JsonErrorKind::CommentFound => "comments are not allowed in JSON".to_string(),
+            JsonErrorKind::NestingTooDeep => {
+                format!("arrays and objects nest deeper than {MAX_DEPTH} levels")
+            }
         };
         write!(f, "{what} at line {} column {}", self.line, self.column)
     }
@@ -188,6 +205,8 @@ impl Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -195,6 +214,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -250,8 +270,19 @@ impl<'a> Parser<'a> {
         self.skip_ws()?;
         match self.peek() {
             None => Err(self.error(JsonErrorKind::UnexpectedEnd)),
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(JsonErrorKind::NestingTooDeep));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
             Some(b't') | Some(b'f') => self.parse_bool(),
             Some(b'n') => self.parse_null(),
@@ -486,97 +517,179 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
     Ok(value)
 }
 
+/// Appends the body of a JSON string literal (no quotes), copying runs
+/// that need no escaping in one go.
 fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[start..i]);
+        start = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xF)] as char);
             }
-            c => out.push(c),
         }
     }
-    out.push('"');
+    out.push_str(&s[start..]);
 }
 
-fn format_number(n: f64) -> String {
+/// Appends the decimal digits of `u` without a temporary `String`.
+fn push_u64(out: &mut String, mut u: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
+        }
+    }
+    out.extend(digits[i..].iter().map(|&d| d as char));
+}
+
+fn push_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no lexeme for NaN or infinity; `null` is the
         // conventional stand-in (what JSON.stringify emits) and keeps
         // the output parseable instead of corrupting the document.
-        return "null".to_string();
-    }
-    if n == 0.0 && n.is_sign_negative() {
+        out.push_str("null");
+    } else if n == 0.0 && n.is_sign_negative() {
         // `0` would silently drop the sign; `-0` parses back to -0.0.
-        return "-0".to_string();
-    }
-    if n.fract() == 0.0 && n.abs() < 1e15 {
-        format!("{}", n as i64)
+        out.push_str("-0");
+    } else if n.fract() == 0.0 && n.abs() < 1e15 {
+        if n < 0.0 {
+            out.push('-');
+        }
+        push_u64(out, n.abs() as u64);
     } else {
-        format!("{n}")
+        let _ = write!(out, "{n}");
     }
 }
 
-fn write_value(out: &mut String, v: &Value, indent: usize, level: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(n) => out.push_str(&format_number(*n)),
-        Value::Uint(u) => out.push_str(&u.to_string()),
-        Value::String(s) => escape_into(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if indent > 0 {
-                    out.push('\n');
-                    out.push_str(&" ".repeat(indent * (level + 1)));
-                }
-                write_value(out, item, indent, level + 1);
-            }
-            if indent > 0 {
-                out.push('\n');
-                out.push_str(&" ".repeat(indent * level));
-            }
-            out.push(']');
+/// The one JSON formatter: an incremental writer that appends straight
+/// into a `String`. [`to_string`], [`to_string_pretty`] and
+/// `Netlist::to_json_string` all drive it, so a document written from a
+/// [`Value`] tree and one written field by field are byte-identical.
+pub(crate) struct Writer<'a> {
+    out: &'a mut String,
+    /// Spaces per nesting level; 0 writes compactly.
+    indent: usize,
+    level: usize,
+    /// Whether the innermost open container has no entries yet.
+    empty: bool,
+}
+
+impl<'a> Writer<'a> {
+    pub(crate) fn new(out: &'a mut String, indent: usize) -> Self {
+        Writer {
+            out,
+            indent,
+            level: 0,
+            empty: false,
         }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, val)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+    }
+
+    fn newline(&mut self) {
+        const SPACES: &str = "                                                                ";
+        if self.indent == 0 {
+            return;
+        }
+        self.out.push('\n');
+        let mut n = self.indent * self.level;
+        while n > 0 {
+            let run = n.min(SPACES.len());
+            self.out.push_str(&SPACES[..run]);
+            n -= run;
+        }
+    }
+
+    /// Opens an object (`'{'`) or array (`'['`).
+    pub(crate) fn begin(&mut self, open: char) {
+        self.out.push(open);
+        self.level += 1;
+        self.empty = true;
+    }
+
+    /// Closes the innermost container; an empty one stays `{}` / `[]`.
+    pub(crate) fn end(&mut self, close: char) {
+        self.level -= 1;
+        if !self.empty {
+            self.newline();
+        }
+        self.out.push(close);
+        self.empty = false;
+    }
+
+    /// Starts the next array element.
+    pub(crate) fn item(&mut self) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.newline();
+    }
+
+    /// Starts the next object entry; the key is the concatenation of
+    /// `parts`.
+    pub(crate) fn key(&mut self, parts: &[&str]) {
+        self.item();
+        self.string(parts);
+        self.out.push(':');
+        if self.indent > 0 {
+            self.out.push(' ');
+        }
+    }
+
+    /// Writes a string literal holding the concatenation of `parts`.
+    pub(crate) fn string(&mut self, parts: &[&str]) {
+        self.out.push('"');
+        for part in parts {
+            escape_into(self.out, part);
+        }
+        self.out.push('"');
+    }
+
+    /// Writes a number; non-finite values become `null`.
+    pub(crate) fn number(&mut self, n: f64) {
+        push_number(self.out, n);
+    }
+
+    fn value(&mut self, v: &Value) {
+        match v {
+            Value::Null => self.out.push_str("null"),
+            Value::Bool(b) => self.out.push_str(if *b { "true" } else { "false" }),
+            Value::Number(n) => self.number(*n),
+            Value::Uint(u) => push_u64(self.out, *u),
+            Value::String(s) => self.string(&[s]),
+            Value::Array(items) => {
+                self.begin('[');
+                for item in items {
+                    self.item();
+                    self.value(item);
                 }
-                if indent > 0 {
-                    out.push('\n');
-                    out.push_str(&" ".repeat(indent * (level + 1)));
-                }
-                escape_into(out, k);
-                out.push(':');
-                if indent > 0 {
-                    out.push(' ');
-                }
-                write_value(out, val, indent, level + 1);
+                self.end(']');
             }
-            if indent > 0 {
-                out.push('\n');
-                out.push_str(&" ".repeat(indent * level));
+            Value::Object(entries) => {
+                self.begin('{');
+                for (k, val) in entries {
+                    self.key(&[k]);
+                    self.value(val);
+                }
+                self.end('}');
             }
-            out.push('}');
         }
     }
 }
@@ -584,7 +697,7 @@ fn write_value(out: &mut String, v: &Value, indent: usize, level: usize) {
 /// Serializes a value compactly (no whitespace).
 pub fn to_string(v: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, v, 0, 0);
+    Writer::new(&mut out, 0).value(v);
     out
 }
 
@@ -597,7 +710,7 @@ pub fn to_string(v: &Value) -> String {
 /// ```
 pub fn to_string_pretty(v: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, v, 2, 0);
+    Writer::new(&mut out, 2).value(v);
     out
 }
 
@@ -696,9 +809,20 @@ mod tests {
 
     #[test]
     fn integer_formatting_avoids_trailing_zeroes() {
-        assert_eq!(to_string(&Value::Number(10.0)), "10");
-        assert_eq!(to_string(&Value::Number(10.5)), "10.5");
-        assert_eq!(to_string(&Value::Number(-0.25)), "-0.25");
+        for (n, text) in [
+            (10.0, "10"),
+            (10.5, "10.5"),
+            (-0.25, "-0.25"),
+            (0.0, "0"),
+            (-42.0, "-42"),
+            (999_999_999_999_999.0, "999999999999999"),
+            (1e15, "1000000000000000"),
+            (-1e15, "-1000000000000000"),
+            (1e21, "1000000000000000000000"),
+            (-2.5e-7, "-0.00000025"),
+        ] {
+            assert_eq!(to_string(&Value::Number(n)), text, "{n}");
+        }
     }
 
     #[test]
@@ -781,6 +905,60 @@ mod tests {
         assert_eq!(parse("{}").unwrap().type_name(), "object");
         assert_eq!(parse("[]").unwrap().type_name(), "array");
         assert_eq!(parse("null").unwrap().type_name(), "null");
+    }
+
+    #[test]
+    fn nesting_bomb_is_a_typed_error_on_a_small_stack() {
+        // 200 KB of `[` would recurse 200k frames deep without the limit.
+        let bomb = "[".repeat(200_000);
+        let err = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || parse(&bomb))
+            .unwrap()
+            .join()
+            .expect("parser must not overflow the stack")
+            .unwrap_err();
+        assert_eq!(err.kind, JsonErrorKind::NestingTooDeep);
+        assert_eq!((err.line, err.column), (1, MAX_DEPTH + 1));
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!(
+            "{}{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(
+            parse(&deep).unwrap_err().kind,
+            JsonErrorKind::NestingTooDeep
+        );
+    }
+
+    #[test]
+    fn escapes_match_the_per_char_rules() {
+        let s = "plain \"q\" back\\slash\n\r\t\u{1}\u{1f}\u{7f} µm→ end";
+        assert_eq!(
+            to_string(&Value::String(s.into())),
+            "\"plain \\\"q\\\" back\\\\slash\\n\\r\\t\\u0001\\u001f\u{7f} µm→ end\""
+        );
+        assert_eq!(
+            parse(&to_string(&Value::String(s.into()))).unwrap(),
+            Value::String(s.into())
+        );
+    }
+
+    #[test]
+    fn deep_pretty_indentation() {
+        let mut v = Value::Number(1.0);
+        for _ in 0..40 {
+            v = Value::Array(vec![v]);
+        }
+        let pretty = to_string_pretty(&v);
+        assert!(pretty.contains(&format!("\n{}1\n", " ".repeat(80))));
+        assert_eq!(parse(&pretty).unwrap(), v);
     }
 
     #[test]

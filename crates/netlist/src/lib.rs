@@ -10,7 +10,12 @@
 //! * [`extract`] — locating the JSON payload inside a raw chat response
 //!   (`<result>` sections, markdown fences, stray prose);
 //! * the schema types [`Netlist`], [`Instance`], [`Connection`],
-//!   [`PortRef`] with JSON round-tripping;
+//!   [`PortRef`] with JSON round-tripping. [`Netlist::to_json_string`]
+//!   is the one netlist writer: it drives the same formatter as
+//!   [`json::to_string_pretty`] field by field, with no [`json::Value`]
+//!   tree in between, so its cost is linear in the design.
+//!   [`Netlist::to_value`] stays for callers that need the tree, and
+//!   serves the tests as the writer's oracle;
 //! * [`FailureType`] — the ten-entry Table II error taxonomy with its
 //!   restriction texts;
 //! * [`validate`] — the structural rule checks that produce classified

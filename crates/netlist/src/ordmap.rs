@@ -20,9 +20,28 @@ use std::fmt;
 /// let keys: Vec<&str> = m.keys().collect();
 /// assert_eq!(keys, vec!["b", "a"]); // insertion order, not sorted
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct OrderedMap<V> {
     entries: Vec<(String, V)>,
+}
+
+impl<V: Clone> Clone for OrderedMap<V> {
+    fn clone(&self) -> Self {
+        OrderedMap {
+            entries: self.entries.clone(),
+        }
+    }
+
+    /// Reuses the target's entries and their key buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.truncate(source.entries.len());
+        let kept = self.entries.len();
+        for ((key, value), (src_key, src_value)) in self.entries.iter_mut().zip(&source.entries) {
+            key.clone_from(src_key);
+            value.clone_from(src_value);
+        }
+        self.entries.extend_from_slice(&source.entries[kept..]);
+    }
 }
 
 impl<V> Default for OrderedMap<V> {

@@ -29,7 +29,7 @@ use std::str::FromStr;
 
 /// A reference to one port of one instance, serialized as
 /// `"instance,port"`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct PortRef {
     /// Instance name.
     pub instance: String,
@@ -89,7 +89,7 @@ impl FromStr for PortRef {
 }
 
 /// One instantiated component.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 pub struct Instance {
     /// Component type name (bound to a model by the `models` section).
     pub component: String,
@@ -114,7 +114,7 @@ impl Instance {
 }
 
 /// A pairwise connection between two instance ports.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Connection {
     /// First endpoint (the JSON key).
     pub a: PortRef,
@@ -123,7 +123,10 @@ pub struct Connection {
 }
 
 /// A complete design document: netlist sections plus model bindings.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// `clone_from` reuses the target's allocations field by field, so
+/// refilling a working copy of a design costs copies, not allocations.
+#[derive(Debug, PartialEq, Default)]
 pub struct Netlist {
     /// Instance name → component.
     pub instances: OrderedMap<Instance>,
@@ -134,6 +137,28 @@ pub struct Netlist {
     /// Component type → built-in model reference.
     pub models: OrderedMap<String>,
 }
+
+/// Implements `Clone` field by field, forwarding `clone_from` so that
+/// refilling a copy reuses its string buffers (the derived `clone_from`
+/// reallocates every string).
+macro_rules! clone_by_field {
+    ($ty:ident: $($field:ident),+) => {
+        impl Clone for $ty {
+            fn clone(&self) -> Self {
+                $ty { $($field: self.$field.clone()),+ }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                $(self.$field.clone_from(&source.$field);)+
+            }
+        }
+    };
+}
+
+clone_by_field!(PortRef: instance, port);
+clone_by_field!(Instance: component, settings);
+clone_by_field!(Connection: a, b);
+clone_by_field!(Netlist: instances, connections, ports, models);
 
 /// Structural error while interpreting parsed JSON as a netlist.
 #[derive(Debug, Clone, PartialEq)]
@@ -431,9 +456,72 @@ impl Netlist {
         ])
     }
 
-    /// Serializes to pretty-printed JSON.
+    /// Serializes to pretty-printed JSON — byte for byte what
+    /// `json::to_string_pretty(&self.to_value())` gives, written straight
+    /// into one buffer without building the [`Value`] tree.
     pub fn to_json_string(&self) -> String {
-        json::to_string_pretty(&self.to_value())
+        let mut out = String::with_capacity(self.json_len_hint());
+        let mut w = json::Writer::new(&mut out, 2);
+        w.begin('{');
+        w.key(&["netlist"]);
+        w.begin('{');
+        w.key(&["instances"]);
+        w.begin('{');
+        for (name, inst) in self.instances.iter() {
+            w.key(&[name]);
+            if inst.settings.is_empty() {
+                w.string(&[&inst.component]);
+                continue;
+            }
+            w.begin('{');
+            w.key(&["component"]);
+            w.string(&[&inst.component]);
+            w.key(&["settings"]);
+            w.begin('{');
+            for (param, value) in inst.settings.iter() {
+                w.key(&[param]);
+                w.number(*value);
+            }
+            w.end('}');
+            w.end('}');
+        }
+        w.end('}');
+        w.key(&["connections"]);
+        w.begin('{');
+        for c in &self.connections {
+            w.key(&[&c.a.instance, ",", &c.a.port]);
+            w.string(&[&c.b.instance, ",", &c.b.port]);
+        }
+        w.end('}');
+        w.key(&["ports"]);
+        w.begin('{');
+        for (name, pr) in self.ports.iter() {
+            w.key(&[name]);
+            w.string(&[&pr.instance, ",", &pr.port]);
+        }
+        w.end('}');
+        w.end('}');
+        w.key(&["models"]);
+        w.begin('{');
+        for (component, model_ref) in self.models.iter() {
+            w.key(&[component]);
+            w.string(&[model_ref]);
+        }
+        w.end('}');
+        w.end('}');
+        out
+    }
+
+    /// Enough capacity for the pretty JSON of a typical design, so the
+    /// writer rarely regrows its buffer.
+    fn json_len_hint(&self) -> usize {
+        let settings: usize = self.instances.values().map(|i| i.settings.len()).sum();
+        let entries = self.instances.len()
+            + settings
+            + self.connections.len()
+            + self.ports.len()
+            + self.models.len();
+        64 * (entries + 2)
     }
 
     /// Removes an instance together with everything that references it:

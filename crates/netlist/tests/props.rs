@@ -33,13 +33,53 @@ fn identifier() -> impl Strategy<Value = String> {
     "[a-z][a-zA-Z0-9]{0,10}"
 }
 
+type InstanceSpec = (String, String, Vec<(String, f64)>);
+type PortRefSpec = (String, String, String, String);
+
+fn assemble(
+    instances: Vec<InstanceSpec>,
+    connections: Vec<PortRefSpec>,
+    ports: Vec<(String, String, String)>,
+    models: Vec<(String, String)>,
+) -> Netlist {
+    let mut netlist = Netlist::default();
+    for (name, component, settings) in instances {
+        let mut inst = Instance::new(component);
+        for (param, value) in settings {
+            inst.settings.insert(param, value);
+        }
+        netlist.instances.insert(name, inst);
+    }
+    for (ai, ap, bi, bp) in connections {
+        netlist.connections.push(Connection {
+            a: PortRef::new(ai, ap),
+            b: PortRef::new(bi, bp),
+        });
+    }
+    let mut port_map = OrderedMap::new();
+    for (ext, inst, port) in ports {
+        port_map.insert(ext, PortRef::new(inst, port));
+    }
+    netlist.ports = port_map;
+    for (component, model_ref) in models {
+        netlist.models.insert(component, model_ref);
+    }
+    netlist
+}
+
 fn netlist_strategy() -> impl Strategy<Value = Netlist> {
     (
         proptest::collection::vec(
             (
                 identifier(),
                 identifier(),
-                proptest::collection::vec(("[a-z]{1,8}", -100.0f64..100.0), 0..3),
+                proptest::collection::vec(
+                    (
+                        "[a-z]{1,8}",
+                        (-100.0f64..100.0).prop_map(|v| (v * 1e3).round() / 1e3),
+                    ),
+                    0..3,
+                ),
             ),
             1..6,
         ),
@@ -48,29 +88,52 @@ fn netlist_strategy() -> impl Strategy<Value = Netlist> {
         proptest::collection::vec((identifier(), identifier()), 0..4),
     )
         .prop_map(|(instances, connections, ports, models)| {
-            let mut netlist = Netlist::default();
-            for (name, component, settings) in instances {
-                let mut inst = Instance::new(component);
-                for (param, value) in settings {
-                    inst.settings.insert(param, (value * 1e3).round() / 1e3);
-                }
-                netlist.instances.insert(name, inst);
-            }
-            for (ai, ap, bi, bp) in connections {
-                netlist.connections.push(Connection {
-                    a: PortRef::new(ai, ap),
-                    b: PortRef::new(bi, bp),
-                });
-            }
-            let mut port_map = OrderedMap::new();
-            for (ext, inst, port) in ports {
-                port_map.insert(ext, PortRef::new(inst, port));
-            }
-            netlist.ports = port_map;
-            for (component, model_ref) in models {
-                netlist.models.insert(component, model_ref);
-            }
-            netlist
+            assemble(instances, connections, ports, models)
+        })
+}
+
+/// Names drawn from every character class the string escaper treats
+/// differently: quotes, backslashes, control characters, DEL, commas
+/// and multi-byte UTF-8.
+const AWKWARD: &str = "[a-zA-Z0-9 ,_\"\\\\\u{0}-\u{1f}\u{7f}µé→😀]{0,12}";
+
+/// Settings values covering every branch of the number formatter.
+fn awkward_number() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(-0.0f64),
+        Just(0.0),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(999_999_999_999_999.0),
+        Just(1e15),
+        Just(-1e15),
+        Just(1e300),
+        Just(5e-324),
+        (-1e6f64..1e6).prop_map(f64::round),
+        -1e6f64..1e6,
+        1e15f64..1e20,
+    ]
+}
+
+/// Structurally arbitrary netlists with awkward names and numbers:
+/// material for writer comparisons, not for schema round-trips.
+fn awkward_netlist_strategy() -> impl Strategy<Value = Netlist> {
+    (
+        proptest::collection::vec(
+            (
+                AWKWARD,
+                AWKWARD,
+                proptest::collection::vec((AWKWARD, awkward_number()), 0..3),
+            ),
+            0..5,
+        ),
+        proptest::collection::vec((AWKWARD, AWKWARD, AWKWARD, AWKWARD), 0..5),
+        proptest::collection::vec((AWKWARD, AWKWARD, AWKWARD), 0..4),
+        proptest::collection::vec((AWKWARD, AWKWARD), 0..4),
+    )
+        .prop_map(|(instances, connections, ports, models)| {
+            assemble(instances, connections, ports, models)
         })
 }
 
@@ -166,6 +229,17 @@ proptest! {
         let text = n.to_json_string();
         let back = Netlist::from_json_str(&text).expect("netlist JSON must parse");
         prop_assert_eq!(back, n);
+    }
+
+    #[test]
+    fn direct_writer_matches_the_value_tree(
+        awkward in awkward_netlist_strategy(),
+        plain in netlist_strategy(),
+    ) {
+        // The `Value` path is the oracle of the direct writer.
+        for n in [awkward, plain] {
+            prop_assert_eq!(n.to_json_string(), json::to_string_pretty(&n.to_value()));
+        }
     }
 
     #[test]

@@ -414,3 +414,22 @@ fn graceful_shutdown_drains_inflight_sessions() {
         }
     ));
 }
+
+#[test]
+fn nesting_bomb_is_a_400_and_the_server_keeps_serving() {
+    let server = start_default();
+    let client = ApiClient::new(server.addr());
+
+    // 200 KB of `[`: without a nesting limit the recursive parser
+    // overflows the connection thread's stack and aborts the process.
+    let bomb = "[".repeat(200_000);
+    for route in ["/v1/problem-sets", "/v1/campaigns"] {
+        let response = client.request("POST", route, Some(&bomb)).unwrap();
+        assert_eq!(response.status, 400, "{route} -> {}", response.body);
+        assert!(response.body.contains("nest"), "{}", response.body);
+    }
+    let stats = client.request("GET", "/v1/stats", None).unwrap();
+    assert_eq!(stats.status, 200, "{}", stats.body);
+
+    server.shutdown();
+}

@@ -377,8 +377,8 @@ pub fn sample_syntax_corruption<R: Rng + ?Sized>(
         }
         FailureType::DanglingPortConnection => {
             let free = knowledge::unused_ports(golden);
-            let target = if let Some((inst, port)) = free.choose(rng) {
-                PortRef::new(inst.clone(), port.clone())
+            let target = if let Some(&(inst, port)) = free.choose(rng) {
+                PortRef::new(inst, port)
             } else {
                 // No genuinely free port: re-expose an existing target
                 // under a surplus name (still classified as dangling).
@@ -430,19 +430,19 @@ pub fn sample_functional_corruption<R: Rng + ?Sized>(
 ) -> Option<Corruption> {
     // Prefer a parameter tweak on an instance that already sets a
     // magnitude-affecting parameter.
-    let mut candidates: Vec<(String, String, f64)> = Vec::new();
+    let mut candidates: Vec<(&str, &str, f64)> = Vec::new();
     for (name, inst) in golden.instances.iter() {
         for (param, value) in inst.settings.iter() {
             if TWEAKABLE.contains(&param) {
-                candidates.push((name.to_string(), param.to_string(), *value));
+                candidates.push((name, param, *value));
             }
         }
     }
-    if let Some((instance, param, old)) = candidates.choose(rng) {
+    if let Some(&(instance, param, old)) = candidates.choose(rng) {
         return Some(Corruption::FunctionalTweak {
-            instance: instance.clone(),
-            param: param.clone(),
-            value: tweaked_value(param, *old),
+            instance: instance.to_string(),
+            param: param.to_string(),
+            value: tweaked_value(param, old),
         });
     }
     // Next: swap two same-direction external ports.
@@ -469,8 +469,8 @@ fn pick_other_port<R: Rng + ?Sized>(golden: &Netlist, rng: &mut R) -> Option<Por
     // Prefer genuinely unused ports so the corruption stays focused on
     // its own category.
     let free = knowledge::unused_ports(golden);
-    if let Some((inst, port)) = free.choose(rng) {
-        return Some(PortRef::new(inst.clone(), port.clone()));
+    if let Some(&(inst, port)) = free.choose(rng) {
+        return Some(PortRef::new(inst, port));
     }
     let conn = golden.connections.choose(rng)?;
     Some(conn.a.clone())

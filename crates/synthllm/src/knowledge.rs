@@ -7,7 +7,8 @@
 //! a port the component does not have, re-exposing genuinely unused
 //! ports, …).
 
-use picbench_netlist::Netlist;
+use picbench_netlist::{Instance, Netlist};
+use std::collections::HashSet;
 
 /// Port lists of the built-in component models, mirroring
 /// `picbench_sparams::builtin_models()`.
@@ -47,14 +48,14 @@ pub fn is_builtin(model_ref: &str) -> bool {
 /// Resolves an instance's model reference through the netlist's `models`
 /// section (falling back to the component name itself).
 pub fn instance_model_ref<'a>(netlist: &'a Netlist, instance: &str) -> Option<&'a str> {
-    let inst = netlist.instances.get(instance)?;
-    Some(
-        netlist
-            .models
-            .get(&inst.component)
-            .map(String::as_str)
-            .unwrap_or(inst.component.as_str()),
-    )
+    Some(model_ref(netlist, netlist.instances.get(instance)?))
+}
+
+fn model_ref<'a>(netlist: &'a Netlist, inst: &'a Instance) -> &'a str {
+    netlist
+        .models
+        .get(&inst.component)
+        .map_or(inst.component.as_str(), String::as_str)
 }
 
 /// The port list of an instance in a netlist, if its model is built-in.
@@ -63,21 +64,20 @@ pub fn instance_ports(netlist: &Netlist, instance: &str) -> Option<&'static [&'s
 }
 
 /// Every `(instance, port)` pair in the netlist that exists on its
-/// component but is used by no connection and no external port.
-pub fn unused_ports(netlist: &Netlist) -> Vec<(String, String)> {
-    let used: Vec<String> = netlist
+/// component but is used by no connection and no external port, in
+/// instance order. One pass over the endpoints builds the set of used
+/// pairs, so the cost is linear in the size of the design.
+pub fn unused_ports(netlist: &Netlist) -> Vec<(&str, &'static str)> {
+    let used: HashSet<(&str, &str)> = netlist
         .all_endpoint_refs()
-        .iter()
-        .map(|pr| pr.to_string())
+        .into_iter()
+        .map(|pr| (pr.instance.as_str(), pr.port.as_str()))
         .collect();
     let mut free = Vec::new();
-    for (name, _) in netlist.instances.iter() {
-        if let Some(ports) = instance_ports(netlist, name) {
-            for port in ports {
-                let key = format!("{name},{port}");
-                if !used.contains(&key) {
-                    free.push((name.to_string(), (*port).to_string()));
-                }
+    for (name, inst) in netlist.instances.iter() {
+        for &port in ports_of(model_ref(netlist, inst)).unwrap_or_default() {
+            if !used.contains(&(name, port)) {
+                free.push((name, port));
             }
         }
     }
@@ -146,7 +146,7 @@ mod tests {
         let n = sample();
         let free = unused_ports(&n);
         // mmi1,O2 is the only free port.
-        assert_eq!(free, vec![("mmi1".to_string(), "O2".to_string())]);
+        assert_eq!(free, vec![("mmi1", "O2")]);
     }
 
     #[test]

@@ -75,6 +75,14 @@ pub struct SyntheticLlm {
     /// samples (begin_sample would otherwise clone and re-serialize the
     /// golden for every sample — pure overhead in large campaigns).
     problem_cache: HashMap<String, (Arc<Netlist>, Arc<String>)>,
+    /// The system prompt last scanned for restrictions, with what it
+    /// held. Every turn of a campaign carries the same prompt, so one
+    /// string comparison replaces a substring search per category.
+    restrictions: Option<(String, Vec<FailureType>)>,
+    /// Working copy of the golden design that structural mistakes are
+    /// applied to; refilled with `clone_from`, so its buffers are reused
+    /// from one response to the next.
+    belief: Netlist,
 }
 
 impl SyntheticLlm {
@@ -85,6 +93,8 @@ impl SyntheticLlm {
             global_seed,
             state: None,
             problem_cache: HashMap::new(),
+            restrictions: None,
+            belief: Netlist::default(),
         }
     }
 
@@ -102,17 +112,25 @@ impl SyntheticLlm {
     /// prompt. A real model only benefits from guidance it was shown;
     /// detecting the texts individually is what makes the leave-one-out
     /// restriction ablation meaningful.
-    fn restricted_categories(conversation: &Conversation) -> Vec<FailureType> {
-        let Some(system) = conversation.last_from(Role::System) else {
-            return Vec::new();
-        };
-        if !system.content.contains("Restrictions (strictly follow") {
-            return Vec::new();
+    fn restricted_categories(&mut self, conversation: &Conversation) -> Vec<FailureType> {
+        let system = conversation
+            .last_from(Role::System)
+            .map_or("", |t| t.content.as_str());
+        if let Some((prompt, categories)) = &self.restrictions {
+            if prompt == system {
+                return categories.clone();
+            }
         }
-        FailureType::ALL
-            .into_iter()
-            .filter(|f| !f.restriction().is_empty() && system.content.contains(f.restriction()))
-            .collect()
+        let categories: Vec<FailureType> = if system.contains("Restrictions (strictly follow") {
+            FailureType::ALL
+                .into_iter()
+                .filter(|f| !f.restriction().is_empty() && system.contains(f.restriction()))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        self.restrictions = Some((system.to_string(), categories.clone()));
+        categories
     }
 
     fn initial_generation(&mut self, restricted: &[FailureType]) {
@@ -205,32 +223,38 @@ impl SyntheticLlm {
         }
     }
 
-    fn render_response(&self) -> String {
+    fn render_response(&mut self) -> String {
+        const STEPS: &str = " design from the API document.\nStep 2: instantiate each component \
+             with the specified parameters, using defaults elsewhere.\nStep 3: wire the \
+             components port by port and expose the external I/O ports.\n</analysis>\n<result>\n";
+        const OPEN: &str = "<analysis>\nStep 1: identify the required building blocks for the ";
+        const CLOSE: &str = "\n</result>";
         let state = self.state.as_ref().expect("begin_sample not called");
-        // Belief = golden + structural corruptions (text-level ones are
-        // applied to the rendered JSON afterwards). Corruption-free
-        // attempts — the common case in converged feedback rounds — use
-        // the pre-rendered golden JSON.
-        let json = if state.corruptions.is_empty() {
-            (*state.golden_json).clone()
-        } else {
-            let mut belief = (*state.golden).clone();
-            for c in &state.corruptions {
-                c.apply(&mut belief);
-            }
-            let mut json = belief.to_json_string();
-            for c in &state.corruptions {
-                json = c.apply_text(&json);
-            }
-            json
+        // Belief = golden + structural corruptions; text-level ones are
+        // applied to the rendered JSON afterwards. Attempts without a
+        // structural mistake — the common case in converged feedback
+        // rounds — start from the pre-rendered golden JSON.
+        let text_level = |c: &Corruption| {
+            matches!(
+                c,
+                Corruption::ExtraText { .. } | Corruption::BreakJson { .. }
+            )
         };
-        format!(
-            "<analysis>\nStep 1: identify the required building blocks for the {name} design \
-             from the API document.\nStep 2: instantiate each component with the specified \
-             parameters, using defaults elsewhere.\nStep 3: wire the components port by port \
-             and expose the external I/O ports.\n</analysis>\n<result>\n{json}\n</result>",
-            name = state.problem_name,
-        )
+        let mut corrupted = None;
+        if state.corruptions.iter().any(|c| !text_level(c)) {
+            self.belief.clone_from(&state.golden);
+            for c in &state.corruptions {
+                c.apply(&mut self.belief);
+            }
+            corrupted = Some(self.belief.to_json_string());
+        }
+        for c in state.corruptions.iter().filter(|c| text_level(c)) {
+            let json = corrupted.as_deref().unwrap_or(&state.golden_json);
+            corrupted = Some(c.apply_text(json));
+        }
+        let json = corrupted.as_deref().unwrap_or(&state.golden_json);
+        // `concat` sizes the buffer once for all five parts.
+        [OPEN, &state.problem_name, STEPS, json, CLOSE].concat()
     }
 }
 
@@ -289,17 +313,16 @@ impl LanguageModel for SyntheticLlm {
             self.state.is_some(),
             "begin_sample must be called before respond"
         );
-        let restricted = Self::restricted_categories(conversation);
         let last_user = conversation
             .last_from(Role::User)
-            .map(|t| t.content.clone())
-            .unwrap_or_default();
+            .map_or("", |t| t.content.as_str());
 
         if last_user.contains(CORRECTION_MARKER) {
-            self.repair_syntax(&last_user);
+            self.repair_syntax(last_user);
         } else if last_user.contains(FUNCTIONAL_FEEDBACK) {
             self.repair_functional();
         } else {
+            let restricted = self.restricted_categories(conversation);
             self.initial_generation(&restricted);
         }
         self.render_response()

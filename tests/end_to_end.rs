@@ -25,7 +25,7 @@ fn run_matrix(
 }
 
 #[test]
-fn both_backends_agree_on_every_golden_design() {
+fn every_golden_design_agrees_on_both_solver_paths() {
     let registry = ModelRegistry::with_builtins();
     for problem in picbench::problems::suite() {
         let circuit = Circuit::elaborate(&problem.golden, &registry, Some(&problem.spec))

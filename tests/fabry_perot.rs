@@ -44,7 +44,7 @@ fn airy_transmission(reflectivity: f64, length_um: f64, wl: f64) -> f64 {
 }
 
 #[test]
-fn cavity_matches_airy_formula_on_both_backends() {
+fn cavity_matches_airy_formula_on_both_solver_paths() {
     let registry = ModelRegistry::with_builtins();
     for (reflectivity, length) in [(0.5, 25.0), (0.9, 40.0), (0.3, 10.0)] {
         let netlist = cavity_netlist(reflectivity, length);
