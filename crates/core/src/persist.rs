@@ -10,7 +10,17 @@
 //!   only *successful* sweeps are persisted — failures are cheap to
 //!   classify and recompute),
 //! * **campaign cells** ([`ProblemTally`] keyed by campaign fingerprint
-//!   and cell id — the journal resumable campaigns replay).
+//!   and cell id — the journal resumable campaigns replay), plus the
+//!   shard leases, statistics and marks around them.
+//!
+//! [`EvalStore`] keeps them in two logs in one directory. The journal
+//! (`seg-*` segments) takes the cells and their companions and is
+//! fsynced at every cell barrier; a cell whose
+//! [`EvalStore::record_cell`] returned `true` survives any crash. The
+//! cache (`cache-*` segments) takes verdicts, reports and sweeps. It is
+//! buffered, and its bytes reach the disk on their own schedule, never
+//! inside a cell barrier: a crash may lose its tail, which only costs
+//! recomputation.
 //!
 //! Decoding is defensive end to end: any malformed value decodes to
 //! `None` and the entry recomputes. Corruption costs time, never
@@ -23,11 +33,11 @@ use picbench_math::{CMatrix, Complex};
 use picbench_netlist::{FailureType, ValidationIssue};
 use picbench_sim::{FrequencyResponse, ResponseComparison};
 use picbench_sparams::SMatrix;
-use picbench_store::{RecoveryReport, Snapshot, Store, StoreIo};
+use picbench_store::{FileIo, RecoveryReport, SharedStore, Snapshot, Store, StoreIo};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Record kind of a whole-verdict entry (level 0).
 pub const KIND_VERDICT: u8 = 1;
@@ -426,14 +436,38 @@ pub enum LeaseAdvance {
 // EvalStore
 // ---------------------------------------------------------------------
 
-/// The durable tier: a crash-safe [`Store`] with the typed codecs above.
+/// File prefix of the journal log: the store's default, so a directory
+/// written before the cache had a log of its own opens as a journal.
+const JOURNAL_PREFIX: &str = picbench_store::SEGMENT_PREFIX;
+/// File prefix of the cache log.
+const CACHE_PREFIX: &str = "cache";
+/// The cache log appends in batches of about this many bytes.
+const CACHE_BUFFER_BYTES: usize = 256 << 10;
+
+/// Whether a record kind belongs to the cache log (recomputable) rather
+/// than the journal.
+fn is_cache_kind(kind: u8) -> bool {
+    matches!(kind, KIND_VERDICT | KIND_REPORT | KIND_SIM)
+}
+
+/// The durable tier: two crash-safe [`Store`] logs in one directory, with
+/// the typed codecs above.
+///
+/// * The **journal** (`seg-NNNNNN.picstore`) holds cells, leases, shard
+///   statistics, inherit marks and applied marks. Its records are tens
+///   of bytes, and every [`EvalStore::sync`] barrier fsyncs it.
+/// * The **cache** (`cache-NNNNNN.picstore`) holds verdicts, reports and
+///   sweeps. It appends through an in-memory buffer and fsyncs only when
+///   a segment rotates and when the store closes — never under a journal
+///   barrier. A crash may lose its tail; the lost entries recompute.
 ///
 /// All write failures degrade instead of crash: the store flips into a
-/// degraded state, further writes become no-ops, and
+/// degraded state, further writes to either log become no-ops, and
 /// [`EvalStore::degraded`] lets callers surface the condition once.
 /// Reads keep working off whatever was recovered.
 pub struct EvalStore {
-    store: Mutex<Store>,
+    journal: SharedStore,
+    cache: Mutex<Store>,
     recovery: RecoveryReport,
     degraded: AtomicBool,
     write_errors: AtomicU64,
@@ -456,7 +490,7 @@ pub struct EvalStoreStats {
     /// Typed records accepted for writing (attempted, not necessarily
     /// durable — see `write_errors`).
     pub writes: u64,
-    /// Durability barriers ([`EvalStore::sync`]) that completed.
+    /// Journal durability barriers that completed.
     pub syncs: u64,
     /// Writes or syncs that failed (the first one degrades the store).
     pub write_errors: u64,
@@ -481,33 +515,37 @@ impl EvalStore {
     /// Propagates IO failures opening the directory; damage *inside* the
     /// store never fails an open (see [`EvalStore::recovery`]).
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(Self::from_store(Store::open(dir)?))
+        let dir = dir.as_ref();
+        Self::open_with_io(
+            Box::new(FileIo::new(dir, JOURNAL_PREFIX)?),
+            Box::new(FileIo::new(dir, CACHE_PREFIX)?),
+        )
     }
 
-    /// Opens over an injectable IO layer (the fault-injection seam).
+    /// Opens the journal and the cache log over injectable IO layers (the
+    /// fault-injection seam).
     ///
     /// # Errors
     ///
-    /// Propagates IO failures from the initial segment scan.
-    pub fn open_with_io(io: Box<dyn StoreIo>) -> io::Result<Self> {
-        Ok(Self::from_store(Store::open_with_io(io)?))
-    }
-
-    fn from_store(store: Store) -> Self {
-        let recovery = *store.recovery();
-        EvalStore {
-            store: Mutex::new(store),
-            recovery,
+    /// Propagates IO failures from the initial segment scans.
+    pub fn open_with_io(journal: Box<dyn StoreIo>, cache: Box<dyn StoreIo>) -> io::Result<Self> {
+        let journal = Store::open_with_io(journal)?;
+        let cache = Store::open_with_io(cache)?.with_write_buffer(CACHE_BUFFER_BYTES)?;
+        Ok(EvalStore {
+            recovery: *journal.recovery() + *cache.recovery(),
+            journal: SharedStore::new(journal),
+            cache: Mutex::new(cache),
             degraded: AtomicBool::new(false),
             write_errors: AtomicU64::new(0),
             reads: AtomicU64::new(0),
             read_hits: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             syncs: AtomicU64::new(0),
-        }
+        })
     }
 
-    /// What recovery found (and repaired) when this store opened.
+    /// What recovery found (and repaired) in both logs when this store
+    /// opened, summed.
     pub fn recovery(&self) -> &RecoveryReport {
         &self.recovery
     }
@@ -536,48 +574,78 @@ impl EvalStore {
         }
     }
 
-    fn put(&self, kind: u8, key: &[u8], value: &[u8]) {
+    fn fail(&self) {
+        self.write_errors.fetch_add(1, Ordering::Relaxed);
+        self.degraded.store(true, Ordering::Relaxed);
+    }
+
+    /// The log a record kind lives in, locked.
+    fn log(&self, kind: u8) -> MutexGuard<'_, Store> {
+        if is_cache_kind(kind) {
+            self.cache.lock().expect("store poisoned")
+        } else {
+            self.journal.lock()
+        }
+    }
+
+    /// Writes one record into its log. Returns that log's sequence number
+    /// after the write — for a journal record, what a barrier must reach
+    /// to cover it — or `None` when nothing was written.
+    fn put(&self, kind: u8, key: &[u8], value: &[u8]) -> Option<u64> {
         if self.degraded() {
-            return;
+            return None;
         }
         self.writes.fetch_add(1, Ordering::Relaxed);
         let result = {
-            let mut store = self.store.lock().expect("store poisoned");
-            store.put(kind, key, value)
+            let mut store = self.log(kind);
+            store.put(kind, key, value).map(|_| store.appended())
         };
         if result.is_err() {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-            self.degraded.store(true, Ordering::Relaxed);
+            self.fail();
         }
+        result.ok()
     }
 
     fn get(&self, kind: u8, key: &[u8]) -> Option<Vec<u8>> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        let store = self.store.lock().expect("store poisoned");
-        let value = store.get(kind, key).map(<[u8]>::to_vec);
+        let value = self.log(kind).get(kind, key).map(<[u8]>::to_vec);
         if value.is_some() {
             self.read_hits.fetch_add(1, Ordering::Relaxed);
         }
         value
     }
 
-    /// Flushes and fsyncs — the durability barrier journal writers call
-    /// at cell boundaries. Returns `false` (and degrades) on failure.
+    /// Makes the journal durable up to sequence number `seq`.
+    fn sync_to(&self, seq: u64) -> bool {
+        let durable = if self.degraded() {
+            // A degraded store attempts no IO, but what an earlier
+            // barrier covered stays durable.
+            self.journal.is_durable(seq)
+        } else if self.journal.sync_to(seq).is_err() {
+            self.fail();
+            false
+        } else {
+            true
+        };
+        if durable {
+            self.syncs.fetch_add(1, Ordering::Relaxed);
+        }
+        durable
+    }
+
+    /// The journal's durability barrier: once it returns `true`, every
+    /// cell, lease, shard statistic, inherit mark and applied mark
+    /// written before the call survives a crash. Cache records
+    /// (verdicts, reports, sweeps) are not covered; they are
+    /// recomputable. Concurrent barriers share one fsync, which runs
+    /// without blocking cache reads and writes. Returns `false` (and
+    /// degrades) on failure, and `false` once the store is degraded.
     pub fn sync(&self) -> bool {
         if self.degraded() {
             return false;
         }
-        let result = {
-            let mut store = self.store.lock().expect("store poisoned");
-            store.sync()
-        };
-        if result.is_err() {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-            self.degraded.store(true, Ordering::Relaxed);
-        } else {
-            self.syncs.fetch_add(1, Ordering::Relaxed);
-        }
-        result.is_ok()
+        let seq = self.journal.lock().appended();
+        self.sync_to(seq)
     }
 
     pub(crate) fn get_verdict(&self, key: &ResponseKey) -> Option<EvalReport> {
@@ -609,23 +677,25 @@ impl EvalStore {
     }
 
     /// Journals one completed campaign cell under the campaign's
-    /// fingerprint, then syncs — the crash-consistency barrier resumable
-    /// campaigns rely on. Returns whether the entry is durable.
+    /// fingerprint, then runs the journal barrier — the
+    /// crash-consistency point resumable campaigns rely on. Returns
+    /// whether this cell's record is durable. When it is, so is every
+    /// journal record written before it (cells, leases, shard
+    /// statistics, inherit and applied marks); cache records never are.
     pub fn record_cell(&self, fingerprint: u64, cell: u64, tally: &ProblemTally) -> bool {
         self.put(
             KIND_CELL,
             &encode_cell_key(fingerprint, cell),
             &encode_tally(tally),
-        );
-        self.sync()
+        )
+        .is_some_and(|seq| self.sync_to(seq))
     }
 
     /// Every durably journaled cell of the campaign with this
     /// fingerprint (unordered). Malformed entries are skipped.
     pub fn completed_cells(&self, fingerprint: u64) -> Vec<(u64, ProblemTally)> {
-        let store = self.store.lock().expect("store poisoned");
         let mut cells = Vec::new();
-        store.for_each(KIND_CELL, |key, value| {
+        self.journal.lock().for_each(KIND_CELL, |key, value| {
             if let Some(entry) = decode_cell_entry(fingerprint, key, value) {
                 cells.push(entry);
             }
@@ -650,7 +720,7 @@ impl EvalStore {
         let value = encode_lease(lease);
         self.writes.fetch_add(1, Ordering::Relaxed);
         let result = {
-            let mut store = self.store.lock().expect("store poisoned");
+            let mut store = self.journal.lock();
             match store.get(KIND_LEASE, &key).map(<[u8]>::to_vec) {
                 None => store
                     .compare_and_put(KIND_LEASE, &key, None, &value)
@@ -694,8 +764,7 @@ impl EvalStore {
                 outcome
             }
             Err(_) => {
-                self.write_errors.fetch_add(1, Ordering::Relaxed);
-                self.degraded.store(true, Ordering::Relaxed);
+                self.fail();
                 LeaseAdvance::Degraded
             }
         }
@@ -722,8 +791,8 @@ impl EvalStore {
             KIND_STATS,
             &encode_shard_key(fingerprint, shard),
             &encode_gen_stats(stats),
-        );
-        self.sync()
+        )
+        .is_some_and(|seq| self.sync_to(seq))
     }
 
     /// Journals one completed campaign cell *without* syncing — the
@@ -748,9 +817,8 @@ impl EvalStore {
     /// Every `(fingerprint, seq)` applied-marker pair in the journal —
     /// how a restarted coordinator rebuilds its exactly-once dedup set.
     pub fn applied_records(&self) -> Vec<(u64, u64)> {
-        let store = self.store.lock().expect("store poisoned");
         let mut pairs = Vec::new();
-        store.for_each(KIND_APPLIED, |key, _| {
+        self.journal.lock().for_each(KIND_APPLIED, |key, _| {
             let mut r = Reader::new(key);
             if let (Some(fp), Some(seq)) = (r.u64(), r.u64()) {
                 if r.done() {
@@ -790,7 +858,7 @@ impl EvalSnapshot {
     /// directory is an empty snapshot, not an error.
     pub fn load(dir: impl AsRef<Path>) -> io::Result<Self> {
         Ok(EvalSnapshot {
-            snap: Snapshot::load(dir)?,
+            snap: Snapshot::load(dir, JOURNAL_PREFIX)?,
         })
     }
 

@@ -3,16 +3,18 @@
 //! [`Store`](crate::Store) never touches the filesystem directly: every
 //! byte flows through a [`StoreIo`] (a directory of numbered segments)
 //! and the [`SegmentFile`]s it opens. [`FileIo`] is the production
-//! implementation; [`FaultyIo`] decorates any other implementation with
+//! implementation. [`FaultyIo`] decorates any other implementation with
 //! deterministic fault injection — short writes that simulate a crash
 //! mid-append, bit flips that simulate media corruption on read, and
-//! outright `io::Error`s at scheduled points — so recovery paths are
-//! testable without real power cuts.
+//! outright `io::Error`s at scheduled points. [`PageCacheIo`] models a
+//! power cut: bytes no `sync` covered are lost. Together they make the
+//! recovery paths testable without real power cuts.
 
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One open segment file: an append-only byte sequence that can be read
 /// back in full, truncated (recovery only) and fsync'd.
@@ -25,6 +27,10 @@ pub trait SegmentFile: Send {
     fn append(&mut self, data: &[u8]) -> io::Result<()>;
     /// Flushes and fsyncs the segment to stable storage.
     fn sync(&mut self) -> io::Result<()>;
+    /// A second handle on the same segment. Syncing it makes durable
+    /// every byte appended through any handle, which lets a store fsync
+    /// without holding its index lock.
+    fn try_clone(&self) -> io::Result<Box<dyn SegmentFile>>;
 }
 
 /// A directory of numbered segments.
@@ -35,43 +41,57 @@ pub trait StoreIo: Send {
     fn open_segment(&mut self, id: u32) -> io::Result<Box<dyn SegmentFile>>;
 }
 
-/// Production [`StoreIo`]: segments are `seg-NNNNNN.picstore` files in
-/// one directory (created on open if missing).
+/// The path of segment `id` of the log with this file prefix:
+/// `{prefix}-NNNNNN.picstore`.
+pub(crate) fn segment_path(dir: &Path, prefix: &str, id: u32) -> PathBuf {
+    dir.join(format!("{prefix}-{id:06}.picstore"))
+}
+
+/// The ids of the `{prefix}-NNNNNN.picstore` segments in `dir`,
+/// ascending. Files of other prefixes are ignored, so several logs can
+/// share one directory. A missing directory holds no segments.
+pub(crate) fn list_segment_ids(dir: &Path, prefix: &str) -> io::Result<Vec<u32>> {
+    let mut ids = Vec::new();
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(ids),
+        Err(err) => return Err(err),
+    };
+    for entry in entries {
+        let name = entry?.file_name();
+        let id = name
+            .to_string_lossy()
+            .strip_prefix(prefix)
+            .and_then(|r| r.strip_prefix('-'))
+            .and_then(|r| r.strip_suffix(".picstore"))
+            .and_then(|r| r.parse::<u32>().ok());
+        ids.extend(id);
+    }
+    ids.sort_unstable();
+    Ok(ids)
+}
+
+/// Production [`StoreIo`]: segments are `{prefix}-NNNNNN.picstore` files
+/// in one directory (created on open if missing).
 #[derive(Debug)]
 pub struct FileIo {
     dir: PathBuf,
+    prefix: &'static str,
 }
 
 impl FileIo {
-    /// Opens (creating if needed) the store directory.
-    pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
+    /// Opens (creating if needed) the store directory; this log's
+    /// segments are the files named `{prefix}-NNNNNN.picstore`.
+    pub fn new(dir: impl Into<PathBuf>, prefix: &'static str) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(FileIo { dir })
-    }
-
-    fn segment_path(&self, id: u32) -> PathBuf {
-        self.dir.join(format!("seg-{id:06}.picstore"))
+        Ok(FileIo { dir, prefix })
     }
 }
 
 impl StoreIo for FileIo {
     fn list_segments(&mut self) -> io::Result<Vec<u32>> {
-        let mut ids = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
-            if let Some(rest) = name
-                .strip_prefix("seg-")
-                .and_then(|r| r.strip_suffix(".picstore"))
-            {
-                if let Ok(id) = rest.parse::<u32>() {
-                    ids.push(id);
-                }
-            }
-        }
-        ids.sort_unstable();
-        Ok(ids)
+        list_segment_ids(&self.dir, self.prefix)
     }
 
     fn open_segment(&mut self, id: u32) -> io::Result<Box<dyn SegmentFile>> {
@@ -80,7 +100,7 @@ impl StoreIo for FileIo {
             .write(true)
             .create(true)
             .truncate(false)
-            .open(self.segment_path(id))?;
+            .open(segment_path(&self.dir, self.prefix, id))?;
         Ok(Box::new(FileSegment { file }))
     }
 }
@@ -110,6 +130,12 @@ impl SegmentFile for FileSegment {
 
     fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()
+    }
+
+    fn try_clone(&self) -> io::Result<Box<dyn SegmentFile>> {
+        Ok(Box::new(FileSegment {
+            file: self.file.try_clone()?,
+        }))
     }
 }
 
@@ -254,5 +280,131 @@ impl SegmentFile for FaultySegment {
             }
         }
         self.inner.sync()
+    }
+
+    fn try_clone(&self) -> io::Result<Box<dyn SegmentFile>> {
+        Ok(Box::new(FaultySegment {
+            inner: self.inner.try_clone()?,
+            plan: self.plan.clone(),
+            state: Arc::clone(&self.state),
+        }))
+    }
+}
+
+/// An in-memory [`StoreIo`] that models a disk behind a volatile page
+/// cache. Appends are visible to every reader at once, but a segment
+/// keeps only the bytes a `sync` covered when [`PageCacheIo::crash`]
+/// cuts the power. Clones share one disk.
+///
+/// A crash also kills every handle opened before it, and this IO with
+/// them: their operations fail from then on, as in a dead process.
+/// [`PageCacheIo::restart`] gives the IO the next process opens the
+/// surviving segments through.
+#[derive(Clone, Default)]
+pub struct PageCacheIo {
+    disk: Arc<Mutex<Disk>>,
+    epoch: u64,
+}
+
+#[derive(Default)]
+struct Disk {
+    /// Bumped by every crash; handles of an older epoch are dead.
+    epoch: u64,
+    segments: BTreeMap<u32, MemSegment>,
+}
+
+#[derive(Default)]
+struct MemSegment {
+    bytes: Vec<u8>,
+    /// Length of the prefix the last sync made durable.
+    synced: usize,
+}
+
+impl PageCacheIo {
+    /// An empty disk.
+    pub fn new() -> Self {
+        PageCacheIo::default()
+    }
+
+    /// Simulates a power cut: truncates every segment to its last-synced
+    /// length and kills every handle opened so far.
+    pub fn crash(&self) {
+        let mut disk = self.disk.lock().expect("disk poisoned");
+        disk.epoch += 1;
+        for segment in disk.segments.values_mut() {
+            segment.bytes.truncate(segment.synced);
+        }
+    }
+
+    /// The IO a process started after the last crash opens the disk
+    /// through.
+    pub fn restart(&self) -> PageCacheIo {
+        let epoch = self.disk.lock().expect("disk poisoned").epoch;
+        PageCacheIo {
+            disk: Arc::clone(&self.disk),
+            epoch,
+        }
+    }
+
+    /// Locks the disk; fails once a crash has killed this IO's epoch.
+    fn live_disk(&self) -> io::Result<MutexGuard<'_, Disk>> {
+        let disk = self.disk.lock().expect("disk poisoned");
+        if disk.epoch == self.epoch {
+            Ok(disk)
+        } else {
+            Err(io::Error::other("simulated power cut"))
+        }
+    }
+}
+
+impl StoreIo for PageCacheIo {
+    fn list_segments(&mut self) -> io::Result<Vec<u32>> {
+        Ok(self.live_disk()?.segments.keys().copied().collect())
+    }
+
+    fn open_segment(&mut self, id: u32) -> io::Result<Box<dyn SegmentFile>> {
+        self.live_disk()?.segments.entry(id).or_default();
+        Ok(Box::new(PageCacheSegment {
+            io: self.clone(),
+            id,
+        }))
+    }
+}
+
+#[derive(Clone)]
+struct PageCacheSegment {
+    io: PageCacheIo,
+    id: u32,
+}
+
+impl PageCacheSegment {
+    fn with<R>(&self, f: impl FnOnce(&mut MemSegment) -> R) -> io::Result<R> {
+        let mut disk = self.io.live_disk()?;
+        Ok(f(disk.segments.entry(self.id).or_default()))
+    }
+}
+
+impl SegmentFile for PageCacheSegment {
+    fn read_all(&mut self) -> io::Result<Vec<u8>> {
+        self.with(|s| s.bytes.clone())
+    }
+
+    fn truncate_to(&mut self, len: u64) -> io::Result<()> {
+        self.with(|s| {
+            s.bytes.truncate(len as usize);
+            s.synced = s.synced.min(s.bytes.len());
+        })
+    }
+
+    fn append(&mut self, data: &[u8]) -> io::Result<()> {
+        self.with(|s| s.bytes.extend_from_slice(data))
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        self.with(|s| s.synced = s.bytes.len())
+    }
+
+    fn try_clone(&self) -> io::Result<Box<dyn SegmentFile>> {
+        Ok(Box::new(self.clone()))
     }
 }

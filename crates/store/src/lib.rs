@@ -7,8 +7,11 @@
 //!
 //! # Segment format (version 1)
 //!
-//! A store is a directory of numbered segment files
-//! (`seg-000000.picstore`, `seg-000001.picstore`, ...). Each segment is:
+//! A store is a log of numbered segment files in one directory
+//! (`seg-000000.picstore`, `seg-000001.picstore`, ...). The file prefix
+//! (`seg` by default) names the log, so several logs can share a
+//! directory: `picbench-core` keeps its journal in `seg-*` and its cache
+//! in `cache-*`. Each segment is:
 //!
 //! ```text
 //! header:  "PICSTOR1" (8 bytes) | version u32 LE (= 1)
@@ -36,9 +39,19 @@
 //!    length prefix and payload; a record is only trusted if it
 //!    verifies. Sealed segments additionally carry a footer digest over
 //!    all record checksums.
-//! 3. **Durability barrier.** [`Store::sync`] fsyncs the active segment.
-//!    Records appended before a completed `sync` survive any crash;
-//!    records after the last `sync` may be lost (and then recompute).
+//! 3. **Durability barrier.** [`Store::sync`] appends any buffered
+//!    records and fsyncs the active segment. Records put before a
+//!    completed `sync` survive any crash; records after the last `sync`
+//!    may be lost (and then recompute). A store opted into
+//!    [`Store::with_write_buffer`] keeps records in process memory until
+//!    a batch fills, so even a process crash loses the records put since
+//!    its last batch. It syncs only on `sync`, rotation and drop, and
+//!    fsyncs each new segment's header at once, so a crash never leaves
+//!    that segment headerless.
+//!    [`SharedStore::sync_to`] is the same barrier for a store shared
+//!    between threads: it fsyncs outside the index lock, and concurrent
+//!    barriers share one fsync (group commit on a durable-sequence
+//!    watermark).
 //! 4. **Recovery never panics.** Opening a store classifies damage
 //!    instead of failing:
 //!    - a *torn tail* (incomplete frame at the end of the active
@@ -58,13 +71,16 @@
 //! All IO flows through the [`StoreIo`]/[`SegmentFile`] traits.
 //! [`FaultyIo`] decorates any implementation with a deterministic
 //! [`FaultPlan`] — short writes, scheduled `io::Error`s and read-time
-//! bit flips — so every recovery path above is exercised in tests
+//! bit flips — and [`PageCacheIo`] models a power cut that drops every
+//! unsynced byte, so every recovery path above is exercised in tests
 //! without real power cuts.
 
 mod io;
 mod segment;
 mod store;
 
-pub use io::{FaultPlan, FaultyIo, FileIo, SegmentFile, StoreIo};
+pub use io::{FaultPlan, FaultyIo, FileIo, PageCacheIo, SegmentFile, StoreIo};
 pub use segment::{fnv1a64, scan_segment, xorshift64, ScannedRecord, SegmentScan, KIND_FOOTER};
-pub use store::{RecoveryReport, Snapshot, Store, DEFAULT_MAX_SEGMENT_BYTES};
+pub use store::{
+    RecoveryReport, SharedStore, Snapshot, Store, DEFAULT_MAX_SEGMENT_BYTES, SEGMENT_PREFIX,
+};

@@ -46,21 +46,31 @@ pub fn header_bytes() -> [u8; HEADER_LEN] {
     h
 }
 
-/// Encodes one record frame: `len | kind | key_len | key | value | checksum`.
-pub fn encode_record(kind: u8, key: &[u8], value: &[u8]) -> Vec<u8> {
+/// Appends one record frame — `len | kind | key_len | key | value |
+/// checksum` — to `out` and returns its checksum.
+pub fn encode_record_into(out: &mut Vec<u8>, kind: u8, key: &[u8], value: &[u8]) -> u64 {
     let payload_len = 1 + 4 + key.len() + value.len();
     assert!(
         payload_len as u64 <= MAX_RECORD_LEN as u64,
         "record exceeds MAX_RECORD_LEN"
     );
-    let mut frame = Vec::with_capacity(4 + payload_len + 8);
-    frame.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    frame.push(kind);
-    frame.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    frame.extend_from_slice(key);
-    frame.extend_from_slice(value);
-    let checksum = fnv1a64(&frame);
-    frame.extend_from_slice(&checksum.to_le_bytes());
+    let start = out.len();
+    out.reserve(4 + payload_len + 8);
+    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    out.push(kind);
+    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    out.extend_from_slice(key);
+    out.extend_from_slice(value);
+    let checksum = fnv1a64(&out[start..]);
+    out.extend_from_slice(&checksum.to_le_bytes());
+    checksum
+}
+
+/// One record frame on its own.
+#[cfg(test)]
+pub fn encode_record(kind: u8, key: &[u8], value: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    encode_record_into(&mut frame, kind, key, value);
     frame
 }
 
