@@ -1075,8 +1075,9 @@ fn execute_campaign(
     // and seeded into the evaluation cache so golden-identical candidates
     // are instant hits. This serial priming phase honours the halt
     // switch per problem, so an early abort responds promptly instead of
-    // sweeping every golden first. When a store is attached it doubles
-    // as the disk tier under the shared cache.
+    // sweeping every golden first; a resume that restored every cell
+    // has nothing to compare and primes none. When a store is attached
+    // it doubles as the disk tier under the shared cache.
     let cache = config.cache.then(|| match shared_cache {
         // Multi-tenant path: reuse the injected process-wide cache
         // verbatim (including whatever disk tier it was built with).
@@ -1102,11 +1103,13 @@ fn execute_campaign(
             evaluator = evaluator.with_cache(Arc::clone(cache));
         }
         let mut table = HashMap::with_capacity(problems.len());
-        for problem in problems {
-            if halted() {
-                break;
+        if cells_restored < cells.len() {
+            for problem in problems {
+                if halted() {
+                    break;
+                }
+                table.insert(problem.id.clone(), evaluator.prime_golden(problem));
             }
-            table.insert(problem.id.clone(), evaluator.prime_golden(problem));
         }
         Arc::new(table)
     };

@@ -387,6 +387,18 @@ impl EvalCache {
         shard.entry(key).or_insert(outcome);
     }
 
+    /// The memory tier's successful sweep under `key`, without counting
+    /// a hit or falling through to the disk tier.
+    fn peek_sim_response(&self, key: &SimKey) -> Option<Arc<FrequencyResponse>> {
+        let shard = self.sim_shards[Self::shard(key.0)]
+            .lock()
+            .expect("sim shard poisoned");
+        match shard.get(key)? {
+            SimOutcome::Response(response) => Some(Arc::clone(response)),
+            SimOutcome::Failed(_) => None,
+        }
+    }
+
     /// Number of memoized sweep outcomes.
     pub fn simulation_count(&self) -> usize {
         self.sim_shards
@@ -582,12 +594,24 @@ impl Evaluator {
     /// seeded entry is bit-identical to what a cold candidate evaluation
     /// would compute, because goldens run through the same canonical
     /// pipeline.
+    ///
+    /// When the attached cache's memory tier already holds that sweep
+    /// (an earlier campaign on a shared cache primed it), the cached
+    /// response is reused without sweeping. The lookup counts no hit,
+    /// so cache statistics are the same whether or not it succeeds.
     pub fn prime_golden(&mut self, problem: &Problem) -> Arc<FrequencyResponse> {
-        let golden = self.golden_response_arc(problem);
-        if let Some(cache) = &self.cache {
-            let key = self.sim_key(problem, problem.golden.content_hash());
-            cache.put_sim(key, SimOutcome::Response(Arc::clone(&golden)));
+        let Some(cache) = self.cache.clone() else {
+            return self.golden_response_arc(problem);
+        };
+        let key = self.sim_key(problem, problem.golden.content_hash());
+        if let Some(golden) = cache.peek_sim_response(&key) {
+            self.golden_cache
+                .entry(problem.id.to_string())
+                .or_insert_with(|| Arc::clone(&golden));
+            return golden;
         }
+        let golden = self.golden_response_arc(problem);
+        cache.put_sim(key, SimOutcome::Response(Arc::clone(&golden)));
         golden
     }
 
@@ -992,6 +1016,28 @@ mod tests {
         assert!(Arc::ptr_eq(&golden, &ev.golden_response_arc(&problem)));
         let report = ev.evaluate_response(&problem, &wrap(&problem.golden.to_json_string()));
         assert!(report.functional_pass());
+    }
+
+    #[test]
+    fn prime_golden_reuses_the_shared_cache_without_counting() {
+        let problem = mzi_ps();
+        let cache = Arc::new(EvalCache::new());
+        let mut first = Evaluator::default().with_cache(Arc::clone(&cache));
+        let primed = first.prime_golden(&problem);
+        let stats = cache.stats();
+        let simulations = cache.simulation_count();
+        assert_eq!(simulations, 1);
+
+        // A second evaluator on the same cache takes the primed sweep as
+        // is: same allocation, no counter moves, no new entry.
+        let mut second = Evaluator::default().with_cache(Arc::clone(&cache));
+        let reused = second.prime_golden(&problem);
+        assert!(Arc::ptr_eq(&primed, &reused));
+        assert_eq!(cache.stats(), stats);
+        assert_eq!(cache.simulation_count(), simulations);
+        // The evaluator keeps it for its own comparisons, too.
+        assert!(Arc::ptr_eq(&reused, &second.golden_response_arc(&problem)));
+        assert_eq!(*reused, *Evaluator::default().golden_response_arc(&problem));
     }
 
     #[test]

@@ -227,6 +227,31 @@ fn warm_start_serves_from_the_disk_tier_without_changing_results() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn resuming_a_complete_journal_restores_every_cell_and_writes_nothing() {
+    let dir = temp_dir("complete");
+    let cold = {
+        let store = open_store(&dir);
+        let report = builder().store(Arc::clone(&store)).build().unwrap().run();
+        store.sync();
+        report
+    };
+    // Nothing is left to evaluate, so nothing is primed either: the
+    // goldens' sweeps are not even offered to the disk tier again.
+    let store = open_store(&dir);
+    let cells = problems().len() * profiles().len() * config().feedback_iters.len();
+    let outcome = builder()
+        .resume_from(Arc::clone(&store))
+        .build()
+        .unwrap()
+        .execute();
+    assert_eq!(outcome.cells_restored, cells);
+    assert_eq!(outcome.cells_completed, cells);
+    assert!(outcome.report.expect("complete").same_results(&cold));
+    assert_eq!(store.stats().writes, 0, "{:?}", store.stats());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Wraps every profile in a [`FlakyProvider`] with the given schedule,
 /// keeping the clean display names so reports stay comparable.
 fn flaky_providers(kinds: Vec<FailureKind>, period: usize) -> Vec<Arc<dyn ModelProvider>> {

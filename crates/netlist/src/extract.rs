@@ -55,13 +55,23 @@ impl fmt::Display for ExtractError {
 
 impl Error for ExtractError {}
 
+/// Byte offset of the first case-insensitive match of the ASCII `tag`.
+/// Matching the original bytes (never a lowercased copy, whose byte
+/// offsets can differ) keeps every offset on a char boundary: a match
+/// starts at an ASCII `<`.
+fn find_tag(text: &str, tag: &str) -> Option<usize> {
+    text.match_indices('<').map(|(i, _)| i).find(|&i| {
+        text.as_bytes()
+            .get(i..i + tag.len())
+            .is_some_and(|window| window.eq_ignore_ascii_case(tag.as_bytes()))
+    })
+}
+
 /// Finds the `<result>` section if present, returning `(section, found)`.
 fn result_section(text: &str) -> (&str, bool) {
-    let lower = text.to_lowercase();
-    if let Some(start) = lower.find("<result>") {
+    if let Some(start) = find_tag(text, "<result>") {
         let after = start + "<result>".len();
-        let end = lower[after..]
-            .find("</result>")
+        let end = find_tag(&text[after..], "</result>")
             .map(|e| after + e)
             .unwrap_or(text.len());
         (&text[after..end], true)
@@ -246,5 +256,26 @@ mod tests {
     fn case_insensitive_result_tag() {
         let p = extract_payload("<RESULT>{\"a\": 1}</RESULT>").unwrap();
         assert!(p.had_result_tag);
+        let p = extract_payload("<Result>{\"a\": 1}</rEsUlT> trailing").unwrap();
+        assert_eq!(p.json, "{\"a\": 1}");
+        assert!(!p.has_extra_content());
+    }
+
+    #[test]
+    fn text_whose_lowercase_is_longer_keeps_the_tag_offsets() {
+        // 'İ' (2 bytes) lowercases to 3 bytes; offsets found in a
+        // lowercased copy would land one byte off in the original.
+        let p = extract_payload("İ<result>{\"a\": 1}</result>").unwrap();
+        assert_eq!(p.json, "{\"a\": 1}");
+        assert!(p.had_result_tag);
+        assert!(!p.has_extra_content());
+    }
+
+    #[test]
+    fn text_whose_lowercase_is_longer_does_not_split_a_char() {
+        let p = extract_payload("İ<result>é{\"a\": 1}</result>").unwrap();
+        assert_eq!(p.json, "{\"a\": 1}");
+        assert!(p.had_result_tag);
+        assert_eq!(p.extra_content.as_deref(), Some("é"));
     }
 }

@@ -1,6 +1,7 @@
-//! Property-based tests for JSON and netlist round-trips.
+//! Property-based tests for JSON and netlist round-trips and for payload
+//! extraction from noisy responses.
 
-use picbench_netlist::{json, Connection, Instance, Netlist, OrderedMap, PortRef};
+use picbench_netlist::{extract, json, Connection, Instance, Netlist, OrderedMap, PortRef};
 use proptest::prelude::*;
 
 fn json_value_strategy() -> impl Strategy<Value = json::Value> {
@@ -288,5 +289,55 @@ proptest! {
             .unwrap();
         *slot += delta;
         prop_assert_ne!(tweaked.content_hash(), n.content_hash());
+    }
+}
+
+/// Characters whose case mapping changes their UTF-8 length (or maps
+/// them onto ASCII), markup look-alikes, and JSON punctuation.
+const TRICKY_CHARS: &[char] = &[
+    'İ', 'ẞ', 'Σ', 'ς', 'K', 'Ω', 'ﬁ', 'Ⱥ', 'ȿ', 'é', '😀', '<', '>', '/', 'r', 'R', '{', '}', '"',
+    '`', '\n',
+];
+
+/// Random Unicode text: tricky characters mixed with arbitrary scalar
+/// values from every plane.
+fn unicode_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(any::<u64>(), 0..24).prop_map(|draws| {
+        draws
+            .into_iter()
+            .map(|d| {
+                if d & 1 == 0 {
+                    TRICKY_CHARS[(d >> 1) as usize % TRICKY_CHARS.len()]
+                } else {
+                    char::from_u32(((d >> 1) % 0x11_0000) as u32).unwrap_or('\u{FFFD}')
+                }
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn extract_payload_survives_unicode_around_a_valid_response(
+        n in netlist_strategy(),
+        prefix in unicode_text(),
+        suffix in unicode_text(),
+    ) {
+        // Text before the first `<result>` and after `</result>` is
+        // outside the section, so it must not change what is found.
+        prop_assume!(!prefix.to_ascii_lowercase().contains("<result>"));
+        let response = format!(
+            "<analysis>wiring it up</analysis>\n<result>\n{}\n</result>",
+            n.to_json_string()
+        );
+        let clean = extract::extract_payload(&response).expect("valid response extracts");
+        let noisy = extract::extract_payload(&format!("{prefix}{response}{suffix}"))
+            .expect("noise outside the section is ignored");
+        prop_assert_eq!(noisy, clean);
+        // Noise alone never panics either, whatever it is classified as.
+        let _ = extract::extract_payload(&format!("{prefix}<result>{suffix}"));
+        let _ = extract::extract_payload(&format!("{suffix}{prefix}"));
     }
 }

@@ -29,9 +29,12 @@
 //!
 //! Tenancy rides on the `x-picbench-tenant` header; a session is only
 //! visible to the tenant that created it (foreign lookups are
-//! structurally 404). Shutdown is graceful: the acceptor stops, new
-//! work is refused with 503, in-flight campaigns run to completion and
-//! their streams drain before [`ServerHandle::shutdown`] returns.
+//! structurally 404). The acceptor blocks in `accept()`, so a new
+//! connection reaches a worker as soon as it arrives. Shutdown is
+//! graceful: [`ServerHandle::shutdown`] sets the flag and wakes the
+//! acceptor with one loopback connection, so it stops; new work is
+//! refused with 503, in-flight campaigns run to completion and their
+//! streams drain before it returns.
 //!
 //! [`EvalStore`]: picbench_core::EvalStore
 
@@ -46,7 +49,7 @@ use picbench_problems::Problem;
 use picbench_synthllm::{ModelProfile, ModelProvider};
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -156,7 +159,6 @@ impl PicbenchServer {
     pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let store = match &config.store_dir {
             Some(dir) => Some(Arc::new(EvalStore::open(dir)?)),
@@ -198,19 +200,24 @@ impl PicbenchServer {
             })
             .collect();
 
+        // `accept()` blocks; shutdown wakes it with a connection of its
+        // own (`wake_acceptor`), so the flag is checked after each return.
         let acceptor = {
             let state = Arc::clone(&state);
             std::thread::spawn(move || {
-                while !state.shutdown.load(Ordering::Acquire) {
-                    match listener.accept() {
+                loop {
+                    let accepted = listener.accept();
+                    if state.shutdown.load(Ordering::Acquire) {
+                        break;
+                    }
+                    match accepted {
                         Ok((stream, _)) => {
                             if tx.send(stream).is_err() {
                                 break;
                             }
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
+                        // Real accept errors (e.g. out of descriptors)
+                        // back off briefly instead of spinning.
                         Err(_) => std::thread::sleep(Duration::from_millis(2)),
                     }
                 }
@@ -238,6 +245,7 @@ impl ServerHandle {
     pub fn shutdown(mut self) {
         self.state.shutdown.store(true, Ordering::Release);
         if let Some(acceptor) = self.acceptor.take() {
+            wake_acceptor(self.addr, &acceptor);
             let _ = acceptor.join();
         }
         // Campaigns finish → logs close → streaming workers drain.
@@ -245,6 +253,28 @@ impl ServerHandle {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
+    }
+}
+
+/// Unblocks an acceptor parked in `accept()` by connecting to it. A
+/// server bound to an unspecified IP (`0.0.0.0`, `::`) is reached on the
+/// loopback address of the same family. A failed connect (say, this
+/// process is out of descriptors) is retried until the acceptor exits;
+/// an acceptor failing the same way sees the flag after its own
+/// accept error.
+fn wake_acceptor(addr: SocketAddr, acceptor: &JoinHandle<()>) {
+    let mut target = addr;
+    if addr.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    while !acceptor.is_finished() {
+        if TcpStream::connect(target).is_ok() {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(2));
     }
 }
 

@@ -257,11 +257,14 @@ impl SessionTable {
     }
 
     /// Registers the session's campaign thread so shutdown can drain it.
+    /// Runners that already finished are released here: an exited
+    /// thread keeps its stack mapped until it is joined or detached, so
+    /// holding every handle until shutdown would exhaust the process's
+    /// memory mappings after some tens of thousands of sessions.
     pub fn track_runner(&self, handle: JoinHandle<()>) {
-        self.runners
-            .lock()
-            .expect("session runners poisoned")
-            .push(handle);
+        let mut runners = self.runners.lock().expect("session runners poisoned");
+        runners.retain(|runner| !runner.is_finished());
+        runners.push(handle);
     }
 
     /// Looks a session up *within* a tenant: sessions of other tenants
@@ -453,6 +456,27 @@ mod tests {
         let stats = table.stats();
         assert_eq!(stats.peak_active, 2);
         assert_eq!(stats.started, 3);
+    }
+
+    #[test]
+    fn finished_runners_are_released_before_drain() {
+        let table = SessionTable::new();
+        for _ in 0..3 {
+            let runner = std::thread::spawn(|| {});
+            while !runner.is_finished() {
+                std::thread::yield_now();
+            }
+            table.track_runner(runner);
+        }
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        table.track_runner(std::thread::spawn(move || {
+            let _ = gate.recv();
+        }));
+        // Only the running thread is still held for the drain.
+        assert_eq!(table.runners.lock().unwrap().len(), 1);
+        release.send(()).unwrap();
+        table.drain();
+        assert!(table.runners.lock().unwrap().is_empty());
     }
 
     #[test]

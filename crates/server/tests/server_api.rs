@@ -433,3 +433,61 @@ fn nesting_bomb_is_a_400_and_the_server_keeps_serving() {
 
     server.shutdown();
 }
+
+/// Runs `body` on its own thread and fails the test if it has not
+/// returned within `limit`, so a hung acceptor fails instead of
+/// stalling the suite.
+fn under_watchdog(limit: std::time::Duration, body: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        body();
+        let _ = done_tx.send(());
+    });
+    // A body that panicked disconnects the channel; `join` surfaces it.
+    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = done_rx.recv_timeout(limit) {
+        panic!("no return within {limit:?}: the server hung");
+    }
+    worker.join().expect("body panicked");
+}
+
+#[test]
+fn server_bound_to_the_unspecified_address_serves_and_shuts_down() {
+    under_watchdog(std::time::Duration::from_secs(60), || {
+        let server = PicbenchServer::start(ServerConfig {
+            addr: "0.0.0.0:0".parse().unwrap(),
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        assert!(server.addr().ip().is_unspecified());
+        let loopback = std::net::SocketAddr::from(([127, 0, 0, 1], server.addr().port()));
+        let client = ApiClient::new(loopback);
+        let body = r#"{"problems": ["mzi-ps"], "models": ["GPT-4"], "samples_per_problem": 2,
+            "k_values": [1], "feedback_iters": [0], "seed": 5}"#;
+        let id = submit(&client, body);
+        let lines = stream_to_end(&client, &id);
+        let last = wire::decode_event(lines.last().unwrap()).unwrap();
+        assert!(matches!(
+            last,
+            CampaignEvent::CampaignFinished {
+                cancelled: false,
+                ..
+            }
+        ));
+        // Shutdown wakes the blocked acceptor through loopback.
+        server.shutdown();
+    });
+}
+
+#[test]
+fn repeated_start_and_shutdown_cycles_all_return() {
+    under_watchdog(std::time::Duration::from_secs(60), || {
+        for _ in 0..20 {
+            let server = PicbenchServer::start(ServerConfig {
+                workers: 2,
+                ..ServerConfig::default()
+            })
+            .expect("server starts");
+            server.shutdown();
+        }
+    });
+}
