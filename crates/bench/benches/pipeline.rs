@@ -113,7 +113,7 @@ fn response_evaluation(c: &mut Criterion) {
     let pass_text = format!("<result>\n{}\n</result>", problem.golden.to_json_string());
     group.bench_function("mzi-ps-pass", |b| {
         let mut evaluator = Evaluator::default();
-        evaluator.golden_response(&problem); // warm the cache
+        evaluator.golden_response_arc(&problem); // warm the cache
         b.iter(|| {
             let report = evaluator.evaluate_response(&problem, &pass_text);
             assert!(report.functional_pass());
@@ -126,7 +126,7 @@ fn response_evaluation(c: &mut Criterion) {
     let fail_text = format!("<result>\n{}\n</result>", broken.to_json_string());
     group.bench_function("mzi-ps-wrong-port", |b| {
         let mut evaluator = Evaluator::default();
-        evaluator.golden_response(&problem);
+        evaluator.golden_response_arc(&problem);
         b.iter(|| {
             let report = evaluator.evaluate_response(&problem, &fail_text);
             assert!(!report.syntax_pass());

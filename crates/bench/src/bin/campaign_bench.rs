@@ -397,11 +397,10 @@ fn main() {
     );
     println!(
         "speedup: {speedup:.2}x; cache: {} lookups, {:.1}% served without a sweep \
-         ({} response hits, {} report hits, {} sim hits, {} misses)",
+         ({} response hits, {} sim hits, {} misses)",
         stats.lookups(),
         100.0 * hit_rate,
         stats.response_hits,
-        stats.report_hits,
         stats.sim_hits,
         stats.misses,
     );
@@ -423,7 +422,7 @@ fn main() {
          \"cached_ms\": {cached:.1},\n    \"speedup\": {speedup:.2},\n    \
          \"uncached_cells_per_sec\": {:.2},\n    \"cached_cells_per_sec\": {:.2}\n  }},\n  \
          \"cache\": {{\n    \"lookups\": {},\n    \"response_hits\": {},\n    \
-         \"report_hits\": {},\n    \"sim_hits\": {},\n    \"misses\": {},\n    \
+         \"sim_hits\": {},\n    \"misses\": {},\n    \
          \"hit_rate\": {hit_rate:.4}\n  }},\n  \
          \"store\": {{\n    \"cold_ms\": {cold_ms:.1},\n    \"warm_ms\": {warm_ms:.1},\n    \
          \"warm_lookups\": {warm_lookups},\n    \"warm_disk_hits\": {warm_disk_hits},\n    \
@@ -445,7 +444,6 @@ fn main() {
         cells as f64 / (cached / 1e3),
         stats.lookups(),
         stats.response_hits,
-        stats.report_hits,
         stats.sim_hits,
         stats.misses,
         args.resume,

@@ -239,7 +239,6 @@ fn main() {
     let peak_streams = counter(&["sessions", "peak_streams"]) as usize;
     let finished = counter(&["sessions", "finished"]) as usize;
     let hits = counter(&["cache", "response_hits"])
-        + counter(&["cache", "report_hits"])
         + counter(&["cache", "sim_hits"])
         + counter(&["cache", "disk_hits"]);
     let misses = counter(&["cache", "misses"]);

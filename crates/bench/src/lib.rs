@@ -158,7 +158,7 @@ pub fn table1() -> String {
     let mut current_category = None;
     for p in &problems {
         // Simulating the golden guarantees the row describes a live design.
-        let _ = evaluator.golden_response(p);
+        let _ = evaluator.golden_response_arc(p);
         if current_category != Some(p.category) {
             let _ = writeln!(out, "--- {} ---", p.category);
             current_category = Some(p.category);

@@ -20,12 +20,12 @@
 //!   [`Netlist::content_hash`] class produce the *same frequency response
 //!   bit for bit* — which is what makes cached replay indistinguishable
 //!   from cold evaluation;
-//! * an optional shared [`EvalCache`] memoizes at three levels: the
+//! * an optional shared [`EvalCache`] memoizes at two levels: the
 //!   sweep outcome per `(netlist hash, grid, SIMD tier, port spec)`
-//!   (level 1), the finished [`EvalReport`] additionally keyed by
-//!   problem and tolerance (level 2), and — because a verdict is a pure
-//!   function of the response text given those settings — whole verdicts
-//!   per response-text digest (level 0), which skips even extraction and
+//!   (level 1), after which only the cheap golden comparison reruns,
+//!   and — because a verdict is a pure function of the response text
+//!   given those settings and the problem — whole verdicts per
+//!   response-text digest (level 0), which skips even extraction and
 //!   JSON parsing on replays;
 //! * a [`ScheduleCache`] reuses the topology-level [`SweepSchedule`]s
 //!   across candidates, and one [`SolveWorkspace`] serves every serial
@@ -52,8 +52,9 @@ use picbench_sim::{
     ScheduleCache, SimError, SimulateError, SolveWorkspace, SweepPlan, WavelengthGrid,
 };
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default tolerance on the maximum per-pair |ΔS|² for functional
 /// equivalence.
@@ -106,15 +107,11 @@ impl EvalReport {
 /// validation).
 pub(crate) type SimKey = (u64, (u64, u64, usize), SimdLevel, (usize, usize));
 
-/// A [`SimKey`] further scoped by problem-id digest and functional
-/// tolerance — the key of a finished [`EvalReport`]. (Digests rather
-/// than owned `String`s keep cache lookups allocation-free.)
-pub(crate) type ReportKey = (SimKey, u64, u64);
-
 /// Identifies one raw-response evaluation: response-text digest, grid,
 /// SIMD tier, problem-id digest, tolerance. A verdict is a pure function
 /// of these (given the fixed built-in registry), so whole reports can be
-/// replayed from it.
+/// replayed from it. (Digests rather than owned `String`s keep cache
+/// lookups allocation-free.)
 pub(crate) type ResponseKey = (u64, (u64, u64, usize), SimdLevel, u64, u64);
 
 /// The memoized outcome of simulating one structurally valid netlist.
@@ -129,12 +126,49 @@ enum SimOutcome {
 
 const SHARD_COUNT: usize = 16;
 
+/// One cache level: 16 mutexed hash maps, striped by a key digest.
+/// Entries are only ever inserted and the first insert wins (every writer
+/// computes the identical value for a key, a consequence of canonical
+/// simulation), so contention is limited to short lock windows.
+#[derive(Debug)]
+struct Shards<K, V> {
+    shards: Vec<Mutex<HashMap<K, V>>>,
+}
+
+impl<K: Eq + Hash, V> Shards<K, V> {
+    fn new() -> Self {
+        Shards {
+            shards: (0..SHARD_COUNT).map(|_| Mutex::default()).collect(),
+        }
+    }
+
+    /// The stripe holding keys with this digest, locked.
+    fn lock(&self, digest: u64) -> MutexGuard<'_, HashMap<K, V>> {
+        self.shards[(digest as usize) & (SHARD_COUNT - 1)]
+            .lock()
+            .expect("cache shard poisoned")
+    }
+
+    /// Inserts `value` unless `key` already has one.
+    fn insert(&self, digest: u64, key: K, value: V) {
+        self.lock(digest).entry(key).or_insert(value);
+    }
+
+    fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("cache shard poisoned").len())
+            .sum()
+    }
+}
+
 /// Counter snapshot of an [`EvalCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalCacheStats {
     /// Whole verdicts replayed straight from the response text.
     pub response_hits: u64,
-    /// Verdicts replayed from the canonical netlist digest.
+    /// Always 0. The finished-report level it counted was retired; the
+    /// field stays so the counter set keeps its shape on the wire.
     pub report_hits: u64,
     /// Verdicts re-derived from a memoized sweep.
     pub sim_hits: u64,
@@ -166,20 +200,20 @@ impl EvalCacheStats {
     }
 }
 
-/// Per-tenant hit/miss accounting over a shared [`EvalCache`].
+/// Hit/miss counters over an [`EvalCache`]: the cache's own global set,
+/// or one tenant's share of a shared cache.
 ///
 /// A process-wide cache serving several tenants (the `picbench-server`
-/// session table) still needs to answer "who benefited?": a scope is a
-/// bundle of atomic counters that an [`Evaluator`] bumps *in addition
-/// to* the cache's own global counters, on exactly the same events.
-/// Scopes are plain data — they hold no keys and no reports, so handing
-/// a tenant its scope stats can never leak another tenant's results.
-/// Summing every scope's counters reproduces the global counters for
-/// the same window (both sides count each lookup exactly once).
+/// session table) still needs to answer "who benefited?": an
+/// [`Evaluator`] with a scope attached bumps it *in addition to* the
+/// cache's global counters, on exactly the same events. Scopes are plain
+/// data — they hold no keys and no reports, so handing a tenant its
+/// scope stats can never leak another tenant's results. Summing every
+/// scope's counters reproduces the global counters for the same window
+/// (both sides count each lookup exactly once).
 #[derive(Debug, Default)]
 pub struct CacheScope {
     response_hits: AtomicU64,
-    report_hits: AtomicU64,
     sim_hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
@@ -196,7 +230,7 @@ impl CacheScope {
     pub fn stats(&self) -> EvalCacheStats {
         EvalCacheStats {
             response_hits: self.response_hits.load(Ordering::Relaxed),
-            report_hits: self.report_hits.load(Ordering::Relaxed),
+            report_hits: 0,
             sim_hits: self.sim_hits.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -204,28 +238,21 @@ impl CacheScope {
     }
 }
 
-/// A sharded, thread-safe, content-addressed evaluation cache.
+/// A sharded, thread-safe, content-addressed evaluation cache with two
+/// levels.
 ///
-/// Level 1 memoizes sweep outcomes by simulation key (canonical netlist
-/// digest, grid, SIMD tier, port spec); level 2 memoizes complete
-/// [`EvalReport`]s keyed additionally by problem and tolerance. Shards
-/// are plain mutexed hash maps — entries are only ever inserted
-/// (idempotently: every writer computes the identical value for a key, a
-/// consequence of canonical simulation), so contention is limited to
-/// short lock windows on one of 16 stripes.
+/// Level 0 memoizes whole [`EvalReport`]s by response text (and the
+/// settings a verdict depends on); level 1 memoizes sweep outcomes by
+/// simulation key (canonical netlist digest, grid, SIMD tier, port
+/// spec). A level-1 hit re-runs only the cheap golden comparison.
 #[derive(Debug)]
 pub struct EvalCache {
-    sim_shards: Vec<Mutex<HashMap<SimKey, SimOutcome>>>,
-    report_shards: Vec<Mutex<HashMap<ReportKey, EvalReport>>>,
-    response_shards: Vec<Mutex<HashMap<ResponseKey, EvalReport>>>,
+    responses: Shards<ResponseKey, EvalReport>,
+    sims: Shards<SimKey, SimOutcome>,
     /// Optional persistent tier: memory misses fall through to it, and
     /// fresh computations write through so they warm-start future runs.
     disk: Option<Arc<crate::persist::EvalStore>>,
-    response_hits: AtomicU64,
-    report_hits: AtomicU64,
-    sim_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    misses: AtomicU64,
+    counters: CacheScope,
 }
 
 impl Default for EvalCache {
@@ -238,21 +265,10 @@ impl EvalCache {
     /// An empty cache.
     pub fn new() -> Self {
         EvalCache {
-            sim_shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            report_shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            response_shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            responses: Shards::new(),
+            sims: Shards::new(),
             disk: None,
-            response_hits: AtomicU64::new(0),
-            report_hits: AtomicU64::new(0),
-            sim_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            counters: CacheScope::new(),
         }
     }
 
@@ -272,71 +288,27 @@ impl EvalCache {
         self.disk.as_ref()
     }
 
-    fn shard(hash: u64) -> usize {
-        (hash as usize) & (SHARD_COUNT - 1)
-    }
-
-    /// Every `get_*` counts its own hit (memory tier, then disk tier)
-    /// both globally and in the caller's [`CacheScope`], if any; `None`
-    /// means the caller computes — and counts the miss only when it
-    /// actually runs a sweep.
-    fn get_report(&self, key: &ReportKey, scope: Option<&CacheScope>) -> Option<EvalReport> {
-        {
-            let shard = self.report_shards[Self::shard(key.0 .0)]
-                .lock()
-                .expect("report shard poisoned");
-            if let Some(report) = shard.get(key) {
-                self.report_hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(scope) = scope {
-                    scope.report_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(report.clone());
-            }
-        }
-        let report = self.disk.as_ref()?.get_report(key)?;
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+    /// Bumps one counter globally and in the caller's scope, if any.
+    fn count(&self, scope: Option<&CacheScope>, field: fn(&CacheScope) -> &AtomicU64) {
+        field(&self.counters).fetch_add(1, Ordering::Relaxed);
         if let Some(scope) = scope {
-            scope.disk_hits.fetch_add(1, Ordering::Relaxed);
+            field(scope).fetch_add(1, Ordering::Relaxed);
         }
-        let mut shard = self.report_shards[Self::shard(key.0 .0)]
-            .lock()
-            .expect("report shard poisoned");
-        shard.entry(*key).or_insert_with(|| report.clone());
-        Some(report)
     }
 
-    fn put_report(&self, key: ReportKey, report: EvalReport) {
-        if let Some(disk) = &self.disk {
-            disk.put_report(&key, &report);
-        }
-        let mut shard = self.report_shards[Self::shard(key.0 .0)]
-            .lock()
-            .expect("report shard poisoned");
-        shard.entry(key).or_insert(report);
-    }
-
+    /// Every `get_*` counts its own hit (memory tier, then disk tier,
+    /// whose hit warms memory) both globally and in the caller's
+    /// [`CacheScope`], if any; `None` means the caller computes — and
+    /// counts the miss only when it actually runs a sweep.
     fn get_response(&self, key: &ResponseKey, scope: Option<&CacheScope>) -> Option<EvalReport> {
-        {
-            let shard = self.response_shards[Self::shard(key.0)]
-                .lock()
-                .expect("response shard poisoned");
-            if let Some(report) = shard.get(key) {
-                self.response_hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(scope) = scope {
-                    scope.response_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(report.clone());
-            }
+        let hit = self.responses.lock(key.0).get(key).cloned();
+        if hit.is_some() {
+            self.count(scope, |c| &c.response_hits);
+            return hit;
         }
         let report = self.disk.as_ref()?.get_verdict(key)?;
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        if let Some(scope) = scope {
-            scope.disk_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut shard = self.response_shards[Self::shard(key.0)]
-            .lock()
-            .expect("response shard poisoned");
-        shard.entry(*key).or_insert_with(|| report.clone());
+        self.count(scope, |c| &c.disk_hits);
+        self.responses.insert(key.0, *key, report.clone());
         Some(report)
     }
 
@@ -344,56 +316,34 @@ impl EvalCache {
         if let Some(disk) = &self.disk {
             disk.put_verdict(&key, &report);
         }
-        let mut shard = self.response_shards[Self::shard(key.0)]
-            .lock()
-            .expect("response shard poisoned");
-        shard.entry(key).or_insert(report);
+        self.responses.insert(key.0, key, report);
     }
 
     fn get_sim(&self, key: &SimKey, scope: Option<&CacheScope>) -> Option<SimOutcome> {
-        {
-            let shard = self.sim_shards[Self::shard(key.0)]
-                .lock()
-                .expect("sim shard poisoned");
-            if let Some(outcome) = shard.get(key) {
-                self.sim_hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(scope) = scope {
-                    scope.sim_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(outcome.clone());
-            }
+        let hit = self.sims.lock(key.0).get(key).cloned();
+        if hit.is_some() {
+            self.count(scope, |c| &c.sim_hits);
+            return hit;
         }
         // Only successful sweeps are persisted; failures recompute (they
         // run no sweep, so replaying them from disk would save nothing).
-        let response = self.disk.as_ref()?.get_sim(key)?;
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        if let Some(scope) = scope {
-            scope.disk_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        let outcome = SimOutcome::Response(Arc::new(response));
-        let mut shard = self.sim_shards[Self::shard(key.0)]
-            .lock()
-            .expect("sim shard poisoned");
-        Some(shard.entry(*key).or_insert(outcome).clone())
+        let outcome = SimOutcome::Response(Arc::new(self.disk.as_ref()?.get_sim(key)?));
+        self.count(scope, |c| &c.disk_hits);
+        self.sims.insert(key.0, *key, outcome.clone());
+        Some(outcome)
     }
 
     fn put_sim(&self, key: SimKey, outcome: SimOutcome) {
         if let (Some(disk), SimOutcome::Response(response)) = (&self.disk, &outcome) {
             disk.put_sim(&key, response);
         }
-        let mut shard = self.sim_shards[Self::shard(key.0)]
-            .lock()
-            .expect("sim shard poisoned");
-        shard.entry(key).or_insert(outcome);
+        self.sims.insert(key.0, key, outcome);
     }
 
     /// The memory tier's successful sweep under `key`, without counting
     /// a hit or falling through to the disk tier.
     fn peek_sim_response(&self, key: &SimKey) -> Option<Arc<FrequencyResponse>> {
-        let shard = self.sim_shards[Self::shard(key.0)]
-            .lock()
-            .expect("sim shard poisoned");
-        match shard.get(key)? {
+        match self.sims.lock(key.0).get(key)? {
             SimOutcome::Response(response) => Some(Arc::clone(response)),
             SimOutcome::Failed(_) => None,
         }
@@ -401,21 +351,12 @@ impl EvalCache {
 
     /// Number of memoized sweep outcomes.
     pub fn simulation_count(&self) -> usize {
-        self.sim_shards
-            .iter()
-            .map(|s| s.lock().expect("sim shard poisoned").len())
-            .sum()
+        self.sims.len()
     }
 
     /// Snapshot of the hit/miss counters.
     pub fn stats(&self) -> EvalCacheStats {
-        EvalCacheStats {
-            response_hits: self.response_hits.load(Ordering::Relaxed),
-            report_hits: self.report_hits.load(Ordering::Relaxed),
-            sim_hits: self.sim_hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
+        self.counters.stats()
     }
 }
 
@@ -539,7 +480,7 @@ impl Evaluator {
         )
     }
 
-    fn sim_key(&self, problem: &Problem, hash: u64) -> SimKey {
+    pub(crate) fn sim_key(&self, problem: &Problem, hash: u64) -> SimKey {
         (
             hash,
             self.grid_key(),
@@ -568,23 +509,6 @@ impl Evaluator {
         }
         .map_err(SimulateError::Sim)?;
         Ok(response)
-    }
-
-    /// Simulates (and caches) a problem's golden design.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the golden design itself fails to simulate — golden
-    /// designs are verified by the test suite, so this indicates a bug,
-    /// not an input error.
-    pub fn golden_response(&mut self, problem: &Problem) -> &FrequencyResponse {
-        self.golden_response_arc(problem);
-        if let Some(shared) = &self.shared_goldens {
-            if let Some(response) = shared.get(&problem.id) {
-                return response;
-            }
-        }
-        &self.golden_cache[&problem.id]
     }
 
     /// Computes (or fetches) the golden response **and** seeds the
@@ -633,7 +557,14 @@ impl Evaluator {
         Arc::clone(slot.as_ref().expect("just filled"))
     }
 
-    /// [`Evaluator::golden_response`], returning the shareable handle.
+    /// Simulates (and caches) a problem's golden design, returning the
+    /// shareable handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the golden design itself fails to simulate — golden
+    /// designs are verified by the test suite, so this indicates a bug,
+    /// not an input error.
     pub fn golden_response_arc(&mut self, problem: &Problem) -> Arc<FrequencyResponse> {
         if let Some(shared) = &self.shared_goldens {
             if let Some(response) = shared.get(&problem.id) {
@@ -710,11 +641,10 @@ impl Evaluator {
         netlist: &Netlist,
         hash: u64,
     ) -> Result<SimOutcome, Vec<ValidationIssue>> {
-        let key = self.cache.as_ref().map(|_| self.sim_key(problem, hash));
-        if let (Some(cache), Some(key)) = (&self.cache, &key) {
-            if let Some(outcome) = cache.get_sim(key, self.scope.as_deref()) {
-                return Ok(outcome);
-            }
+        let key = self.sim_key(problem, hash);
+        let scope = self.scope.as_deref();
+        if let Some(outcome) = self.cache.as_ref().and_then(|c| c.get_sim(&key, scope)) {
+            return Ok(outcome);
         }
         // Validate the document as written, so classified issues describe
         // exactly what the model produced.
@@ -722,10 +652,7 @@ impl Evaluator {
             return Err(e.issues);
         }
         if let Some(cache) = &self.cache {
-            cache.misses.fetch_add(1, Ordering::Relaxed);
-            if let Some(scope) = &self.scope {
-                scope.misses.fetch_add(1, Ordering::Relaxed);
-            }
+            cache.count(self.scope.as_deref(), |c| &c.misses);
         }
         let canonical = netlist.canonicalize();
         let outcome = match self.simulate_canonical(&canonical, problem) {
@@ -736,7 +663,7 @@ impl Evaluator {
             Err(SimulateError::Elaborate(e)) => return Err(e.issues),
             Err(SimulateError::Sim(e)) => SimOutcome::Failed(e),
         };
-        if let (Some(cache), Some(key)) = (&self.cache, key) {
+        if let Some(cache) = &self.cache {
             cache.put_sim(key, outcome.clone());
         }
         Ok(outcome)
@@ -749,33 +676,10 @@ impl Evaluator {
     /// the cached plan pipeline and memoized; invalid ones are classified
     /// from the document exactly as written.
     pub fn evaluate_netlist(&mut self, problem: &Problem, netlist: &Netlist) -> EvalReport {
-        let hash = netlist.content_hash();
-        let key = self.cache.as_ref().map(|_| {
-            (
-                self.sim_key(problem, hash),
-                Fnv64::hash_str(&problem.id),
-                DEFAULT_FUNCTIONAL_TOLERANCE.to_bits(),
-            )
-        });
-
-        // Level 2: a finished verdict for this exact evaluation.
-        if let (Some(cache), Some(key)) = (&self.cache, &key) {
-            if let Some(report) = cache.get_report(key, self.scope.as_deref()) {
-                return report;
-            }
+        match self.sim_outcome(problem, netlist, netlist.content_hash()) {
+            Ok(outcome) => self.report_from_outcome(problem, &outcome),
+            Err(issues) => EvalReport::syntax_fail(issues),
         }
-
-        // Level 1: a memoized sweep outcome, computed on miss.
-        let outcome = match self.sim_outcome(problem, netlist, hash) {
-            Ok(outcome) => outcome,
-            Err(issues) => return EvalReport::syntax_fail(issues),
-        };
-
-        let report = self.report_from_outcome(problem, &outcome);
-        if let (Some(cache), Some(key)) = (&self.cache, key) {
-            cache.put_report(key, report.clone());
-        }
-        report
     }
 
     /// Evaluates one raw response against a problem.
@@ -913,9 +817,9 @@ mod tests {
     fn golden_cache_hits() {
         let problem = mzi_ps();
         let mut ev = Evaluator::default();
-        let a = ev.golden_response(&problem).clone();
-        let b = ev.golden_response(&problem).clone();
-        assert_eq!(a, b);
+        let a = ev.golden_response_arc(&problem);
+        let b = ev.golden_response_arc(&problem);
+        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]
@@ -954,7 +858,8 @@ mod tests {
 
         let stats = cache.stats();
         assert_eq!(stats.misses, 1, "{stats:?}");
-        assert_eq!(stats.report_hits + stats.sim_hits, 1, "{stats:?}");
+        assert_eq!(stats.sim_hits, 1, "{stats:?}");
+        assert_eq!(stats.report_hits, 0, "{stats:?}");
         assert_eq!(cache.simulation_count(), 1);
     }
 
@@ -989,7 +894,7 @@ mod tests {
         assert_eq!(stats.misses, 0, "{stats:?}");
         assert_eq!(stats.disk_hits, 1, "{stats:?}");
         assert_eq!(
-            stats.response_hits + stats.report_hits + stats.sim_hits,
+            stats.response_hits + stats.sim_hits,
             0,
             "disk hits must not masquerade as memory hits: {stats:?}"
         );

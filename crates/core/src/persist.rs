@@ -5,7 +5,6 @@
 //! typed encode/decode for the things PICBench persists:
 //!
 //! * **verdicts** ([`EvalReport`] keyed by response-text digest),
-//! * **reports** ([`EvalReport`] keyed by canonical netlist digest),
 //! * **sweep outcomes** ([`FrequencyResponse`] keyed by simulation key;
 //!   only *successful* sweeps are persisted — failures are cheap to
 //!   classify and recompute),
@@ -17,7 +16,7 @@
 //! (`seg-*` segments) takes the cells and their companions and is
 //! fsynced at every cell barrier; a cell whose
 //! [`EvalStore::record_cell`] returned `true` survives any crash. The
-//! cache (`cache-*` segments) takes verdicts, reports and sweeps. It is
+//! cache (`cache-*` segments) takes verdicts and sweeps. It is
 //! buffered, and its bytes reach the disk on their own schedule, never
 //! inside a cell barrier: a crash may lose its tail, which only costs
 //! recomputation.
@@ -27,7 +26,7 @@
 //! correctness — the same contract the store's recovery scan makes at
 //! the byte level.
 
-use crate::evaluate::{EvalReport, ReportKey, ResponseKey, SimKey};
+use crate::evaluate::{EvalReport, ResponseKey, SimKey};
 use crate::passk::ProblemTally;
 use picbench_math::{CMatrix, Complex};
 use picbench_netlist::{FailureType, ValidationIssue};
@@ -41,7 +40,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Record kind of a whole-verdict entry (level 0).
 pub const KIND_VERDICT: u8 = 1;
-/// Record kind of a finished-report entry (level 2).
+/// Retired record kind of the former finished-report cache level. Kept
+/// reserved so the number is never reused; records of this kind left by
+/// earlier builds are never read.
 pub const KIND_REPORT: u8 = 2;
 /// Record kind of a memoized sweep outcome (level 1).
 pub const KIND_SIM: u8 = 3;
@@ -151,14 +152,6 @@ pub(crate) fn encode_sim_key(key: &SimKey) -> Vec<u8> {
     put_str(&mut out, simd.token());
     put_u64(&mut out, spec.0 as u64);
     put_u64(&mut out, spec.1 as u64);
-    out
-}
-
-pub(crate) fn encode_report_key(key: &ReportKey) -> Vec<u8> {
-    let (sim, problem, tolerance) = key;
-    let mut out = encode_sim_key(sim);
-    put_u64(&mut out, *problem);
-    put_u64(&mut out, *tolerance);
     out
 }
 
@@ -447,7 +440,7 @@ const CACHE_BUFFER_BYTES: usize = 256 << 10;
 /// Whether a record kind belongs to the cache log (recomputable) rather
 /// than the journal.
 fn is_cache_kind(kind: u8) -> bool {
-    matches!(kind, KIND_VERDICT | KIND_REPORT | KIND_SIM)
+    matches!(kind, KIND_VERDICT | KIND_SIM)
 }
 
 /// The durable tier: two crash-safe [`Store`] logs in one directory, with
@@ -456,9 +449,9 @@ fn is_cache_kind(kind: u8) -> bool {
 /// * The **journal** (`seg-NNNNNN.picstore`) holds cells, leases, shard
 ///   statistics, inherit marks and applied marks. Its records are tens
 ///   of bytes, and every [`EvalStore::sync`] barrier fsyncs it.
-/// * The **cache** (`cache-NNNNNN.picstore`) holds verdicts, reports and
-///   sweeps. It appends through an in-memory buffer and fsyncs only when
-///   a segment rotates and when the store closes — never under a journal
+/// * The **cache** (`cache-NNNNNN.picstore`) holds verdicts and sweeps.
+///   It appends through an in-memory buffer and fsyncs only when a
+///   segment rotates and when the store closes — never under a journal
 ///   barrier. A crash may lose its tail; the lost entries recompute.
 ///
 /// All write failures degrade instead of crash: the store flips into a
@@ -636,7 +629,7 @@ impl EvalStore {
     /// The journal's durability barrier: once it returns `true`, every
     /// cell, lease, shard statistic, inherit mark and applied mark
     /// written before the call survives a crash. Cache records
-    /// (verdicts, reports, sweeps) are not covered; they are
+    /// (verdicts and sweeps) are not covered; they are
     /// recomputable. Concurrent barriers share one fsync, which runs
     /// without blocking cache reads and writes. Returns `false` (and
     /// degrades) on failure, and `false` once the store is degraded.
@@ -658,14 +651,6 @@ impl EvalStore {
             &encode_response_key(key),
             &encode_report(report),
         );
-    }
-
-    pub(crate) fn get_report(&self, key: &ReportKey) -> Option<EvalReport> {
-        decode_report(&self.get(KIND_REPORT, &encode_report_key(key))?)
-    }
-
-    pub(crate) fn put_report(&self, key: &ReportKey, report: &EvalReport) {
-        self.put(KIND_REPORT, &encode_report_key(key), &encode_report(report));
     }
 
     pub(crate) fn get_sim(&self, key: &SimKey) -> Option<FrequencyResponse> {
@@ -1185,23 +1170,54 @@ mod tests {
             }),
         };
         let sim_key: SimKey = (42, (1, 2, 17), SimdLevel::Scalar, (1, 1));
-        let report_key: ReportKey = (sim_key, 7, 8);
         let response_key: ResponseKey = (9, (1, 2, 17), SimdLevel::Scalar, 7, 8);
         {
             let store = EvalStore::open(&dir).unwrap();
             store.put_sim(&sim_key, &response);
-            store.put_report(&report_key, &report);
             store.put_verdict(&response_key, &report);
             store.sync();
         }
         let store = EvalStore::open(&dir).unwrap();
         assert_eq!(store.get_sim(&sim_key).unwrap(), response);
-        assert!(store.get_report(&report_key).unwrap().functional_pass());
         assert!(store.get_verdict(&response_key).unwrap().functional_pass());
         assert!(store
             .get_sim(&(43, (1, 2, 17), SimdLevel::Scalar, (1, 1)))
             .is_none());
         assert!(!store.degraded());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_report_records_are_never_served() {
+        use crate::evaluate::{EvalCache, Evaluator, DEFAULT_FUNCTIONAL_TOLERANCE};
+        let dir = temp_dir("stale-report");
+        let problem = picbench_problems::find("mzi-ps").unwrap();
+        // An earlier build kept finished reports in the cache log, keyed
+        // by the sim key, the problem-id digest and the tolerance bits.
+        // Plant a poisoned one under the golden design's key.
+        let sim_key = Evaluator::default().sim_key(&problem, problem.golden.content_hash());
+        let mut key = encode_sim_key(&sim_key);
+        put_u64(&mut key, picbench_netlist::Fnv64::hash_str(&problem.id));
+        put_u64(&mut key, DEFAULT_FUNCTIONAL_TOLERANCE.to_bits());
+        let poisoned = EvalReport {
+            syntax: Ok(()),
+            functional: Some(false),
+            comparison: None,
+        };
+        {
+            let mut raw =
+                Store::open_with_io(Box::new(FileIo::new(&dir, CACHE_PREFIX).unwrap())).unwrap();
+            raw.put(KIND_REPORT, &key, &encode_report(&poisoned))
+                .unwrap();
+            raw.sync().unwrap();
+        }
+
+        let store = Arc::new(EvalStore::open(&dir).unwrap());
+        let cache = Arc::new(EvalCache::new().with_disk(store));
+        let mut ev = Evaluator::default().with_cache(Arc::clone(&cache));
+        let report = ev.evaluate_netlist(&problem, &problem.golden);
+        assert!(report.functional_pass(), "{report:?}");
+        assert_eq!(cache.stats().report_hits, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

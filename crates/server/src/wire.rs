@@ -62,6 +62,7 @@ fn tally_value(tally: &ProblemTally) -> Value {
 pub(crate) fn stats_value(stats: &EvalCacheStats) -> Value {
     Value::Object(vec![
         ("response_hits".into(), num(stats.response_hits)),
+        // Always 0 (the report level is retired); kept for wire readers.
         ("report_hits".into(), num(stats.report_hits)),
         ("sim_hits".into(), num(stats.sim_hits)),
         ("disk_hits".into(), num(stats.disk_hits)),

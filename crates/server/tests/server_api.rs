@@ -315,6 +315,11 @@ fn tenants_share_the_cache_but_not_counters_or_sessions() {
             "global '{field}' must equal the sum over tenant scopes"
         );
     }
+    // The retired report level keeps its key on the wire, always 0.
+    for path in [&["cache"][..], &["tenants", "alice"], &["tenants", "bob"]] {
+        let path = [path, &["report_hits"]].concat();
+        assert_eq!(counter(&stats, &path), 0, "{path:?}");
+    }
     assert_eq!(counter(&stats, &["sessions", "finished"]), 2);
 
     // Tenancy is structural: foreign sessions look absent.
