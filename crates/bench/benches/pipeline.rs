@@ -1,14 +1,17 @@
 //! Criterion benches for the evaluation pipeline: synthetic response
-//! generation, netlist JSON writing, JSON parsing, netlist validation,
-//! response evaluation (pass and fail paths) and Pass@k.
+//! generation, netlist JSON writing, every layer of the response front
+//! end (payload extraction, JSON parsing, schema, validation,
+//! canonicalization, elaboration), response evaluation (pass and fail
+//! paths) and Pass@k.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use picbench_core::{pass_at_k, Evaluator};
+use picbench_netlist::extract::extract_payload;
 use picbench_netlist::{json, validate, FailureType, Netlist, PortRef, ValidationIssue};
 use picbench_prompt::{
     render_system_prompt, syntax_feedback, Conversation, Role, SystemPromptConfig,
 };
-use picbench_sim::ModelRegistry;
+use picbench_sim::{Circuit, ModelRegistry};
 use picbench_synthllm::{LanguageModel, ModelProfile, SyntheticLlm, PAPER_SEED};
 
 /// The netlist writer (`direct`, what production runs) beside the
@@ -69,6 +72,26 @@ fn synthetic_responses(c: &mut Criterion) {
     group.finish();
 }
 
+/// Locating the JSON payload in the spanke-8x8 golden answer, wrapped in
+/// `<analysis>` and `<result>` sections as a model writes it.
+fn extraction(c: &mut Criterion) {
+    let mut group = c.benchmark_group("extract");
+    let problem = picbench_problems::find("spanke-8x8").expect("problem exists");
+    let response = format!(
+        "<analysis>\n{}\n</analysis>\n<result>\n{}\n</result>",
+        problem.description,
+        problem.golden.to_json_string()
+    );
+    group.bench_with_input(
+        BenchmarkId::from_parameter("spanke-8x8"),
+        &response,
+        |b, response| {
+            b.iter(|| extract_payload(response).unwrap());
+        },
+    );
+    group.finish();
+}
+
 fn json_parsing(c: &mut Criterion) {
     let mut group = c.benchmark_group("json");
     for id in ["mzi-ps", "spanke-8x8"] {
@@ -101,6 +124,37 @@ fn validation(c: &mut Criterion) {
             },
         );
     }
+    group.finish();
+}
+
+/// The content hash and canonical form of the largest golden design.
+fn canonicalization(c: &mut Criterion) {
+    let mut group = c.benchmark_group("canon");
+    let golden = picbench_problems::find("spanke-8x8")
+        .expect("problem exists")
+        .golden;
+    group.bench_with_input(
+        BenchmarkId::from_parameter("spanke-8x8"),
+        &golden,
+        |b, n| {
+            b.iter(|| (n.content_hash(), n.canonicalize()));
+        },
+    );
+    group.finish();
+}
+
+/// Validation plus resolution into a simulatable circuit.
+fn elaboration(c: &mut Criterion) {
+    let registry = ModelRegistry::with_builtins();
+    let mut group = c.benchmark_group("elaborate");
+    let problem = picbench_problems::find("spanke-8x8").expect("problem exists");
+    group.bench_with_input(
+        BenchmarkId::from_parameter("spanke-8x8"),
+        &problem,
+        |b, problem| {
+            b.iter(|| Circuit::elaborate(&problem.golden, &registry, Some(&problem.spec)).unwrap());
+        },
+    );
     group.finish();
 }
 
@@ -153,8 +207,11 @@ criterion_group!(
     benches,
     json_writing,
     synthetic_responses,
+    extraction,
     json_parsing,
     validation,
+    canonicalization,
+    elaboration,
     response_evaluation,
     pass_at_k_bench
 );

@@ -63,6 +63,7 @@ pub fn classify_schema_error(err: &SchemaError) -> ValidationIssue {
         SchemaError::ModelRefNotString { .. } => FailureType::InstancesModelsConfusion,
         // Malformed "instance,port" strings are invalid mappings.
         SchemaError::BadPortRef { .. } => FailureType::WrongPort,
+        // Oversized designs, missing sections and wrong node types.
         _ => FailureType::OtherSyntax,
     };
     ValidationIssue::new(failure, format!("Schema error: {err}"))
@@ -125,6 +126,21 @@ mod tests {
             text: "mmi1".into(),
         };
         assert_eq!(classify_schema_error(&err).failure, FailureType::WrongPort);
+    }
+
+    #[test]
+    fn oversized_section_maps_to_other_syntax() {
+        let err = SchemaError::TooLarge {
+            path: "netlist.instances".into(),
+            count: 100_000,
+            limit: 1024,
+        };
+        let issue = classify_schema_error(&err);
+        assert_eq!(issue.failure, FailureType::OtherSyntax);
+        assert_eq!(
+            issue.message,
+            "Schema error: 'netlist.instances' holds 100000 entries, more than the limit of 1024"
+        );
     }
 
     #[test]

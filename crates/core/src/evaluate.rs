@@ -45,7 +45,7 @@
 use crate::classify;
 use picbench_math::SimdLevel;
 use picbench_netlist::extract::extract_payload;
-use picbench_netlist::{json, Fnv64, Netlist, ValidationIssue};
+use picbench_netlist::{json, validate, Fnv64, Netlist, ValidationIssue};
 use picbench_problems::Problem;
 use picbench_sim::{
     sweep_planned, sweep_with_plan, Circuit, FrequencyResponse, ModelRegistry, ResponseComparison,
@@ -647,9 +647,11 @@ impl Evaluator {
             return Ok(outcome);
         }
         // Validate the document as written, so classified issues describe
-        // exactly what the model produced.
-        if let Err(e) = Circuit::elaborate(netlist, &self.registry, Some(&problem.spec)) {
-            return Err(e.issues);
+        // exactly what the model produced. Only the canonical form is
+        // elaborated, below.
+        let issues = validate(netlist, &self.registry, Some(&problem.spec));
+        if !issues.is_empty() {
+            return Err(issues);
         }
         if let Some(cache) = &self.cache {
             cache.count(self.scope.as_deref(), |c| &c.misses);
@@ -955,5 +957,34 @@ mod tests {
         assert_eq!(issues[0].failure, FailureType::WrongPort);
         let ok = ev.candidate_response(&problem, &problem.golden).unwrap();
         assert_eq!(ok.wavelengths().len(), ev.grid().points);
+    }
+
+    #[test]
+    fn oversized_response_is_rejected_before_elaboration() {
+        let problem = mzi_ps();
+        let instances: Vec<String> = (0..100_000)
+            .map(|i| format!("\"wg{i}\": \"waveguide\""))
+            .collect();
+        let text = wrap(&format!(
+            "{{\"netlist\": {{\"instances\": {{{}}}, \"connections\": {{}}, \
+             \"ports\": {{}}}}, \"models\": {{\"waveguide\": \"waveguide\"}}}}",
+            instances.join(", ")
+        ));
+        let mut ev = Evaluator::default().with_cache(Arc::new(EvalCache::new()));
+        // No netlist comes out of parsing, so nothing is validated,
+        // elaborated or simulated.
+        let (netlist, issues) = ev.parse_response(&text);
+        assert!(netlist.is_none());
+        assert_eq!(issues.len(), 1);
+        assert_eq!(issues[0].failure, FailureType::OtherSyntax);
+        assert_eq!(
+            issues[0].message,
+            "Schema error: 'netlist.instances' holds 100000 entries, more than the limit of 1024"
+        );
+        let report = ev.evaluate_response(&problem, &text);
+        assert_eq!(report.issues(), issues.as_slice());
+        let stats = ev.cache_stats().unwrap();
+        assert_eq!((stats.sim_hits, stats.misses), (0, 0));
+        assert_eq!(ev.cache.as_ref().unwrap().simulation_count(), 0);
     }
 }

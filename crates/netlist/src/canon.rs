@@ -92,10 +92,12 @@ impl Fnv64 {
     }
 }
 
-fn sorted_keys<V>(map: &OrderedMap<V>) -> Vec<&str> {
-    let mut keys: Vec<&str> = map.keys().collect();
-    keys.sort_unstable();
-    keys
+/// The map's entries sorted by key. Keys are unique, so the order is
+/// total and an unstable sort is deterministic.
+fn sorted_entries<V>(map: &OrderedMap<V>) -> Vec<(&str, &V)> {
+    let mut entries: Vec<(&str, &V)> = map.iter().collect();
+    entries.sort_unstable_by_key(|&(key, _)| key);
+    entries
 }
 
 fn endpoint_key(p: &PortRef) -> (&str, &str) {
@@ -123,11 +125,9 @@ impl Netlist {
     /// hash class then produces the same frequency response bit for bit.
     pub fn canonicalize(&self) -> Netlist {
         let mut instances = OrderedMap::new();
-        for name in sorted_keys(&self.instances) {
-            let inst = self.instances.get(name).expect("key from map");
+        for (name, inst) in sorted_entries(&self.instances) {
             let mut canon = crate::Instance::new(inst.component.clone());
-            for key in sorted_keys(&inst.settings) {
-                let value = *inst.settings.get(key).expect("key from map");
+            for (key, &value) in sorted_entries(&inst.settings) {
                 canon.settings.insert(key.to_string(), value);
             }
             instances.insert(name.to_string(), canon);
@@ -149,16 +149,13 @@ impl Netlist {
         });
 
         let mut ports = OrderedMap::new();
-        for name in sorted_keys(&self.ports) {
-            ports.insert(name.to_string(), self.ports.get(name).expect("key").clone());
+        for (name, target) in sorted_entries(&self.ports) {
+            ports.insert(name.to_string(), target.clone());
         }
 
         let mut models = OrderedMap::new();
-        for component in sorted_keys(&self.models) {
-            models.insert(
-                component.to_string(),
-                self.models.get(component).expect("key").clone(),
-            );
+        for (component, model_ref) in sorted_entries(&self.models) {
+            models.insert(component.to_string(), model_ref.clone());
         }
 
         Netlist {
@@ -182,14 +179,13 @@ impl Netlist {
 
         h.write_str("instances");
         h.write_u64(self.instances.len() as u64);
-        for name in sorted_keys(&self.instances) {
-            let inst = self.instances.get(name).expect("key from map");
+        for (name, inst) in sorted_entries(&self.instances) {
             h.write_str(name);
             h.write_str(&inst.component);
             h.write_u64(inst.settings.len() as u64);
-            for key in sorted_keys(&inst.settings) {
+            for (key, &value) in sorted_entries(&inst.settings) {
                 h.write_str(key);
-                h.write_f64(*inst.settings.get(key).expect("key from map"));
+                h.write_f64(value);
             }
         }
 
@@ -218,8 +214,7 @@ impl Netlist {
 
         h.write_str("ports");
         h.write_u64(self.ports.len() as u64);
-        for name in sorted_keys(&self.ports) {
-            let target = self.ports.get(name).expect("key from map");
+        for (name, target) in sorted_entries(&self.ports) {
             h.write_str(name);
             h.write_str(&target.instance);
             h.write_str(&target.port);
@@ -227,9 +222,9 @@ impl Netlist {
 
         h.write_str("models");
         h.write_u64(self.models.len() as u64);
-        for component in sorted_keys(&self.models) {
+        for (component, model_ref) in sorted_entries(&self.models) {
             h.write_str(component);
-            h.write_str(self.models.get(component).expect("key from map"));
+            h.write_str(model_ref);
         }
 
         h.finish()

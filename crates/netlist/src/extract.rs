@@ -10,6 +10,7 @@
 //! found, so the evaluator can decide whether the surrounding noise
 //! constitutes a classified failure.
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -80,34 +81,53 @@ fn result_section(text: &str) -> (&str, bool) {
     }
 }
 
+/// The bytes of `word` that can change the brace scanner's state
+/// (quotes, backslashes and braces), as a mask with the high bit of each
+/// such byte set.
+fn special_bytes(word: u64) -> u64 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+    let equal_to = |b: u8| {
+        let x = word ^ (ONES * u64::from(b));
+        // The high bit of exactly the bytes of `x` that are zero.
+        !(((x & LOW7) + LOW7) | x | LOW7)
+    };
+    equal_to(b'"') | equal_to(b'\\') | equal_to(b'{') | equal_to(b'}')
+}
+
 /// Finds the span of the first balanced `{ … }` block, respecting strings.
+///
+/// The text is read eight bytes at a time; only the quotes, backslashes
+/// and braces among them are visited one by one.
 fn brace_span(text: &str) -> Option<(usize, usize)> {
     let bytes = text.as_bytes();
     let start = text.find('{')?;
     let mut depth = 0usize;
     let mut in_string = false;
-    let mut escaped = false;
-    for (i, &b) in bytes.iter().enumerate().skip(start) {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_string = true,
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((start, i + 1));
+    // The byte after a backslash inside a string, which it escapes.
+    let mut escaped = usize::MAX;
+    for (chunk, word) in bytes[start..].chunks(8).enumerate() {
+        let base = start + 8 * chunk;
+        let mut padded = [0u8; 8];
+        padded[..word.len()].copy_from_slice(word);
+        let mut mask = special_bytes(u64::from_le_bytes(padded));
+        while mask != 0 {
+            let i = base + (mask.trailing_zeros() / 8) as usize;
+            mask &= mask - 1;
+            match (in_string, bytes[i]) {
+                _ if i == escaped => {}
+                (true, b'\\') => escaped = i + 1,
+                (true, b'"') => in_string = false,
+                (false, b'"') => in_string = true,
+                (false, b'{') => depth += 1,
+                (false, b'}') => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Some((start, i + 1));
+                    }
                 }
+                _ => {}
             }
-            _ => {}
         }
     }
     None
@@ -115,7 +135,14 @@ fn brace_span(text: &str) -> Option<(usize, usize)> {
 
 /// Strips markdown code fences from around (but not inside) a block of
 /// text, reporting whether any were found.
-fn strip_fences(text: &str) -> (String, bool) {
+///
+/// Text with neither a backtick nor a carriage return is borrowed as is:
+/// rebuilding it line by line would only append a final newline, which
+/// moves no brace span and trims away from the surrounding text.
+fn strip_fences(text: &str) -> (Cow<'_, str>, bool) {
+    if !text.contains('`') && !text.contains('\r') {
+        return (Cow::Borrowed(text), false);
+    }
     let mut found = false;
     let mut out = String::with_capacity(text.len());
     for line in text.lines() {
@@ -127,7 +154,7 @@ fn strip_fences(text: &str) -> (String, bool) {
         out.push_str(line);
         out.push('\n');
     }
-    (out, found)
+    (Cow::Owned(out), found)
 }
 
 /// Locates the JSON payload in a raw response.
@@ -232,6 +259,57 @@ mod tests {
         let p =
             extract_payload(r#"<result>{"note": "a } inside", "b": {"c": 1}}</result>"#).unwrap();
         assert_eq!(p.json, r#"{"note": "a } inside", "b": {"c": 1}}"#);
+    }
+
+    /// The byte-at-a-time scanner `brace_span` replaced, as its oracle.
+    fn brace_span_bytewise(text: &str) -> Option<(usize, usize)> {
+        let start = text.find('{')?;
+        let (mut depth, mut in_string, mut escaped) = (0usize, false, false);
+        for (i, &b) in text.as_bytes().iter().enumerate().skip(start) {
+            if in_string {
+                if escaped {
+                    escaped = false;
+                } else if b == b'\\' {
+                    escaped = true;
+                } else if b == b'"' {
+                    in_string = false;
+                }
+                continue;
+            }
+            match b {
+                b'"' => in_string = true,
+                b'{' => depth += 1,
+                b'}' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Some((start, i + 1));
+                    }
+                }
+                _ => {}
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn word_scanner_matches_the_bytewise_scanner() {
+        // Texts over the bytes that steer the scanner, with escapes and
+        // backslash runs landing on every offset within a word.
+        const ALPHABET: &[u8] = b"{}\"\\\\ a\n";
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for len in 0..200 {
+            for _ in 0..40 {
+                let text: String = (0..len)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        ALPHABET[(state >> 33) as usize % ALPHABET.len()] as char
+                    })
+                    .collect();
+                assert_eq!(brace_span(&text), brace_span_bytewise(&text), "{text:?}");
+            }
+        }
     }
 
     #[test]

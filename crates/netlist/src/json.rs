@@ -203,6 +203,7 @@ impl fmt::Display for JsonError {
 impl Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -212,6 +213,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -363,6 +365,15 @@ impl<'a> Parser<'a> {
         self.pos += 1;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // character in one go. Those are all ASCII, so the run ends
+            // on a char boundary.
+            let start = self.pos;
+            self.pos += self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            out.push_str(&self.text[start..self.pos]);
             match self.bump() {
                 None => return Err(self.error(JsonErrorKind::UnexpectedEnd)),
                 Some(b'"') => return Ok(out),
@@ -376,52 +387,53 @@ impl<'a> Parser<'a> {
                     Some(b'n') => out.push('\n'),
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .bump()
-                                .ok_or_else(|| self.error(JsonErrorKind::UnexpectedEnd))?;
-                            let digit = (d as char).to_digit(16).ok_or_else(|| {
-                                self.error_at(JsonErrorKind::InvalidEscape, self.pos - 1)
-                            })?;
-                            code = code * 16 + digit;
-                        }
-                        let ch = char::from_u32(code)
-                            .ok_or_else(|| self.error(JsonErrorKind::InvalidEscape))?;
-                        out.push(ch);
-                    }
+                    Some(b'u') => out.push(self.parse_unicode_escape()?),
                     Some(_) => {
                         return Err(self.error_at(JsonErrorKind::InvalidEscape, self.pos - 1))
                     }
                 },
-                Some(b) if b < 0x20 => {
+                Some(b) => {
                     return Err(
                         self.error_at(JsonErrorKind::UnexpectedChar(b as char), self.pos - 1)
                     )
                 }
-                Some(b) => {
-                    // Collect the full UTF-8 sequence.
-                    let width = match b {
-                        0x00..=0x7F => 1,
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let start = self.pos - 1;
-                    let end = (start + width).min(self.bytes.len());
-                    self.pos = end;
-                    match std::str::from_utf8(&self.bytes[start..end]) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => {
-                            return Err(
-                                self.error_at(JsonErrorKind::UnexpectedChar('\u{FFFD}'), start)
-                            )
-                        }
-                    }
-                }
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape, with the `\u` consumed.
+    fn parse_hex4(&mut self) -> Result<u32, JsonError> {
+        let mut code = 0u32;
+        for _ in 0..4 {
+            let d = self
+                .bump()
+                .ok_or_else(|| self.error(JsonErrorKind::UnexpectedEnd))?;
+            let digit = (d as char)
+                .to_digit(16)
+                .ok_or_else(|| self.error_at(JsonErrorKind::InvalidEscape, self.pos - 1))?;
+            code = code * 16 + digit;
+        }
+        Ok(code)
+    }
+
+    /// The character of a `\u` escape, with the `\u` consumed. A high
+    /// surrogate followed by a `\u` low surrogate is one astral character
+    /// (RFC 8259 §7); a lone or reversed surrogate is an invalid escape,
+    /// reported just after its four digits.
+    fn parse_unicode_escape(&mut self) -> Result<char, JsonError> {
+        let code = self.parse_hex4()?;
+        if (0xD800..0xDC00).contains(&code) {
+            let after_high = self.pos;
+            if self.bytes[after_high..].starts_with(b"\\u") {
+                self.pos += 2;
+                if let Ok(low @ 0xDC00..=0xDFFF) = self.parse_hex4() {
+                    let astral = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                    return Ok(char::from_u32(astral).expect("a surrogate pair is a char"));
+                }
+            }
+            self.pos = after_high;
+        }
+        char::from_u32(code).ok_or_else(|| self.error(JsonErrorKind::InvalidEscape))
     }
 
     fn parse_bool(&mut self) -> Result<Value, JsonError> {
@@ -796,6 +808,61 @@ mod tests {
     fn invalid_escape_reported() {
         let err = parse(r#""bad \q escape""#).unwrap_err();
         assert_eq!(err.kind, JsonErrorKind::InvalidEscape);
+    }
+
+    #[test]
+    fn surrogate_pair_escapes_decode_to_one_char() {
+        assert_eq!(
+            parse(r#""\ud83d\ude00""#).unwrap(),
+            Value::String("\u{1F600}".into())
+        );
+        assert_eq!(
+            parse(r#""a\uD834\uDD1Eb""#).unwrap(),
+            Value::String("a\u{1D11E}b".into())
+        );
+        // The extremes of the astral range.
+        assert_eq!(
+            parse(r#""\ud800\udc00\udbff\udfff""#).unwrap(),
+            Value::String("\u{10000}\u{10FFFF}".into())
+        );
+    }
+
+    /// An invalid escape reported just after the high surrogate's digits.
+    fn assert_invalid_escape_at(text: &str, column: usize) {
+        let err = parse(text).unwrap_err();
+        assert_eq!(err.kind, JsonErrorKind::InvalidEscape, "{text}");
+        assert_eq!((err.line, err.column), (1, column), "{text}");
+    }
+
+    #[test]
+    fn lone_high_surrogate_is_an_invalid_escape() {
+        assert_invalid_escape_at(r#""\ud83d""#, 8);
+        assert_invalid_escape_at(r#""\ud83dx""#, 8);
+        // Followed by an escape that is not a low surrogate.
+        assert_invalid_escape_at(r#""\ud83dA""#, 8);
+        assert_invalid_escape_at(r#""\ud83d\ud83d""#, 8);
+        assert_invalid_escape_at(r#""\ud83d\n""#, 8);
+        // Followed by a malformed or truncated escape.
+        assert_invalid_escape_at(r#""\ud83d\uzzzz""#, 8);
+        assert_invalid_escape_at(r#""\ud83d\ude"#, 8);
+    }
+
+    #[test]
+    fn lone_or_reversed_low_surrogate_is_an_invalid_escape() {
+        assert_invalid_escape_at(r#""\ude00""#, 8);
+        assert_invalid_escape_at(r#""\ude00\ud83d""#, 8);
+    }
+
+    #[test]
+    fn string_runs_keep_multibyte_text_and_escapes_in_order() {
+        assert_eq!(
+            parse(r#""héllo \"wörld\"\n→ end""#).unwrap(),
+            Value::String("héllo \"wörld\"\n→ end".into())
+        );
+        assert_eq!(parse(r#""""#).unwrap(), Value::String(String::new()));
+        let err = parse("\"é\u{1}\"").unwrap_err();
+        assert_eq!(err.kind, JsonErrorKind::UnexpectedChar('\u{1}'));
+        assert_eq!(err.column, 4);
     }
 
     #[test]

@@ -201,6 +201,16 @@ pub enum SchemaError {
         /// Found type name.
         found: &'static str,
     },
+    /// A section holds more entries than the netlist size caps allow
+    /// ([`Netlist::MAX_INSTANCES`] and its siblings).
+    TooLarge {
+        /// Dotted path of the oversized object.
+        path: String,
+        /// Entries it holds.
+        count: usize,
+        /// The cap.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for SchemaError {
@@ -230,26 +240,64 @@ impl fmt::Display for SchemaError {
                 f,
                 "models entry '{component}' must be a string model reference like \"<ref>\", found {found}"
             ),
+            SchemaError::TooLarge { path, count, limit } => write!(
+                f,
+                "'{path}' holds {count} entries, more than the limit of {limit}"
+            ),
         }
     }
 }
 
 impl Error for SchemaError {}
 
+/// The entries of the object `v`, of which there may be at most
+/// `limit`; `path` names `v` in the error otherwise.
+fn object_at(
+    v: &Value,
+    limit: usize,
+    path: impl FnOnce() -> String,
+) -> Result<&[(String, Value)], SchemaError> {
+    match v.as_object() {
+        None => Err(SchemaError::WrongType {
+            path: path(),
+            expected: "object",
+            found: v.type_name(),
+        }),
+        Some(entries) if entries.len() > limit => Err(SchemaError::TooLarge {
+            path: path(),
+            count: entries.len(),
+            limit,
+        }),
+        Some(entries) => Ok(entries),
+    }
+}
+
 impl Netlist {
+    /// The most instances [`Netlist::from_value`] accepts. The largest
+    /// benchmark design (an 8×8 Spanke fabric) has 112.
+    pub const MAX_INSTANCES: usize = 1024;
+    /// The most connections [`Netlist::from_value`] accepts (the 8×8
+    /// Spanke fabric has 160).
+    pub const MAX_CONNECTIONS: usize = 2048;
+    /// The most external ports [`Netlist::from_value`] accepts (the 8×8
+    /// Spanke fabric has 16).
+    pub const MAX_PORTS: usize = 256;
+    /// The most settings one instance may carry (built-in models take at
+    /// most a handful of parameters).
+    pub const MAX_SETTINGS: usize = 64;
+
     /// Interprets a parsed JSON document as a netlist.
+    ///
+    /// Sections larger than the size caps ([`Netlist::MAX_INSTANCES`],
+    /// [`Netlist::MAX_CONNECTIONS`], [`Netlist::MAX_PORTS`],
+    /// [`Netlist::MAX_SETTINGS`]) are rejected before their entries are read,
+    /// so an oversized document never reaches validation or elaboration.
     ///
     /// # Errors
     ///
     /// Returns the first [`SchemaError`] encountered.
     pub fn from_value(v: &Value) -> Result<Netlist, SchemaError> {
-        let root = v.as_object().ok_or(SchemaError::WrongType {
-            path: "$".into(),
-            expected: "object",
-            found: v.type_name(),
-        })?;
-        let _ = root;
-
+        object_at(v, usize::MAX, || "$".into())?;
         let netlist_v = v
             .get("netlist")
             .ok_or(SchemaError::MissingSection { section: "netlist" })?;
@@ -271,40 +319,36 @@ impl Netlist {
             .ok_or(SchemaError::MissingSection { section: "models" })?;
 
         // Instances.
-        let mut instances = OrderedMap::new();
-        let inst_entries = instances_v.as_object().ok_or(SchemaError::WrongType {
-            path: "netlist.instances".into(),
-            expected: "object",
-            found: instances_v.type_name(),
+        let inst_entries = object_at(instances_v, Self::MAX_INSTANCES, || {
+            "netlist.instances".into()
         })?;
+        let mut instances = OrderedMap::new();
         for (name, spec) in inst_entries {
             let instance = match spec {
                 Value::String(component) => Instance::new(component.clone()),
                 Value::Object(_) => {
-                    let component = spec
-                        .get("component")
-                        .ok_or(SchemaError::MissingSection {
-                            section: "component",
-                        })?
-                        .as_str()
-                        .ok_or_else(|| SchemaError::WrongType {
-                            path: format!("netlist.instances.{name}.component"),
-                            expected: "string",
-                            found: spec.get("component").map_or("null", Value::type_name),
-                        })?;
+                    let component_v = spec.get("component").ok_or(SchemaError::MissingSection {
+                        section: "component",
+                    })?;
+                    let component = component_v.as_str().ok_or_else(|| SchemaError::WrongType {
+                        path: format!("netlist.instances.{name}.component"),
+                        expected: "string",
+                        found: component_v.type_name(),
+                    })?;
                     let mut instance = Instance::new(component);
                     if let Some(settings_v) = spec.get("settings") {
-                        let entries = settings_v.as_object().ok_or(SchemaError::WrongType {
-                            path: format!("netlist.instances.{name}.settings"),
-                            expected: "object",
-                            found: settings_v.type_name(),
+                        let entries = object_at(settings_v, Self::MAX_SETTINGS, || {
+                            format!("netlist.instances.{name}.settings")
                         })?;
                         for (param, value) in entries {
-                            let num = value.as_f64().ok_or(SchemaError::NonNumericSetting {
-                                instance: name.clone(),
-                                param: param.clone(),
-                                found: value.type_name(),
-                            })?;
+                            let num =
+                                value
+                                    .as_f64()
+                                    .ok_or_else(|| SchemaError::NonNumericSetting {
+                                        instance: name.clone(),
+                                        param: param.clone(),
+                                        found: value.type_name(),
+                                    })?;
                             instance.settings.insert(param.clone(), num);
                         }
                     }
@@ -322,12 +366,10 @@ impl Netlist {
         }
 
         // Connections.
-        let mut connections = Vec::new();
-        let conn_entries = connections_v.as_object().ok_or(SchemaError::WrongType {
-            path: "netlist.connections".into(),
-            expected: "object",
-            found: connections_v.type_name(),
+        let conn_entries = object_at(connections_v, Self::MAX_CONNECTIONS, || {
+            "netlist.connections".into()
         })?;
+        let mut connections = Vec::with_capacity(conn_entries.len());
         for (from, to_v) in conn_entries {
             let a: PortRef = from.parse().map_err(|_| SchemaError::BadPortRef {
                 path: "netlist.connections".into(),
@@ -346,12 +388,8 @@ impl Netlist {
         }
 
         // External ports.
+        let port_entries = object_at(ports_v, Self::MAX_PORTS, || "netlist.ports".into())?;
         let mut ports = OrderedMap::new();
-        let port_entries = ports_v.as_object().ok_or(SchemaError::WrongType {
-            path: "netlist.ports".into(),
-            expected: "object",
-            found: ports_v.type_name(),
-        })?;
         for (name, target_v) in port_entries {
             let target = target_v.as_str().ok_or_else(|| SchemaError::WrongType {
                 path: format!("netlist.ports.{name}"),
@@ -367,12 +405,7 @@ impl Netlist {
 
         // Models.
         let mut models = OrderedMap::new();
-        let model_entries = models_v.as_object().ok_or(SchemaError::WrongType {
-            path: "models".into(),
-            expected: "object",
-            found: models_v.type_name(),
-        })?;
-        for (component, ref_v) in model_entries {
+        for (component, ref_v) in object_at(models_v, usize::MAX, || "models".into())? {
             let model_ref = ref_v
                 .as_str()
                 .ok_or_else(|| SchemaError::ModelRefNotString {
@@ -756,6 +789,87 @@ mod tests {
         assert!(n.remove_instance("phaseShifter"));
         assert!(!n.models.contains_key("phaseshifter"));
         assert!(!n.remove_instance("phantom"));
+    }
+
+    /// A document whose sections hold the given numbers of entries.
+    fn sized(instances: usize, settings: usize, connections: usize, ports: usize) -> String {
+        let settings: Vec<String> = (0..settings).map(|i| format!("\"p{i}\": 1")).collect();
+        let mut inst: Vec<String> = (0..instances)
+            .map(|i| format!("\"wg{i}\": \"waveguide\""))
+            .collect();
+        if let Some(first) = inst.first_mut() {
+            *first = format!(
+                "\"wg0\": {{\"component\": \"waveguide\", \"settings\": {{{}}}}}",
+                settings.join(", ")
+            );
+        }
+        let conns: Vec<String> = (0..connections)
+            .map(|i| format!("\"wg{i},O1\": \"wg{},I1\"", i + 1))
+            .collect();
+        let ports: Vec<String> = (0..ports)
+            .map(|i| format!("\"O{i}\": \"wg0,O1\""))
+            .collect();
+        format!(
+            "{{\"netlist\": {{\"instances\": {{{}}}, \"connections\": {{{}}}, \"ports\": {{{}}}}}, \
+             \"models\": {{\"waveguide\": \"waveguide\"}}}}",
+            inst.join(", "),
+            conns.join(", "),
+            ports.join(", ")
+        )
+    }
+
+    fn too_large(text: &str) -> (String, usize, usize) {
+        match Netlist::from_json_str(text) {
+            Err(NetlistParseError::Schema(SchemaError::TooLarge { path, count, limit })) => {
+                (path, count, limit)
+            }
+            other => panic!("expected a size-cap error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sections_at_their_caps_parse() {
+        let n = Netlist::from_json_str(&sized(
+            Netlist::MAX_INSTANCES,
+            Netlist::MAX_SETTINGS,
+            Netlist::MAX_CONNECTIONS.min(Netlist::MAX_INSTANCES - 1),
+            Netlist::MAX_PORTS,
+        ))
+        .unwrap();
+        assert_eq!(n.instances.len(), Netlist::MAX_INSTANCES);
+        assert_eq!(
+            n.instances.get("wg0").unwrap().settings.len(),
+            Netlist::MAX_SETTINGS
+        );
+        assert_eq!(n.ports.len(), Netlist::MAX_PORTS);
+    }
+
+    #[test]
+    fn sections_beyond_their_caps_are_rejected() {
+        let limit = Netlist::MAX_INSTANCES;
+        assert_eq!(
+            too_large(&sized(limit + 1, 0, 0, 0)),
+            ("netlist.instances".to_string(), limit + 1, limit)
+        );
+        let limit = Netlist::MAX_SETTINGS;
+        assert_eq!(
+            too_large(&sized(1, limit + 1, 0, 0)),
+            (
+                "netlist.instances.wg0.settings".to_string(),
+                limit + 1,
+                limit
+            )
+        );
+        let limit = Netlist::MAX_CONNECTIONS;
+        assert_eq!(
+            too_large(&sized(1, 0, limit + 1, 0)),
+            ("netlist.connections".to_string(), limit + 1, limit)
+        );
+        let limit = Netlist::MAX_PORTS;
+        assert_eq!(
+            too_large(&sized(1, 0, 0, limit + 1)),
+            ("netlist.ports".to_string(), limit + 1, limit)
+        );
     }
 
     #[test]

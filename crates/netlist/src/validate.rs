@@ -10,8 +10,8 @@
 //! simulator's model registry.
 
 use crate::failure::{FailureType, ValidationIssue};
-use crate::schema::Netlist;
-use std::collections::HashMap;
+use crate::schema::{Netlist, PortRef};
+use std::collections::{HashMap, HashSet};
 
 /// Knowledge about available component models, provided by the simulator.
 pub trait ComponentCatalog {
@@ -19,7 +19,7 @@ pub trait ComponentCatalog {
     fn has_model(&self, model_ref: &str) -> bool;
 
     /// The port list of a model, or `None` if unknown.
-    fn ports_of(&self, model_ref: &str) -> Option<Vec<String>>;
+    fn ports_of(&self, model_ref: &str) -> Option<&[String]>;
 }
 
 /// Expected external port counts for a problem (the "Wrong ports number"
@@ -87,34 +87,14 @@ pub fn validate(
 
     check_component_names(netlist, &mut issues);
     check_models(netlist, catalog, &mut issues);
-    let port_lookup = build_port_lookup(netlist, catalog);
-    check_endpoints_exist(netlist, &port_lookup, &mut issues);
-    check_duplicate_connections(netlist, &mut issues);
-    check_bound_io(netlist, &mut issues);
+    check_endpoints_exist(netlist, catalog, &mut issues);
+    let uses = endpoint_uses(netlist);
+    check_duplicate_connections(&uses, &mut issues);
+    check_bound_io(netlist, &uses, &mut issues);
     if let Some(spec) = spec {
         check_port_spec(netlist, spec, &mut issues);
     }
     issues
-}
-
-/// Resolved port list per instance (for instances whose model is known).
-fn build_port_lookup(
-    netlist: &Netlist,
-    catalog: &dyn ComponentCatalog,
-) -> HashMap<String, Vec<String>> {
-    let mut lookup = HashMap::new();
-    for (name, inst) in netlist.instances.iter() {
-        let model_ref = match netlist.models.get(&inst.component) {
-            Some(r) => r.as_str(),
-            // Fall back to the component name itself; several designs bind
-            // components 1:1 (e.g. "waveguide": "waveguide").
-            None => inst.component.as_str(),
-        };
-        if let Some(ports) = catalog.ports_of(model_ref) {
-            lookup.insert(name.to_string(), ports);
-        }
-    }
-    lookup
 }
 
 fn check_component_names(netlist: &Netlist, issues: &mut Vec<ValidationIssue>) {
@@ -154,18 +134,23 @@ fn check_models(
             ));
         }
     }
-    // Every binding must reference a known model.
+    // Every binding must reference a known model. The components in use
+    // are only collected once a binding fails.
+    let mut used_components: Option<HashSet<&str>> = None;
     for (component, model_ref) in netlist.models.iter() {
         if !catalog.has_model(model_ref) {
             // The swapped form '"<ref>" : <component>' the paper calls
             // out: the key is a valid model reference and the value is a
             // component type that instances actually use — distinguishing
             // it from a plain hallucinated reference.
-            let value_is_used_component = netlist
-                .instances
-                .values()
-                .any(|inst| inst.component == *model_ref);
-            if catalog.has_model(component) && value_is_used_component {
+            let used = used_components.get_or_insert_with(|| {
+                netlist
+                    .instances
+                    .values()
+                    .map(|inst| inst.component.as_str())
+                    .collect()
+            });
+            if catalog.has_model(component) && used.contains(model_ref.as_str()) {
                 issues.push(ValidationIssue::new(
                     FailureType::InstancesModelsConfusion,
                     format!(
@@ -186,22 +171,41 @@ fn check_models(
 
 fn check_endpoints_exist(
     netlist: &Netlist,
-    port_lookup: &HashMap<String, Vec<String>>,
+    catalog: &dyn ComponentCatalog,
     issues: &mut Vec<ValidationIssue>,
 ) {
+    // The port list of every instance whose model is known, by instance
+    // position.
+    let ports: Vec<Option<&[String]>> = netlist
+        .instances
+        .values()
+        .map(|inst| {
+            let model_ref = match netlist.models.get(&inst.component) {
+                Some(r) => r.as_str(),
+                // Fall back to the component name itself; several designs
+                // bind components 1:1 (e.g. "waveguide": "waveguide").
+                None => inst.component.as_str(),
+            };
+            catalog.ports_of(model_ref)
+        })
+        .collect();
+    // Formatted on the first unknown instance, then reused.
+    let mut defined: Option<String> = None;
     for pr in netlist.all_endpoint_refs() {
-        if !netlist.instances.contains_key(&pr.instance) {
+        let Some(position) = netlist.instances.position(&pr.instance) else {
+            let defined = defined.get_or_insert_with(|| {
+                format!("{:?}", netlist.instances.keys().collect::<Vec<_>>())
+            });
             issues.push(ValidationIssue::new(
                 FailureType::WrongPort,
                 format!(
-                    "Instance {} does not exist. Defined instances: {:?}.",
-                    pr.instance,
-                    netlist.instances.keys().collect::<Vec<_>>()
+                    "Instance {} does not exist. Defined instances: {defined}.",
+                    pr.instance
                 ),
             ));
             continue;
-        }
-        if let Some(ports) = port_lookup.get(&pr.instance) {
+        };
+        if let Some(ports) = ports[position] {
             if !ports.iter().any(|p| p == &pr.port) {
                 // The exact message format of Fig. 4 in the paper.
                 issues.push(ValidationIssue::new(
@@ -216,21 +220,46 @@ fn check_endpoints_exist(
     }
 }
 
-fn check_duplicate_connections(netlist: &Netlist, issues: &mut Vec<ValidationIssue>) {
-    let mut seen: HashMap<String, usize> = HashMap::new();
+/// How often one instance port is used: `(connection endpoints, external
+/// port targets)`.
+type Uses = (usize, usize);
+
+fn endpoint_key(pr: &PortRef) -> (&str, &str) {
+    (pr.instance.as_str(), pr.port.as_str())
+}
+
+/// Every instance port the document uses, with its [`Uses`].
+fn endpoint_uses(netlist: &Netlist) -> HashMap<(&str, &str), Uses> {
+    let mut uses: HashMap<(&str, &str), Uses> =
+        HashMap::with_capacity(2 * netlist.connections.len() + netlist.ports.len());
     for c in &netlist.connections {
-        *seen.entry(c.a.to_string()).or_insert(0) += 1;
-        *seen.entry(c.b.to_string()).or_insert(0) += 1;
+        uses.entry(endpoint_key(&c.a)).or_default().0 += 1;
+        uses.entry(endpoint_key(&c.b)).or_default().0 += 1;
     }
-    // External port targets also occupy their internal port.
-    for (_, pr) in netlist.ports.iter() {
-        *seen.entry(pr.to_string()).or_insert(0) += 1;
+    for pr in netlist.ports.values() {
+        uses.entry(endpoint_key(pr)).or_default().1 += 1;
     }
-    let mut duplicated: Vec<(&String, usize)> = seen
-        .iter()
-        .filter(|(_, &n)| n > 1)
-        .map(|(k, &n)| (k, n))
-        .collect();
+    uses
+}
+
+fn check_duplicate_connections(
+    uses: &HashMap<(&str, &str), Uses>,
+    issues: &mut Vec<ValidationIssue>,
+) {
+    // External port targets also occupy their internal port, so both
+    // kinds of use count. Ports are counted under their "instance,port"
+    // text. A comma inside
+    // a name can make two distinct ports read the same, so those are
+    // merged by text; any other port used once can never be reported.
+    let mut by_text: HashMap<String, usize> = HashMap::new();
+    for (&(instance, port), &(in_connections, in_ports)) in uses {
+        let count = in_connections + in_ports;
+        if count > 1 || instance.contains(',') || port.contains(',') {
+            *by_text.entry(format!("{instance},{port}")).or_insert(0) += count;
+        }
+    }
+    let mut duplicated: Vec<(String, usize)> =
+        by_text.into_iter().filter(|&(_, n)| n > 1).collect();
     duplicated.sort();
     for (port, count) in duplicated {
         issues.push(ValidationIssue::new(
@@ -242,12 +271,16 @@ fn check_duplicate_connections(netlist: &Netlist, issues: &mut Vec<ValidationIss
     }
 }
 
-fn check_bound_io(netlist: &Netlist, issues: &mut Vec<ValidationIssue>) {
+fn check_bound_io(
+    netlist: &Netlist,
+    uses: &HashMap<(&str, &str), Uses>,
+    issues: &mut Vec<ValidationIssue>,
+) {
     // An external port target must not appear in internal connections.
     // (check_duplicate_connections already counts it once for the ports
     // section; here we produce the specific Table II category.)
     for (external, pr) in netlist.ports.iter() {
-        let bound_internally = netlist.connections.iter().any(|c| c.a == *pr || c.b == *pr);
+        let bound_internally = uses.get(&endpoint_key(pr)).is_some_and(|u| u.0 > 0);
         if bound_internally {
             issues.push(ValidationIssue::new(
                 FailureType::BoundIoPorts,
@@ -308,24 +341,26 @@ mod tests {
     use crate::builder::NetlistBuilder;
 
     /// A catalog with the handful of models the tests reference.
-    struct TestCatalog;
+    struct TestCatalog(HashMap<&'static str, Vec<String>>);
 
     impl ComponentCatalog for TestCatalog {
         fn has_model(&self, model_ref: &str) -> bool {
-            matches!(
-                model_ref,
-                "mmi1x2" | "waveguide" | "phaseshifter" | "mmi2x2"
-            )
+            self.0.contains_key(model_ref)
         }
 
-        fn ports_of(&self, model_ref: &str) -> Option<Vec<String>> {
-            match model_ref {
-                "mmi1x2" => Some(vec!["I1".into(), "O1".into(), "O2".into()]),
-                "mmi2x2" => Some(vec!["I1".into(), "I2".into(), "O1".into(), "O2".into()]),
-                "waveguide" | "phaseshifter" => Some(vec!["I1".into(), "O1".into()]),
-                _ => None,
-            }
+        fn ports_of(&self, model_ref: &str) -> Option<&[String]> {
+            self.0.get(model_ref).map(Vec::as_slice)
         }
+    }
+
+    fn catalog() -> TestCatalog {
+        let ports = |names: &[&str]| names.iter().map(|p| p.to_string()).collect();
+        TestCatalog(HashMap::from([
+            ("mmi1x2", ports(&["I1", "O1", "O2"])),
+            ("mmi2x2", ports(&["I1", "I2", "O1", "O2"])),
+            ("waveguide", ports(&["I1", "O1"])),
+            ("phaseshifter", ports(&["I1", "O1"])),
+        ]))
     }
 
     /// The paper's golden MZI-ps-like design (correct).
@@ -351,7 +386,7 @@ mod tests {
 
     #[test]
     fn golden_design_is_clean() {
-        let issues = validate(&golden(), &TestCatalog, Some(&SPEC));
+        let issues = validate(&golden(), &catalog(), Some(&SPEC));
         assert!(issues.is_empty(), "unexpected issues: {issues:?}");
     }
 
@@ -360,7 +395,7 @@ mod tests {
         // The exact error of Fig. 4: connecting to non-existent mmi2,I2.
         let mut n = golden();
         n.connections[1].b = crate::PortRef::new("mmi2", "I2");
-        let issues = validate(&n, &TestCatalog, Some(&SPEC));
+        let issues = validate(&n, &catalog(), Some(&SPEC));
         let wrong: Vec<_> = issues
             .iter()
             .filter(|i| i.failure == FailureType::WrongPort)
@@ -379,7 +414,7 @@ mod tests {
     fn unknown_instance_is_wrong_port() {
         let mut n = golden();
         n.connections[0].b = crate::PortRef::new("ghost", "I1");
-        let issues = validate(&n, &TestCatalog, Some(&SPEC));
+        let issues = validate(&n, &catalog(), Some(&SPEC));
         assert!(issues
             .iter()
             .any(|i| i.failure == FailureType::WrongPort && i.message.contains("ghost")));
@@ -389,7 +424,7 @@ mod tests {
     fn undefined_model_detected() {
         let mut n = golden();
         n.models.insert("mmi".into(), "super_mmi_3000".into());
-        let issues = validate(&n, &TestCatalog, Some(&SPEC));
+        let issues = validate(&n, &catalog(), Some(&SPEC));
         assert!(issues
             .iter()
             .any(|i| i.failure == FailureType::UndefinedModel
@@ -400,7 +435,7 @@ mod tests {
     fn missing_model_binding_detected() {
         let mut n = golden();
         n.models.remove("mmi");
-        let issues = validate(&n, &TestCatalog, Some(&SPEC));
+        let issues = validate(&n, &catalog(), Some(&SPEC));
         assert!(issues
             .iter()
             .any(|i| i.failure == FailureType::UndefinedModel && i.message.contains("'mmi'")));
@@ -413,7 +448,7 @@ mod tests {
         // The swapped form the paper shows: '"<ref>" : ...'.
         n.models.insert("mmi1x2".into(), "mmi".into());
         // Rebind instances so the missing-binding rule doesn't also fire.
-        let issues = validate(&n, &TestCatalog, None);
+        let issues = validate(&n, &catalog(), None);
         assert!(issues
             .iter()
             .any(|i| i.failure == FailureType::InstancesModelsConfusion));
@@ -427,11 +462,32 @@ mod tests {
             a: crate::PortRef::new("mmi1", "O1"),
             b: crate::PortRef::new("mmi2", "I1"),
         });
-        let issues = validate(&n, &TestCatalog, Some(&SPEC));
+        let issues = validate(&n, &catalog(), Some(&SPEC));
         assert!(issues
             .iter()
             .any(|i| i.failure == FailureType::DuplicatePortConnection
                 && i.message.contains("mmi1,O1")));
+    }
+
+    #[test]
+    fn ports_reading_the_same_are_counted_together() {
+        // Built in code, names may hold commas: "a,b" + "c" and "a" +
+        // "b,c" both read "a,b,c", and are counted as one port.
+        let mut n = golden();
+        n.connections.push(crate::Connection {
+            a: crate::PortRef::new("a,b", "c"),
+            b: crate::PortRef::new("a", "b,c"),
+        });
+        let issues = validate(&n, &catalog(), None);
+        let duplicates: Vec<&str> = issues
+            .iter()
+            .filter(|i| i.failure == FailureType::DuplicatePortConnection)
+            .map(|i| i.message.as_str())
+            .collect();
+        assert_eq!(
+            duplicates,
+            ["Port a,b,c is connected 2 times; each port can only be connected once."]
+        );
     }
 
     #[test]
@@ -442,7 +498,7 @@ mod tests {
             a: crate::PortRef::new("phaseShifter", "O1"),
             b: crate::PortRef::new("mmi1", "I1"),
         });
-        let issues = validate(&n, &TestCatalog, Some(&SPEC));
+        let issues = validate(&n, &catalog(), Some(&SPEC));
         assert!(issues
             .iter()
             .any(|i| i.failure == FailureType::BoundIoPorts));
@@ -461,7 +517,7 @@ mod tests {
             .port("O1", "phase_shifter,O1")
             .model("phaseshifter", "phaseshifter")
             .build();
-        let issues = validate(&n, &TestCatalog, Some(&SPEC));
+        let issues = validate(&n, &catalog(), Some(&SPEC));
         assert!(issues
             .iter()
             .any(|i| i.failure == FailureType::InvalidComponentName));
@@ -471,7 +527,7 @@ mod tests {
     fn missing_external_port_is_wrong_count() {
         let mut n = golden();
         n.ports.remove("O1");
-        let issues = validate(&n, &TestCatalog, Some(&SPEC));
+        let issues = validate(&n, &catalog(), Some(&SPEC));
         assert!(issues
             .iter()
             .any(|i| i.failure == FailureType::WrongPortCount && i.message.contains("O1")));
@@ -484,7 +540,7 @@ mod tests {
             .insert("O9".into(), crate::PortRef::new("mmi2", "I1"));
         // mmi2,I1 now used twice (O1 and O9) → also duplicate; and O9 is a
         // surplus name → dangling.
-        let issues = validate(&n, &TestCatalog, Some(&SPEC));
+        let issues = validate(&n, &catalog(), Some(&SPEC));
         assert!(issues
             .iter()
             .any(|i| i.failure == FailureType::DanglingPortConnection && i.message.contains("O9")));
@@ -494,7 +550,7 @@ mod tests {
     fn no_spec_skips_port_count_checks() {
         let mut n = golden();
         n.ports.remove("O1");
-        let issues = validate(&n, &TestCatalog, None);
+        let issues = validate(&n, &catalog(), None);
         assert!(issues
             .iter()
             .all(|i| i.failure != FailureType::WrongPortCount));

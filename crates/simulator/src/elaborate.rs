@@ -96,10 +96,9 @@ impl Circuit {
             let model_ref = netlist
                 .models
                 .get(&inst.component)
-                .cloned()
-                .unwrap_or_else(|| inst.component.clone());
+                .unwrap_or(&inst.component);
             let model = registry
-                .get(&model_ref)
+                .get(model_ref)
                 .cloned()
                 .ok_or_else(|| ElaborateError {
                     issues: vec![ValidationIssue::new(
@@ -125,8 +124,10 @@ impl Circuit {
         }
         let total_ports = offset;
 
+        // `instances` is in netlist order, so the netlist's own index
+        // finds an instance by name.
         let global_index = |instance: &str, port: &str| -> Option<usize> {
-            let inst = instances.iter().find(|i| i.name == instance)?;
+            let inst = &instances[netlist.instances.position(instance)?];
             let local = inst.port_names.iter().position(|p| p == port)?;
             Some(inst.port_offset + local)
         };

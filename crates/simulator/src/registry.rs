@@ -27,8 +27,16 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone)]
 pub struct ModelRegistry {
-    models: HashMap<String, Arc<dyn Model>>,
+    models: HashMap<String, Registered>,
     order: Vec<String>,
+}
+
+/// A registered model with its port list, kept so validation can borrow
+/// it instead of building one per instance.
+#[derive(Clone)]
+struct Registered {
+    model: Arc<dyn Model>,
+    ports: Vec<String>,
 }
 
 impl ModelRegistry {
@@ -55,14 +63,19 @@ impl ModelRegistry {
     /// [`ModelInfo::name`]: picbench_sparams::ModelInfo::name
     pub fn register(&mut self, model: Arc<dyn Model>) {
         let name = model.info().name.to_string();
-        if self.models.insert(name.clone(), model).is_none() {
+        let ports = model.info().ports();
+        if self
+            .models
+            .insert(name.clone(), Registered { model, ports })
+            .is_none()
+        {
             self.order.push(name);
         }
     }
 
     /// Looks up a model by reference name.
     pub fn get(&self, name: &str) -> Option<&Arc<dyn Model>> {
-        self.models.get(name)
+        self.models.get(name).map(|r| &r.model)
     }
 
     /// Number of registered models.
@@ -77,7 +90,7 @@ impl ModelRegistry {
 
     /// Iterates over the models in registration order.
     pub fn iter(&self) -> impl Iterator<Item = &Arc<dyn Model>> {
-        self.order.iter().filter_map(|name| self.models.get(name))
+        self.order.iter().filter_map(|name| self.get(name))
     }
 }
 
@@ -100,8 +113,8 @@ impl ComponentCatalog for ModelRegistry {
         self.models.contains_key(model_ref)
     }
 
-    fn ports_of(&self, model_ref: &str) -> Option<Vec<String>> {
-        self.models.get(model_ref).map(|m| m.info().ports())
+    fn ports_of(&self, model_ref: &str) -> Option<&[String]> {
+        self.models.get(model_ref).map(|r| r.ports.as_slice())
     }
 }
 
