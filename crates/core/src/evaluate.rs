@@ -172,9 +172,9 @@ pub struct EvalCacheStats {
     pub report_hits: u64,
     /// Verdicts re-derived from a memoized sweep.
     pub sim_hits: u64,
-    /// Lookups served from the persistent disk tier (counted separately
+    /// Verdicts served from the persistent disk tier (counted separately
     /// from the memory-tier hits above; a disk hit also warms memory, so
-    /// repeats of the same key surface as memory hits).
+    /// repeats of the same text surface as `response_hits`).
     pub disk_hits: u64,
     /// Evaluations that had to run the full simulation.
     pub misses: u64,
@@ -245,12 +245,16 @@ impl CacheScope {
 /// settings a verdict depends on); level 1 memoizes sweep outcomes by
 /// simulation key (canonical netlist digest, grid, SIMD tier, port
 /// spec). A level-1 hit re-runs only the cheap golden comparison.
+///
+/// An optional disk tier backs level 0 only: verdicts persist, sweeps
+/// stay in memory.
 #[derive(Debug)]
 pub struct EvalCache {
     responses: Shards<ResponseKey, EvalReport>,
     sims: Shards<SimKey, SimOutcome>,
-    /// Optional persistent tier: memory misses fall through to it, and
-    /// fresh computations write through so they warm-start future runs.
+    /// Optional persistent verdict tier: level-0 misses fall through to
+    /// it, and fresh verdicts write through so they warm-start future
+    /// runs.
     disk: Option<Arc<crate::persist::EvalStore>>,
     counters: CacheScope,
 }
@@ -272,12 +276,12 @@ impl EvalCache {
         }
     }
 
-    /// Attaches a persistent disk tier: lookups missing every memory
-    /// tier fall through to the store (counted as
+    /// Attaches a persistent disk tier for verdicts: a response-text
+    /// lookup that misses memory falls through to the store (counted as
     /// [`EvalCacheStats::disk_hits`] and warming memory), and fresh
-    /// results write through so later runs warm-start. Store write
-    /// failures degrade the store silently — the cache never fails an
-    /// evaluation over its disk tier.
+    /// verdicts write through so later runs warm-start. Sweeps are never
+    /// persisted. Store write failures degrade the store silently — the
+    /// cache never fails an evaluation over its disk tier.
     pub fn with_disk(mut self, store: Arc<crate::persist::EvalStore>) -> Self {
         self.disk = Some(store);
         self
@@ -296,10 +300,10 @@ impl EvalCache {
         }
     }
 
-    /// Every `get_*` counts its own hit (memory tier, then disk tier,
-    /// whose hit warms memory) both globally and in the caller's
-    /// [`CacheScope`], if any; `None` means the caller computes — and
-    /// counts the miss only when it actually runs a sweep.
+    /// Every `get_*` counts its own hit (memory tier, then for verdicts
+    /// the disk tier, whose hit warms memory) both globally and in the
+    /// caller's [`CacheScope`], if any; `None` means the caller computes
+    /// — and counts the miss only when it actually runs a sweep.
     fn get_response(&self, key: &ResponseKey, scope: Option<&CacheScope>) -> Option<EvalReport> {
         let hit = self.responses.lock(key.0).get(key).cloned();
         if hit.is_some() {
@@ -323,25 +327,15 @@ impl EvalCache {
         let hit = self.sims.lock(key.0).get(key).cloned();
         if hit.is_some() {
             self.count(scope, |c| &c.sim_hits);
-            return hit;
         }
-        // Only successful sweeps are persisted; failures recompute (they
-        // run no sweep, so replaying them from disk would save nothing).
-        let outcome = SimOutcome::Response(Arc::new(self.disk.as_ref()?.get_sim(key)?));
-        self.count(scope, |c| &c.disk_hits);
-        self.sims.insert(key.0, *key, outcome.clone());
-        Some(outcome)
+        hit
     }
 
     fn put_sim(&self, key: SimKey, outcome: SimOutcome) {
-        if let (Some(disk), SimOutcome::Response(response)) = (&self.disk, &outcome) {
-            disk.put_sim(&key, response);
-        }
         self.sims.insert(key.0, key, outcome);
     }
 
-    /// The memory tier's successful sweep under `key`, without counting
-    /// a hit or falling through to the disk tier.
+    /// The successful sweep under `key`, without counting a hit.
     fn peek_sim_response(&self, key: &SimKey) -> Option<Arc<FrequencyResponse>> {
         match self.sims.lock(key.0).get(key)? {
             SimOutcome::Response(response) => Some(Arc::clone(response)),

@@ -4,10 +4,8 @@
 //! `picbench-store` is a byte-level key/value log; this module owns the
 //! typed encode/decode for the things PICBench persists:
 //!
-//! * **verdicts** ([`EvalReport`] keyed by response-text digest),
-//! * **sweep outcomes** ([`FrequencyResponse`] keyed by simulation key;
-//!   only *successful* sweeps are persisted — failures are cheap to
-//!   classify and recompute),
+//! * **verdicts** ([`EvalReport`] keyed by response-text digest) — the
+//!   only thing a warm start reads back; sweeps stay in memory,
 //! * **campaign cells** ([`ProblemTally`] keyed by campaign fingerprint
 //!   and cell id — the journal resumable campaigns replay), plus the
 //!   shard leases, statistics and marks around them.
@@ -16,7 +14,7 @@
 //! (`seg-*` segments) takes the cells and their companions and is
 //! fsynced at every cell barrier; a cell whose
 //! [`EvalStore::record_cell`] returned `true` survives any crash. The
-//! cache (`cache-*` segments) takes verdicts and sweeps. It is
+//! cache (`cache-*` segments) takes verdicts. It is
 //! buffered, and its bytes reach the disk on their own schedule, never
 //! inside a cell barrier: a crash may lose its tail, which only costs
 //! recomputation.
@@ -26,12 +24,10 @@
 //! correctness — the same contract the store's recovery scan makes at
 //! the byte level.
 
-use crate::evaluate::{EvalReport, ResponseKey, SimKey};
+use crate::evaluate::{EvalReport, ResponseKey};
 use crate::passk::ProblemTally;
-use picbench_math::{CMatrix, Complex};
 use picbench_netlist::{FailureType, ValidationIssue};
-use picbench_sim::{FrequencyResponse, ResponseComparison};
-use picbench_sparams::SMatrix;
+use picbench_sim::ResponseComparison;
 use picbench_store::{FileIo, RecoveryReport, SharedStore, Snapshot, Store, StoreIo};
 use std::io;
 use std::path::Path;
@@ -44,7 +40,9 @@ pub const KIND_VERDICT: u8 = 1;
 /// reserved so the number is never reused; records of this kind left by
 /// earlier builds are never read.
 pub const KIND_REPORT: u8 = 2;
-/// Record kind of a memoized sweep outcome (level 1).
+/// Retired record kind of the former persisted sweep outcomes. Kept
+/// reserved so the number is never reused; records of this kind left by
+/// earlier builds are never read.
 pub const KIND_SIM: u8 = 3;
 /// Record kind of a campaign cell-completion journal entry.
 pub const KIND_CELL: u8 = 4;
@@ -139,22 +137,11 @@ fn put_grid(out: &mut Vec<u8>, grid: &(u64, u64, usize)) {
     put_u64(out, grid.2 as u64);
 }
 
-/// Sweep-derived keys carry the solver's SIMD tier token (`scalar`,
-/// `avx2`, …). Stores written before the solver was unified carry a
-/// backend token (`port-elimination`, …) in that slot instead; such
-/// records never match a current key, so they are plain misses — never
-/// served, never treated as damage.
-pub(crate) fn encode_sim_key(key: &SimKey) -> Vec<u8> {
-    let (hash, grid, simd, spec) = key;
-    let mut out = Vec::with_capacity(64);
-    put_u64(&mut out, *hash);
-    put_grid(&mut out, grid);
-    put_str(&mut out, simd.token());
-    put_u64(&mut out, spec.0 as u64);
-    put_u64(&mut out, spec.1 as u64);
-    out
-}
-
+/// Verdict keys carry the solver's SIMD tier token (`scalar`, `avx2`,
+/// …). Stores written before the solver was unified carry a backend
+/// token (`port-elimination`, …) in that slot instead; such records
+/// never match a current key, so they are plain misses — never served,
+/// never treated as damage.
 pub(crate) fn encode_response_key(key: &ResponseKey) -> Vec<u8> {
     let (text, grid, simd, problem, tolerance) = key;
     let mut out = Vec::with_capacity(64);
@@ -234,7 +221,9 @@ fn decode_report(bytes: &[u8]) -> Option<EvalReport> {
         1 => Ok(()),
         0 => {
             let n = r.count()?;
-            let mut issues = Vec::with_capacity(n);
+            // A corrupt count must not reserve more than the bytes left
+            // could hold: an issue encodes to at least 9 bytes.
+            let mut issues = Vec::with_capacity(n.min(r.bytes.len() / 9));
             for _ in 0..n {
                 let failure = *FailureType::ALL.get(r.u8()? as usize)?;
                 issues.push(ValidationIssue::new(failure, r.str()?));
@@ -264,58 +253,6 @@ fn decode_report(bytes: &[u8]) -> Option<EvalReport> {
         functional,
         comparison,
     })
-}
-
-fn encode_response(response: &FrequencyResponse) -> Vec<u8> {
-    let ports = response.ports();
-    let wavelengths = response.wavelengths();
-    let dim = ports.len();
-    let mut out = Vec::with_capacity(32 + wavelengths.len() * (8 + dim * dim * 16));
-    put_u64(&mut out, wavelengths.len() as u64);
-    for &wl in wavelengths {
-        put_u64(&mut out, wl.to_bits());
-    }
-    put_u64(&mut out, ports.len() as u64);
-    for port in ports {
-        put_str(&mut out, port);
-    }
-    for i in 0..wavelengths.len() {
-        let sample = response.sample(i).expect("one sample per wavelength");
-        for z in sample.matrix().as_slice() {
-            put_u64(&mut out, z.re.to_bits());
-            put_u64(&mut out, z.im.to_bits());
-        }
-    }
-    out
-}
-
-fn decode_response(bytes: &[u8]) -> Option<FrequencyResponse> {
-    let mut r = Reader::new(bytes);
-    let n_points = r.count()?;
-    let mut wavelengths = Vec::with_capacity(n_points);
-    for _ in 0..n_points {
-        wavelengths.push(r.f64()?);
-    }
-    let n_ports = r.count()?;
-    let mut ports = Vec::with_capacity(n_ports);
-    for _ in 0..n_ports {
-        ports.push(r.str()?);
-    }
-    let mut samples = Vec::with_capacity(n_points);
-    for _ in 0..n_points {
-        let mut m = CMatrix::zeros(n_ports, n_ports);
-        for z in m.as_mut_slice() {
-            *z = Complex {
-                re: r.f64()?,
-                im: r.f64()?,
-            };
-        }
-        samples.push(SMatrix::from_matrix(ports.clone(), m));
-    }
-    if !r.done() {
-        return None;
-    }
-    FrequencyResponse::from_parts(wavelengths, ports, samples)
 }
 
 fn encode_tally(tally: &ProblemTally) -> Vec<u8> {
@@ -440,7 +377,7 @@ const CACHE_BUFFER_BYTES: usize = 256 << 10;
 /// Whether a record kind belongs to the cache log (recomputable) rather
 /// than the journal.
 fn is_cache_kind(kind: u8) -> bool {
-    matches!(kind, KIND_VERDICT | KIND_SIM)
+    kind == KIND_VERDICT
 }
 
 /// The durable tier: two crash-safe [`Store`] logs in one directory, with
@@ -449,10 +386,9 @@ fn is_cache_kind(kind: u8) -> bool {
 /// * The **journal** (`seg-NNNNNN.picstore`) holds cells, leases, shard
 ///   statistics, inherit marks and applied marks. Its records are tens
 ///   of bytes, and every [`EvalStore::sync`] barrier fsyncs it.
-/// * The **cache** (`cache-NNNNNN.picstore`) holds verdicts and sweeps.
-///   It appends through an in-memory buffer and fsyncs only when a
-///   segment rotates and when the store closes — never under a journal
-///   barrier. A crash may lose its tail; the lost entries recompute.
+/// * The **cache** (`cache-NNNNNN.picstore`) holds verdicts. It appends
+///   through an in-memory buffer and fsyncs only when a segment rotates
+///   and when the store closes — never under a journal barrier. A crash may lose its tail; the lost entries recompute.
 ///
 /// All write failures degrade instead of crash: the store flips into a
 /// degraded state, further writes to either log become no-ops, and
@@ -629,9 +565,9 @@ impl EvalStore {
     /// The journal's durability barrier: once it returns `true`, every
     /// cell, lease, shard statistic, inherit mark and applied mark
     /// written before the call survives a crash. Cache records
-    /// (verdicts and sweeps) are not covered; they are
-    /// recomputable. Concurrent barriers share one fsync, which runs
-    /// without blocking cache reads and writes. Returns `false` (and
+    /// (verdicts) are not covered; they are recomputable. Concurrent
+    /// barriers share one fsync, which runs without blocking cache reads
+    /// and writes. Returns `false` (and
     /// degrades) on failure, and `false` once the store is degraded.
     pub fn sync(&self) -> bool {
         if self.degraded() {
@@ -651,14 +587,6 @@ impl EvalStore {
             &encode_response_key(key),
             &encode_report(report),
         );
-    }
-
-    pub(crate) fn get_sim(&self, key: &SimKey) -> Option<FrequencyResponse> {
-        decode_response(&self.get(KIND_SIM, &encode_sim_key(key))?)
-    }
-
-    pub(crate) fn put_sim(&self, key: &SimKey, response: &FrequencyResponse) {
-        self.put(KIND_SIM, &encode_sim_key(key), &encode_response(response));
     }
 
     /// Journals one completed campaign cell under the campaign's
@@ -905,18 +833,29 @@ pub type SharedEvalStore = Arc<EvalStore>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluate::{EvalCache, Evaluator, SimKey};
     use picbench_math::SimdLevel;
-    use picbench_sim::{sweep, Circuit, ModelRegistry, WavelengthGrid};
 
-    fn sample_response() -> FrequencyResponse {
-        let problem = picbench_problems::find("mzi-ps").unwrap();
-        let circuit = Circuit::elaborate(
-            &problem.golden.canonicalize(),
-            &ModelRegistry::with_builtins(),
-            Some(&problem.spec),
-        )
-        .unwrap();
-        sweep(&circuit, &WavelengthGrid::paper_fast()).unwrap()
+    /// The key layout earlier builds filed sweep outcomes and finished
+    /// reports under: netlist digest, grid, SIMD tier token, port spec.
+    fn old_sim_key(key: &SimKey) -> Vec<u8> {
+        let (hash, grid, simd, spec) = key;
+        let mut out = Vec::new();
+        put_u64(&mut out, *hash);
+        put_grid(&mut out, grid);
+        put_str(&mut out, simd.token());
+        put_u64(&mut out, spec.0 as u64);
+        put_u64(&mut out, spec.1 as u64);
+        out
+    }
+
+    /// Writes one raw record into the cache log of `dir`, as an earlier
+    /// build would have.
+    fn plant_cache_record(dir: &Path, kind: u8, key: &[u8], value: &[u8]) {
+        let mut raw =
+            Store::open_with_io(Box::new(FileIo::new(dir, CACHE_PREFIX).unwrap())).unwrap();
+        raw.put(kind, key, value).unwrap();
+        raw.sync().unwrap();
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -982,41 +921,16 @@ mod tests {
         let mut bad_tag = bytes.clone();
         bad_tag[0] = 7;
         assert!(decode_report(&bad_tag).is_none());
-    }
-
-    #[test]
-    fn frequency_response_roundtrips_bit_for_bit() {
-        let response = sample_response();
-        let decoded = decode_response(&encode_response(&response)).unwrap();
-        assert_eq!(response, decoded);
-        // Bit-identical, not approximately equal.
-        for (a, b) in response
-            .wavelengths()
-            .iter()
-            .zip(decoded.wavelengths().iter())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for i in 0..response.wavelengths().len() {
-            let (sa, sb) = (response.sample(i).unwrap(), decoded.sample(i).unwrap());
-            for (za, zb) in sa.matrix().as_slice().iter().zip(sb.matrix().as_slice()) {
-                assert_eq!(za.re.to_bits(), zb.re.to_bits());
-                assert_eq!(za.im.to_bits(), zb.im.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn truncated_response_decodes_to_none() {
-        let bytes = encode_response(&sample_response());
-        for cut in [0, 4, 8, 20, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_response(&bytes[..cut]).is_none(), "cut at {cut}");
-        }
+        // A count of 2^20 issues with nothing after it reserves no room
+        // for them before failing.
+        let mut huge = vec![0];
+        put_u64(&mut huge, MAX_DECODE_ELEMS);
+        assert!(decode_report(&huge).is_none());
     }
 
     #[test]
     fn keys_of_different_simd_tiers_never_collide() {
-        let key = |simd| encode_sim_key(&(42, (1, 2, 17), simd, (1, 1)));
+        let key = |simd| encode_response_key(&(42, (1, 2, 17), simd, 7, 8));
         let tiers = [
             SimdLevel::Scalar,
             SimdLevel::Avx2,
@@ -1156,9 +1070,8 @@ mod tests {
     }
 
     #[test]
-    fn eval_store_roundtrips_verdicts_and_sims_across_reopen() {
+    fn eval_store_roundtrips_verdicts_across_reopen() {
         let dir = temp_dir("tiers");
-        let response = sample_response();
         let report = EvalReport {
             syntax: Ok(()),
             functional: Some(true),
@@ -1169,19 +1082,16 @@ mod tests {
                 rms_power_diff: 0.0,
             }),
         };
-        let sim_key: SimKey = (42, (1, 2, 17), SimdLevel::Scalar, (1, 1));
         let response_key: ResponseKey = (9, (1, 2, 17), SimdLevel::Scalar, 7, 8);
         {
             let store = EvalStore::open(&dir).unwrap();
-            store.put_sim(&sim_key, &response);
             store.put_verdict(&response_key, &report);
             store.sync();
         }
         let store = EvalStore::open(&dir).unwrap();
-        assert_eq!(store.get_sim(&sim_key).unwrap(), response);
         assert!(store.get_verdict(&response_key).unwrap().functional_pass());
         assert!(store
-            .get_sim(&(43, (1, 2, 17), SimdLevel::Scalar, (1, 1)))
+            .get_verdict(&(10, (1, 2, 17), SimdLevel::Scalar, 7, 8))
             .is_none());
         assert!(!store.degraded());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1189,14 +1099,14 @@ mod tests {
 
     #[test]
     fn stale_report_records_are_never_served() {
-        use crate::evaluate::{EvalCache, Evaluator, DEFAULT_FUNCTIONAL_TOLERANCE};
+        use crate::evaluate::DEFAULT_FUNCTIONAL_TOLERANCE;
         let dir = temp_dir("stale-report");
         let problem = picbench_problems::find("mzi-ps").unwrap();
         // An earlier build kept finished reports in the cache log, keyed
         // by the sim key, the problem-id digest and the tolerance bits.
         // Plant a poisoned one under the golden design's key.
         let sim_key = Evaluator::default().sim_key(&problem, problem.golden.content_hash());
-        let mut key = encode_sim_key(&sim_key);
+        let mut key = old_sim_key(&sim_key);
         put_u64(&mut key, picbench_netlist::Fnv64::hash_str(&problem.id));
         put_u64(&mut key, DEFAULT_FUNCTIONAL_TOLERANCE.to_bits());
         let poisoned = EvalReport {
@@ -1204,13 +1114,7 @@ mod tests {
             functional: Some(false),
             comparison: None,
         };
-        {
-            let mut raw =
-                Store::open_with_io(Box::new(FileIo::new(&dir, CACHE_PREFIX).unwrap())).unwrap();
-            raw.put(KIND_REPORT, &key, &encode_report(&poisoned))
-                .unwrap();
-            raw.sync().unwrap();
-        }
+        plant_cache_record(&dir, KIND_REPORT, &key, &encode_report(&poisoned));
 
         let store = Arc::new(EvalStore::open(&dir).unwrap());
         let cache = Arc::new(EvalCache::new().with_disk(store));
@@ -1218,6 +1122,39 @@ mod tests {
         let report = ev.evaluate_netlist(&problem, &problem.golden);
         assert!(report.functional_pass(), "{report:?}");
         assert_eq!(cache.stats().report_hits, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_sim_records_are_never_served() {
+        let dir = temp_dir("stale-sim");
+        let problem = picbench_problems::find("mzi-ps").unwrap();
+        // An earlier build kept successful sweeps in the cache log: the
+        // grid, the port names, then every sample's S-matrix. Plant one
+        // with the golden response's shape and all-zero values under the
+        // golden design's key.
+        let mut ev = Evaluator::default();
+        let golden = ev.golden_response_arc(&problem);
+        let key = old_sim_key(&ev.sim_key(&problem, problem.golden.content_hash()));
+        let mut poisoned = Vec::new();
+        put_u64(&mut poisoned, golden.wavelengths().len() as u64);
+        for wl in golden.wavelengths() {
+            put_u64(&mut poisoned, wl.to_bits());
+        }
+        put_u64(&mut poisoned, golden.ports().len() as u64);
+        for port in golden.ports() {
+            put_str(&mut poisoned, port);
+        }
+        let entries = golden.wavelengths().len() * golden.ports().len().pow(2);
+        poisoned.resize(poisoned.len() + entries * 16, 0);
+        plant_cache_record(&dir, KIND_SIM, &key, &poisoned);
+
+        let store = Arc::new(EvalStore::open(&dir).unwrap());
+        let cache = Arc::new(EvalCache::new().with_disk(store));
+        let mut ev = Evaluator::default().with_cache(Arc::clone(&cache));
+        let report = ev.evaluate_netlist(&problem, &problem.golden);
+        assert!(report.functional_pass(), "{report:?}");
+        assert_eq!(cache.stats().disk_hits, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -206,7 +206,7 @@ fn warm_start_serves_from_the_disk_tier_without_changing_results() {
         report
     };
     // Same campaign, fresh store handle, no resume: every cell
-    // re-evaluates, but simulations come back from the disk tier.
+    // re-evaluates, but verdicts come back from the disk tier.
     let warm_report = builder().store(open_store(&dir)).build().unwrap().run();
     assert!(warm_report.same_results(&cold));
     let stats = warm_report.cache_stats.expect("cache on by default");
@@ -214,6 +214,7 @@ fn warm_start_serves_from_the_disk_tier_without_changing_results() {
         stats.disk_hits > 0,
         "warm start must hit the disk tier: {stats:?}"
     );
+    assert_eq!(stats.misses, 0, "a warm start runs no sweep: {stats:?}");
 
     // With resume, the journal replays every cell outright.
     let cells = problems().len() * profiles().len() * config().feedback_iters.len();

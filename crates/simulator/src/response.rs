@@ -79,32 +79,6 @@ pub struct FrequencyResponse {
 }
 
 impl FrequencyResponse {
-    /// Reassembles a response from its parts — the constructor used by
-    /// persistence layers that reload responses from disk. Returns `None`
-    /// unless every sample has one row/column per port and there is one
-    /// sample per wavelength, so a decoded response upholds the same
-    /// invariants a swept one does.
-    pub fn from_parts(
-        wavelengths: Vec<f64>,
-        ports: Vec<String>,
-        samples: Vec<SMatrix>,
-    ) -> Option<FrequencyResponse> {
-        if samples.len() != wavelengths.len() {
-            return None;
-        }
-        if samples
-            .iter()
-            .any(|s| s.dim() != ports.len() || s.ports() != &ports[..])
-        {
-            return None;
-        }
-        Some(FrequencyResponse {
-            wavelengths,
-            ports,
-            samples,
-        })
-    }
-
     /// External port names.
     pub fn ports(&self) -> &[String] {
         &self.ports
