@@ -74,8 +74,9 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Wavelength grid for simulation/comparison.
     pub grid: WavelengthGrid,
-    /// Worker threads (0 = one per available core, capped by the cell
-    /// count).
+    /// Campaign workers (0 = one per available core, capped by the cell
+    /// count). The calling thread is worker 0, so `n` workers spawn
+    /// `n - 1` threads and a 1-worker campaign spawns none.
     pub threads: usize,
     /// Whether workers share a content-addressed evaluation cache.
     pub cache: bool,
@@ -258,6 +259,13 @@ pub enum CampaignBuildError {
     NoFeedbackSettings,
     /// `samples_per_problem` is zero.
     ZeroSamples,
+    /// A Pass@k `k` outside `1..=samples_per_problem`.
+    KOutOfRange {
+        /// The offending k.
+        k: usize,
+        /// The campaign's samples per problem.
+        samples: usize,
+    },
     /// Two problems share an id (tallies are keyed by id).
     DuplicateProblemId(String),
     /// Two providers share a display name (report rows, events and
@@ -279,6 +287,9 @@ impl fmt::Display for CampaignBuildError {
             }
             CampaignBuildError::ZeroSamples => {
                 write!(f, "campaign needs at least one sample per problem")
+            }
+            CampaignBuildError::KOutOfRange { k, samples } => {
+                write!(f, "Pass@k needs k in 1..={samples} (the samples), got {k}")
             }
             CampaignBuildError::DuplicateProblemId(id) => {
                 write!(f, "duplicate problem id {id:?} in campaign")
@@ -562,7 +573,8 @@ impl CampaignBuilder {
         self
     }
 
-    /// Worker threads (0 = one per available core).
+    /// Campaign workers (0 = one per available core); see
+    /// [`CampaignConfig::threads`].
     pub fn threads(mut self, threads: usize) -> Self {
         self.config_mut().threads = threads;
         self
@@ -713,7 +725,8 @@ impl CampaignBuilder {
     ///
     /// Returns a [`CampaignBuildError`] when the matrix is degenerate:
     /// no problems, no providers, empty `k_values`/`feedback_iters`,
-    /// zero samples, duplicate problem ids, or duplicate provider names.
+    /// zero samples, a `k` outside `1..=samples_per_problem`, duplicate
+    /// problem ids, or duplicate provider names.
     pub fn build(self) -> Result<Campaign, CampaignBuildError> {
         let config = self.config.unwrap_or_default();
         if self.problems.is_empty() {
@@ -730,6 +743,10 @@ impl CampaignBuilder {
         }
         if config.samples_per_problem == 0 {
             return Err(CampaignBuildError::ZeroSamples);
+        }
+        let samples = config.samples_per_problem;
+        if let Some(&k) = config.k_values.iter().find(|&&k| k == 0 || k > samples) {
+            return Err(CampaignBuildError::KOutOfRange { k, samples });
         }
         let mut seen = HashSet::new();
         for problem in &self.problems {
@@ -981,8 +998,12 @@ pub(crate) fn aggregate_report(
 }
 
 /// The campaign engine: fans `(problem × model × feedback)` cells out
-/// over worker threads, spawning one model instance per cell from the
-/// cell's provider, and aggregates deterministically.
+/// over workers, spawning one model instance per cell from the cell's
+/// provider, and aggregates deterministically.
+///
+/// The calling thread is worker 0: it runs the same worker body as the
+/// `worker_count - 1` scoped threads beside it, so a 1-worker campaign
+/// spawns no thread and delivers every event on the caller's thread.
 #[allow(clippy::too_many_arguments)]
 fn execute_campaign(
     problems: &[Problem],
@@ -1144,89 +1165,89 @@ fn execute_campaign(
     let store_degraded_reported = AtomicBool::new(false);
     let results: Mutex<Vec<(usize, ProblemTally)>> = Mutex::new(Vec::with_capacity(cells.len()));
 
-    // Rebound under a distinct name: `scope` is shadowed by the thread
-    // scope inside the closure below.
-    let cache_scope = scope;
-    std::thread::scope(|scope| {
-        for _ in 0..worker_count {
-            scope.spawn(|| {
-                let mut evaluator = Evaluator::new(config.grid, Default::default())
-                    .with_shared_goldens(Arc::clone(&goldens))
-                    .with_sweep_threads(1);
-                if let Some(cache) = &cache {
-                    evaluator = evaluator.with_cache(Arc::clone(cache));
-                }
-                if let Some(scope) = cache_scope {
-                    evaluator = evaluator.with_cache_scope(Arc::clone(scope));
-                }
-                let mut local: Vec<(usize, ProblemTally)> = Vec::new();
-                loop {
-                    // Cooperative abort at cell boundaries: a started cell
-                    // always finishes (and emits CellFinished), so the
-                    // event stream stays well-formed.
-                    if halted() {
-                        break;
-                    }
-                    let cell_index = next_cell.fetch_add(1, Ordering::Relaxed);
-                    if cell_index >= cells.len() {
-                        break;
-                    }
-                    // Restored cells were replayed up front.
-                    if restored[cell_index].is_some() {
-                        continue;
-                    }
-                    let cell = cells[cell_index];
-                    let problem = &problems[cell.problem];
-                    let feedback_iters = config.feedback_iters[cell.ef_idx];
-                    emit(CampaignEvent::CellStarted {
-                        problem_id: problem.id.clone(),
-                        model: provider_names[cell.profile].clone(),
-                        feedback_iters,
-                    });
-                    let tally = evaluate_cell(
-                        &providers[cell.profile],
-                        problem,
-                        feedback_iters,
-                        config,
-                        &mut evaluator,
-                    );
-                    // Durability barrier: the cell's journal record
-                    // is written and fsync'd *before* the cell is
-                    // counted complete, so any crash after this
-                    // point leaves a resumable journal.
-                    if let Some(store) = store {
-                        if !store.record_cell(fingerprint, cell_keys[cell_index], &tally)
-                            && !store_degraded_reported.swap(true, Ordering::AcqRel)
-                        {
-                            emit(CampaignEvent::StoreDegraded {
-                                write_errors: store.write_errors(),
-                            });
-                        }
-                    }
-                    let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                    emit(CampaignEvent::CellFinished {
-                        problem_id: problem.id.clone(),
-                        model: provider_names[cell.profile].clone(),
-                        feedback_iters,
-                        tally,
-                        completed: done,
-                        total: cells.len(),
-                    });
-                    local.push((cell_index, tally));
-                    if let Some(kill) = kill {
-                        if fresh.fetch_add(1, Ordering::Relaxed) + 1 >= kill.after_cells() {
-                            match kill {
-                                KillPoint::Stop { .. } => {
-                                    killed.store(true, Ordering::Release);
-                                }
-                                KillPoint::Abort { .. } => std::process::abort(),
-                            }
-                        }
-                    }
-                }
-                results.lock().expect("results poisoned").extend(local);
-            });
+    // One worker body, run by `worker_count - 1` scoped threads and by
+    // the calling thread as worker 0: a 1-thread campaign spawns nothing.
+    let worker = || {
+        let mut evaluator = Evaluator::new(config.grid, Default::default())
+            .with_shared_goldens(Arc::clone(&goldens))
+            .with_sweep_threads(1);
+        if let Some(cache) = &cache {
+            evaluator = evaluator.with_cache(Arc::clone(cache));
         }
+        if let Some(scope) = scope {
+            evaluator = evaluator.with_cache_scope(Arc::clone(scope));
+        }
+        let mut local: Vec<(usize, ProblemTally)> = Vec::new();
+        loop {
+            // Cooperative abort at cell boundaries: a started cell always
+            // finishes (and emits CellFinished), so the event stream stays
+            // well-formed.
+            if halted() {
+                break;
+            }
+            let cell_index = next_cell.fetch_add(1, Ordering::Relaxed);
+            if cell_index >= cells.len() {
+                break;
+            }
+            // Restored cells were replayed up front.
+            if restored[cell_index].is_some() {
+                continue;
+            }
+            let cell = cells[cell_index];
+            let problem = &problems[cell.problem];
+            let feedback_iters = config.feedback_iters[cell.ef_idx];
+            emit(CampaignEvent::CellStarted {
+                problem_id: problem.id.clone(),
+                model: provider_names[cell.profile].clone(),
+                feedback_iters,
+            });
+            let tally = evaluate_cell(
+                &providers[cell.profile],
+                problem,
+                feedback_iters,
+                config,
+                &mut evaluator,
+            );
+            // Durability barrier: the cell's journal record is written and
+            // fsync'd *before* the cell is counted complete, so any crash
+            // after this point leaves a resumable journal.
+            if let Some(store) = store {
+                if !store.record_cell(fingerprint, cell_keys[cell_index], &tally)
+                    && !store_degraded_reported.swap(true, Ordering::AcqRel)
+                {
+                    emit(CampaignEvent::StoreDegraded {
+                        write_errors: store.write_errors(),
+                    });
+                }
+            }
+            let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+            emit(CampaignEvent::CellFinished {
+                problem_id: problem.id.clone(),
+                model: provider_names[cell.profile].clone(),
+                feedback_iters,
+                tally,
+                completed: done,
+                total: cells.len(),
+            });
+            local.push((cell_index, tally));
+            if let Some(kill) = kill {
+                if fresh.fetch_add(1, Ordering::Relaxed) + 1 >= kill.after_cells() {
+                    match kill {
+                        KillPoint::Stop { .. } => {
+                            killed.store(true, Ordering::Release);
+                        }
+                        KillPoint::Abort { .. } => std::process::abort(),
+                    }
+                }
+            }
+        }
+        results.lock().expect("results poisoned").extend(local);
+    };
+    std::thread::scope(|threads| {
+        for _ in 1..worker_count {
+            threads.spawn(worker);
+        }
+        worker();
     });
 
     let cells_completed = completed.load(Ordering::Relaxed);
@@ -1326,6 +1347,70 @@ mod tests {
         assert!(report.cell("GPT-4", 0, 1).is_some());
         assert!(report.cell("Gemini 1.5 pro", 1, 4).is_some());
         assert!(report.cell("GPT-4", 2, 1).is_none());
+    }
+
+    #[test]
+    fn one_worker_campaign_delivers_every_event_on_the_calling_thread() {
+        let threads = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&threads);
+        Campaign::builder()
+            .problems(small_problems())
+            .profiles(&[ModelProfile::gpt4()])
+            .config(small_config())
+            .threads(1)
+            .observer(Arc::new(move |_: &CampaignEvent| {
+                seen.lock().unwrap().push(std::thread::current().id());
+            }))
+            .build()
+            .unwrap()
+            .run();
+        let threads = threads.lock().unwrap();
+        // Started, 8 × (cell started, cell finished), cache stats, finished.
+        assert_eq!(threads.len(), 19);
+        assert!(threads.iter().all(|&id| id == std::thread::current().id()));
+    }
+
+    #[test]
+    fn two_worker_campaign_runs_on_the_caller_and_one_more_thread() {
+        use std::sync::Condvar;
+        use std::thread::ThreadId;
+        // Each worker's first `CellStarted` waits (bounded) until a second
+        // thread has started a cell, so both workers must take part.
+        let workers = Arc::new((Mutex::new(HashSet::<ThreadId>::new()), Condvar::new()));
+        let emitters = Arc::new(Mutex::new(HashSet::<ThreadId>::new()));
+        let (rendezvous, seen) = (Arc::clone(&workers), Arc::clone(&emitters));
+        let report = Campaign::builder()
+            .problems(small_problems())
+            .profiles(&[ModelProfile::gpt4()])
+            .config(small_config())
+            .threads(2)
+            .observer(Arc::new(move |event: &CampaignEvent| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+                if let CampaignEvent::CellStarted { .. } = event {
+                    let (ids, arrived) = &*rendezvous;
+                    let mut ids = ids.lock().unwrap();
+                    ids.insert(std::thread::current().id());
+                    arrived.notify_all();
+                    let wait = std::time::Duration::from_secs(30);
+                    drop(arrived.wait_timeout_while(ids, wait, |ids| ids.len() < 2));
+                }
+            }))
+            .build()
+            .unwrap()
+            .run();
+        let workers = workers.0.lock().unwrap().clone();
+        assert_eq!(workers.len(), 2, "{workers:?}");
+        assert!(workers.contains(&std::thread::current().id()));
+        assert_eq!(*emitters.lock().unwrap(), workers);
+        let single = run_matrix(
+            &[ModelProfile::gpt4()],
+            &small_problems(),
+            &CampaignConfig {
+                threads: 1,
+                ..small_config()
+            },
+        );
+        assert!(report.same_results(&single));
     }
 
     #[test]

@@ -51,10 +51,11 @@ use picbench_sim::{
     sweep_planned, sweep_with_plan, Circuit, FrequencyResponse, ModelRegistry, ResponseComparison,
     ScheduleCache, SimError, SimulateError, SolveWorkspace, SweepPlan, WavelengthGrid,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Default tolerance on the maximum per-pair |ΔS|² for functional
 /// equivalence.
@@ -149,9 +150,15 @@ impl<K: Eq + Hash, V> Shards<K, V> {
             .expect("cache shard poisoned")
     }
 
-    /// Inserts `value` unless `key` already has one.
-    fn insert(&self, digest: u64, key: K, value: V) {
-        self.lock(digest).entry(key).or_insert(value);
+    /// Inserts `value` unless `key` already has one; whether it did.
+    fn insert(&self, digest: u64, key: K, value: V) -> bool {
+        match self.lock(digest).entry(key) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(value);
+                true
+            }
+        }
     }
 
     fn len(&self) -> usize {
@@ -172,8 +179,9 @@ pub struct EvalCacheStats {
     pub report_hits: u64,
     /// Verdicts re-derived from a memoized sweep.
     pub sim_hits: u64,
-    /// Verdicts served from the persistent disk tier (counted separately
-    /// from the memory-tier hits above; a disk hit also warms memory, so
+    /// Verdicts served from the persistent disk tier: one per distinct
+    /// key read from disk, however workers race (counted separately from
+    /// the memory-tier hits above; a disk hit also warms memory, so
     /// repeats of the same text surface as `response_hits`).
     pub disk_hits: u64,
     /// Evaluations that had to run the full simulation.
@@ -311,16 +319,26 @@ impl EvalCache {
             return hit;
         }
         let report = self.disk.as_ref()?.get_verdict(key)?;
-        self.count(scope, |c| &c.disk_hits);
-        self.responses.insert(key.0, *key, report.clone());
+        // Two workers can miss memory on the same key at once; only the
+        // one whose insert lands counts the disk hit, so `disk_hits` is
+        // the number of distinct keys served from disk on any schedule.
+        if self.responses.insert(key.0, *key, report.clone()) {
+            self.count(scope, |c| &c.disk_hits);
+        } else {
+            self.count(scope, |c| &c.response_hits);
+        }
         Some(report)
     }
 
-    fn put_response(&self, key: ResponseKey, report: EvalReport) {
-        if let Some(disk) = &self.disk {
-            disk.put_verdict(&key, &report);
+    /// Memory first, and disk only for the insert that lands: each
+    /// verdict is written to disk once, and a racing reader that finds
+    /// it there loses its memory insert and counts a response hit.
+    fn put_response(&self, key: ResponseKey, report: &EvalReport) {
+        if self.responses.insert(key.0, key, report.clone()) {
+            if let Some(disk) = &self.disk {
+                disk.put_verdict(&key, report);
+            }
         }
-        self.responses.insert(key.0, key, report);
     }
 
     fn get_sim(&self, key: &SimKey, scope: Option<&CacheScope>) -> Option<SimOutcome> {
@@ -354,10 +372,17 @@ impl EvalCache {
     }
 }
 
-/// The evaluation engine: registry + sweep settings + caches.
+/// The built-in model registry, built once per process. It is never
+/// mutated, so every evaluator can share it.
+fn builtin_registry() -> &'static ModelRegistry {
+    static REGISTRY: OnceLock<ModelRegistry> = OnceLock::new();
+    REGISTRY.get_or_init(ModelRegistry::with_builtins)
+}
+
+/// The evaluation engine: sweep settings + caches over the built-in
+/// registry.
 #[derive(Debug)]
 pub struct Evaluator {
-    registry: ModelRegistry,
     grid: WavelengthGrid,
     /// SIMD tier of every sweep's kernels.
     simd: SimdLevel,
@@ -380,8 +405,6 @@ pub struct Evaluator {
     schedules: ScheduleCache,
     /// The serial-sweep workspace, reused across candidates.
     workspace: SolveWorkspace,
-    /// Rendered system prompts, memoized per restrictions flag.
-    system_prompts: [Option<Arc<String>>; 2],
 }
 
 impl Default for Evaluator {
@@ -405,7 +428,6 @@ impl Evaluator {
             "SIMD level {simd} is not supported on this CPU"
         );
         Evaluator {
-            registry: ModelRegistry::with_builtins(),
             grid,
             simd,
             sweep_threads: 0,
@@ -415,7 +437,6 @@ impl Evaluator {
             golden_cache: HashMap::new(),
             schedules: ScheduleCache::new(),
             workspace: SolveWorkspace::new(),
-            system_prompts: [None, None],
         }
     }
 
@@ -451,9 +472,9 @@ impl Evaluator {
         self
     }
 
-    /// The model registry in use.
-    pub fn registry(&self) -> &ModelRegistry {
-        &self.registry
+    /// The model registry in use: the process-wide built-in one.
+    pub fn registry(&self) -> &'static ModelRegistry {
+        builtin_registry()
     }
 
     /// The wavelength grid in use.
@@ -490,7 +511,7 @@ impl Evaluator {
         canonical: &Netlist,
         problem: &Problem,
     ) -> Result<FrequencyResponse, SimulateError> {
-        let circuit = Circuit::elaborate(canonical, &self.registry, Some(&problem.spec))?;
+        let circuit = Circuit::elaborate(canonical, builtin_registry(), Some(&problem.spec))?;
         let schedule = self.schedules.get_or_build(&circuit);
         let plan = SweepPlan::with_schedule(&circuit, schedule)
             .map_err(SimulateError::Sim)?
@@ -533,22 +554,24 @@ impl Evaluator {
         golden
     }
 
-    /// The rendered system prompt for this evaluator's registry, memoized
-    /// per restrictions flag (rendering walks the whole API document —
-    /// far too much work to redo for every sample).
-    pub fn system_prompt(&mut self, restrictions: bool) -> Arc<String> {
-        let slot = &mut self.system_prompts[usize::from(restrictions)];
-        if slot.is_none() {
-            let infos: Vec<_> = self.registry.iter().map(|m| m.info().clone()).collect();
-            let prompt = picbench_prompt::render_system_prompt(
+    /// The system prompt over the built-in registry, rendered once per
+    /// process for each restrictions flag (rendering walks the whole API
+    /// document — far too much work to redo for every sample).
+    pub fn system_prompt(&self, restrictions: bool) -> Arc<String> {
+        static PROMPTS: [OnceLock<Arc<String>>; 2] = [OnceLock::new(), OnceLock::new()];
+        let prompt = PROMPTS[usize::from(restrictions)].get_or_init(|| {
+            let infos: Vec<_> = builtin_registry()
+                .iter()
+                .map(|m| m.info().clone())
+                .collect();
+            Arc::new(picbench_prompt::render_system_prompt(
                 infos.iter(),
                 picbench_prompt::SystemPromptConfig {
                     include_restrictions: restrictions,
                 },
-            );
-            *slot = Some(Arc::new(prompt));
-        }
-        Arc::clone(slot.as_ref().expect("just filled"))
+            ))
+        });
+        Arc::clone(prompt)
     }
 
     /// Simulates (and caches) a problem's golden design, returning the
@@ -643,7 +666,7 @@ impl Evaluator {
         // Validate the document as written, so classified issues describe
         // exactly what the model produced. Only the canonical form is
         // elaborated, below.
-        let issues = validate(netlist, &self.registry, Some(&problem.spec));
+        let issues = validate(netlist, builtin_registry(), Some(&problem.spec));
         if !issues.is_empty() {
             return Err(issues);
         }
@@ -706,7 +729,7 @@ impl Evaluator {
             _ => EvalReport::syntax_fail(issues),
         };
         if let (Some(cache), Some(key)) = (&self.cache, key) {
-            cache.put_response(key, report.clone());
+            cache.put_response(key, &report);
         }
         report
     }
@@ -807,6 +830,26 @@ mod tests {
         let report = ev.evaluate_response(&problem, "I'm sorry, I cannot design PICs.");
         assert!(!report.syntax_pass());
         assert_eq!(report.issues()[0].failure, FailureType::OtherSyntax);
+    }
+
+    #[test]
+    fn evaluators_share_one_registry_and_one_prompt_per_flag() {
+        let a = Evaluator::default();
+        let b = Evaluator::new(WavelengthGrid::paper_fast(), SimdLevel::Scalar);
+        assert!(std::ptr::eq(a.registry(), b.registry()));
+        let infos: Vec<_> = a.registry().iter().map(|m| m.info().clone()).collect();
+        for restrictions in [false, true] {
+            let prompt = a.system_prompt(restrictions);
+            assert!(Arc::ptr_eq(&prompt, &b.system_prompt(restrictions)));
+            let rendered = picbench_prompt::render_system_prompt(
+                infos.iter(),
+                picbench_prompt::SystemPromptConfig {
+                    include_restrictions: restrictions,
+                },
+            );
+            assert_eq!(*prompt, rendered);
+        }
+        assert_ne!(a.system_prompt(false), a.system_prompt(true));
     }
 
     #[test]

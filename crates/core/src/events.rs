@@ -35,8 +35,9 @@
 //! CampaignFinished { cancelled }
 //! ```
 //!
-//! Observer callbacks run on worker threads, inline with evaluation —
-//! keep them cheap (push to a channel, update atomics) and never block.
+//! Observer callbacks run on the campaign's workers (the calling thread
+//! is worker 0), inline with evaluation — keep them cheap (push to a
+//! channel, update atomics) and never block.
 
 use crate::evaluate::EvalCacheStats;
 use crate::passk::ProblemTally;
@@ -275,7 +276,8 @@ pub enum ShardLossReason {
 /// assert_eq!(rx.try_iter().count(), 1);
 /// ```
 pub trait CampaignObserver: Send + Sync {
-    /// Receives one event; called from worker threads, must not block.
+    /// Receives one event; called from the campaign's workers (the
+    /// calling thread is worker 0), so it must not block.
     fn on_event(&self, event: &CampaignEvent);
 }
 

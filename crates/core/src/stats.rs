@@ -11,10 +11,7 @@ use crate::evaluate::Evaluator;
 use crate::passk::ProblemTally;
 use picbench_netlist::FailureType;
 use picbench_problems::Problem;
-use picbench_prompt::{
-    render_system_prompt, render_system_prompt_with_restrictions, Conversation, Role,
-    SystemPromptConfig,
-};
+use picbench_prompt::{render_system_prompt_with_restrictions, Conversation, Role};
 use picbench_synthllm::{LanguageModel, ModelProfile, SyntheticLlm};
 use std::collections::HashMap;
 
@@ -58,17 +55,7 @@ pub fn collect_error_histogram(
     restrictions: bool,
     seed: u64,
 ) -> ErrorHistogram {
-    let infos: Vec<_> = evaluator
-        .registry()
-        .iter()
-        .map(|m| m.info().clone())
-        .collect();
-    let system = render_system_prompt(
-        infos.iter(),
-        SystemPromptConfig {
-            include_restrictions: restrictions,
-        },
-    );
+    let system = evaluator.system_prompt(restrictions);
     let mut llm = SyntheticLlm::new(profile.clone(), seed);
     let mut histogram = ErrorHistogram {
         model: profile.name.to_string(),

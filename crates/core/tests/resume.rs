@@ -229,6 +229,35 @@ fn warm_start_serves_from_the_disk_tier_without_changing_results() {
 }
 
 #[test]
+fn warm_start_disk_hits_count_each_distinct_key_once_on_any_thread_count() {
+    let dir = temp_dir("warm-count");
+    let cells = problems().len() * profiles().len() * config().feedback_iters.len();
+    let verdicts = {
+        let store = open_store(&dir);
+        builder().store(Arc::clone(&store)).build().unwrap().run();
+        store.sync();
+        // One journal record per cell; every other write is a verdict,
+        // written once per distinct response key.
+        store.stats().writes - cells as u64
+    };
+    assert!(verdicts > 0);
+    // Racing workers that miss memory on the same key both read it from
+    // disk, but only the one whose insert lands counts a disk hit.
+    for threads in [1, 2, 2, 2] {
+        let report = builder()
+            .threads(threads)
+            .store(open_store(&dir))
+            .build()
+            .unwrap()
+            .run();
+        let stats = report.cache_stats.expect("cache on by default");
+        assert_eq!(stats.disk_hits, verdicts, "threads {threads}: {stats:?}");
+        assert_eq!(stats.misses, 0, "threads {threads}: {stats:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn resuming_a_complete_journal_restores_every_cell_and_writes_nothing() {
     let dir = temp_dir("complete");
     let cold = {
@@ -237,8 +266,8 @@ fn resuming_a_complete_journal_restores_every_cell_and_writes_nothing() {
         store.sync();
         report
     };
-    // Nothing is left to evaluate, so nothing is primed either: the
-    // goldens' sweeps are not even offered to the disk tier again.
+    // Nothing is left to evaluate, so no golden is primed, no verdict
+    // is looked up or written, and no cell is journalled again.
     let store = open_store(&dir);
     let cells = problems().len() * profiles().len() * config().feedback_iters.len();
     let outcome = builder()

@@ -259,6 +259,19 @@ fn builder_validates_degenerate_matrices() {
             .unwrap_err(),
         CampaignBuildError::ZeroSamples
     );
+    // Pass@k needs 1 <= k <= n; a bad k is refused before any cell runs.
+    for (k_values, k) in [(vec![0, 1], 0), (vec![1, 5], 5)] {
+        assert_eq!(
+            Campaign::builder()
+                .problems(problems())
+                .profiles(&[ModelProfile::gpt4()])
+                .samples_per_problem(2)
+                .k_values(k_values)
+                .build()
+                .unwrap_err(),
+            CampaignBuildError::KOutOfRange { k, samples: 2 }
+        );
+    }
     let duplicated = [problems(), problems()].concat();
     assert!(matches!(
         Campaign::builder()

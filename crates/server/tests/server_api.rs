@@ -167,6 +167,7 @@ fn custom_problem_sets_are_registered_and_runnable() {
         r#"{"problems": ["no-such-problem"], "models": ["GPT-4"]}"#,
         r#"{"problem_set": "ps-none", "models": ["GPT-4"]}"#,
         r#"{"models": ["GPT-4"]}"#,
+        r#"{"problems": ["mzi-ps"], "models": ["GPT-4"], "samples_per_problem": 2, "k_values": [5]}"#,
         "not json",
     ] {
         let response = client.request("POST", "/v1/campaigns", Some(bad)).unwrap();
