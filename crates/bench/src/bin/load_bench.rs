@@ -271,8 +271,8 @@ fn main() {
         .unwrap_or(1);
     let json = format!(
         "{{\n  \"benchmark\": \"picbench-server streaming sessions\",\n  \
-         \"workload\": {{\n    \"clients\": {},\n    \"rounds\": {},\n    \
-         \"tenants\": {},\n    \"pace_ms\": {},\n    \
+         \"workload\": {{\n    \"clients\": {0},\n    \"rounds\": {1},\n    \
+         \"tenants\": {2},\n    \"pace_ms\": {3},\n    \
          \"submission\": \"2 problems x 1 model x 2 feedback settings x 4 samples\"\n  }},\n  \
          \"host_cpus\": {cpus},\n  \"results\": {{\n    \
          \"concurrent_streaming_ceiling\": {peak_streams},\n    \
@@ -281,7 +281,8 @@ fn main() {
          \"latency_p50_ms\": {p50:.1},\n    \"latency_p99_ms\": {p99:.1},\n    \
          \"transport_retries\": {transport_retries},\n    \
          \"cross_tenant_cache_hit_rate\": {hit_rate:.4}\n  }},\n  \
-         \"generated_by\": \"cargo run --release -p picbench-bench --bin load_bench\"\n}}\n",
+         \"generated_by\": \"cargo run --release -p picbench-bench --bin load_bench -- \
+         --clients {0} --rounds {1} --tenants {2} --pace-ms {3}\"\n}}\n",
         args.clients, args.rounds, args.tenants, args.pace_ms,
     );
     std::fs::write(&args.out, json).expect("write benchmark report");

@@ -1048,11 +1048,15 @@ fn execute_campaign(
         cells: cells.len(),
     });
 
-    // Journal identity: the fingerprint scopes records to this exact
-    // campaign, the per-cell keys are derived from identities (problem
-    // id, provider name, feedback setting), not matrix indices.
-    let fingerprint = campaign_fingerprint(problems, &provider_names, config);
-    let cell_keys = matrix_cell_keys(problems, &provider_names, config, &cells);
+    // Journal identity, computed only when there is a journal: the
+    // fingerprint scopes records to this exact campaign, the per-cell
+    // keys are derived from identities (problem id, provider name,
+    // feedback setting), not matrix indices.
+    let journal = store.map(|store| {
+        let fingerprint = campaign_fingerprint(problems, &provider_names, config);
+        let cell_keys = matrix_cell_keys(problems, &provider_names, config, &cells);
+        (store, fingerprint, cell_keys)
+    });
 
     // Resume: replay cells journalled by a previous run of the same
     // campaign before any worker starts. Restored tallies were computed
@@ -1061,11 +1065,11 @@ fn execute_campaign(
     let mut restored: Vec<Option<ProblemTally>> = vec![None; cells.len()];
     let mut cells_restored = 0usize;
     if resume {
-        if let Some(store) = store {
-            let journal: HashMap<u64, ProblemTally> =
-                store.completed_cells(fingerprint).into_iter().collect();
+        if let Some((store, fingerprint, cell_keys)) = &journal {
+            let journalled: HashMap<u64, ProblemTally> =
+                store.completed_cells(*fingerprint).into_iter().collect();
             for (index, key) in cell_keys.iter().enumerate() {
-                if let Some(tally) = journal.get(key) {
+                if let Some(tally) = journalled.get(key) {
                     restored[index] = Some(*tally);
                     cells_restored += 1;
                     let cell = cells[index];
@@ -1211,8 +1215,8 @@ fn execute_campaign(
             // Durability barrier: the cell's journal record is written and
             // fsync'd *before* the cell is counted complete, so any crash
             // after this point leaves a resumable journal.
-            if let Some(store) = store {
-                if !store.record_cell(fingerprint, cell_keys[cell_index], &tally)
+            if let Some((store, fingerprint, cell_keys)) = &journal {
+                if !store.record_cell(*fingerprint, cell_keys[cell_index], &tally)
                     && !store_degraded_reported.swap(true, Ordering::AcqRel)
                 {
                     emit(CampaignEvent::StoreDegraded {

@@ -181,20 +181,21 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a sized JSON response (and `Connection: close`).
+/// Writes a sized JSON response (and `Connection: close`). Head and
+/// body go out in one `write_all`, so one `send` on a socket.
 ///
 /// # Errors
 ///
 /// Propagates transport failures — callers treat them as "client went
 /// away".
-pub fn write_json(stream: &mut TcpStream, status: u16, body: &str) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+pub fn write_json(stream: &mut impl Write, status: u16, body: &str) -> io::Result<()> {
+    let mut response = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         reason(status),
         body.len(),
-    )?;
-    stream.flush()
+    );
+    response.push_str(body);
+    stream.write_all(response.as_bytes())
 }
 
 /// Writes a JSON error body `{"error": …}` with the given status.
@@ -202,7 +203,7 @@ pub fn write_json(stream: &mut TcpStream, status: u16, body: &str) -> io::Result
 /// # Errors
 ///
 /// Propagates transport failures.
-pub fn write_error(stream: &mut TcpStream, status: u16, message: &str) -> io::Result<()> {
+pub fn write_error(stream: &mut impl Write, status: u16, message: &str) -> io::Result<()> {
     let body = picbench_netlist::json::to_string(&picbench_netlist::json::Value::Object(vec![(
         "error".to_string(),
         picbench_netlist::json::Value::String(message.to_string()),
@@ -217,10 +218,57 @@ pub fn write_error(stream: &mut TcpStream, status: u16, message: &str) -> io::Re
 /// # Errors
 ///
 /// Propagates transport failures.
-pub fn write_stream_head(stream: &mut TcpStream) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nCache-Control: no-store\r\nConnection: close\r\n\r\n"
-    )?;
-    stream.flush()
+pub fn write_stream_head(stream: &mut impl Write) -> io::Result<()> {
+    stream.write_all(
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nCache-Control: no-store\r\nConnection: close\r\n\r\n",
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_json_response_is_one_write() {
+        let mut out = CountingWriter::default();
+        write_json(&mut out, 201, r#"{"id":"c-1","state":"running"}"#).unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            String::from_utf8(out.bytes).unwrap(),
+            "HTTP/1.1 201 Created\r\nContent-Type: application/json\r\nContent-Length: 30\r\n\
+             Connection: close\r\n\r\n{\"id\":\"c-1\",\"state\":\"running\"}"
+        );
+    }
+
+    #[test]
+    fn an_error_response_is_one_write() {
+        let mut out = CountingWriter::default();
+        write_error(&mut out, 404, "no such campaign").unwrap();
+        assert_eq!(out.writes, 1);
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 404 Not Found\r\n"), "{text}");
+        assert!(
+            text.ends_with("\r\n\r\n{\"error\":\"no such campaign\"}"),
+            "{text}"
+        );
+    }
 }

@@ -29,11 +29,13 @@
 //!
 //! Tenancy rides on the `x-picbench-tenant` header; a session is only
 //! visible to the tenant that created it (foreign lookups are
-//! structurally 404). The acceptor blocks in `accept()`, so a new
-//! connection reaches a worker as soon as it arrives. Shutdown is
-//! graceful: [`ServerHandle::shutdown`] sets the flag and wakes the
-//! acceptor with one loopback connection, so it stops; new work is
-//! refused with 503, in-flight campaigns run to completion and their
+//! structurally 404). Every worker blocks in `accept()` on the shared
+//! listener and serves the connection it gets, so connections waiting
+//! for a worker sit in the kernel's listen backlog. Campaigns run on the
+//! session table's runner threads, which park between campaigns.
+//! Shutdown is graceful: [`ServerHandle::shutdown`] sets the flag and
+//! wakes each worker with a loopback connection, so it stops; new work
+//! is refused with 503, in-flight campaigns run to completion and their
 //! streams drain before it returns.
 //!
 //! [`EvalStore`]: picbench_core::EvalStore
@@ -50,10 +52,9 @@ use picbench_synthllm::{ModelProfile, ModelProvider};
 use std::collections::HashMap;
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -63,9 +64,10 @@ pub struct ServerConfig {
     /// Bind address. Port 0 (the default) picks an ephemeral port —
     /// read the real one from [`ServerHandle::addr`].
     pub addr: SocketAddr,
-    /// Worker threads serving connections. Each long-lived event
-    /// stream occupies a worker for the life of its campaign, so this
-    /// bounds concurrent streams.
+    /// Worker threads accepting and serving connections. Each
+    /// long-lived event stream occupies a worker for the life of its
+    /// campaign, so this bounds concurrent streams; connections that
+    /// find every worker busy wait in the listen backlog.
     pub workers: usize,
     /// Running campaigns admitted before `POST /v1/campaigns` answers
     /// 429.
@@ -116,7 +118,7 @@ struct ServerState {
     config: ServerConfig,
     cache: Arc<EvalCache>,
     store: Option<SharedEvalStore>,
-    sessions: SessionTable,
+    sessions: Arc<SessionTable>,
     scopes: Mutex<HashMap<String, Arc<CacheScope>>>,
     problem_sets: Mutex<HashMap<String, Vec<Problem>>>,
     next_set: AtomicU64,
@@ -144,13 +146,12 @@ pub struct PicbenchServer;
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<ServerState>,
-    acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl PicbenchServer {
-    /// Binds, spawns the acceptor and worker pool, and returns the
-    /// handle. The server is ready to serve when this returns.
+    /// Binds, spawns the worker pool, and returns the handle. The
+    /// server is ready to serve when this returns.
     ///
     /// # Errors
     ///
@@ -175,7 +176,7 @@ impl PicbenchServer {
         let state = Arc::new(ServerState {
             cache: Arc::new(cache),
             store,
-            sessions: SessionTable::new(),
+            sessions: Arc::new(SessionTable::new()),
             scopes: Mutex::new(HashMap::new()),
             problem_sets: Mutex::new(HashMap::new()),
             next_set: AtomicU64::new(0),
@@ -184,51 +185,18 @@ impl PicbenchServer {
             config,
         });
 
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
+        let listener = Arc::new(listener);
         let workers = (0..state.config.workers.max(1))
             .map(|_| {
-                let rx = Arc::clone(&rx);
+                let listener = Arc::clone(&listener);
                 let state = Arc::clone(&state);
-                std::thread::spawn(move || loop {
-                    let conn = rx.lock().expect("worker queue poisoned").recv();
-                    match conn {
-                        Ok(mut stream) => serve_connection(&state, &mut stream),
-                        Err(_) => break, // acceptor gone: shutdown
-                    }
-                })
+                std::thread::spawn(move || accept_loop(&listener, &state))
             })
             .collect();
-
-        // `accept()` blocks; shutdown wakes it with a connection of its
-        // own (`wake_acceptor`), so the flag is checked after each return.
-        let acceptor = {
-            let state = Arc::clone(&state);
-            std::thread::spawn(move || {
-                loop {
-                    let accepted = listener.accept();
-                    if state.shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    match accepted {
-                        Ok((stream, _)) => {
-                            if tx.send(stream).is_err() {
-                                break;
-                            }
-                        }
-                        // Real accept errors (e.g. out of descriptors)
-                        // back off briefly instead of spinning.
-                        Err(_) => std::thread::sleep(Duration::from_millis(2)),
-                    }
-                }
-                // Dropping `tx` here is what releases the workers.
-            })
-        };
 
         Ok(ServerHandle {
             addr,
             state,
-            acceptor: Some(acceptor),
             workers,
         })
     }
@@ -244,25 +212,44 @@ impl ServerHandle {
     /// to completion, drain their streams, join every thread.
     pub fn shutdown(mut self) {
         self.state.shutdown.store(true, Ordering::Release);
-        if let Some(acceptor) = self.acceptor.take() {
-            wake_acceptor(self.addr, &acceptor);
-            let _ = acceptor.join();
-        }
-        // Campaigns finish → logs close → streaming workers drain.
-        self.state.sessions.drain();
+        wake_workers(self.addr, &self.workers);
+        // Streaming workers return once their campaigns close the logs.
         for worker in self.workers.drain(..) {
             let _ = worker.join();
+        }
+        // No worker is left to admit a session, so the drain is final.
+        self.state.sessions.drain();
+    }
+}
+
+/// A worker's life: block in `accept()`, serve the connection, repeat
+/// until shutdown. Linux wakes one blocked worker per connection, and
+/// `wake_workers` connects once per worker, so the flag is checked
+/// after each return as well as before each call.
+fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
+    while !state.shutdown.load(Ordering::Acquire) {
+        let accepted = listener.accept();
+        if state.shutdown.load(Ordering::Acquire) {
+            break;
+        }
+        match accepted {
+            Ok((mut stream, _)) => serve_connection(state, &mut stream),
+            // Real accept errors (e.g. out of descriptors) back off
+            // briefly instead of spinning.
+            Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
 }
 
-/// Unblocks an acceptor parked in `accept()` by connecting to it. A
-/// server bound to an unspecified IP (`0.0.0.0`, `::`) is reached on the
+/// Unblocks the workers parked in `accept()` by connecting to the
+/// listener once per worker: each worker takes at most one connection
+/// before it sees the flag, so every blocked one gets its own. A server
+/// bound to an unspecified IP (`0.0.0.0`, `::`) is reached on the
 /// loopback address of the same family. A failed connect (say, this
-/// process is out of descriptors) is retried until the acceptor exits;
-/// an acceptor failing the same way sees the flag after its own
+/// process is out of descriptors) is retried until every worker has
+/// exited; a worker failing the same way sees the flag after its own
 /// accept error.
-fn wake_acceptor(addr: SocketAddr, acceptor: &JoinHandle<()>) {
+fn wake_workers(addr: SocketAddr, workers: &[JoinHandle<()>]) {
     let mut target = addr;
     if addr.ip().is_unspecified() {
         target.set_ip(match addr {
@@ -270,11 +257,13 @@ fn wake_acceptor(addr: SocketAddr, acceptor: &JoinHandle<()>) {
             SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
         });
     }
-    while !acceptor.is_finished() {
+    let mut wakes = workers.len();
+    while wakes > 0 && !workers.iter().all(JoinHandle::is_finished) {
         if TcpStream::connect(target).is_ok() {
-            return;
+            wakes -= 1;
+        } else {
+            std::thread::sleep(Duration::from_millis(2));
         }
-        std::thread::sleep(Duration::from_millis(2));
     }
 }
 
@@ -589,20 +578,13 @@ fn post_campaign(
         }
     };
 
-    let runner = {
-        let state = Arc::clone(state);
-        let session = Arc::clone(&session);
-        std::thread::spawn(move || {
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| campaign.execute()));
-            let final_state = match &outcome {
-                Ok(outcome) if outcome.cancelled => SessionState::Cancelled,
-                Ok(_) => SessionState::Finished,
-                Err(_) => SessionState::Failed,
-            };
-            state.sessions.finish(&session, final_state);
-        })
-    };
-    state.sessions.track_runner(runner);
+    state.sessions.run(Arc::clone(&session), move || {
+        if campaign.execute().cancelled {
+            SessionState::Cancelled
+        } else {
+            SessionState::Finished
+        }
+    });
 
     let body = json::to_string(&Value::Object(vec![
         ("id".into(), Value::String(session.id.clone())),

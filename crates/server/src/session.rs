@@ -10,13 +10,18 @@
 //! there from the start. Publication is gated by a commit watermark
 //! that only ever rests on a newline boundary, so no reader — however
 //! unluckily scheduled against the writer — can observe a torn NDJSON
-//! line. The log closes when the campaign thread finishes, which is
+//! line. The log closes when the session's campaign finishes, which is
 //! what ends the streams.
+//!
+//! Campaigns run on the table's runner threads (`SessionTable::run`):
+//! a runner that finishes a campaign parks until the next one, so a
+//! session spawns a thread only when every runner is busy.
 //!
 //! [`CampaignObserver`]: picbench_core::CampaignObserver
 
 use picbench_core::CancelToken;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -30,7 +35,7 @@ pub enum SessionState {
     Finished,
     /// The campaign was cut short by cooperative cancellation.
     Cancelled,
-    /// The campaign thread panicked (a bug, surfaced rather than hung).
+    /// The campaign panicked (a bug, surfaced rather than hung).
     Failed,
 }
 
@@ -189,7 +194,7 @@ impl Session {
 /// Counter snapshot of a [`SessionTable`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Sessions whose campaign thread is still running.
+    /// Sessions whose campaign is still running.
     pub active: usize,
     /// High-water mark of `active`.
     pub peak_active: usize,
@@ -206,11 +211,33 @@ pub struct SessionStats {
     pub cancelled: u64,
 }
 
-/// The process-wide registry of sessions, plus its gauges.
+/// A session's campaign: run once on a runner thread, it returns the
+/// state the session ends in.
+type Job = (Arc<Session>, Box<dyn FnOnce() -> SessionState + Send>);
+
+/// The runner threads of a [`SessionTable`].
+#[derive(Default)]
+struct Runners {
+    /// Parked runners that no queued job is promised to: the runners
+    /// parked or about to park, less `queue.len()`.
+    idle: usize,
+    /// Jobs handed to parked runners and not yet picked up.
+    queue: VecDeque<Job>,
+    /// Set by [`SessionTable::drain`]: parked runners exit.
+    closed: bool,
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// The process-wide registry of sessions, plus its gauges and the
+/// runner threads their campaigns run on.
 #[derive(Default)]
 pub struct SessionTable {
     sessions: Mutex<HashMap<String, Arc<Session>>>,
-    runners: Mutex<Vec<JoinHandle<()>>>,
+    runners: Mutex<Runners>,
+    /// Signalled when a job is queued or the runners are released.
+    job_queued: Condvar,
+    /// Signalled when the last active session finishes.
+    all_finished: Condvar,
     next_id: AtomicU64,
     active: AtomicUsize,
     peak_active: AtomicUsize,
@@ -256,15 +283,55 @@ impl SessionTable {
         Some(session)
     }
 
-    /// Registers the session's campaign thread so shutdown can drain it.
-    /// Runners that already finished are released here: an exited
-    /// thread keeps its stack mapped until it is joined or detached, so
-    /// holding every handle until shutdown would exhaust the process's
-    /// memory mappings after some tens of thousands of sessions.
-    pub fn track_runner(&self, handle: JoinHandle<()>) {
+    /// Runs `campaign` for `session` on a parked runner thread, or on
+    /// a new one when none is parked, so it never waits behind another
+    /// campaign. The runner count thus never exceeds the peak number of
+    /// sessions active at once. The session ends in the state the
+    /// campaign returns, or [`SessionState::Failed`] if it panics; the
+    /// runner lives on either way.
+    pub(crate) fn run(
+        self: &Arc<Self>,
+        session: Arc<Session>,
+        campaign: impl FnOnce() -> SessionState + Send + 'static,
+    ) {
+        let job: Job = (session, Box::new(campaign));
         let mut runners = self.runners.lock().expect("session runners poisoned");
-        runners.retain(|runner| !runner.is_finished());
-        runners.push(handle);
+        if runners.idle > 0 && !runners.closed {
+            runners.idle -= 1;
+            runners.queue.push_back(job);
+            self.job_queued.notify_one();
+        } else {
+            let table = Arc::clone(self);
+            runners
+                .threads
+                .push(std::thread::spawn(move || table.runner(job)));
+        }
+    }
+
+    /// A runner thread's life: run a job, park, repeat until drained.
+    fn runner(&self, mut job: Job) {
+        loop {
+            let (session, campaign) = job;
+            let state = std::panic::catch_unwind(AssertUnwindSafe(campaign))
+                .unwrap_or(SessionState::Failed);
+            // Park before the session ends: a client that sees its
+            // stream close and submits again then finds this runner.
+            self.runners.lock().expect("session runners poisoned").idle += 1;
+            self.finish(&session, state);
+            let mut runners = self.runners.lock().expect("session runners poisoned");
+            job = loop {
+                if let Some(next) = runners.queue.pop_front() {
+                    break next;
+                }
+                if runners.closed {
+                    return;
+                }
+                runners = self
+                    .job_queued
+                    .wait(runners)
+                    .expect("session runners poisoned");
+            };
+        }
     }
 
     /// Looks a session up *within* a tenant: sessions of other tenants
@@ -274,16 +341,22 @@ impl SessionTable {
         sessions.get(id).filter(|s| s.tenant == tenant).cloned()
     }
 
-    /// Marks a session's campaign finished (called by its runner thread
-    /// as its last act before the log closes).
+    /// Marks a session's campaign finished and closes its log (called
+    /// by its runner, or at once for a campaign that never started).
     pub fn finish(&self, session: &Session, state: SessionState) {
         session.transition(state);
-        self.active.fetch_sub(1, Ordering::AcqRel);
+        let was_active = self.active.fetch_sub(1, Ordering::AcqRel);
         match state {
             SessionState::Cancelled => self.cancelled.fetch_add(1, Ordering::Relaxed),
             _ => self.finished.fetch_add(1, Ordering::Relaxed),
         };
         session.log.close();
+        if was_active == 1 {
+            // Under the lock `drain` checks `active` with, so its wait
+            // cannot miss this wake-up.
+            let _runners = self.runners.lock().expect("session runners poisoned");
+            self.all_finished.notify_all();
+        }
     }
 
     /// Accounts an event stream for the session's lifetime; hold the
@@ -306,18 +379,24 @@ impl SessionTable {
         }
     }
 
-    /// Joins every campaign thread (graceful-shutdown drain). In-flight
-    /// campaigns run to completion; their logs close, which ends their
-    /// streams.
+    /// Graceful-shutdown drain: waits until no session is active (their
+    /// campaigns run to completion and their logs close, which ends
+    /// their streams), then releases the parked runners and joins them.
     pub fn drain(&self) {
-        let handles: Vec<JoinHandle<()>> = {
+        let threads = {
             let mut runners = self.runners.lock().expect("session runners poisoned");
-            runners.drain(..).collect()
+            while self.active.load(Ordering::Acquire) > 0 {
+                runners = self
+                    .all_finished
+                    .wait(runners)
+                    .expect("session runners poisoned");
+            }
+            runners.closed = true;
+            std::mem::take(&mut runners.threads)
         };
-        for handle in handles {
-            // A panicked runner already transitioned its session to
-            // Failed; the drain still completes.
-            let _ = handle.join();
+        self.job_queued.notify_all();
+        for thread in threads {
+            let _ = thread.join();
         }
     }
 }
@@ -336,6 +415,7 @@ impl Drop for StreamGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     #[test]
     fn log_replays_identically_for_late_readers() {
@@ -458,25 +538,94 @@ mod tests {
         assert_eq!(stats.started, 3);
     }
 
-    #[test]
-    fn finished_runners_are_released_before_drain() {
-        let table = SessionTable::new();
-        for _ in 0..3 {
-            let runner = std::thread::spawn(|| {});
-            while !runner.is_finished() {
-                std::thread::yield_now();
-            }
-            table.track_runner(runner);
-        }
-        let (release, gate) = std::sync::mpsc::channel::<()>();
-        table.track_runner(std::thread::spawn(move || {
+    /// Runs one job on `table` that records its thread and blocks until
+    /// `gate` yields; returns the session and where the thread id lands.
+    fn gated_job(
+        table: &Arc<SessionTable>,
+        gate: mpsc::Receiver<()>,
+    ) -> (Arc<Session>, mpsc::Receiver<std::thread::ThreadId>) {
+        let session = table.admit("t", 8).unwrap();
+        let (ran_on, thread) = mpsc::channel();
+        table.run(Arc::clone(&session), move || {
+            ran_on.send(std::thread::current().id()).unwrap();
             let _ = gate.recv();
-        }));
-        // Only the running thread is still held for the drain.
-        assert_eq!(table.runners.lock().unwrap().len(), 1);
-        release.send(()).unwrap();
+            SessionState::Finished
+        });
+        (session, thread)
+    }
+
+    /// Blocks until the session ends: its log, which these jobs never
+    /// write, closes.
+    fn wait_ended(session: &Session) {
+        assert!(session.log.wait_from(0).is_none());
+    }
+
+    #[test]
+    fn sequential_sessions_reuse_one_runner() {
+        let table = Arc::new(SessionTable::new());
+        let mut threads = Vec::new();
+        for _ in 0..3 {
+            let (release, gate) = mpsc::channel();
+            let (session, thread) = gated_job(&table, gate);
+            threads.push(thread.recv().unwrap());
+            release.send(()).unwrap();
+            wait_ended(&session);
+            assert_eq!(session.state(), SessionState::Finished);
+        }
+        assert!(threads.iter().all(|t| *t == threads[0]), "{threads:?}");
+        assert_eq!(table.runners.lock().unwrap().threads.len(), 1);
         table.drain();
-        assert!(table.runners.lock().unwrap().is_empty());
+        assert!(table.runners.lock().unwrap().threads.is_empty());
+    }
+
+    #[test]
+    fn concurrent_sessions_get_their_own_runners() {
+        let table = Arc::new(SessionTable::new());
+        let (release_a, gate_a) = mpsc::channel();
+        let (release_b, gate_b) = mpsc::channel();
+        let (a, thread_a) = gated_job(&table, gate_a);
+        let (b, thread_b) = gated_job(&table, gate_b);
+        // Both jobs report in while the other still blocks: neither
+        // waited behind the other.
+        let (thread_a, thread_b) = (thread_a.recv().unwrap(), thread_b.recv().unwrap());
+        assert_ne!(thread_a, thread_b);
+        release_a.send(()).unwrap();
+        release_b.send(()).unwrap();
+        wait_ended(&a);
+        wait_ended(&b);
+        // Two parked runners now; a third sequential session reuses one.
+        let (release_c, gate_c) = mpsc::channel();
+        let (c, thread_c) = gated_job(&table, gate_c);
+        let thread_c = thread_c.recv().unwrap();
+        assert!(thread_c == thread_a || thread_c == thread_b);
+        release_c.send(()).unwrap();
+        wait_ended(&c);
+        assert_eq!(table.runners.lock().unwrap().threads.len(), 2);
+        assert_eq!(table.stats().peak_active, 2);
+        table.drain();
+    }
+
+    #[test]
+    fn a_panicking_campaign_fails_its_session_and_its_runner_lives_on() {
+        let table = Arc::new(SessionTable::new());
+        let failing = table.admit("t", 8).unwrap();
+        let (ran_on, thread) = mpsc::channel();
+        table.run(Arc::clone(&failing), move || {
+            ran_on.send(std::thread::current().id()).unwrap();
+            panic!("campaign bug");
+        });
+        let panicked_on = thread.recv().unwrap();
+        wait_ended(&failing);
+        assert_eq!(failing.state(), SessionState::Failed);
+
+        let (release, gate) = mpsc::channel();
+        let (next, thread) = gated_job(&table, gate);
+        assert_eq!(thread.recv().unwrap(), panicked_on, "same runner");
+        release.send(()).unwrap();
+        wait_ended(&next);
+        assert_eq!(next.state(), SessionState::Finished);
+        assert_eq!(table.stats().active, 0);
+        table.drain();
     }
 
     #[test]

@@ -487,12 +487,25 @@ fn server_bound_to_the_unspecified_address_serves_and_shuts_down() {
 #[test]
 fn repeated_start_and_shutdown_cycles_all_return() {
     under_watchdog(std::time::Duration::from_secs(60), || {
-        for _ in 0..20 {
+        for seed in 0..20 {
             let server = PicbenchServer::start(ServerConfig {
                 workers: 2,
                 ..ServerConfig::default()
             })
             .expect("server starts");
+            // One session per cycle leaves a runner parked and both
+            // workers idle in `accept()` when shutdown begins.
+            let client = ApiClient::new(server.addr());
+            let id = submit(&client, &small_campaign_body(seed));
+            let lines = stream_to_end(&client, &id);
+            let last = wire::decode_event(lines.last().unwrap()).unwrap();
+            assert!(matches!(
+                last,
+                CampaignEvent::CampaignFinished {
+                    cancelled: false,
+                    ..
+                }
+            ));
             server.shutdown();
         }
     });
