@@ -432,7 +432,7 @@ fn main() {
          \"write_errors\": {},\n    \
          \"warm_report_identical\": true\n  }},\n  \
          \"report_identical_to_uncached_and_across_threads\": true,\n  \
-         \"generated_by\": \"cargo run --release -p picbench-bench --bin campaign_bench\"\n}}\n",
+         \"generated_by\": {}\n}}\n",
         problems.len(),
         profiles.len(),
         base_config.feedback_iters.len(),
@@ -452,6 +452,7 @@ fn main() {
         store_stats.writes,
         store_stats.syncs,
         store_stats.write_errors,
+        picbench_bench::generated_by("campaign_bench"),
     );
     std::fs::write(&args.out, json).expect("write benchmark report");
     println!("wrote {}", args.out);

@@ -281,9 +281,12 @@ fn main() {
          \"latency_p50_ms\": {p50:.1},\n    \"latency_p99_ms\": {p99:.1},\n    \
          \"transport_retries\": {transport_retries},\n    \
          \"cross_tenant_cache_hit_rate\": {hit_rate:.4}\n  }},\n  \
-         \"generated_by\": \"cargo run --release -p picbench-bench --bin load_bench -- \
-         --clients {0} --rounds {1} --tenants {2} --pace-ms {3}\"\n}}\n",
-        args.clients, args.rounds, args.tenants, args.pace_ms,
+         \"generated_by\": {4}\n}}\n",
+        args.clients,
+        args.rounds,
+        args.tenants,
+        args.pace_ms,
+        picbench_bench::generated_by("load_bench"),
     );
     std::fs::write(&args.out, json).expect("write benchmark report");
     println!("wrote {}", args.out);

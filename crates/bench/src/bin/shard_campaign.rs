@@ -501,7 +501,8 @@ fn write_report(out: &str, section: &str) {
     let json = spliced.unwrap_or_else(|| {
         format!(
             "{{\n  \"benchmark\": \"fault-tolerant sharded campaign execution\",\n{section}  \
-             \"generated_by\": \"cargo run --release -p picbench-bench --bin shard_campaign\"\n}}\n"
+             \"generated_by\": {}\n}}\n",
+            picbench_bench::generated_by("shard_campaign"),
         )
     });
     std::fs::write(out, json).expect("write benchmark report");

@@ -272,7 +272,8 @@ fn main() {
          \"repetitions\": {reps},\n  \"host_cpus\": {cpus},\n  \"threads_used\": {threads},\n  \
          \"simd_level\": \"{level}\",\n  \
          \"workloads\": [\n{workload_json}\n  ],\n  \
-         \"generated_by\": \"cargo run --release -p picbench-bench --bin sweep_bench\"\n}}\n"
+         \"generated_by\": {}\n}}\n",
+        picbench_bench::generated_by("sweep_bench"),
     );
     std::fs::write(&out_path, json).expect("write benchmark report");
     println!("wrote {out_path}");

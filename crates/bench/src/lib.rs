@@ -38,7 +38,7 @@ pub struct ReproScale {
     /// Campaign worker threads (0 = one per available core). The report
     /// is bit-identical for every thread count.
     pub threads: usize,
-    /// Restrict Monte-Carlo artifacts to these registry problem ids
+    /// Restrict Monte-Carlo artifacts to these built-in problem ids
     /// (`None` = the full built-in suite, as in the paper).
     pub problems: Option<Vec<String>>,
     /// Directory of a persistent [`EvalStore`]: campaigns journal
@@ -87,7 +87,7 @@ pub fn ndjson_stderr_observer() -> std::sync::Arc<dyn picbench_core::CampaignObs
     })
 }
 
-/// Resolves the scale's problem selection against the registry.
+/// Resolves the scale's problem selection against the built-in suite.
 ///
 /// # Errors
 ///
@@ -114,10 +114,10 @@ pub fn resolve_problems(scale: &ReproScale) -> Result<Vec<picbench_problems::Pro
     }
 }
 
-/// Renders the problem inventory of the global registry — id, display
-/// name, category and golden size — for `repro --list-problems`.
+/// Renders the built-in problem inventory — id, display name, category
+/// and golden size — for `repro --list-problems`.
 pub fn list_problems() -> String {
-    let registry = picbench_problems::ProblemRegistry::global();
+    let problems = picbench_problems::suite();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -125,7 +125,7 @@ pub fn list_problems() -> String {
         "Id", "Name", "Category", "Instances"
     );
     let _ = writeln!(out, "{}", "-".repeat(74));
-    for p in registry.all() {
+    for p in &problems {
         let _ = writeln!(
             out,
             "{:<18} {:<22} {:<22} {:>9}",
@@ -136,8 +136,24 @@ pub fn list_problems() -> String {
         );
     }
     let _ = writeln!(out, "{}", "-".repeat(74));
-    let _ = writeln!(out, "Total: {} problems", registry.len());
+    let _ = writeln!(out, "Total: {} problems", problems.len());
     out
+}
+
+/// The `generated_by` value of a bench report, as a JSON string: the
+/// `cargo run` command of `bin` with the arguments this process was
+/// started with, so a report names the flags that wrote it.
+pub fn generated_by(bin: &str) -> String {
+    let mut command = format!("cargo run --release -p picbench-bench --bin {bin}");
+    let mut args = std::env::args_os().skip(1).peekable();
+    if args.peek().is_some() {
+        command.push_str(" --");
+        for arg in args {
+            command.push(' ');
+            command.push_str(&arg.to_string_lossy());
+        }
+    }
+    picbench_netlist::json::to_string(&picbench_netlist::json::Value::String(command))
 }
 
 /// Regenerates Table I: the 24-problem inventory with categories, golden
@@ -494,6 +510,16 @@ pub fn restriction_ablation_table(scale: &ReproScale) -> Result<String, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn generated_by_is_a_json_cargo_command() {
+        let rendered = generated_by("sweep_bench");
+        let command = picbench_netlist::json::parse(&rendered).unwrap();
+        assert!(command
+            .as_str()
+            .unwrap()
+            .starts_with("cargo run --release -p picbench-bench --bin sweep_bench"));
+    }
 
     #[test]
     fn list_problems_covers_the_registry() {

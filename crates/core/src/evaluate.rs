@@ -372,13 +372,6 @@ impl EvalCache {
     }
 }
 
-/// The built-in model registry, built once per process. It is never
-/// mutated, so every evaluator can share it.
-fn builtin_registry() -> &'static ModelRegistry {
-    static REGISTRY: OnceLock<ModelRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(ModelRegistry::with_builtins)
-}
-
 /// The evaluation engine: sweep settings + caches over the built-in
 /// registry.
 #[derive(Debug)]
@@ -474,7 +467,7 @@ impl Evaluator {
 
     /// The model registry in use: the process-wide built-in one.
     pub fn registry(&self) -> &'static ModelRegistry {
-        builtin_registry()
+        ModelRegistry::builtin()
     }
 
     /// The wavelength grid in use.
@@ -511,7 +504,7 @@ impl Evaluator {
         canonical: &Netlist,
         problem: &Problem,
     ) -> Result<FrequencyResponse, SimulateError> {
-        let circuit = Circuit::elaborate(canonical, builtin_registry(), Some(&problem.spec))?;
+        let circuit = Circuit::elaborate(canonical, ModelRegistry::builtin(), Some(&problem.spec))?;
         let schedule = self.schedules.get_or_build(&circuit);
         let plan = SweepPlan::with_schedule(&circuit, schedule)
             .map_err(SimulateError::Sim)?
@@ -560,7 +553,7 @@ impl Evaluator {
     pub fn system_prompt(&self, restrictions: bool) -> Arc<String> {
         static PROMPTS: [OnceLock<Arc<String>>; 2] = [OnceLock::new(), OnceLock::new()];
         let prompt = PROMPTS[usize::from(restrictions)].get_or_init(|| {
-            let infos: Vec<_> = builtin_registry()
+            let infos: Vec<_> = ModelRegistry::builtin()
                 .iter()
                 .map(|m| m.info().clone())
                 .collect();
@@ -666,7 +659,7 @@ impl Evaluator {
         // Validate the document as written, so classified issues describe
         // exactly what the model produced. Only the canonical form is
         // elaborated, below.
-        let issues = validate(netlist, builtin_registry(), Some(&problem.spec));
+        let issues = validate(netlist, ModelRegistry::builtin(), Some(&problem.spec));
         if !issues.is_empty() {
             return Err(issues);
         }

@@ -33,13 +33,11 @@ pub mod serde;
 pub mod switches;
 pub mod wiring;
 
-pub use registry::{ProblemRegistry, RegistryError};
 pub use serde::{problems_from_json, problems_to_json, ProblemDecodeError};
 
 use picbench_math::MeshScheme;
 use picbench_netlist::{Netlist, PortSpec};
 use std::fmt;
-use std::sync::Arc;
 
 /// The four problem categories of Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -78,9 +76,8 @@ impl fmt::Display for Category {
 /// One benchmark problem: description, expected ports, golden design.
 ///
 /// Problems are plain data: the built-in Table I suite is constructed in
-/// code, but problems can equally be loaded from JSON
-/// ([`problems_from_json`]) and registered at runtime in the
-/// [`ProblemRegistry`].
+/// code, and custom problem sets are loaded from JSON
+/// ([`problems_from_json`]) by whoever serves them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     /// Stable identifier, e.g. `"mzi-ps"`.
@@ -138,8 +135,8 @@ fn problem(
 /// Constructs the full 24-problem benchmark suite in Table I order.
 ///
 /// This is the expensive rebuild-the-world path; [`suite`] and [`find`]
-/// serve clones out of the lazily-initialized [`ProblemRegistry`] instead
-/// of calling this per lookup.
+/// serve clones out of the built-once table instead of calling this per
+/// lookup.
 pub(crate) fn build_builtin_suite() -> Vec<Problem> {
     let mut problems = Vec::with_capacity(24);
 
@@ -444,27 +441,17 @@ pub(crate) fn build_builtin_suite() -> Vec<Problem> {
 
 /// The full 24-problem benchmark suite in Table I order.
 ///
-/// Served from the lazily-initialized global [`ProblemRegistry`]: the
-/// suite is constructed (and its descriptions rendered) exactly once per
-/// process, then cloned per call. Runtime-registered problems are *not*
-/// included — use [`ProblemRegistry::all`] for the extended set.
+/// The suite is constructed (and its descriptions rendered) exactly once
+/// per process, then cloned per call. It is fixed: custom problems live
+/// in the problem sets that [`problems_from_json`] decodes.
 pub fn suite() -> Vec<Problem> {
-    ProblemRegistry::global()
-        .builtins()
-        .iter()
-        .map(|p| (**p).clone())
-        .collect()
+    registry::builtins().problems.clone()
 }
 
-/// Looks up a problem by id — O(1) after the registry's first access,
-/// covering both built-in and runtime-registered problems.
+/// Looks up a built-in problem by id — O(1) after the table's first
+/// access.
 pub fn find(id: &str) -> Option<Problem> {
-    ProblemRegistry::global().get(id).map(|p| (*p).clone())
-}
-
-/// Looks up a problem by id without cloning it.
-pub fn find_shared(id: &str) -> Option<Arc<Problem>> {
-    ProblemRegistry::global().get(id)
+    registry::builtins().get(id).cloned()
 }
 
 #[cfg(test)]

@@ -1,283 +1,63 @@
-//! The lazily-initialized problem registry.
+//! The built-in problem table.
 //!
 //! The seed implementation rebuilt the entire 24-problem suite for every
 //! `find(id)` call — re-rendering every description string and re-wiring
-//! every golden netlist per lookup. The registry constructs the built-in
+//! every golden netlist per lookup. This table constructs the built-in
 //! suite exactly once per process (on first access), indexes it by id,
-//! and serves shared [`Arc<Problem>`] handles in O(1).
-//!
-//! Beyond caching, the registry is the extension seam for scenario
-//! diversity: new problems can be registered at runtime — either built
-//! programmatically or deserialized from JSON problem sets
-//! ([`crate::problems_from_json`]) — and are immediately visible to
-//! [`crate::find`] and to campaigns built over registry ids.
+//! and never changes afterwards. Custom problem sets are decoded by
+//! [`crate::problems_from_json`] and held by whoever decoded them.
 
 use crate::{build_builtin_suite, Problem};
 use std::collections::HashMap;
-use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::OnceLock;
 
-/// Why a registration was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegistryError {
-    /// A problem with this id already exists.
-    DuplicateId(String),
-    /// The problem failed basic sanity checks (empty id, port/spec
-    /// mismatch).
-    Invalid(String),
-}
-
-impl fmt::Display for RegistryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RegistryError::DuplicateId(id) => {
-                write!(f, "a problem with id {id:?} is already registered")
-            }
-            RegistryError::Invalid(why) => write!(f, "invalid problem: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for RegistryError {}
-
-#[derive(Debug, Default)]
-struct Inner {
-    /// Problems in registration order (builtins first, Table I order).
-    order: Vec<Arc<Problem>>,
-    /// Id → index into `order`.
+/// The built-in suite in Table I order, with an id index.
+pub(crate) struct Builtins {
+    pub(crate) problems: Vec<Problem>,
     by_id: HashMap<String, usize>,
-    /// How many leading entries of `order` are the built-in suite.
-    builtin_count: usize,
 }
 
-/// A thread-safe, runtime-extensible collection of benchmark problems.
-///
-/// [`ProblemRegistry::global`] is the shared instance behind
-/// [`crate::suite`] and [`crate::find`]; independent registries
-/// ([`ProblemRegistry::empty`]) exist for tests and custom problem sets.
-#[derive(Debug, Default)]
-pub struct ProblemRegistry {
-    inner: RwLock<Inner>,
+impl Builtins {
+    /// Looks up a built-in problem by id — a hash-map hit, no rebuild.
+    pub(crate) fn get(&self, id: &str) -> Option<&Problem> {
+        self.by_id.get(id).map(|&i| &self.problems[i])
+    }
 }
 
-impl ProblemRegistry {
-    /// An empty registry (no built-in problems).
-    pub fn empty() -> Self {
-        ProblemRegistry::default()
-    }
-
-    /// A registry pre-seeded with the built-in Table I suite.
-    pub fn with_builtins() -> Self {
-        let registry = ProblemRegistry::empty();
-        {
-            let mut inner = registry.inner.write().expect("registry poisoned");
-            for problem in build_builtin_suite() {
-                let index = inner.order.len();
-                inner.by_id.insert(problem.id.clone(), index);
-                inner.order.push(Arc::new(problem));
-            }
-            inner.builtin_count = inner.order.len();
-        }
-        registry
-    }
-
-    /// The process-wide registry, built (once) on first access.
-    pub fn global() -> &'static ProblemRegistry {
-        static GLOBAL: OnceLock<ProblemRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(ProblemRegistry::with_builtins)
-    }
-
-    /// Looks up a problem by id — a hash-map hit, no suite rebuild.
-    pub fn get(&self, id: &str) -> Option<Arc<Problem>> {
-        let inner = self.inner.read().expect("registry poisoned");
-        inner.by_id.get(id).map(|&i| Arc::clone(&inner.order[i]))
-    }
-
-    /// Whether a problem with this id exists.
-    pub fn contains(&self, id: &str) -> bool {
-        self.inner
-            .read()
-            .expect("registry poisoned")
-            .by_id
-            .contains_key(id)
-    }
-
-    /// Total number of registered problems (builtins included).
-    pub fn len(&self) -> usize {
-        self.inner.read().expect("registry poisoned").order.len()
-    }
-
-    /// Whether the registry holds no problems.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Every problem id, in registration order.
-    pub fn ids(&self) -> Vec<String> {
-        let inner = self.inner.read().expect("registry poisoned");
-        inner.order.iter().map(|p| p.id.clone()).collect()
-    }
-
-    /// Every registered problem, in registration order.
-    pub fn all(&self) -> Vec<Arc<Problem>> {
-        let inner = self.inner.read().expect("registry poisoned");
-        inner.order.clone()
-    }
-
-    /// The built-in suite portion (Table I order), excluding runtime
-    /// registrations.
-    pub fn builtins(&self) -> Vec<Arc<Problem>> {
-        let inner = self.inner.read().expect("registry poisoned");
-        inner.order[..inner.builtin_count].to_vec()
-    }
-
-    /// Structural sanity checks shared by every registration path.
-    fn validate(problem: &Problem) -> Result<(), RegistryError> {
-        if problem.id.is_empty() {
-            return Err(RegistryError::Invalid("empty problem id".to_string()));
-        }
-        let expected = problem.spec.inputs + problem.spec.outputs;
-        if problem.golden.ports.len() != expected {
-            return Err(RegistryError::Invalid(format!(
-                "problem {:?}: golden exposes {} external ports but the spec requires {expected}",
-                problem.id,
-                problem.golden.ports.len(),
-            )));
-        }
-        Ok(())
-    }
-
-    /// Inserts pre-validated problems; the caller holds the write lock,
-    /// so the duplicate check and the insertions are one atomic step.
-    fn insert_all(
-        inner: &mut Inner,
-        problems: Vec<Problem>,
-    ) -> Result<Vec<Arc<Problem>>, RegistryError> {
-        let mut fresh = std::collections::HashSet::new();
-        for p in &problems {
-            if inner.by_id.contains_key(&p.id) || !fresh.insert(p.id.clone()) {
-                return Err(RegistryError::DuplicateId(p.id.clone()));
-            }
-        }
-        let mut handles = Vec::with_capacity(problems.len());
-        for problem in problems {
-            let handle = Arc::new(problem);
-            let index = inner.order.len();
-            inner.by_id.insert(handle.id.clone(), index);
-            inner.order.push(Arc::clone(&handle));
-            handles.push(handle);
-        }
-        Ok(handles)
-    }
-
-    /// Registers a new problem, returning the shared handle.
-    ///
-    /// # Errors
-    ///
-    /// [`RegistryError::DuplicateId`] when the id is taken;
-    /// [`RegistryError::Invalid`] when the problem is structurally
-    /// inconsistent (empty id, or golden ports not matching the spec).
-    pub fn register(&self, problem: Problem) -> Result<Arc<Problem>, RegistryError> {
-        Self::validate(&problem)?;
-        let mut inner = self.inner.write().expect("registry poisoned");
-        Self::insert_all(&mut inner, vec![problem]).map(|mut handles| handles.remove(0))
-    }
-
-    /// Parses a JSON problem set ([`crate::problems_from_json`]) and
-    /// registers every problem in it, returning the shared handles.
-    ///
-    /// Registration is all-or-nothing: every problem is decoded and
-    /// validated first, then all are inserted under one write lock — if
-    /// anything fails (decode error, invalid problem, id collision with
-    /// the registry, a concurrent registration, or within the set),
-    /// nothing is registered.
-    pub fn register_json(&self, text: &str) -> Result<Vec<Arc<Problem>>, RegistryError> {
-        let problems =
-            crate::problems_from_json(text).map_err(|e| RegistryError::Invalid(e.to_string()))?;
-        for problem in &problems {
-            Self::validate(problem)?;
-        }
-        let mut inner = self.inner.write().expect("registry poisoned");
-        Self::insert_all(&mut inner, problems)
-    }
+/// The process-wide table, built (once) on first access.
+pub(crate) fn builtins() -> &'static Builtins {
+    static TABLE: OnceLock<Builtins> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let problems = build_builtin_suite();
+        let by_id = problems
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.id.clone(), i))
+            .collect();
+        Builtins { problems, by_id }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use picbench_netlist::PortSpec;
 
     #[test]
     fn global_serves_builtins_without_rebuilding() {
-        let registry = ProblemRegistry::global();
-        assert_eq!(registry.builtins().len(), 24);
-        assert!(registry.len() >= 24);
+        let table = builtins();
+        assert_eq!(table.problems.len(), 24);
         // Two lookups return the *same allocation* — the suite was built
         // once and cached, not reconstructed per call.
-        let a = registry.get("mzi-ps").unwrap();
-        let b = registry.get("mzi-ps").unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
+        let a = table.get("mzi-ps").unwrap();
+        let b = builtins().get("mzi-ps").unwrap();
+        assert!(std::ptr::eq(a, b));
         assert_eq!(a.name, "MZI ps");
     }
 
     #[test]
     fn find_routes_through_the_registry() {
-        let a = crate::find("mzi-ps").unwrap();
-        let b = crate::find("mzi-ps").unwrap();
-        assert_eq!(a, b);
-        // The shared handle is the proof there was no rebuild.
-        assert!(Arc::ptr_eq(
-            &crate::find_shared("mzi-ps").unwrap(),
-            &crate::find_shared("mzi-ps").unwrap()
-        ));
-    }
-
-    #[test]
-    fn register_rejects_duplicates_and_inconsistent_specs() {
-        let registry = ProblemRegistry::with_builtins();
-        let mut custom = crate::find("mzi-ps").unwrap();
-        custom.id = "mzi-ps-custom".to_string();
-        registry.register(custom.clone()).unwrap();
-        assert!(matches!(
-            registry.register(custom.clone()),
-            Err(RegistryError::DuplicateId(_))
-        ));
-        custom.id = "mzi-ps-broken".to_string();
-        custom.spec = PortSpec::new(3, 3);
-        assert!(matches!(
-            registry.register(custom),
-            Err(RegistryError::Invalid(_))
-        ));
-    }
-
-    #[test]
-    fn register_json_is_all_or_nothing() {
-        let registry = ProblemRegistry::with_builtins();
-        let before = registry.len();
-        let mut good = crate::find("mzi-ps").unwrap();
-        good.id = "mzi-ps-json".to_string();
-        let mut bad = crate::find("mzm").unwrap();
-        bad.id = "mzm-json-broken".to_string();
-        bad.spec = PortSpec::new(4, 4); // golden/spec mismatch → Invalid
-        let text = crate::problems_to_json(&[good, bad]);
-        assert!(matches!(
-            registry.register_json(&text),
-            Err(RegistryError::Invalid(_))
-        ));
-        // The valid first problem must NOT have been committed.
-        assert_eq!(registry.len(), before);
-        assert!(!registry.contains("mzi-ps-json"));
-    }
-
-    #[test]
-    fn runtime_registrations_do_not_leak_into_builtins() {
-        let registry = ProblemRegistry::with_builtins();
-        let before = registry.builtins().len();
-        let mut custom = crate::find("mzm").unwrap();
-        custom.id = "mzm-variant".to_string();
-        registry.register(custom).unwrap();
-        assert_eq!(registry.builtins().len(), before);
-        assert_eq!(registry.len(), before + 1);
-        assert!(registry.contains("mzm-variant"));
+        assert_eq!(crate::find("mzi-ps").as_ref(), builtins().get("mzi-ps"));
+        assert_eq!(crate::suite(), builtins().problems);
+        assert!(crate::find("warp-core").is_none());
     }
 }

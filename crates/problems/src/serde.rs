@@ -22,12 +22,14 @@
 //! so problem sets round-trip byte-stably through
 //! [`problems_to_json`] / [`problems_from_json`] and can be authored by
 //! hand, exported from the built-in suite, or generated by tooling —
-//! the scenario-diversity seam behind
-//! [`ProblemRegistry::register_json`](crate::ProblemRegistry::register_json).
+//! the one way to add problems beyond the built-in suite. The server's
+//! `POST /v1/problem-sets` decodes sets through [`problems_from_json`]
+//! and holds them itself.
 
 use crate::{Category, Problem};
 use picbench_netlist::json::{self, Value};
 use picbench_netlist::{Netlist, PortSpec};
+use std::collections::HashSet;
 use std::fmt;
 
 impl Category {
@@ -54,6 +56,10 @@ pub enum ProblemDecodeError {
     Json(json::JsonError),
     /// The document parsed but does not describe a problem set.
     Schema(String),
+    /// The set decoded, but a problem in it is inconsistent: an empty or
+    /// repeated id, or a golden design whose external port count does
+    /// not match its spec.
+    Invalid(String),
 }
 
 impl fmt::Display for ProblemDecodeError {
@@ -61,6 +67,7 @@ impl fmt::Display for ProblemDecodeError {
         match self {
             ProblemDecodeError::Json(e) => write!(f, "problem set is not valid JSON: {e}"),
             ProblemDecodeError::Schema(why) => write!(f, "problem set schema error: {why}"),
+            ProblemDecodeError::Invalid(why) => write!(f, "invalid problem: {why}"),
         }
     }
 }
@@ -179,8 +186,10 @@ pub fn problems_to_json(problems: &[Problem]) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ProblemDecodeError::Json`] on malformed JSON and
-/// [`ProblemDecodeError::Schema`] on structural mismatches.
+/// Returns [`ProblemDecodeError::Json`] on malformed JSON,
+/// [`ProblemDecodeError::Schema`] on structural mismatches and
+/// [`ProblemDecodeError::Invalid`] on an empty or repeated id or a golden
+/// whose port count does not match its spec.
 pub fn problems_from_json(text: &str) -> Result<Vec<Problem>, ProblemDecodeError> {
     let value = json::parse(text).map_err(ProblemDecodeError::Json)?;
     let items = match (&value, value.get("problems")) {
@@ -199,7 +208,31 @@ pub fn problems_from_json(text: &str) -> Result<Vec<Problem>, ProblemDecodeError
             ))
         }
     };
-    items.iter().map(Problem::from_value).collect()
+    let problems: Vec<Problem> = items
+        .iter()
+        .map(Problem::from_value)
+        .collect::<Result<_, _>>()?;
+    let mut ids = HashSet::with_capacity(problems.len());
+    for problem in &problems {
+        if problem.id.is_empty() {
+            return Err(ProblemDecodeError::Invalid("empty problem id".to_string()));
+        }
+        if !ids.insert(problem.id.as_str()) {
+            return Err(ProblemDecodeError::Invalid(format!(
+                "problem id {:?} appears more than once in the set",
+                problem.id
+            )));
+        }
+        let expected = problem.spec.inputs + problem.spec.outputs;
+        if problem.golden.ports.len() != expected {
+            return Err(ProblemDecodeError::Invalid(format!(
+                "problem {:?}: golden exposes {} external ports but the spec requires {expected}",
+                problem.id,
+                problem.golden.ports.len(),
+            )));
+        }
+    }
+    Ok(problems)
 }
 
 #[cfg(test)]
@@ -248,5 +281,23 @@ mod tests {
         assert!(matches!(err, ProblemDecodeError::Json(_)));
         let err = problems_from_json(r#"{"problems": 3}"#).unwrap_err();
         assert!(err.to_string().contains("array"), "{err}");
+    }
+
+    #[test]
+    fn from_json_rejects_empty_duplicate_and_mismatched_problems() {
+        let mzi = crate::find("mzi-ps").unwrap();
+        let mut unnamed = mzi.clone();
+        unnamed.id.clear();
+        let mut mismatched = crate::find("mzm").unwrap();
+        mismatched.spec = PortSpec::new(4, 4);
+        for (set, needle) in [
+            (vec![unnamed], "empty problem id"),
+            (vec![mzi.clone(), mzi.clone()], "more than once"),
+            (vec![mzi, mismatched], "spec requires 8"),
+        ] {
+            let err = problems_from_json(&problems_to_json(&set)).unwrap_err();
+            assert!(matches!(err, ProblemDecodeError::Invalid(_)), "{err}");
+            assert!(err.to_string().contains(needle), "{err}");
+        }
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! | Route | Effect |
 //! |---|---|
-//! | `POST /v1/problem-sets` | Register custom problems (JSON) |
+//! | `POST /v1/problem-sets` | Validate and hold a custom problem set (JSON) |
 //! | `POST /v1/campaigns` | Validate knobs, start a campaign session |
 //! | `GET /v1/campaigns/{id}` | Session status and cell progress |
 //! | `GET /v1/campaigns/{id}/events` | Long-lived NDJSON event stream |
@@ -48,6 +48,7 @@ use picbench_coord::Coordinator;
 use picbench_core::{CacheScope, Campaign, CampaignEvent, EvalCache, EvalStore, SharedEvalStore};
 use picbench_netlist::json::{self, Value};
 use picbench_problems::Problem;
+use picbench_sim::ModelRegistry;
 use picbench_synthllm::{ModelProfile, ModelProvider};
 use std::collections::HashMap;
 use std::io;
@@ -360,6 +361,19 @@ fn post_problem_set(
     };
     if problems.is_empty() {
         return http::write_error(stream, 400, "problem set is empty");
+    }
+    // A golden that fails validation cannot be simulated, so no
+    // candidate could ever be scored against it.
+    for problem in &problems {
+        let issues = picbench_netlist::validate(
+            &problem.golden,
+            ModelRegistry::builtin(),
+            Some(&problem.spec),
+        );
+        if let Some(issue) = issues.first() {
+            let message = format!("problem {:?}: invalid golden design: {issue}", problem.id);
+            return http::write_error(stream, 400, &message);
+        }
     }
     let id = format!("ps-{}", state.next_set.fetch_add(1, Ordering::Relaxed) + 1);
     let ids: Vec<Value> = problems

@@ -182,6 +182,40 @@ fn custom_problem_sets_are_registered_and_runnable() {
 }
 
 #[test]
+fn problem_sets_with_unsimulable_goldens_or_repeated_ids_are_rejected() {
+    let server = start_default();
+    let client = ApiClient::new(server.addr());
+
+    // A golden bound to a model that does not exist cannot be simulated,
+    // so a campaign over it could never score a candidate.
+    let mut unbound = picbench_problems::find("mzi-ps").unwrap();
+    let components: Vec<String> = unbound.golden.models.keys().map(str::to_string).collect();
+    assert!(!components.is_empty());
+    for component in components {
+        unbound
+            .golden
+            .models
+            .insert(component, "no-such-model".to_string());
+    }
+    let mzm = picbench_problems::find("mzm").unwrap();
+    for (set, needle) in [
+        (vec![unbound], "problem \"mzi-ps\": invalid golden design"),
+        (vec![mzm.clone(), mzm], "\"mzm\" appears more than once"),
+    ] {
+        let body = picbench_problems::problems_to_json(&set);
+        let response = client
+            .request("POST", "/v1/problem-sets", Some(&body))
+            .unwrap();
+        assert_eq!(response.status, 400, "{}", response.body);
+        let error = response.json().unwrap();
+        let error = error.get("error").and_then(|v| v.as_str()).unwrap();
+        assert!(error.contains(needle), "{error}");
+    }
+
+    server.shutdown();
+}
+
+#[test]
 fn cancellation_yields_a_well_formed_partial_stream() {
     let server = start_default();
     let client = ApiClient::new(server.addr());

@@ -48,14 +48,12 @@
 
 pub mod analysis;
 mod blocks;
-mod composite;
 mod elaborate;
 mod oracle;
 mod plan;
 mod registry;
 mod response;
 
-pub use composite::CompositeModel;
 pub use elaborate::{Circuit, ElabInstance, ElaborateError};
 pub use oracle::{evaluate, SimError};
 pub use plan::{ScheduleCache, SolveWorkspace, SweepPlan, SweepSchedule};

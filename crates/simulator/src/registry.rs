@@ -3,12 +3,14 @@
 use picbench_netlist::ComponentCatalog;
 use picbench_sparams::{builtin_models, Model};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// A registry of component models addressable by reference name.
+/// The built-in component models, addressable by reference name.
 ///
-/// The `models` section of a netlist binds component types to these
-/// reference names. The registry implements
+/// The table is fixed: it holds exactly `picbench_sparams::builtin_models()`,
+/// and [`ModelRegistry::builtin`] is the instance every evaluator and
+/// server shares. The `models` section of a netlist binds component types
+/// to these reference names. The registry implements
 /// [`picbench_netlist::ComponentCatalog`] so the structural validator can
 /// check model existence and port names.
 ///
@@ -40,37 +42,26 @@ struct Registered {
 }
 
 impl ModelRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        ModelRegistry {
-            models: HashMap::new(),
-            order: Vec::new(),
-        }
-    }
-
-    /// Creates a registry pre-loaded with every built-in model.
+    /// Creates a registry holding every built-in model.
     pub fn with_builtins() -> Self {
-        let mut reg = ModelRegistry::new();
-        for model in builtin_models() {
-            reg.register(model);
+        let models = builtin_models();
+        ModelRegistry {
+            order: models.iter().map(|m| m.info().name.to_string()).collect(),
+            models: models
+                .into_iter()
+                .map(|model| {
+                    let ports = model.info().ports();
+                    (model.info().name.to_string(), Registered { model, ports })
+                })
+                .collect(),
         }
-        reg
     }
 
-    /// Registers a model under its own [`ModelInfo::name`], replacing any
-    /// previous model of the same name.
-    ///
-    /// [`ModelInfo::name`]: picbench_sparams::ModelInfo::name
-    pub fn register(&mut self, model: Arc<dyn Model>) {
-        let name = model.info().name.to_string();
-        let ports = model.info().ports();
-        if self
-            .models
-            .insert(name.clone(), Registered { model, ports })
-            .is_none()
-        {
-            self.order.push(name);
-        }
+    /// The process-wide built-in registry, built once on first access.
+    /// It never changes, so every evaluator and server shares it.
+    pub fn builtin() -> &'static ModelRegistry {
+        static BUILTIN: OnceLock<ModelRegistry> = OnceLock::new();
+        BUILTIN.get_or_init(ModelRegistry::with_builtins)
     }
 
     /// Looks up a model by reference name.
@@ -155,15 +146,5 @@ mod tests {
         let first = reg.iter().next().unwrap().info().name;
         assert_eq!(first, "waveguide");
         assert_eq!(reg.iter().count(), reg.len());
-    }
-
-    #[test]
-    fn re_registration_replaces() {
-        let mut reg = ModelRegistry::with_builtins();
-        let n = reg.len();
-        reg.register(std::sync::Arc::new(
-            picbench_sparams::models::Waveguide::default(),
-        ));
-        assert_eq!(reg.len(), n);
     }
 }

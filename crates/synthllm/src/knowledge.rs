@@ -1,43 +1,29 @@
-//! Static component knowledge used by the synthetic models.
+//! Component knowledge used by the synthetic models.
 //!
 //! A real LLM has (imperfect) knowledge of the component API from its
-//! prompt and training. The synthetic models carry the same information
-//! as a static table: the port list of every built-in model. Corruption
-//! operators use it to craft *specific* realistic mistakes (connecting to
-//! a port the component does not have, re-exposing genuinely unused
-//! ports, …).
+//! prompt and training. The synthetic models carry the same information:
+//! the port list of every built-in model, read once from the models'
+//! own infos. Corruption operators use it to craft *specific* realistic
+//! mistakes (connecting to a port the component does not have,
+//! re-exposing genuinely unused ports, …).
 
 use picbench_netlist::{Instance, Netlist};
 use std::collections::HashSet;
-
-/// Port lists of the built-in component models, mirroring
-/// `picbench_sparams::builtin_models()`.
-pub const BUILTIN_PORTS: &[(&str, &[&str])] = &[
-    ("waveguide", &["I1", "O1"]),
-    ("phaseshifter", &["I1", "O1"]),
-    ("mmi1x2", &["I1", "O1", "O2"]),
-    ("mmi2x2", &["I1", "I2", "O1", "O2"]),
-    ("coupler", &["I1", "I2", "O1", "O2"]),
-    ("mzi", &["I1", "O1"]),
-    ("mzi2x2", &["I1", "I2", "O1", "O2"]),
-    ("mzm", &["I1", "O1"]),
-    ("ringap", &["I1", "O1"]),
-    ("ringad", &["I1", "I2", "O1", "O2"]),
-    ("crossing", &["I1", "I2", "O1", "O2"]),
-    ("switch1x2", &["I1", "O1", "O2"]),
-    ("switch2x2", &["I1", "I2", "O1", "O2"]),
-    ("splitter", &["I1", "O1", "O2"]),
-    ("attenuator", &["I1", "O1"]),
-    ("reflector", &["I1", "O1"]),
-    ("gc", &["I1", "O1"]),
-];
+use std::sync::OnceLock;
 
 /// The port list of a built-in model, if known.
-pub fn ports_of(model_ref: &str) -> Option<&'static [&'static str]> {
-    BUILTIN_PORTS
+pub fn ports_of(model_ref: &str) -> Option<&'static [String]> {
+    static PORTS: OnceLock<Vec<(&'static str, Vec<String>)>> = OnceLock::new();
+    PORTS
+        .get_or_init(|| {
+            picbench_sparams::builtin_models()
+                .iter()
+                .map(|m| (m.info().name, m.info().ports()))
+                .collect()
+        })
         .iter()
         .find(|(name, _)| *name == model_ref)
-        .map(|(_, ports)| *ports)
+        .map(|(_, ports)| ports.as_slice())
 }
 
 /// Whether a name is a built-in model reference.
@@ -59,7 +45,7 @@ fn model_ref<'a>(netlist: &'a Netlist, inst: &'a Instance) -> &'a str {
 }
 
 /// The port list of an instance in a netlist, if its model is built-in.
-pub fn instance_ports(netlist: &Netlist, instance: &str) -> Option<&'static [&'static str]> {
+pub fn instance_ports(netlist: &Netlist, instance: &str) -> Option<&'static [String]> {
     ports_of(instance_model_ref(netlist, instance)?)
 }
 
@@ -75,7 +61,8 @@ pub fn unused_ports(netlist: &Netlist) -> Vec<(&str, &'static str)> {
         .collect();
     let mut free = Vec::new();
     for (name, inst) in netlist.instances.iter() {
-        for &port in ports_of(model_ref(netlist, inst)).unwrap_or_default() {
+        for port in ports_of(model_ref(netlist, inst)).unwrap_or_default() {
+            let port = port.as_str();
             if !used.contains(&(name, port)) {
                 free.push((name, port));
             }
@@ -90,7 +77,7 @@ pub fn unused_ports(netlist: &Netlist) -> Vec<(&str, &'static str)> {
 pub fn bogus_port(netlist: &Netlist, instance: &str) -> Option<String> {
     let ports = instance_ports(netlist, instance)?;
     for candidate in ["I2", "O2", "I3", "O3", "I4", "O4"] {
-        if !ports.contains(&candidate) {
+        if !ports.iter().any(|p| p == candidate) {
             return Some(candidate.to_string());
         }
     }
@@ -115,25 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn port_table_matches_sparams_models() {
-        for model in picbench_sparams::builtin_models() {
-            let expected = model.info().ports();
-            let got = ports_of(model.info().name)
-                .unwrap_or_else(|| panic!("missing table entry for {}", model.info().name));
-            assert_eq!(
-                got.iter().map(|p| p.to_string()).collect::<Vec<_>>(),
-                expected,
-                "port mismatch for {}",
-                model.info().name
-            );
-        }
-        assert_eq!(
-            BUILTIN_PORTS.len(),
-            picbench_sparams::builtin_models().len()
-        );
-    }
-
-    #[test]
     fn resolves_instance_ports_via_models_section() {
         let n = sample();
         assert_eq!(instance_model_ref(&n, "mmi1"), Some("mmi1x2"));
@@ -153,9 +121,7 @@ mod tests {
     fn bogus_port_is_never_real() {
         let n = sample();
         let bogus = bogus_port(&n, "mmi1").unwrap();
-        assert!(!instance_ports(&n, "mmi1")
-            .unwrap()
-            .contains(&bogus.as_str()));
+        assert!(!instance_ports(&n, "mmi1").unwrap().contains(&bogus));
         // The classic Fig. 4 mistake: I2 on a 1x2 MMI.
         assert_eq!(bogus, "I2");
     }

@@ -39,7 +39,7 @@ mod retry;
 mod synthetic;
 
 pub use corrupt::Corruption;
-pub use knowledge::{bogus_port, instance_ports, ports_of, unused_ports, BUILTIN_PORTS};
+pub use knowledge::{bogus_port, instance_ports, ports_of, unused_ports};
 pub use profile::ModelProfile;
 pub use provider::{
     FailureKind, FlakyProvider, FlakySchedule, ModelProvider, ReplayLlm, FATAL_AUTH_RESPONSE,
