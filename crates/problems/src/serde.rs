@@ -284,7 +284,7 @@ mod tests {
     }
 
     #[test]
-    fn from_json_rejects_empty_duplicate_and_mismatched_problems() {
+    fn from_json_rejects_duplicates_and_inconsistent_specs() {
         let mzi = crate::find("mzi-ps").unwrap();
         let mut unnamed = mzi.clone();
         unnamed.id.clear();
@@ -292,12 +292,29 @@ mod tests {
         mismatched.spec = PortSpec::new(4, 4);
         for (set, needle) in [
             (vec![unnamed], "empty problem id"),
-            (vec![mzi.clone(), mzi.clone()], "more than once"),
-            (vec![mzi, mismatched], "spec requires 8"),
+            (vec![mzi.clone(), mzi], "more than once"),
+            (vec![mismatched], "spec requires 8"),
         ] {
             let err = problems_from_json(&problems_to_json(&set)).unwrap_err();
             assert!(matches!(err, ProblemDecodeError::Invalid(_)), "{err}");
             assert!(err.to_string().contains(needle), "{err}");
         }
+    }
+
+    #[test]
+    fn from_json_is_all_or_nothing() {
+        let mut good = crate::find("mzi-ps").unwrap();
+        good.id = "mzi-ps-json".to_string();
+        let mut bad = crate::find("mzm").unwrap();
+        bad.id = "mzm-json-broken".to_string();
+        bad.spec = PortSpec::new(4, 4); // golden/spec mismatch → Invalid
+        let text = problems_to_json(&[good.clone(), bad]);
+        // A valid problem ahead of an invalid one is not returned alone:
+        // the whole set is rejected.
+        let err = problems_from_json(&text).unwrap_err();
+        assert!(matches!(err, ProblemDecodeError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("mzm-json-broken"), "{err}");
+        let alone = problems_from_json(&problems_to_json(&[good.clone()])).unwrap();
+        assert_eq!(alone, vec![good]);
     }
 }
