@@ -167,9 +167,9 @@ fn response_evaluation(c: &mut Criterion) {
     let pass_text = format!("<result>\n{}\n</result>", problem.golden.to_json_string());
     group.bench_function("mzi-ps-pass", |b| {
         let mut evaluator = Evaluator::default();
-        evaluator.golden_response_arc(&problem); // warm the cache
+        let golden = evaluator.golden(&problem).expect("golden simulates");
         b.iter(|| {
-            let report = evaluator.evaluate_response(&problem, &pass_text);
+            let report = evaluator.evaluate_response(&problem, &golden, &pass_text);
             assert!(report.functional_pass());
         });
     });
@@ -180,9 +180,9 @@ fn response_evaluation(c: &mut Criterion) {
     let fail_text = format!("<result>\n{}\n</result>", broken.to_json_string());
     group.bench_function("mzi-ps-wrong-port", |b| {
         let mut evaluator = Evaluator::default();
-        evaluator.golden_response_arc(&problem);
+        let golden = evaluator.golden(&problem).expect("golden simulates");
         b.iter(|| {
-            let report = evaluator.evaluate_response(&problem, &fail_text);
+            let report = evaluator.evaluate_response(&problem, &golden, &fail_text);
             assert!(!report.syntax_pass());
         });
     });

@@ -306,6 +306,7 @@ pub fn table4(scale: &ReproScale) -> Result<String, String> {
 pub fn fig1() -> String {
     let problem = picbench_problems::find("clements-4x4").expect("problem exists");
     let mut evaluator = Evaluator::default();
+    let golden = evaluator.golden(&problem).expect("golden simulates");
     let mut out = String::new();
     let _ = writeln!(out, "FIG. 1: PICBench framework flow (live trace)");
     let _ = writeln!(out, "Problem: {} ({})", problem.name, problem.id);
@@ -317,6 +318,7 @@ pub fn fig1() -> String {
         let result = run_sample(
             &mut llm,
             &problem,
+            &golden,
             &mut evaluator,
             LoopConfig {
                 max_feedback_iters: 3,
@@ -389,6 +391,7 @@ pub fn fig3() -> String {
 pub fn fig4() -> String {
     let problem = picbench_problems::find("mzi-ps").expect("problem exists");
     let mut evaluator = Evaluator::default();
+    let golden = evaluator.golden(&problem).expect("golden simulates");
     let mut out = String::new();
     let _ = writeln!(out, "FIG. 4: Solving MZI ps with correction feedback\n");
 
@@ -396,7 +399,7 @@ pub fn fig4() -> String {
     let mut faulty = problem.golden.clone();
     faulty.connections[1].b = PortRef::new("mmi2", "I2");
     let faulty_text = format!("<result>\n{}\n</result>", faulty.to_json_string());
-    let report = evaluator.evaluate_response(&problem, &faulty_text);
+    let report = evaluator.evaluate_response(&problem, &golden, &faulty_text);
     let _ = writeln!(out, "Iter 0: LLM initial response and evaluation");
     let _ = writeln!(out, "{}\n", faulty.to_json_string());
     let _ = writeln!(out, "Evaluation: Syntax Error");
@@ -405,7 +408,7 @@ pub fn fig4() -> String {
 
     // Iter 1: the corrected response (the golden design).
     let fixed_text = format!("<result>\n{}\n</result>", problem.golden.to_json_string());
-    let report = evaluator.evaluate_response(&problem, &fixed_text);
+    let report = evaluator.evaluate_response(&problem, &golden, &fixed_text);
     let _ = writeln!(out, "\nIter 1: Correction feedback applied");
     let _ = writeln!(out, "{}\n", problem.golden.to_json_string());
     let _ = writeln!(

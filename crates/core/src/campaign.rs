@@ -9,8 +9,8 @@
 //! cooperatively through a [`CancelToken`]. The engine is built for
 //! throughput and determinism:
 //!
-//! * every problem's **golden response** is simulated once up front and
-//!   shared immutably across all workers;
+//! * every problem's **golden** is hashed and simulated once up front
+//!   and shared immutably across all workers;
 //! * work is distributed at the granularity of
 //!   `(problem × model × feedback)` **cells** claimed from an atomic
 //!   queue — a straggler problem never idles the rest of the machine,
@@ -42,7 +42,7 @@
 //! [`RetryPolicy`] wrapped around the providers absorbs transient
 //! transport failures deterministically.
 
-use crate::evaluate::{CacheScope, EvalCache, EvalCacheStats, Evaluator};
+use crate::evaluate::{CacheScope, EvalCache, EvalCacheStats, Evaluator, Golden};
 use crate::events::{CampaignEvent, CampaignObserver, CancelToken};
 use crate::feedback_loop::{run_sample, LoopConfig};
 use crate::lease::{Clock, LeaseConfig, SystemClock};
@@ -50,7 +50,7 @@ use crate::passk::{aggregate_pass_at_k, ProblemTally};
 use crate::persist::SharedEvalStore;
 use crate::supervisor::{run_sharded, ChaosPlan, InProcessLauncher, ShardLauncher};
 use picbench_problems::Problem;
-use picbench_sim::{FrequencyResponse, WavelengthGrid};
+use picbench_sim::WavelengthGrid;
 use picbench_store::fnv1a64;
 use picbench_synthllm::{ModelProfile, ModelProvider, RetryEvent, RetryPolicy, RetryProvider};
 use std::collections::{HashMap, HashSet};
@@ -394,7 +394,7 @@ impl Campaign {
     ///
     /// Panics if an attached [`CancelToken`] fires mid-run (use
     /// [`Campaign::execute`] for cancellable sessions) or if a golden
-    /// design fails to simulate (a bug, not an input condition).
+    /// design fails to simulate (check one with [`Evaluator::golden`]).
     pub fn run(&self) -> CampaignReport {
         self.execute()
             .report
@@ -444,7 +444,8 @@ impl Campaign {
             .iter()
             .map(|p| p.name().to_string())
             .collect();
-        campaign_fingerprint(&self.problems, &names, &self.config)
+        let hashes = golden_hashes(&self.problems);
+        campaign_fingerprint(&self.problems, &hashes, &names, &self.config)
     }
 }
 
@@ -789,10 +790,16 @@ impl CampaignBuilder {
     }
 }
 
-/// FNV-1a over the campaign's result-relevant inputs; see
-/// [`Campaign::fingerprint`].
+/// Each problem's golden netlist `content_hash`, in problem order.
+pub(crate) fn golden_hashes(problems: &[Problem]) -> Vec<u64> {
+    problems.iter().map(|p| p.golden.content_hash()).collect()
+}
+
+/// FNV-1a over the campaign's result-relevant inputs, given the
+/// problems' [`golden_hashes`]; see [`Campaign::fingerprint`].
 pub(crate) fn campaign_fingerprint(
     problems: &[Problem],
+    golden_hashes: &[u64],
     provider_names: &[String],
     config: &CampaignConfig,
 ) -> u64 {
@@ -803,9 +810,9 @@ pub(crate) fn campaign_fingerprint(
     let mut buf = Vec::with_capacity(256);
     buf.extend_from_slice(b"picbench-campaign-v1");
     buf.extend_from_slice(&(problems.len() as u64).to_le_bytes());
-    for problem in problems {
+    for (problem, hash) in problems.iter().zip(golden_hashes) {
         push_str(&mut buf, &problem.id);
-        buf.extend_from_slice(&problem.golden.content_hash().to_le_bytes());
+        buf.extend_from_slice(&hash.to_le_bytes());
     }
     buf.extend_from_slice(&(provider_names.len() as u64).to_le_bytes());
     for name in provider_names {
@@ -907,11 +914,12 @@ pub(crate) fn wrap_retry_providers(
 
 /// Evaluates one cell exactly as the engine's worker loop does: a fresh
 /// model instance seeded with the campaign seed, `samples_per_problem`
-/// runs through the feedback loop, tallied. Extracted so shard workers
-/// produce bit-identical tallies.
+/// runs through the feedback loop against the problem's `golden`,
+/// tallied. Extracted so shard workers produce bit-identical tallies.
 pub(crate) fn evaluate_cell(
     provider: &Arc<dyn ModelProvider>,
     problem: &Problem,
+    golden: &Golden,
     feedback_iters: usize,
     config: &CampaignConfig,
     evaluator: &mut Evaluator,
@@ -927,7 +935,7 @@ pub(crate) fn evaluate_cell(
         functional_passes: 0,
     };
     for sample in 0..config.samples_per_problem as u64 {
-        let result = run_sample(llm.as_mut(), problem, evaluator, loop_config, sample);
+        let result = run_sample(&mut *llm, problem, golden, evaluator, loop_config, sample);
         if result.syntax_pass() {
             tally.syntax_passes += 1;
         }
@@ -1048,12 +1056,15 @@ fn execute_campaign(
         cells: cells.len(),
     });
 
+    // Hashed once: the journal fingerprint and golden priming read these.
+    let golden_hashes = golden_hashes(problems);
+
     // Journal identity, computed only when there is a journal: the
     // fingerprint scopes records to this exact campaign, the per-cell
     // keys are derived from identities (problem id, provider name,
     // feedback setting), not matrix indices.
     let journal = store.map(|store| {
-        let fingerprint = campaign_fingerprint(problems, &provider_names, config);
+        let fingerprint = campaign_fingerprint(problems, &golden_hashes, &provider_names, config);
         let cell_keys = matrix_cell_keys(problems, &provider_names, config, &cells);
         (store, fingerprint, cell_keys)
     });
@@ -1096,12 +1107,12 @@ fn execute_campaign(
         }
     }
 
-    // Golden responses: simulated once, shared immutably by every worker,
-    // and seeded into the evaluation cache so golden-identical candidates
-    // are instant hits. This serial priming phase honours the halt
-    // switch per problem, so an early abort responds promptly instead of
-    // sweeping every golden first; a resume that restored every cell
-    // has nothing to compare and primes none. When a store is attached
+    // Goldens, indexed by problem: simulated once, borrowed by every
+    // worker, and seeded into the evaluation cache so golden-identical
+    // candidates are instant hits. This serial priming phase honours the
+    // halt switch per problem, so an early abort responds promptly
+    // instead of sweeping every golden first; a resume that restored
+    // every cell has nothing to compare and primes none. When a store is attached
     // it doubles as the disk tier under the shared cache.
     let cache = config.cache.then(|| match shared_cache {
         // Multi-tenant path: reuse the injected process-wide cache
@@ -1122,22 +1133,16 @@ fn execute_campaign(
         Some(scope) => scope.stats(),
         None => cache.stats(),
     };
-    let goldens: Arc<HashMap<String, Arc<FrequencyResponse>>> = {
-        let mut evaluator = Evaluator::new(config.grid, Default::default());
-        if let Some(cache) = &cache {
-            evaluator = evaluator.with_cache(Arc::clone(cache));
-        }
-        let mut table = HashMap::with_capacity(problems.len());
-        if cells_restored < cells.len() {
-            for problem in problems {
-                if halted() {
-                    break;
-                }
-                table.insert(problem.id.clone(), evaluator.prime_golden(problem));
-            }
-        }
-        Arc::new(table)
-    };
+    let mut evaluator = Evaluator::new(config.grid, Default::default());
+    if let Some(cache) = &cache {
+        evaluator = evaluator.with_cache(Arc::clone(cache));
+    }
+    let goldens: Vec<Golden> = problems
+        .iter()
+        .zip(&golden_hashes)
+        .take_while(|_| cells_restored < cells.len() && !halted())
+        .map(|(problem, &hash)| evaluator.expect_golden(problem, hash))
+        .collect();
     if halted() && cells_restored < cells.len() {
         emit(CampaignEvent::CampaignFinished {
             cells_completed: cells_restored,
@@ -1172,9 +1177,7 @@ fn execute_campaign(
     // One worker body, run by `worker_count - 1` scoped threads and by
     // the calling thread as worker 0: a 1-thread campaign spawns nothing.
     let worker = || {
-        let mut evaluator = Evaluator::new(config.grid, Default::default())
-            .with_shared_goldens(Arc::clone(&goldens))
-            .with_sweep_threads(1);
+        let mut evaluator = Evaluator::new(config.grid, Default::default()).with_sweep_threads(1);
         if let Some(cache) = &cache {
             evaluator = evaluator.with_cache(Arc::clone(cache));
         }
@@ -1208,6 +1211,7 @@ fn execute_campaign(
             let tally = evaluate_cell(
                 &providers[cell.profile],
                 problem,
+                &goldens[cell.problem],
                 feedback_iters,
                 config,
                 &mut evaluator,

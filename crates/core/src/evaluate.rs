@@ -31,8 +31,8 @@
 //!   across candidates, and one [`SolveWorkspace`] serves every serial
 //!   sweep, so even cache *misses* skip re-planning and re-allocation
 //!   when only settings changed;
-//! * golden responses can be precomputed once and shared immutably
-//!   across worker evaluators ([`Evaluator::with_shared_goldens`]).
+//! * the caller sweeps a problem's golden once ([`Evaluator::golden`])
+//!   and passes it to every verdict.
 //!
 //! Structurally *invalid* candidates are deliberately left uncached: they
 //! never reach a sweep (the expensive part), and their classified issue
@@ -109,11 +109,11 @@ impl EvalReport {
 pub(crate) type SimKey = (u64, (u64, u64, usize), SimdLevel, (usize, usize));
 
 /// Identifies one raw-response evaluation: response-text digest, grid,
-/// SIMD tier, problem-id digest, tolerance. A verdict is a pure function
-/// of these (given the fixed built-in registry), so whole reports can be
-/// replayed from it. (Digests rather than owned `String`s keep cache
-/// lookups allocation-free.)
-pub(crate) type ResponseKey = (u64, (u64, u64, usize), SimdLevel, u64, u64);
+/// SIMD tier, golden-netlist digest, port-count spec, tolerance. A
+/// verdict is a pure function of these (given the fixed built-in
+/// registry), so whole reports can be replayed from it. (Digests rather
+/// than owned `String`s keep cache lookups allocation-free.)
+pub(crate) type ResponseKey = (u64, (u64, u64, usize), SimdLevel, u64, (usize, usize), u64);
 
 /// The memoized outcome of simulating one structurally valid netlist.
 #[derive(Debug, Clone)]
@@ -353,12 +353,9 @@ impl EvalCache {
         self.sims.insert(key.0, key, outcome);
     }
 
-    /// The successful sweep under `key`, without counting a hit.
-    fn peek_sim_response(&self, key: &SimKey) -> Option<Arc<FrequencyResponse>> {
-        match self.sims.lock(key.0).get(key)? {
-            SimOutcome::Response(response) => Some(Arc::clone(response)),
-            SimOutcome::Failed(_) => None,
-        }
+    /// The sweep outcome under `key`, without counting a hit.
+    fn peek_sim(&self, key: &SimKey) -> Option<SimOutcome> {
+        self.sims.lock(key.0).get(key).cloned()
     }
 
     /// Number of memoized sweep outcomes.
@@ -369,6 +366,27 @@ impl EvalCache {
     /// Snapshot of the hit/miss counters.
     pub fn stats(&self) -> EvalCacheStats {
         self.counters.stats()
+    }
+}
+
+/// A problem's golden design as verdicts read it, from
+/// [`Evaluator::golden`]. Its fields are private so the hash, which
+/// keys cached verdicts, always belongs to the response.
+#[derive(Debug, Clone)]
+pub struct Golden {
+    hash: u64,
+    response: Arc<FrequencyResponse>,
+}
+
+impl Golden {
+    /// The golden netlist's [`Netlist::content_hash`].
+    pub fn hash(&self) -> u64 {
+        self.hash
+    }
+
+    /// The golden design's swept response.
+    pub fn response(&self) -> &Arc<FrequencyResponse> {
+        &self.response
     }
 }
 
@@ -390,10 +408,6 @@ pub struct Evaluator {
     /// causes is double-counted here (optional; servers attach one per
     /// tenant).
     scope: Option<Arc<CacheScope>>,
-    /// Immutable precomputed golden table shared across workers.
-    shared_goldens: Option<Arc<HashMap<String, Arc<FrequencyResponse>>>>,
-    /// Locally computed golden responses (fallback / standalone use).
-    golden_cache: HashMap<String, Arc<FrequencyResponse>>,
     /// Topology-level sweep schedules, reused across candidates.
     schedules: ScheduleCache,
     /// The serial-sweep workspace, reused across candidates.
@@ -426,8 +440,6 @@ impl Evaluator {
             sweep_threads: 0,
             cache: None,
             scope: None,
-            shared_goldens: None,
-            golden_cache: HashMap::new(),
             schedules: ScheduleCache::new(),
             workspace: SolveWorkspace::new(),
         }
@@ -444,17 +456,6 @@ impl Evaluator {
     /// to* the cache's global counters. No effect without a cache.
     pub fn with_cache_scope(mut self, scope: Arc<CacheScope>) -> Self {
         self.scope = Some(scope);
-        self
-    }
-
-    /// Attaches an immutable, precomputed golden-response table (keyed by
-    /// problem id). Problems absent from the table fall back to local
-    /// computation.
-    pub fn with_shared_goldens(
-        mut self,
-        goldens: Arc<HashMap<String, Arc<FrequencyResponse>>>,
-    ) -> Self {
-        self.shared_goldens = Some(goldens);
         self
     }
 
@@ -519,32 +520,31 @@ impl Evaluator {
         Ok(response)
     }
 
-    /// Computes (or fetches) the golden response **and** seeds the
-    /// attached cache with it under the golden netlist's own content
-    /// hash — so candidates that reproduce the golden design verbatim
-    /// (clean samples, successful repairs) are instant cache hits. The
-    /// seeded entry is bit-identical to what a cold candidate evaluation
-    /// would compute, because goldens run through the same canonical
-    /// pipeline.
+    /// Sweeps a problem's golden design through the candidates' canonical
+    /// pipeline and seeds the attached cache with it (one shared
+    /// allocation) under the golden's content hash, so candidates that
+    /// reproduce it verbatim are hits. A sweep already in the cache is
+    /// reused; that lookup counts no hit.
     ///
-    /// When the attached cache's memory tier already holds that sweep
-    /// (an earlier campaign on a shared cache primed it), the cached
-    /// response is reused without sweeping. The lookup counts no hit,
-    /// so cache statistics are the same whether or not it succeeds.
-    pub fn prime_golden(&mut self, problem: &Problem) -> Arc<FrequencyResponse> {
-        let Some(cache) = self.cache.clone() else {
-            return self.golden_response_arc(problem);
-        };
-        let key = self.sim_key(problem, problem.golden.content_hash());
-        if let Some(golden) = cache.peek_sim_response(&key) {
-            self.golden_cache
-                .entry(problem.id.to_string())
-                .or_insert_with(|| Arc::clone(&golden));
-            return golden;
+    /// # Errors
+    ///
+    /// The validation or sweep failure of a golden that cannot be simulated.
+    pub fn golden(&mut self, problem: &Problem) -> Result<Golden, SimulateError> {
+        self.golden_with_hash(problem, problem.golden.content_hash())
+    }
+
+    /// [`Evaluator::golden`] given the golden netlist's content hash.
+    fn golden_with_hash(&mut self, problem: &Problem, hash: u64) -> Result<Golden, SimulateError> {
+        let key = self.sim_key(problem, hash);
+        let cached = self.cache.as_ref().and_then(|c| c.peek_sim(&key));
+        if let Some(SimOutcome::Response(response)) = cached {
+            return Ok(Golden { hash, response });
         }
-        let golden = self.golden_response_arc(problem);
-        cache.put_sim(key, SimOutcome::Response(Arc::clone(&golden)));
-        golden
+        let response = Arc::new(self.simulate_canonical(&problem.golden.canonicalize(), problem)?);
+        if let Some(cache) = &self.cache {
+            cache.put_sim(key, SimOutcome::Response(Arc::clone(&response)));
+        }
+        Ok(Golden { hash, response })
     }
 
     /// The system prompt over the built-in registry, rendered once per
@@ -567,29 +567,21 @@ impl Evaluator {
         Arc::clone(prompt)
     }
 
-    /// Simulates (and caches) a problem's golden design, returning the
-    /// shareable handle.
+    /// The response of [`Evaluator::golden`], not memoized.
     ///
     /// # Panics
     ///
-    /// Panics if the golden design itself fails to simulate — golden
-    /// designs are verified by the test suite, so this indicates a bug,
-    /// not an input error.
+    /// Panics if the golden design fails to simulate (for a built-in
+    /// golden, a bug).
     pub fn golden_response_arc(&mut self, problem: &Problem) -> Arc<FrequencyResponse> {
-        if let Some(shared) = &self.shared_goldens {
-            if let Some(response) = shared.get(&problem.id) {
-                return Arc::clone(response);
-            }
-        }
-        if !self.golden_cache.contains_key(&problem.id) {
-            let canonical = problem.golden.canonicalize();
-            let response = self
-                .simulate_canonical(&canonical, problem)
-                .unwrap_or_else(|e| panic!("golden design {} failed: {e}", problem.id));
-            self.golden_cache
-                .insert(problem.id.to_string(), Arc::new(response));
-        }
-        Arc::clone(&self.golden_cache[&problem.id])
+        self.expect_golden(problem, problem.golden.content_hash())
+            .response
+    }
+
+    /// [`Evaluator::golden`] given the content hash, panicking on failure.
+    pub(crate) fn expect_golden(&mut self, problem: &Problem, hash: u64) -> Golden {
+        self.golden_with_hash(problem, hash)
+            .unwrap_or_else(|e| panic!("golden design {} failed: {e}", problem.id))
     }
 
     /// Parses a raw response into a netlist, collecting every classified
@@ -618,22 +610,6 @@ impl Evaluator {
             Err(e) => {
                 issues.push(classify::classify_schema_error(&e));
                 (None, issues)
-            }
-        }
-    }
-
-    /// Builds the verdict for a memoized (or fresh) simulation outcome.
-    fn report_from_outcome(&mut self, problem: &Problem, outcome: &SimOutcome) -> EvalReport {
-        match outcome {
-            SimOutcome::Failed(e) => EvalReport::syntax_fail(vec![classify::classify_sim_error(e)]),
-            SimOutcome::Response(response) => {
-                let golden = self.golden_response_arc(problem);
-                let comparison = response.compare(&golden);
-                EvalReport {
-                    syntax: Ok(()),
-                    functional: Some(comparison.is_equivalent(DEFAULT_FUNCTIONAL_TOLERANCE)),
-                    comparison: Some(comparison),
-                }
             }
         }
     }
@@ -681,33 +657,56 @@ impl Evaluator {
         Ok(outcome)
     }
 
-    /// Evaluates an already-parsed netlist against a problem.
+    /// Evaluates an already-parsed netlist against a problem and its
+    /// [`Golden`] (from [`Evaluator::golden`]).
     ///
     /// This is the content-addressed core of [`Evaluator::evaluate_response`]:
     /// structurally valid netlists are canonicalized, simulated through
     /// the cached plan pipeline and memoized; invalid ones are classified
     /// from the document exactly as written.
-    pub fn evaluate_netlist(&mut self, problem: &Problem, netlist: &Netlist) -> EvalReport {
+    pub fn evaluate_netlist(
+        &mut self,
+        problem: &Problem,
+        golden: &Golden,
+        netlist: &Netlist,
+    ) -> EvalReport {
         match self.sim_outcome(problem, netlist, netlist.content_hash()) {
-            Ok(outcome) => self.report_from_outcome(problem, &outcome),
+            Ok(SimOutcome::Response(response)) => {
+                let comparison = response.compare(&golden.response);
+                EvalReport {
+                    syntax: Ok(()),
+                    functional: Some(comparison.is_equivalent(DEFAULT_FUNCTIONAL_TOLERANCE)),
+                    comparison: Some(comparison),
+                }
+            }
+            Ok(SimOutcome::Failed(e)) => {
+                EvalReport::syntax_fail(vec![classify::classify_sim_error(&e)])
+            }
             Err(issues) => EvalReport::syntax_fail(issues),
         }
     }
 
-    /// Evaluates one raw response against a problem.
+    /// Evaluates one raw response against a problem and its [`Golden`]
+    /// (from [`Evaluator::golden`]).
     ///
     /// With a cache attached, whole verdicts are replayed from the
     /// response text itself (level 0) before any extraction or parsing
     /// happens — a verdict is a pure function of
-    /// `(text, problem, grid, SIMD tier, tolerance)`, so replay is
-    /// indistinguishable from recomputation.
-    pub fn evaluate_response(&mut self, problem: &Problem, response_text: &str) -> EvalReport {
+    /// `(text, golden, port spec, grid, SIMD tier, tolerance)`, so replay
+    /// is indistinguishable from recomputation.
+    pub fn evaluate_response(
+        &mut self,
+        problem: &Problem,
+        golden: &Golden,
+        response_text: &str,
+    ) -> EvalReport {
         let key: Option<ResponseKey> = self.cache.as_ref().map(|_| {
             (
                 Fnv64::hash_str(response_text),
                 self.grid_key(),
                 self.simd,
-                Fnv64::hash_str(&problem.id),
+                golden.hash,
+                (problem.spec.inputs, problem.spec.outputs),
                 DEFAULT_FUNCTIONAL_TOLERANCE.to_bits(),
             )
         });
@@ -718,7 +717,7 @@ impl Evaluator {
         }
         let (netlist, issues) = self.parse_response(response_text);
         let report = match netlist {
-            Some(n) if issues.is_empty() => self.evaluate_netlist(problem, &n),
+            Some(n) if issues.is_empty() => self.evaluate_netlist(problem, golden, &n),
             _ => EvalReport::syntax_fail(issues),
         };
         if let (Some(cache), Some(key)) = (&self.cache, key) {
@@ -755,6 +754,12 @@ mod tests {
         picbench_problems::find("mzi-ps").unwrap()
     }
 
+    /// The golden of `problem`, swept without a cache so no counter of
+    /// the cache under test moves.
+    fn golden(problem: &Problem) -> Golden {
+        Evaluator::default().golden(problem).unwrap()
+    }
+
     fn wrap(json: &str) -> String {
         format!("<analysis>reasoning</analysis>\n<result>\n{json}\n</result>")
     }
@@ -763,7 +768,9 @@ mod tests {
     fn golden_passes_both_checks() {
         let problem = mzi_ps();
         let mut ev = Evaluator::default();
-        let report = ev.evaluate_response(&problem, &wrap(&problem.golden.to_json_string()));
+        let golden = ev.golden(&problem).unwrap();
+        let text = wrap(&problem.golden.to_json_string());
+        let report = ev.evaluate_response(&problem, &golden, &text);
         assert!(report.syntax_pass(), "{:?}", report.issues());
         assert!(report.functional_pass());
         let cmp = report.comparison.unwrap();
@@ -776,7 +783,8 @@ mod tests {
         let mut broken = problem.golden.clone();
         broken.connections[1].b = picbench_netlist::PortRef::new("mmi2", "I2");
         let mut ev = Evaluator::default();
-        let report = ev.evaluate_response(&problem, &wrap(&broken.to_json_string()));
+        let report =
+            ev.evaluate_response(&problem, &golden(&problem), &wrap(&broken.to_json_string()));
         assert!(!report.syntax_pass());
         assert_eq!(report.functional, None);
         let issue = &report.issues()[0];
@@ -797,7 +805,11 @@ mod tests {
             .settings
             .insert("length".to_string(), 35.0);
         let mut ev = Evaluator::default();
-        let report = ev.evaluate_response(&problem, &wrap(&tweaked.to_json_string()));
+        let report = ev.evaluate_response(
+            &problem,
+            &golden(&problem),
+            &wrap(&tweaked.to_json_string()),
+        );
         assert!(report.syntax_pass());
         assert_eq!(report.functional, Some(false));
         assert!(!report.functional_pass());
@@ -811,7 +823,7 @@ mod tests {
             problem.golden.to_json_string()
         );
         let mut ev = Evaluator::default();
-        let report = ev.evaluate_response(&problem, &text);
+        let report = ev.evaluate_response(&problem, &golden(&problem), &text);
         assert!(!report.syntax_pass());
         assert_eq!(report.issues()[0].failure, FailureType::ExtraJsonContent);
     }
@@ -820,7 +832,8 @@ mod tests {
     fn prose_only_response_is_other_syntax() {
         let problem = mzi_ps();
         let mut ev = Evaluator::default();
-        let report = ev.evaluate_response(&problem, "I'm sorry, I cannot design PICs.");
+        let text = "I'm sorry, I cannot design PICs.";
+        let report = ev.evaluate_response(&problem, &golden(&problem), text);
         assert!(!report.syntax_pass());
         assert_eq!(report.issues()[0].failure, FailureType::OtherSyntax);
     }
@@ -846,19 +859,12 @@ mod tests {
     }
 
     #[test]
-    fn golden_cache_hits() {
-        let problem = mzi_ps();
-        let mut ev = Evaluator::default();
-        let a = ev.golden_response_arc(&problem);
-        let b = ev.golden_response_arc(&problem);
-        assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
     fn all_24_goldens_pass_their_own_evaluation() {
         let mut ev = Evaluator::default();
         for problem in picbench_problems::suite() {
-            let report = ev.evaluate_response(&problem, &wrap(&problem.golden.to_json_string()));
+            let golden = ev.golden(&problem).unwrap();
+            let text = wrap(&problem.golden.to_json_string());
+            let report = ev.evaluate_response(&problem, &golden, &text);
             assert!(
                 report.functional_pass(),
                 "golden of {} failed: {:?}",
@@ -877,11 +883,13 @@ mod tests {
 
         // A permuted-but-identical document must hit the cache and yield
         // the same verdict and comparison bits as the cold path.
+        // The golden comes from the cold evaluator, so it seeds nothing.
+        let golden = cold.golden(&problem).unwrap();
         let golden_text = wrap(&problem.golden.to_json_string());
         let permuted_text = wrap(&problem.golden.canonicalize().to_json_string());
-        let first = cached.evaluate_response(&problem, &golden_text);
-        let second = cached.evaluate_response(&problem, &permuted_text);
-        let reference = cold.evaluate_response(&problem, &golden_text);
+        let first = cached.evaluate_response(&problem, &golden, &golden_text);
+        let second = cached.evaluate_response(&problem, &golden, &permuted_text);
+        let reference = cold.evaluate_response(&problem, &golden, &golden_text);
         for report in [&first, &second, &reference] {
             assert!(report.functional_pass());
         }
@@ -901,13 +909,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("picbench-disk-tier-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let problem = mzi_ps();
+        let golden = golden(&problem);
         let text = wrap(&problem.golden.to_json_string());
 
         let cold = {
             let store = Arc::new(EvalStore::open(&dir).unwrap());
             let cache = Arc::new(EvalCache::new().with_disk(store));
             let mut ev = Evaluator::default().with_cache(Arc::clone(&cache));
-            let cold = ev.evaluate_response(&problem, &text);
+            let cold = ev.evaluate_response(&problem, &golden, &text);
             assert!(cold.functional_pass());
             let stats = cache.stats();
             assert_eq!(stats.misses, 1, "{stats:?}");
@@ -920,7 +929,7 @@ mod tests {
         let store = Arc::new(EvalStore::open(&dir).unwrap());
         let cache = Arc::new(EvalCache::new().with_disk(store));
         let mut ev = Evaluator::default().with_cache(Arc::clone(&cache));
-        let warm = ev.evaluate_response(&problem, &text);
+        let warm = ev.evaluate_response(&problem, &golden, &text);
         assert!(warm.functional_pass());
         let stats = cache.stats();
         assert_eq!(stats.misses, 0, "{stats:?}");
@@ -934,7 +943,7 @@ mod tests {
         assert_eq!(cold.comparison, warm.comparison);
 
         // The disk hit warmed memory: repeats are memory hits.
-        let again = ev.evaluate_response(&problem, &text);
+        let again = ev.evaluate_response(&problem, &golden, &text);
         assert!(again.functional_pass());
         assert_eq!(cache.stats().response_hits, 1);
         assert_eq!(cache.stats().disk_hits, 1);
@@ -942,39 +951,69 @@ mod tests {
     }
 
     #[test]
-    fn shared_goldens_are_used_verbatim() {
-        let problem = mzi_ps();
-        let mut source = Evaluator::default();
-        let golden = source.golden_response_arc(&problem);
-        let table: HashMap<String, Arc<FrequencyResponse>> =
-            [(problem.id.to_string(), Arc::clone(&golden))].into();
-        let mut ev = Evaluator::default().with_shared_goldens(Arc::new(table));
-        // Same pointer, no recomputation.
-        assert!(Arc::ptr_eq(&golden, &ev.golden_response_arc(&problem)));
-        let report = ev.evaluate_response(&problem, &wrap(&problem.golden.to_json_string()));
-        assert!(report.functional_pass());
-    }
-
-    #[test]
-    fn prime_golden_reuses_the_shared_cache_without_counting() {
+    fn golden_reuses_the_shared_cache_without_counting() {
         let problem = mzi_ps();
         let cache = Arc::new(EvalCache::new());
         let mut first = Evaluator::default().with_cache(Arc::clone(&cache));
-        let primed = first.prime_golden(&problem);
+        let primed = first.golden(&problem).unwrap();
         let stats = cache.stats();
         let simulations = cache.simulation_count();
         assert_eq!(simulations, 1);
+        assert_eq!(primed.hash(), problem.golden.content_hash());
 
-        // A second evaluator on the same cache takes the primed sweep as
+        // A second evaluator on the same cache takes the seeded sweep as
         // is: same allocation, no counter moves, no new entry.
         let mut second = Evaluator::default().with_cache(Arc::clone(&cache));
-        let reused = second.prime_golden(&problem);
-        assert!(Arc::ptr_eq(&primed, &reused));
+        let reused = second.golden(&problem).unwrap();
+        assert!(Arc::ptr_eq(primed.response(), reused.response()));
         assert_eq!(cache.stats(), stats);
         assert_eq!(cache.simulation_count(), simulations);
-        // The evaluator keeps it for its own comparisons, too.
-        assert!(Arc::ptr_eq(&reused, &second.golden_response_arc(&problem)));
-        assert_eq!(*reused, *Evaluator::default().golden_response_arc(&problem));
+        assert_eq!(reused.response(), golden(&problem).response());
+    }
+
+    #[test]
+    fn unsimulable_golden_is_an_error() {
+        let mut problem = mzi_ps();
+        problem
+            .golden
+            .instances
+            .get_mut("mmi1")
+            .unwrap()
+            .settings
+            .insert("loss".to_string(), -1.0);
+        let cache = Arc::new(EvalCache::new());
+        let mut ev = Evaluator::default().with_cache(Arc::clone(&cache));
+        let error = ev.golden(&problem).unwrap_err();
+        assert!(matches!(error, SimulateError::Sim(_)), "{error}");
+        assert_eq!(cache.simulation_count(), 0);
+    }
+
+    #[test]
+    fn problems_sharing_an_id_get_their_own_verdicts() {
+        // The same candidate text against two goldens under one id: the
+        // built-in mzi-ps, then a copy whose lower arm is longer.
+        let builtin = mzi_ps();
+        let mut longer = mzi_ps();
+        longer
+            .golden
+            .instances
+            .get_mut("waveBottom")
+            .unwrap()
+            .settings
+            .insert("length".to_string(), 35.0);
+        let text = wrap(&builtin.golden.to_json_string());
+        let cache = Arc::new(EvalCache::new());
+        for (problem, functional) in [(&builtin, true), (&longer, false)] {
+            let mut cached = Evaluator::default().with_cache(Arc::clone(&cache));
+            let golden = cached.golden(problem).unwrap();
+            let report = cached.evaluate_response(problem, &golden, &text);
+            let mut fresh = Evaluator::default();
+            let golden = fresh.golden(problem).unwrap();
+            let reference = fresh.evaluate_response(problem, &golden, &text);
+            assert_eq!(reference.functional, Some(functional));
+            assert_eq!(report.functional, reference.functional);
+            assert_eq!(report.comparison, reference.comparison);
+        }
     }
 
     #[test]
@@ -1011,7 +1050,7 @@ mod tests {
             issues[0].message,
             "Schema error: 'netlist.instances' holds 100000 entries, more than the limit of 1024"
         );
-        let report = ev.evaluate_response(&problem, &text);
+        let report = ev.evaluate_response(&problem, &golden(&problem), &text);
         assert_eq!(report.issues(), issues.as_slice());
         let stats = ev.cache_stats().unwrap();
         assert_eq!((stats.sim_hits, stats.misses), (0, 0));

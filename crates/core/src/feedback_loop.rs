@@ -6,7 +6,7 @@
 //! with detailed reports; functional errors feed back the paper's fixed
 //! hint. The sample's verdict is the outcome of its final attempt.
 
-use crate::evaluate::{EvalReport, Evaluator};
+use crate::evaluate::{EvalReport, Evaluator, Golden};
 use picbench_problems::Problem;
 use picbench_prompt::{functional_feedback, syntax_feedback, Conversation, Role};
 use picbench_synthllm::LanguageModel;
@@ -70,10 +70,11 @@ impl SampleResult {
     }
 }
 
-/// Runs one sample through the Fig. 1 flow.
+/// Runs one sample through the Fig. 1 flow against `problem`'s `golden`.
 pub fn run_sample(
     llm: &mut dyn LanguageModel,
     problem: &Problem,
+    golden: &Golden,
     evaluator: &mut Evaluator,
     config: LoopConfig,
     sample_index: u64,
@@ -88,7 +89,7 @@ pub fn run_sample(
     for iteration in 0..=config.max_feedback_iters {
         let response = llm.respond(&conversation);
         conversation.push(Role::Assistant, response.clone());
-        let report = evaluator.evaluate_response(problem, &response);
+        let report = evaluator.evaluate_response(problem, golden, &response);
         let done = report.functional_pass();
         attempts.push(AttemptRecord {
             iteration,
@@ -134,6 +135,7 @@ mod tests {
         let result = run_sample(
             &mut llm,
             &problem,
+            &ev.golden(&problem).unwrap(),
             &mut ev,
             LoopConfig {
                 max_feedback_iters: 3,
@@ -152,7 +154,9 @@ mod tests {
         let mut llm = PerfectLlm::new();
         let mut ev = Evaluator::default();
         for problem in picbench_problems::suite() {
-            let result = run_sample(&mut llm, &problem, &mut ev, LoopConfig::default(), 0);
+            let golden = ev.golden(&problem).unwrap();
+            let config = LoopConfig::default();
+            let result = run_sample(&mut llm, &problem, &golden, &mut ev, config, 0);
             assert!(
                 result.functional_pass(),
                 "oracle failed {}: {:?}",
@@ -168,6 +172,7 @@ mod tests {
         // least as many (and in practice more) syntax passes as 0 rounds.
         let problem = picbench_problems::find("clements-4x4").unwrap();
         let mut ev = Evaluator::default();
+        let golden = ev.golden(&problem).unwrap();
         let samples = 30;
         let mut passes = [0usize; 2];
         for (slot, iters) in [(0usize, 0usize), (1, 3)] {
@@ -176,6 +181,7 @@ mod tests {
                 let result = run_sample(
                     &mut llm,
                     &problem,
+                    &golden,
                     &mut ev,
                     LoopConfig {
                         max_feedback_iters: iters,
@@ -204,6 +210,7 @@ mod tests {
         let result = run_sample(
             &mut llm,
             &problem,
+            &ev.golden(&problem).unwrap(),
             &mut ev,
             LoopConfig {
                 max_feedback_iters: 3,
@@ -225,6 +232,7 @@ mod tests {
         let result = run_sample(
             &mut llm,
             &problem,
+            &ev.golden(&problem).unwrap(),
             &mut ev,
             LoopConfig {
                 max_feedback_iters: 2,

@@ -77,7 +77,8 @@ pub use campaign::{
     CellScore, ConditionTallies, KillPoint,
 };
 pub use evaluate::{
-    CacheScope, EvalCache, EvalCacheStats, EvalReport, Evaluator, DEFAULT_FUNCTIONAL_TOLERANCE,
+    CacheScope, EvalCache, EvalCacheStats, EvalReport, Evaluator, Golden,
+    DEFAULT_FUNCTIONAL_TOLERANCE,
 };
 pub use events::{CampaignEvent, CampaignObserver, CancelToken, ShardLossReason};
 pub use feedback_loop::{run_sample, AttemptRecord, LoopConfig, SampleResult};

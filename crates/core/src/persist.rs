@@ -138,17 +138,19 @@ fn put_grid(out: &mut Vec<u8>, grid: &(u64, u64, usize)) {
 }
 
 /// Verdict keys carry the solver's SIMD tier token (`scalar`, `avx2`,
-/// …). Stores written before the solver was unified carry a backend
-/// token (`port-elimination`, …) in that slot instead; such records
-/// never match a current key, so they are plain misses — never served,
-/// never treated as damage.
+/// …), the golden's digest and the port spec. Older stores carry a
+/// backend token (`port-elimination`, …) or a problem-id digest there
+/// instead; such records never match a current key, so they are plain
+/// misses — never served, never treated as damage.
 pub(crate) fn encode_response_key(key: &ResponseKey) -> Vec<u8> {
-    let (text, grid, simd, problem, tolerance) = key;
-    let mut out = Vec::with_capacity(64);
+    let (text, grid, simd, golden, (inputs, outputs), tolerance) = key;
+    let mut out = Vec::with_capacity(80);
     put_u64(&mut out, *text);
     put_grid(&mut out, grid);
     put_str(&mut out, simd.token());
-    put_u64(&mut out, *problem);
+    put_u64(&mut out, *golden);
+    put_u64(&mut out, *inputs as u64);
+    put_u64(&mut out, *outputs as u64);
     put_u64(&mut out, *tolerance);
     out
 }
@@ -930,7 +932,7 @@ mod tests {
 
     #[test]
     fn keys_of_different_simd_tiers_never_collide() {
-        let key = |simd| encode_response_key(&(42, (1, 2, 17), simd, 7, 8));
+        let key = |simd| encode_response_key(&(42, (1, 2, 17), simd, 7, (2, 2), 8));
         let tiers = [
             SimdLevel::Scalar,
             SimdLevel::Avx2,
@@ -1082,7 +1084,7 @@ mod tests {
                 rms_power_diff: 0.0,
             }),
         };
-        let response_key: ResponseKey = (9, (1, 2, 17), SimdLevel::Scalar, 7, 8);
+        let response_key: ResponseKey = (9, (1, 2, 17), SimdLevel::Scalar, 7, (2, 2), 8);
         {
             let store = EvalStore::open(&dir).unwrap();
             store.put_verdict(&response_key, &report);
@@ -1091,7 +1093,7 @@ mod tests {
         let store = EvalStore::open(&dir).unwrap();
         assert!(store.get_verdict(&response_key).unwrap().functional_pass());
         assert!(store
-            .get_verdict(&(10, (1, 2, 17), SimdLevel::Scalar, 7, 8))
+            .get_verdict(&(10, (1, 2, 17), SimdLevel::Scalar, 7, (2, 2), 8))
             .is_none());
         assert!(!store.degraded());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1105,8 +1107,9 @@ mod tests {
         // An earlier build kept finished reports in the cache log, keyed
         // by the sim key, the problem-id digest and the tolerance bits.
         // Plant a poisoned one under the golden design's key.
-        let sim_key = Evaluator::default().sim_key(&problem, problem.golden.content_hash());
-        let mut key = old_sim_key(&sim_key);
+        let mut ev = Evaluator::default();
+        let golden = ev.golden(&problem).unwrap();
+        let mut key = old_sim_key(&ev.sim_key(&problem, golden.hash()));
         put_u64(&mut key, picbench_netlist::Fnv64::hash_str(&problem.id));
         put_u64(&mut key, DEFAULT_FUNCTIONAL_TOLERANCE.to_bits());
         let poisoned = EvalReport {
@@ -1119,7 +1122,7 @@ mod tests {
         let store = Arc::new(EvalStore::open(&dir).unwrap());
         let cache = Arc::new(EvalCache::new().with_disk(store));
         let mut ev = Evaluator::default().with_cache(Arc::clone(&cache));
-        let report = ev.evaluate_netlist(&problem, &problem.golden);
+        let report = ev.evaluate_netlist(&problem, &golden, &problem.golden);
         assert!(report.functional_pass(), "{report:?}");
         assert_eq!(cache.stats().report_hits, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1134,25 +1137,26 @@ mod tests {
         // with the golden response's shape and all-zero values under the
         // golden design's key.
         let mut ev = Evaluator::default();
-        let golden = ev.golden_response_arc(&problem);
-        let key = old_sim_key(&ev.sim_key(&problem, problem.golden.content_hash()));
+        let golden = ev.golden(&problem).unwrap();
+        let key = old_sim_key(&ev.sim_key(&problem, golden.hash()));
+        let response = golden.response();
         let mut poisoned = Vec::new();
-        put_u64(&mut poisoned, golden.wavelengths().len() as u64);
-        for wl in golden.wavelengths() {
+        put_u64(&mut poisoned, response.wavelengths().len() as u64);
+        for wl in response.wavelengths() {
             put_u64(&mut poisoned, wl.to_bits());
         }
-        put_u64(&mut poisoned, golden.ports().len() as u64);
-        for port in golden.ports() {
+        put_u64(&mut poisoned, response.ports().len() as u64);
+        for port in response.ports() {
             put_str(&mut poisoned, port);
         }
-        let entries = golden.wavelengths().len() * golden.ports().len().pow(2);
+        let entries = response.wavelengths().len() * response.ports().len().pow(2);
         poisoned.resize(poisoned.len() + entries * 16, 0);
         plant_cache_record(&dir, KIND_SIM, &key, &poisoned);
 
         let store = Arc::new(EvalStore::open(&dir).unwrap());
         let cache = Arc::new(EvalCache::new().with_disk(store));
         let mut ev = Evaluator::default().with_cache(Arc::clone(&cache));
-        let report = ev.evaluate_netlist(&problem, &problem.golden);
+        let report = ev.evaluate_netlist(&problem, &golden, &problem.golden);
         assert!(report.functional_pass(), "{report:?}");
         assert_eq!(cache.stats().disk_hits, 0);
         let _ = std::fs::remove_dir_all(&dir);

@@ -17,8 +17,7 @@
 //! engine uses. Same tallies, same fold ⇒ bit-identical report.
 
 use crate::campaign::{
-    aggregate_report, campaign_fingerprint, matrix_cell_keys, matrix_cells, Campaign,
-    CampaignConfig, CampaignReport,
+    aggregate_report, matrix_cell_keys, matrix_cells, Campaign, CampaignConfig, CampaignReport,
 };
 use crate::passk::ProblemTally;
 use crate::persist::{EvalSnapshot, ShardGenStats};
@@ -352,12 +351,11 @@ impl Campaign {
             self.config.feedback_iters.len(),
         );
         let cell_keys = matrix_cell_keys(&self.problems, &provider_names, &self.config, &cells);
-        let fingerprint = campaign_fingerprint(&self.problems, &provider_names, &self.config);
         merge_shard_journals(
             &self.problems,
             &provider_names,
             &self.config,
-            fingerprint,
+            self.fingerprint(),
             &cell_keys,
             root,
         )

@@ -7,7 +7,7 @@
 //!   drops when a single restriction is removed from the system prompt,
 //!   i.e. which restriction carries the most weight.
 
-use crate::evaluate::Evaluator;
+use crate::evaluate::{Evaluator, Golden};
 use crate::passk::ProblemTally;
 use picbench_netlist::FailureType;
 use picbench_problems::Problem;
@@ -62,11 +62,12 @@ pub fn collect_error_histogram(
         ..ErrorHistogram::default()
     };
     for problem in problems {
+        let golden = evaluator.expect_golden(problem, problem.golden.content_hash());
         let conversation = problem_conversation(&system, problem);
         for sample in 0..samples {
             llm.begin_sample(problem, sample);
             let response = llm.respond(&conversation);
-            let report = evaluator.evaluate_response(problem, &response);
+            let report = evaluator.evaluate_response(problem, &golden, &response);
             histogram.attempts += 1;
             if !report.syntax_pass() {
                 histogram.failing_attempts += 1;
@@ -118,6 +119,10 @@ pub fn restriction_ablation(
         )
         .collect();
 
+    let goldens: Vec<Golden> = problems
+        .iter()
+        .map(|p| evaluator.expect_golden(p, p.golden.content_hash()))
+        .collect();
     let mut rows = Vec::with_capacity(removable.len());
     for removed in removable {
         let subset: Vec<FailureType> = FailureType::ALL
@@ -127,7 +132,7 @@ pub fn restriction_ablation(
         let system = render_system_prompt_with_restrictions(infos.iter(), &subset);
         let mut llm = SyntheticLlm::new(profile.clone(), seed);
         let mut tallies = Vec::with_capacity(problems.len());
-        for problem in problems {
+        for (problem, golden) in problems.iter().zip(&goldens) {
             let conversation = problem_conversation(&system, problem);
             let mut tally = ProblemTally {
                 n: samples as usize,
@@ -137,7 +142,7 @@ pub fn restriction_ablation(
             for sample in 0..samples {
                 llm.begin_sample(problem, sample);
                 let response = llm.respond(&conversation);
-                let report = evaluator.evaluate_response(problem, &response);
+                let report = evaluator.evaluate_response(problem, golden, &response);
                 if report.syntax_pass() {
                     tally.syntax_passes += 1;
                 }

@@ -27,17 +27,16 @@
 //! and production fan-out.
 
 use crate::campaign::{
-    campaign_fingerprint, evaluate_cell, matrix_cell_keys, matrix_cells, wrap_retry_providers,
-    Campaign, CampaignConfig, CampaignOutcome,
+    campaign_fingerprint, evaluate_cell, golden_hashes, matrix_cell_keys, matrix_cells,
+    wrap_retry_providers, Campaign, CampaignConfig, CampaignOutcome,
 };
-use crate::evaluate::{EvalCache, Evaluator};
+use crate::evaluate::{EvalCache, Evaluator, Golden};
 use crate::events::{CampaignEvent, ShardLossReason};
 use crate::journal::{LocalShardJournal, ShardJournal};
 use crate::lease::{lease_expired, Clock, SystemClock};
 use crate::persist::{EvalSnapshot, LeaseAdvance, LeaseRecord, ShardGenStats};
 use crate::shard::{latest_generation, merge_shard_journals, shard_journal_dir, ShardPlan};
 use picbench_problems::Problem;
-use picbench_sim::FrequencyResponse;
 use picbench_store::xorshift64;
 use picbench_synthllm::ModelProvider;
 use std::collections::{HashMap, HashSet};
@@ -499,7 +498,9 @@ fn shard_worker_body(
         cfg.feedback_iters.len(),
     );
     let cell_keys = matrix_cell_keys(&workload.problems, &provider_names, cfg, &cells);
-    let fingerprint = campaign_fingerprint(&workload.problems, &provider_names, cfg);
+    let golden_hashes = golden_hashes(&workload.problems);
+    let fingerprint =
+        campaign_fingerprint(&workload.problems, &golden_hashes, &provider_names, cfg);
     let plan = ShardPlan::partition(cells.len(), config.shards);
     let mut report = ShardWorkerReport {
         restored: 0,
@@ -559,37 +560,27 @@ fn shard_worker_body(
         .filter(|&index| !have.contains(&cell_keys[index]))
         .collect();
 
-    // Mirror the engine's evaluator setup exactly: shared goldens primed
-    // up front, the same serial sweeps, an
-    // in-memory cache when configured (no disk tier — worker journals
-    // hold cells and leases only, keeping supervisor polls cheap).
-    let cache = cfg.cache.then(|| Arc::new(EvalCache::new()));
-    let goldens: Arc<HashMap<String, Arc<FrequencyResponse>>> = {
-        let mut evaluator = Evaluator::new(cfg.grid, Default::default());
-        if let Some(cache) = &cache {
-            evaluator = evaluator.with_cache(Arc::clone(cache));
-        }
-        let mut table = HashMap::new();
-        let my_problems: HashSet<usize> =
-            pending.iter().map(|&index| cells[index].problem).collect();
-        for (index, problem) in workload.problems.iter().enumerate() {
-            if my_problems.contains(&index) {
-                table.insert(problem.id.clone(), evaluator.prime_golden(problem));
-            }
-        }
-        Arc::new(table)
-    };
+    // Mirror the engine's evaluator setup: the goldens of pending
+    // problems primed up front, keyed by problem position, the same
+    // serial sweeps, an in-memory cache when configured (no disk tier —
+    // worker journals hold cells and leases only, keeping supervisor
+    // polls cheap).
+    let mut evaluator = Evaluator::new(cfg.grid, Default::default()).with_sweep_threads(1);
+    if cfg.cache {
+        evaluator = evaluator.with_cache(Arc::new(EvalCache::new()));
+    }
+    let mut goldens: HashMap<usize, Golden> = HashMap::new();
+    for &index in &pending {
+        let p = cells[index].problem;
+        goldens
+            .entry(p)
+            .or_insert_with(|| evaluator.expect_golden(&workload.problems[p], golden_hashes[p]));
+    }
     if !heartbeat(journal) {
         return Ok(report);
     }
 
     let providers = wrap_retry_providers(&workload.providers, cfg, None);
-    let mut evaluator = Evaluator::new(cfg.grid, Default::default())
-        .with_shared_goldens(goldens)
-        .with_sweep_threads(1);
-    if let Some(cache) = &cache {
-        evaluator = evaluator.with_cache(Arc::clone(cache));
-    }
 
     let mut stalled = false;
     for index in pending {
@@ -627,6 +618,7 @@ fn shard_worker_body(
         let tally = evaluate_cell(
             &providers[cell.profile],
             &workload.problems[cell.problem],
+            &goldens[&cell.problem],
             cfg.feedback_iters[cell.ef_idx],
             cfg,
             &mut evaluator,
@@ -683,7 +675,7 @@ pub(crate) fn run_sharded(campaign: &Campaign) -> CampaignOutcome {
         config.feedback_iters.len(),
     );
     let cell_keys = matrix_cell_keys(&campaign.problems, &provider_names, config, &cells);
-    let fingerprint = campaign_fingerprint(&campaign.problems, &provider_names, config);
+    let fingerprint = campaign.fingerprint();
     let plan = ShardPlan::partition(cells.len(), campaign.shards);
     let root = campaign
         .shard_dir

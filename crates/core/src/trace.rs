@@ -88,6 +88,7 @@ mod tests {
         let result = run_sample(
             &mut oracle,
             &problem,
+            &evaluator.golden(&problem).unwrap(),
             &mut evaluator,
             LoopConfig::default(),
             0,
@@ -108,6 +109,7 @@ mod tests {
         let result = run_sample(
             &mut llm,
             &problem,
+            &evaluator.golden(&problem).unwrap(),
             &mut evaluator,
             LoopConfig {
                 max_feedback_iters: 1,

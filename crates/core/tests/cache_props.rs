@@ -124,8 +124,10 @@ proptest! {
         let cold_twin = cold.candidate_response(&problem, &permuted).unwrap();
         prop_assert_eq!(&*cold_twin, &*warm_response);
 
-        let report_cold = cold.evaluate_response(&problem, &wrap(&netlist));
-        let report_cached = cached.evaluate_response(&problem, &wrap(&netlist));
+        // The golden comes from the cold evaluator, so it seeds nothing.
+        let golden = cold.golden(&problem).expect("mzi golden simulates");
+        let report_cold = cold.evaluate_response(&problem, &golden, &wrap(&netlist));
+        let report_cached = cached.evaluate_response(&problem, &golden, &wrap(&netlist));
         prop_assert_eq!(report_cold.syntax_pass(), report_cached.syntax_pass());
         prop_assert_eq!(report_cold.functional, report_cached.functional);
         prop_assert_eq!(report_cold.comparison, report_cached.comparison);

@@ -290,8 +290,9 @@ impl Netlist {
     ///
     /// Sections larger than the size caps ([`Netlist::MAX_INSTANCES`],
     /// [`Netlist::MAX_CONNECTIONS`], [`Netlist::MAX_PORTS`],
-    /// [`Netlist::MAX_SETTINGS`]) are rejected before their entries are read,
-    /// so an oversized document never reaches validation or elaboration.
+    /// [`Netlist::MAX_SETTINGS`]; `models` shares the instance cap) are
+    /// rejected before their entries are read, so an oversized document
+    /// never reaches validation or elaboration.
     ///
     /// # Errors
     ///
@@ -405,7 +406,7 @@ impl Netlist {
 
         // Models.
         let mut models = OrderedMap::new();
-        for (component, ref_v) in object_at(models_v, usize::MAX, || "models".into())? {
+        for (component, ref_v) in object_at(models_v, Self::MAX_INSTANCES, || "models".into())? {
             let model_ref = ref_v
                 .as_str()
                 .ok_or_else(|| SchemaError::ModelRefNotString {
@@ -791,8 +792,15 @@ mod tests {
         assert!(!n.remove_instance("phantom"));
     }
 
-    /// A document whose sections hold the given numbers of entries.
-    fn sized(instances: usize, settings: usize, connections: usize, ports: usize) -> String {
+    /// A document whose sections hold the given numbers of entries
+    /// (`models` at least 1: `waveguide` is always bound).
+    fn sized(
+        instances: usize,
+        settings: usize,
+        connections: usize,
+        ports: usize,
+        models: usize,
+    ) -> String {
         let settings: Vec<String> = (0..settings).map(|i| format!("\"p{i}\": 1")).collect();
         let mut inst: Vec<String> = (0..instances)
             .map(|i| format!("\"wg{i}\": \"waveguide\""))
@@ -809,12 +817,16 @@ mod tests {
         let ports: Vec<String> = (0..ports)
             .map(|i| format!("\"O{i}\": \"wg0,O1\""))
             .collect();
+        let models: Vec<String> = std::iter::once("\"waveguide\": \"waveguide\"".to_string())
+            .chain((1..models).map(|i| format!("\"c{i}\": \"waveguide\"")))
+            .collect();
         format!(
             "{{\"netlist\": {{\"instances\": {{{}}}, \"connections\": {{{}}}, \"ports\": {{{}}}}}, \
-             \"models\": {{\"waveguide\": \"waveguide\"}}}}",
+             \"models\": {{{}}}}}",
             inst.join(", "),
             conns.join(", "),
-            ports.join(", ")
+            ports.join(", "),
+            models.join(", ")
         )
     }
 
@@ -834,6 +846,7 @@ mod tests {
             Netlist::MAX_SETTINGS,
             Netlist::MAX_CONNECTIONS.min(Netlist::MAX_INSTANCES - 1),
             Netlist::MAX_PORTS,
+            Netlist::MAX_INSTANCES,
         ))
         .unwrap();
         assert_eq!(n.instances.len(), Netlist::MAX_INSTANCES);
@@ -842,18 +855,19 @@ mod tests {
             Netlist::MAX_SETTINGS
         );
         assert_eq!(n.ports.len(), Netlist::MAX_PORTS);
+        assert_eq!(n.models.len(), Netlist::MAX_INSTANCES);
     }
 
     #[test]
     fn sections_beyond_their_caps_are_rejected() {
         let limit = Netlist::MAX_INSTANCES;
         assert_eq!(
-            too_large(&sized(limit + 1, 0, 0, 0)),
+            too_large(&sized(limit + 1, 0, 0, 0, 1)),
             ("netlist.instances".to_string(), limit + 1, limit)
         );
         let limit = Netlist::MAX_SETTINGS;
         assert_eq!(
-            too_large(&sized(1, limit + 1, 0, 0)),
+            too_large(&sized(1, limit + 1, 0, 0, 1)),
             (
                 "netlist.instances.wg0.settings".to_string(),
                 limit + 1,
@@ -862,13 +876,18 @@ mod tests {
         );
         let limit = Netlist::MAX_CONNECTIONS;
         assert_eq!(
-            too_large(&sized(1, 0, limit + 1, 0)),
+            too_large(&sized(1, 0, limit + 1, 0, 1)),
             ("netlist.connections".to_string(), limit + 1, limit)
         );
         let limit = Netlist::MAX_PORTS;
         assert_eq!(
-            too_large(&sized(1, 0, 0, limit + 1)),
+            too_large(&sized(1, 0, 0, limit + 1, 1)),
             ("netlist.ports".to_string(), limit + 1, limit)
+        );
+        let limit = Netlist::MAX_INSTANCES;
+        assert_eq!(
+            too_large(&sized(1, 0, 0, 0, limit + 1)),
+            ("models".to_string(), limit + 1, limit)
         );
     }
 

@@ -12,7 +12,7 @@
 //!
 //! | Route | Effect |
 //! |---|---|
-//! | `POST /v1/problem-sets` | Validate and hold a custom problem set (JSON) |
+//! | `POST /v1/problem-sets` | Validate, sweep and hold a custom problem set (JSON) |
 //! | `POST /v1/campaigns` | Validate knobs, start a campaign session |
 //! | `GET /v1/campaigns/{id}` | Session status and cell progress |
 //! | `GET /v1/campaigns/{id}/events` | Long-lived NDJSON event stream |
@@ -45,10 +45,13 @@ use crate::pace::PacedProvider;
 use crate::session::{Session, SessionState, SessionTable};
 use crate::wire;
 use picbench_coord::Coordinator;
-use picbench_core::{CacheScope, Campaign, CampaignEvent, EvalCache, EvalStore, SharedEvalStore};
+use picbench_core::{
+    CacheScope, Campaign, CampaignConfig, CampaignEvent, EvalCache, EvalStore, Evaluator,
+    SharedEvalStore,
+};
 use picbench_netlist::json::{self, Value};
 use picbench_problems::Problem;
-use picbench_sim::ModelRegistry;
+use picbench_sim::SimulateError;
 use picbench_synthllm::{ModelProfile, ModelProvider};
 use std::collections::HashMap;
 use std::io;
@@ -362,18 +365,29 @@ fn post_problem_set(
     if problems.is_empty() {
         return http::write_error(stream, 400, "problem set is empty");
     }
-    // A golden that fails validation cannot be simulated, so no
-    // candidate could ever be scored against it.
-    for problem in &problems {
-        let issues = picbench_netlist::validate(
-            &problem.golden,
-            ModelRegistry::builtin(),
-            Some(&problem.spec),
-        );
-        if let Some(issue) = issues.first() {
-            let message = format!("problem {:?}: invalid golden design: {issue}", problem.id);
-            return http::write_error(stream, 400, &message);
-        }
+    // Sweep each golden as served campaigns do, on a runner thread, into
+    // the shared cache their priming reads (on the HTTP workers, every
+    // worker's malloc arena would keep a sweep-sized heap). A golden that
+    // fails validation or its sweep cannot score anything.
+    let cache = Arc::clone(&state.cache);
+    let checked = state.sessions.run_and_wait(move || {
+        let grid = CampaignConfig::default().grid;
+        let mut evaluator = Evaluator::new(grid, Default::default()).with_cache(cache);
+        let rejected = problems
+            .iter()
+            .find_map(|p| Some((p.id.clone(), evaluator.golden(p).err()?)));
+        (problems, rejected)
+    });
+    let Some((problems, rejected)) = checked else {
+        return http::write_error(stream, 500, "golden check failed");
+    };
+    if let Some((id, e)) = rejected {
+        let why = match e {
+            SimulateError::Elaborate(e) if !e.issues.is_empty() => e.issues[0].to_string(),
+            e => e.to_string(),
+        };
+        let message = format!("problem {id:?}: invalid golden design: {why}");
+        return http::write_error(stream, 400, &message);
     }
     let id = format!("ps-{}", state.next_set.fetch_add(1, Ordering::Relaxed) + 1);
     let ids: Vec<Value> = problems

@@ -13,9 +13,11 @@
 //! line. The log closes when the session's campaign finishes, which is
 //! what ends the streams.
 //!
-//! Campaigns run on the table's runner threads (`SessionTable::run`):
-//! a runner that finishes a campaign parks until the next one, so a
-//! session spawns a thread only when every runner is busy.
+//! Campaigns run on the table's runner threads (`SessionTable::run`),
+//! and so do the golden sweeps a handler waits for
+//! (`SessionTable::run_and_wait`): a runner that finishes a job parks
+//! until the next one, so a job spawns a thread only when every runner
+//! is busy.
 //!
 //! [`CampaignObserver`]: picbench_core::CampaignObserver
 
@@ -23,7 +25,7 @@ use picbench_core::CancelToken;
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Where a session is in its lifecycle.
@@ -211,9 +213,10 @@ pub struct SessionStats {
     pub cancelled: u64,
 }
 
-/// A session's campaign: run once on a runner thread, it returns the
-/// state the session ends in.
-type Job = (Arc<Session>, Box<dyn FnOnce() -> SessionState + Send>);
+/// Work for a runner thread. It returns the step announcing its end (a
+/// session finishing, a result handed back), run once the runner is
+/// parked, so whatever the announcement prompts next finds a runner.
+type Job = Box<dyn FnOnce() -> Box<dyn FnOnce() + Send> + Send>;
 
 /// The runner threads of a [`SessionTable`].
 #[derive(Default)]
@@ -294,7 +297,29 @@ impl SessionTable {
         session: Arc<Session>,
         campaign: impl FnOnce() -> SessionState + Send + 'static,
     ) {
-        let job: Job = (session, Box::new(campaign));
+        let table = Arc::clone(self);
+        self.submit(Box::new(move || {
+            let state = std::panic::catch_unwind(AssertUnwindSafe(campaign))
+                .unwrap_or(SessionState::Failed);
+            Box::new(move || table.finish(&session, state))
+        }));
+    }
+
+    /// Runs `task` on a runner thread, as campaigns run, and returns its
+    /// result (`None` if it panicked).
+    pub(crate) fn run_and_wait<T: Send + 'static>(
+        self: &Arc<Self>,
+        task: impl FnOnce() -> T + Send + 'static,
+    ) -> Option<T> {
+        let (send, result) = mpsc::channel();
+        self.submit(Box::new(move || {
+            let value = std::panic::catch_unwind(AssertUnwindSafe(task)).ok();
+            Box::new(move || drop(send.send(value)))
+        }));
+        result.recv().ok().flatten()
+    }
+
+    fn submit(self: &Arc<Self>, job: Job) {
         let mut runners = self.runners.lock().expect("session runners poisoned");
         if runners.idle > 0 && !runners.closed {
             runners.idle -= 1;
@@ -311,13 +336,12 @@ impl SessionTable {
     /// A runner thread's life: run a job, park, repeat until drained.
     fn runner(&self, mut job: Job) {
         loop {
-            let (session, campaign) = job;
-            let state = std::panic::catch_unwind(AssertUnwindSafe(campaign))
-                .unwrap_or(SessionState::Failed);
-            // Park before the session ends: a client that sees its
-            // stream close and submits again then finds this runner.
+            let announce = job();
+            // Park before announcing: a client that sees its stream close
+            // (or gets its answer) and submits again then finds this
+            // runner.
             self.runners.lock().expect("session runners poisoned").idle += 1;
-            self.finish(&session, state);
+            announce();
             let mut runners = self.runners.lock().expect("session runners poisoned");
             job = loop {
                 if let Some(next) = runners.queue.pop_front() {
@@ -625,6 +649,24 @@ mod tests {
         wait_ended(&next);
         assert_eq!(next.state(), SessionState::Finished);
         assert_eq!(table.stats().active, 0);
+        table.drain();
+    }
+
+    #[test]
+    fn a_waited_task_runs_on_a_runner_that_sessions_reuse() {
+        let table = Arc::new(SessionTable::new());
+        let task_thread = table.run_and_wait(|| std::thread::current().id());
+        // The task's runner parked before its answer came back, so the
+        // next session finds it.
+        let (release, gate) = mpsc::channel();
+        let (session, thread) = gated_job(&table, gate);
+        assert_eq!(Some(thread.recv().unwrap()), task_thread);
+        release.send(()).unwrap();
+        wait_ended(&session);
+        // A panicking task answers `None`, and its runner lives on.
+        assert_eq!(table.run_and_wait(|| -> u8 { panic!("task bug") }), None);
+        assert_eq!(table.run_and_wait(|| 7), Some(7));
+        assert_eq!(table.runners.lock().unwrap().threads.len(), 1);
         table.drain();
     }
 

@@ -197,9 +197,19 @@ fn problem_sets_with_unsimulable_goldens_or_repeated_ids_are_rejected() {
             .models
             .insert(component, "no-such-model".to_string());
     }
+    // A golden that validates but whose sweep fails: a negative loss.
+    let mut lossy = picbench_problems::find("mzi-ps").unwrap();
+    lossy
+        .golden
+        .instances
+        .get_mut("mmi1")
+        .unwrap()
+        .settings
+        .insert("loss".to_string(), -1.0);
     let mzm = picbench_problems::find("mzm").unwrap();
     for (set, needle) in [
         (vec![unbound], "problem \"mzi-ps\": invalid golden design"),
+        (vec![lossy], "problem \"mzi-ps\": invalid golden design"),
         (vec![mzm.clone(), mzm], "\"mzm\" appears more than once"),
     ] {
         let body = picbench_problems::problems_to_json(&set);

@@ -14,6 +14,7 @@ use picbench::synthllm::{ModelProfile, SyntheticLlm};
 fn main() {
     let problem = picbench::problems::find("mzi-ps").expect("problem exists");
     let mut evaluator = Evaluator::default();
+    let golden = evaluator.golden(&problem).expect("golden simulates");
     let mut llm = SyntheticLlm::new(ModelProfile::gpt_o1_mini(), 4242);
 
     // Search for a sample that starts broken and ends fixed — the
@@ -22,6 +23,7 @@ fn main() {
         let result = run_sample(
             &mut llm,
             &problem,
+            &golden,
             &mut evaluator,
             LoopConfig {
                 max_feedback_iters: 3,

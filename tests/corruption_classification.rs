@@ -33,6 +33,7 @@ fn every_syntax_corruption_is_caught_and_classified() {
     let mut skipped = 0usize;
 
     for problem in &problems {
+        let golden = evaluator.golden(problem).expect("golden simulates");
         let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ problem.id.len() as u64);
         for category in FailureType::ALL {
             let Some(corruption) = sample_syntax_corruption(&problem.golden, category, &mut rng)
@@ -44,7 +45,7 @@ fn every_syntax_corruption_is_caught_and_classified() {
             };
             staged += 1;
             let response = render(&problem.golden, &corruption);
-            let report = evaluator.evaluate_response(problem, &response);
+            let report = evaluator.evaluate_response(problem, &golden, &response);
             assert!(
                 !report.syntax_pass(),
                 "{}: {category:?} corruption went undetected",
@@ -71,6 +72,7 @@ fn every_functional_corruption_fails_functionality_but_not_syntax() {
     let mut evaluator = Evaluator::default();
 
     for problem in &problems {
+        let golden = evaluator.golden(problem).expect("golden simulates");
         let mut rng = StdRng::seed_from_u64(0xBEEF ^ problem.id.len() as u64);
         let mut detected = 0usize;
         for _attempt in 0..8 {
@@ -79,7 +81,7 @@ fn every_functional_corruption_fails_functionality_but_not_syntax() {
             };
             assert!(corruption.is_functional());
             let response = render(&problem.golden, &corruption);
-            let report = evaluator.evaluate_response(problem, &response);
+            let report = evaluator.evaluate_response(problem, &golden, &response);
             assert!(
                 report.syntax_pass(),
                 "{}: functional corruption {corruption:?} broke syntax: {:?}",
@@ -119,11 +121,12 @@ fn clean_golden_renders_pass_everywhere() {
     let problems = picbench::problems::suite();
     let mut evaluator = Evaluator::default();
     for problem in &problems {
+        let golden = evaluator.golden(problem).expect("golden simulates");
         let response = format!(
             "<analysis>\nreference\n</analysis>\n<result>\n{}\n</result>",
             problem.golden.to_json_string()
         );
-        let report = evaluator.evaluate_response(problem, &response);
+        let report = evaluator.evaluate_response(problem, &golden, &response);
         assert!(
             report.functional_pass(),
             "{}: golden failed ({:?})",

@@ -71,9 +71,11 @@ fn oracle_achieves_perfect_pass_at_k() {
     let mut func = 0usize;
     let problems = picbench::problems::suite();
     for problem in &problems {
+        let golden = evaluator.golden(problem).expect("golden simulates");
         let result = run_sample(
             &mut oracle,
             problem,
+            &golden,
             &mut evaluator,
             LoopConfig::default(),
             0,

@@ -7,7 +7,7 @@
 //! the paper tables; this test folds every verdict into one digest so
 //! such drift fails here first.
 
-use picbench::core::{EvalReport, Evaluator};
+use picbench::core::{EvalReport, Evaluator, Golden};
 use picbench::netlist::{FailureType, Fnv64, Netlist, ValidationIssue};
 use picbench::problems::Problem;
 use picbench::prompt::{
@@ -52,20 +52,24 @@ fn fold_synthetic_responses(
     digest: &mut Fnv64,
     evaluator: &mut Evaluator,
     suite: &[Problem],
+    goldens: &[Golden],
 ) -> u64 {
     let mut responses = 0u64;
     for restricted in [false, true] {
         let system = system_prompt(restricted);
         for profile in ModelProfile::all_paper_models() {
             let mut llm = SyntheticLlm::new(profile, PAPER_SEED);
-            for problem in suite {
+            for (problem, golden) in suite.iter().zip(goldens) {
                 for sample in 0..2 {
                     let mut conversation = Conversation::with_system(system.clone());
                     conversation.push(Role::User, problem.description.clone());
                     llm.begin_sample(problem, sample);
                     for turn in 0..3 {
                         let response = llm.respond(&conversation);
-                        fold(digest, &evaluator.evaluate_response(problem, &response));
+                        fold(
+                            digest,
+                            &evaluator.evaluate_response(problem, golden, &response),
+                        );
                         responses += 1;
                         conversation.push(Role::Assistant, response);
                         let feedback = if turn == 0 {
@@ -104,15 +108,19 @@ fn fold_staged_corruptions(
     digest: &mut Fnv64,
     evaluator: &mut Evaluator,
     suite: &[Problem],
+    goldens: &[Golden],
 ) -> u64 {
     let mut staged = 0u64;
-    for problem in suite {
+    for (problem, golden) in suite.iter().zip(goldens) {
         let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ problem.id.len() as u64);
         for category in FailureType::ALL {
             if let Some(corruption) = sample_syntax_corruption(&problem.golden, category, &mut rng)
             {
                 let response = render(&problem.golden, &corruption);
-                fold(digest, &evaluator.evaluate_response(problem, &response));
+                fold(
+                    digest,
+                    &evaluator.evaluate_response(problem, golden, &response),
+                );
                 staged += 1;
             }
         }
@@ -121,7 +129,10 @@ fn fold_staged_corruptions(
             let corruption =
                 sample_functional_corruption(&problem.golden, &mut rng).expect("functional");
             let response = render(&problem.golden, &corruption);
-            fold(digest, &evaluator.evaluate_response(problem, &response));
+            fold(
+                digest,
+                &evaluator.evaluate_response(problem, golden, &response),
+            );
             staged += 1;
         }
     }
@@ -132,10 +143,14 @@ fn fold_staged_corruptions(
 fn response_verdicts_are_pinned() {
     let suite = picbench::problems::suite();
     let mut evaluator = Evaluator::default();
+    let goldens: Vec<Golden> = suite
+        .iter()
+        .map(|p| evaluator.golden(p).expect("golden simulates"))
+        .collect();
     let mut digest = Fnv64::new();
-    let responses = fold_synthetic_responses(&mut digest, &mut evaluator, &suite);
+    let responses = fold_synthetic_responses(&mut digest, &mut evaluator, &suite, &goldens);
     assert_eq!(responses, 1440);
-    let staged = fold_staged_corruptions(&mut digest, &mut evaluator, &suite);
+    let staged = fold_staged_corruptions(&mut digest, &mut evaluator, &suite, &goldens);
     assert!(staged >= 220 + 8 * suite.len() as u64, "staged {staged}");
     assert_eq!(
         digest.finish(),
