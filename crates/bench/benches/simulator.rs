@@ -5,7 +5,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use picbench_math::{decomp, CMatrix, MeshScheme};
 use picbench_problems::meshes::mesh_netlist;
 use picbench_sim::{
-    evaluate, sweep, sweep_naive, sweep_serial, Circuit, ModelRegistry, SweepPlan, WavelengthGrid,
+    evaluate, sweep, sweep_naive, sweep_with_plan, Circuit, ModelRegistry, SolveWorkspace,
+    SweepPlan, WavelengthGrid,
 };
 
 /// One planned solve at 1.55 µm on a prebuilt plan and workspace — the
@@ -87,7 +88,10 @@ fn plan_vs_naive_sweep(c: &mut Criterion) {
         BenchmarkId::new("plan", "block-sparse"),
         &grid,
         |b, grid| {
-            b.iter(|| sweep_serial(&circuit, grid).unwrap());
+            b.iter(|| {
+                let plan = SweepPlan::new(&circuit).unwrap();
+                sweep_with_plan(&plan, grid, 1, &mut SolveWorkspace::new()).unwrap()
+            });
         },
     );
     // Plan construction alone, to show it amortizes after one point.

@@ -19,12 +19,11 @@
 //!   (block-sparse structure and symbolic analysis frozen once,
 //!   allocation-free in-place solves, memoized dispersionless models).
 //!   The point loop is driven directly so the *per-point solve* is what
-//!   gets timed: the production [`sweep`] entry point additionally
-//!   recognizes these fully dispersionless meshes as
-//!   wavelength-independent and folds the whole sweep into a single
-//!   solve (and its stripe batching would factor once per stripe) —
-//!   wall-clock `points×` faster, but a degenerate measurement of the
-//!   solver.
+//!   gets timed: the production sweep ([`sweep_with_plan`]) recognizes
+//!   these fully dispersionless meshes as wavelength-independent and
+//!   runs the whole grid as one stripe — a single solve copied to every
+//!   point, wall-clock `points×` faster, but a degenerate measurement of
+//!   the solver.
 //!
 //! The plan is additionally re-measured on a plan pinned to the scalar
 //! SIMD tier, producing per-ISA rows (`plan_by_isa`) and the
@@ -33,22 +32,21 @@
 //!
 //! The median over `--reps` repetitions is reported; the plan is
 //! cross-checked against the oracle (`max_abs_diff_vs_oracle` — the
-//! conformance tolerance is 1e-8) and the parallel executor against the
-//! serial one. `--min-speedup X` turns the run into a CI tripwire: it
-//! fails unless the plan beats the oracle by at least `X×` on the
-//! largest measured workload.
+//! conformance tolerance is 1e-8), and the production sweep, serial and
+//! on `--threads` workers, against the timed per-point loop bit for
+//! bit. `--min-speedup X` turns the run into a CI tripwire: it fails
+//! unless the plan beats the oracle by at least `X×` on the largest
+//! measured workload.
 //!
 //! Usage: `cargo run --release -p picbench-bench --bin sweep_bench
 //! [-- --reps N --threads N --out PATH --mesh 8x8|16x16|both
 //!  --min-speedup X]`
-//!
-//! [`sweep`]: picbench_sim::sweep
 
 use picbench_math::simd::{available_level, SimdLevel};
 use picbench_math::{decomp, CMatrix};
 use picbench_problems::meshes::mesh_netlist;
 use picbench_sim::{
-    sweep_naive, sweep_parallel, sweep_serial, Circuit, ModelRegistry, SweepPlan, WavelengthGrid,
+    sweep_naive, sweep_with_plan, Circuit, ModelRegistry, SolveWorkspace, SweepPlan, WavelengthGrid,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -240,13 +238,24 @@ fn main() {
             String::new()
         };
 
-        // Determinism: the parallel executor must reproduce the serial
-        // sweep bit for bit — the run aborts on any deviation, so a
-        // written report always records `true`.
-        let serial = sweep_serial(&circuit, &grid).expect("serial sweep");
-        let parallel = sweep_parallel(&circuit, &grid, threads).expect("parallel sweep");
+        // Determinism: the production sweep must reproduce the timed
+        // per-point loop bit for bit, serially and on `threads` workers —
+        // the run aborts on any deviation, so a written report always
+        // records `true`.
+        let sweep_plan = SweepPlan::new(&circuit).expect("plan builds");
+        let mut ws = SolveWorkspace::new();
+        let serial = sweep_with_plan(&sweep_plan, &grid, 1, &mut ws).expect("serial sweep");
+        let parallel =
+            sweep_with_plan(&sweep_plan, &grid, threads, &mut ws).expect("parallel sweep");
         assert_eq!(serial, parallel, "parallel deviates from serial");
-        println!("parallel ({threads} workers) element-wise identical to serial");
+        for (k, out) in outs.iter().enumerate() {
+            let swept = serial.sample(k).expect("sample exists").matrix();
+            assert_eq!(
+                swept, out,
+                "sweep deviates from the per-point solve at point {k}"
+            );
+        }
+        println!("sweep (serial and {threads} workers) element-wise identical to per-point");
 
         if w_index > 0 {
             workload_json.push_str(",\n");

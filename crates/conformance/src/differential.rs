@@ -8,7 +8,7 @@
 //! | axis | compared paths | agreement |
 //! |------|----------------|-----------|
 //! | `oracle` | planned block-sparse sweep vs the naive dense oracle | ≤ [`ORACLE_TOL`] |
-//! | `constant-fold` | fold enabled vs disabled | bit-identical |
+//! | `constant-fold` | planned sweep (factor-once grids as one stripe) vs per-point `evaluate_into` on the same plan | bit-identical |
 //! | `parallelism` | serial sweep vs 3-worker sweep | bit-identical |
 //! | `cache` | cold, cached-cold and cached-hit evaluator | bit-identical |
 //! | `canonicalization` | raw vs canonicalized document | bit-identical via the evaluator, ≤ [`ORACLE_TOL`] direct |
@@ -30,8 +30,8 @@ use picbench_math::SimdLevel;
 use picbench_netlist::{Netlist, PortSpec};
 use picbench_problems::{Category, Problem};
 use picbench_sim::{
-    sweep_naive, sweep_parallel, sweep_serial, sweep_with_plan, Circuit, FrequencyResponse,
-    ModelRegistry, SimError, SweepPlan, WavelengthGrid,
+    sweep_naive, sweep_with_plan, Circuit, FrequencyResponse, ModelRegistry, SimError,
+    SolveWorkspace, SweepPlan, WavelengthGrid,
 };
 use std::fmt;
 use std::str::FromStr;
@@ -43,7 +43,9 @@ pub enum DiffAxis {
     /// The planned block-sparse solver vs the independent naive dense
     /// oracle.
     Oracle,
-    /// Constant-response fold enabled vs disabled.
+    /// The planned sweep, which runs a grid the plan can factor once as
+    /// one stripe (a single solve, copied or recombined per point), vs
+    /// evaluating the same plan point by point.
     ConstantFold,
     /// Serial vs multi-worker sweep execution.
     Parallelism,
@@ -219,12 +221,12 @@ impl DiffRunner {
         let Ok(circuit) = Circuit::elaborate(netlist, &self.registry, None) else {
             return Ok(());
         };
-        let Ok(reference) = sweep_serial(&circuit, &self.grid) else {
+        let Ok(reference) = planned_sweep(&circuit, &self.grid, 1) else {
             return Ok(());
         };
         match axis {
             DiffAxis::Oracle => self.check_oracle(netlist, &circuit, &reference),
-            DiffAxis::ConstantFold => self.check_constant_fold(&circuit),
+            DiffAxis::ConstantFold => self.check_constant_fold(&circuit, &reference),
             DiffAxis::Parallelism => self.check_parallelism(&circuit, &reference),
             DiffAxis::Cache => self.check_cache(netlist),
             DiffAxis::Canonicalization => self.check_canonicalization(netlist, &reference),
@@ -250,24 +252,30 @@ impl DiffRunner {
         close_enough(DiffAxis::Oracle, &oracle, &planned, ORACLE_TOL)
     }
 
-    fn check_constant_fold(&self, circuit: &Circuit) -> Result<(), Disagreement> {
-        let run = |fold: bool| -> Result<FrequencyResponse, Disagreement> {
-            let plan = SweepPlan::new(circuit)
-                .map_err(|e| Disagreement {
-                    axis: DiffAxis::ConstantFold,
-                    max_diff: f64::INFINITY,
-                    detail: format!("planning failed: {e}"),
-                })?
-                .with_constant_fold(fold);
-            sweep_with_plan(&plan, &self.grid, 1).map_err(|e| Disagreement {
-                axis: DiffAxis::ConstantFold,
-                max_diff: f64::INFINITY,
-                detail: format!("sweep failed (fold = {fold}): {e}"),
-            })
+    fn check_constant_fold(
+        &self,
+        circuit: &Circuit,
+        reference: &FrequencyResponse,
+    ) -> Result<(), Disagreement> {
+        let failed = |detail: String| Disagreement {
+            axis: DiffAxis::ConstantFold,
+            max_diff: f64::INFINITY,
+            detail,
         };
-        let folded = run(true)?;
-        let unfolded = run(false)?;
-        bit_identical(DiffAxis::ConstantFold, &unfolded, &folded)
+        let plan = SweepPlan::new(circuit).map_err(|e| failed(format!("planning failed: {e}")))?;
+        let mut ws = plan.workspace();
+        // Every sample is overwritten whole by its own per-point solve.
+        let mut per_point = reference.clone();
+        for (i, &wl) in self.grid.wavelengths().iter().enumerate() {
+            let out = per_point.sample_mut(i).expect("one sample per grid point");
+            plan.evaluate_into(&mut ws, wl, out.matrix_mut())
+                .map_err(|e| {
+                    failed(format!(
+                        "per-point evaluation failed where the sweep succeeded: {e}"
+                    ))
+                })?;
+        }
+        bit_identical(DiffAxis::ConstantFold, &per_point, reference)
     }
 
     fn check_parallelism(
@@ -275,7 +283,7 @@ impl DiffRunner {
         circuit: &Circuit,
         reference: &FrequencyResponse,
     ) -> Result<(), Disagreement> {
-        let parallel = sweep_parallel(circuit, &self.grid, 3).map_err(|e| Disagreement {
+        let parallel = planned_sweep(circuit, &self.grid, 3).map_err(|e| Disagreement {
             axis: DiffAxis::Parallelism,
             max_diff: f64::INFINITY,
             detail: format!("parallel sweep failed where serial succeeded: {e}"),
@@ -349,7 +357,7 @@ impl DiffRunner {
                 detail: "canonical form failed to elaborate".to_string(),
             });
         };
-        let direct = sweep_serial(&canon_circuit, &self.grid).map_err(|e| Disagreement {
+        let direct = planned_sweep(&canon_circuit, &self.grid, 1).map_err(|e| Disagreement {
             axis: DiffAxis::Canonicalization,
             max_diff: f64::INFINITY,
             detail: format!("canonical form failed to sweep: {e}"),
@@ -382,7 +390,8 @@ impl DiffRunner {
         // own object, so the two never share kernels.
         let scalar = SweepPlan::new(circuit)
             .and_then(|plan| {
-                sweep_with_plan(&plan.with_simd_level(SimdLevel::Scalar), &self.grid, 1)
+                let plan = plan.with_simd_level(SimdLevel::Scalar);
+                sweep_with_plan(&plan, &self.grid, 1, &mut SolveWorkspace::new())
             })
             .map_err(|e: SimError| Disagreement {
                 axis: DiffAxis::Simd,
@@ -419,6 +428,21 @@ impl DiffRunner {
             self.check_axis(candidate, axis).is_err()
         })
     }
+}
+
+/// The production planned sweep on `threads` workers, on a fresh
+/// workspace.
+fn planned_sweep(
+    circuit: &Circuit,
+    grid: &WavelengthGrid,
+    threads: usize,
+) -> Result<FrequencyResponse, SimError> {
+    sweep_with_plan(
+        &SweepPlan::new(circuit)?,
+        grid,
+        threads,
+        &mut SolveWorkspace::new(),
+    )
 }
 
 /// Exact comparison: the paths run the same arithmetic and must agree on

@@ -17,8 +17,8 @@
 //!    an analytic per-circuit bound, probed on either [`SolverPath`].
 //! 3. [`differential`] — a runner sweeping every circuit through the
 //!    configuration axes that are required to agree (the planned
-//!    block-sparse solver vs the naive dense oracle, constant-fold
-//!    on/off, serial vs parallel, cached vs uncached evaluation,
+//!    block-sparse solver vs the naive dense oracle, the batched sweep
+//!    vs per-point evaluation, serial vs parallel, cached vs uncached evaluation,
 //!    canonicalized vs raw documents, default vs scalar SIMD tier), with
 //!    greedy counterexample [`shrink`]ing and a replayable JSON
 //!    [`corpus`].

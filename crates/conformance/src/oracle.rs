@@ -20,7 +20,10 @@
 
 use crate::generator::GenCircuit;
 use picbench_netlist::Netlist;
-use picbench_sim::{evaluate, sweep_serial, Circuit, ModelRegistry, SimError, WavelengthGrid};
+use picbench_sim::{
+    evaluate, sweep_with_plan, Circuit, ModelRegistry, SimError, SolveWorkspace, SweepPlan,
+    WavelengthGrid,
+};
 use picbench_sparams::SMatrix;
 use std::fmt;
 use std::str::FromStr;
@@ -58,7 +61,8 @@ impl SolverPath {
         match self {
             SolverPath::Planned => {
                 let grid = WavelengthGrid::new(wavelength_um, wavelength_um, 1);
-                let response = sweep_serial(circuit, &grid)?;
+                let plan = SweepPlan::new(circuit)?;
+                let response = sweep_with_plan(&plan, &grid, 1, &mut SolveWorkspace::new())?;
                 Ok(response.sample(0).expect("one-point grid").clone())
             }
             SolverPath::Oracle => evaluate(circuit, wavelength_um),

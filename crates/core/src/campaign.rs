@@ -50,7 +50,7 @@ use crate::passk::{aggregate_pass_at_k, ProblemTally};
 use crate::persist::SharedEvalStore;
 use crate::supervisor::{run_sharded, ChaosPlan, InProcessLauncher, ShardLauncher};
 use picbench_problems::Problem;
-use picbench_sim::WavelengthGrid;
+use picbench_sim::{SimulateError, WavelengthGrid};
 use picbench_store::fnv1a64;
 use picbench_synthllm::{ModelProfile, ModelProvider, RetryEvent, RetryPolicy, RetryProvider};
 use std::collections::{HashMap, HashSet};
@@ -375,6 +375,29 @@ pub struct CampaignOutcome {
     /// Cells replayed from the journal of a previous run instead of
     /// being re-evaluated (always 0 without `resume_from`).
     pub cells_restored: usize,
+    /// The golden design that failed to simulate, if one did: the run
+    /// stopped before any cell ran and `report` is `None`.
+    pub golden_failure: Option<GoldenFailure>,
+}
+
+/// A problem whose golden design cannot be simulated — no candidate can
+/// be scored against it, so the campaign stops before any cell runs.
+#[derive(Debug)]
+pub struct GoldenFailure {
+    /// The problem's id.
+    pub problem_id: String,
+    /// Why its golden failed to simulate.
+    pub error: SimulateError,
+}
+
+impl fmt::Display for GoldenFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "golden design {} failed: {}",
+            self.problem_id, self.error
+        )
+    }
 }
 
 impl Campaign {
@@ -396,7 +419,11 @@ impl Campaign {
     /// [`Campaign::execute`] for cancellable sessions) or if a golden
     /// design fails to simulate (check one with [`Evaluator::golden`]).
     pub fn run(&self) -> CampaignReport {
-        self.execute()
+        let outcome = self.execute();
+        if let Some(failure) = outcome.golden_failure {
+            panic!("{failure}");
+        }
+        outcome
             .report
             .expect("campaign was cancelled; use Campaign::execute for cancellable runs")
     }
@@ -405,7 +432,9 @@ impl Campaign {
     ///
     /// Cancellation is checked at cell boundaries: in-flight cells finish
     /// (emitting their [`CampaignEvent::CellFinished`]), no new cells
-    /// start, and the outcome carries `report: None`.
+    /// start, and the outcome carries `report: None`. A golden design
+    /// that fails to simulate stops the run before any cell starts; the
+    /// outcome then carries `report: None` and the [`GoldenFailure`].
     ///
     /// With [`CampaignBuilder::shards`] above 1 the run is routed
     /// through the shard supervisor instead of the in-process engine:
@@ -1133,16 +1162,47 @@ fn execute_campaign(
         Some(scope) => scope.stats(),
         None => cache.stats(),
     };
-    let mut evaluator = Evaluator::new(config.grid, Default::default());
-    if let Some(cache) = &cache {
-        evaluator = evaluator.with_cache(Arc::clone(cache));
+    let mut goldens: Vec<Golden> = Vec::with_capacity(problems.len());
+    let mut golden_failure = None;
+    {
+        // The priming evaluator sweeps on the calling thread's workspace,
+        // which grows to the largest golden; it is dropped before any
+        // cell runs so that memory is not held for the whole campaign.
+        let mut evaluator = Evaluator::new(config.grid, Default::default());
+        if let Some(cache) = &cache {
+            evaluator = evaluator.with_cache(Arc::clone(cache));
+        }
+        for (problem, &hash) in problems.iter().zip(&golden_hashes) {
+            if cells_restored == cells.len() || halted() {
+                break;
+            }
+            match evaluator.golden_with_hash(problem, hash) {
+                Ok(golden) => goldens.push(golden),
+                Err(error) => {
+                    golden_failure = Some(GoldenFailure {
+                        problem_id: problem.id.clone(),
+                        error,
+                    });
+                    break;
+                }
+            }
+        }
     }
-    let goldens: Vec<Golden> = problems
-        .iter()
-        .zip(&golden_hashes)
-        .take_while(|_| cells_restored < cells.len() && !halted())
-        .map(|(problem, &hash)| evaluator.expect_golden(problem, hash))
-        .collect();
+    if golden_failure.is_some() {
+        emit(CampaignEvent::CampaignFinished {
+            cells_completed: cells_restored,
+            cells_total: cells.len(),
+            cancelled: false,
+        });
+        return CampaignOutcome {
+            report: None,
+            cancelled: false,
+            cells_completed: cells_restored,
+            cells_total: cells.len(),
+            cells_restored,
+            golden_failure,
+        };
+    }
     if halted() && cells_restored < cells.len() {
         emit(CampaignEvent::CampaignFinished {
             cells_completed: cells_restored,
@@ -1155,6 +1215,7 @@ fn execute_campaign(
             cells_completed: cells_restored,
             cells_total: cells.len(),
             cells_restored,
+            golden_failure: None,
         };
     }
 
@@ -1271,6 +1332,7 @@ fn execute_campaign(
             cells_completed,
             cells_total: cells.len(),
             cells_restored,
+            golden_failure: None,
         };
     }
 
@@ -1305,6 +1367,7 @@ fn execute_campaign(
         cells_completed,
         cells_total: cells.len(),
         cells_restored,
+        golden_failure: None,
     }
 }
 
@@ -1419,6 +1482,67 @@ mod tests {
             },
         );
         assert!(report.same_results(&single));
+    }
+
+    /// `mzi-ps` with a negative splitter loss: the golden validates, but
+    /// its sweep fails at plan construction.
+    fn unsimulable_mzi_ps() -> Problem {
+        let mut problem = picbench_problems::find("mzi-ps").unwrap();
+        problem
+            .golden
+            .instances
+            .get_mut("mmi1")
+            .unwrap()
+            .settings
+            .insert("loss".to_string(), -1.0);
+        problem
+    }
+
+    #[test]
+    fn an_unsimulable_golden_ends_the_campaign_with_a_typed_error() {
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&events);
+        let outcome = Campaign::builder()
+            .problem(unsimulable_mzi_ps())
+            .profiles(&[ModelProfile::gpt4()])
+            .samples_per_problem(1)
+            .k_values([1])
+            .feedback_iters([0])
+            .observer(Arc::new(move |event: &CampaignEvent| {
+                seen.lock().unwrap().push(event.clone());
+            }))
+            .build()
+            .unwrap()
+            .execute();
+        assert!(outcome.report.is_none());
+        assert!(!outcome.cancelled);
+        assert_eq!(outcome.cells_completed, 0);
+        let failure = outcome
+            .golden_failure
+            .expect("the golden failure is reported");
+        assert_eq!(failure.problem_id, "mzi-ps");
+        assert!(matches!(failure.error, SimulateError::Sim(_)), "{failure}");
+        let events = events.lock().unwrap();
+        assert!(matches!(events[0], CampaignEvent::CampaignStarted { .. }));
+        assert!(matches!(
+            events[1..],
+            [CampaignEvent::CampaignFinished {
+                cells_completed: 0,
+                cancelled: false,
+                ..
+            }]
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "golden design mzi-ps failed")]
+    fn run_panics_on_an_unsimulable_golden() {
+        Campaign::builder()
+            .problem(unsimulable_mzi_ps())
+            .profiles(&[ModelProfile::gpt4()])
+            .build()
+            .unwrap()
+            .run();
     }
 
     #[test]

@@ -48,8 +48,8 @@ use picbench_netlist::extract::extract_payload;
 use picbench_netlist::{json, validate, Fnv64, Netlist, ValidationIssue};
 use picbench_problems::Problem;
 use picbench_sim::{
-    sweep_planned, sweep_with_plan, Circuit, FrequencyResponse, ModelRegistry, ResponseComparison,
-    ScheduleCache, SimError, SimulateError, SolveWorkspace, SweepPlan, WavelengthGrid,
+    sweep_with_plan, Circuit, FrequencyResponse, ModelRegistry, ResponseComparison, ScheduleCache,
+    SimError, SimulateError, SolveWorkspace, SweepPlan, WavelengthGrid,
 };
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -398,9 +398,9 @@ pub struct Evaluator {
     /// SIMD tier of every sweep's kernels.
     simd: SimdLevel,
     /// Worker threads per sweep: `0` applies the simulator's default
-    /// policy (parallel for large grids), `1` runs serially on the
-    /// reusable workspace. Campaign workers use `1` — the campaign
-    /// parallelizes *across* evaluations instead.
+    /// policy (parallel for large grids), `1` runs serially. Campaign
+    /// workers use `1` — the campaign parallelizes *across* evaluations
+    /// instead.
     sweep_threads: usize,
     /// Shared evaluation cache (optional; campaigns share one).
     cache: Option<Arc<EvalCache>>,
@@ -410,7 +410,7 @@ pub struct Evaluator {
     scope: Option<Arc<CacheScope>>,
     /// Topology-level sweep schedules, reused across candidates.
     schedules: ScheduleCache,
-    /// The serial-sweep workspace, reused across candidates.
+    /// The calling thread's sweep workspace, reused across candidates.
     workspace: SolveWorkspace,
 }
 
@@ -460,7 +460,7 @@ impl Evaluator {
     }
 
     /// Sets the per-sweep worker count (`0` = simulator default policy,
-    /// `1` = serial on the reusable workspace).
+    /// `1` = serial).
     pub fn with_sweep_threads(mut self, threads: usize) -> Self {
         self.sweep_threads = threads;
         self
@@ -510,14 +510,8 @@ impl Evaluator {
         let plan = SweepPlan::with_schedule(&circuit, schedule)
             .map_err(SimulateError::Sim)?
             .with_simd_level(self.simd);
-        let grid = self.grid;
-        let response = if self.sweep_threads == 1 {
-            sweep_planned(&plan, &grid, &mut self.workspace)
-        } else {
-            sweep_with_plan(&plan, &grid, self.sweep_threads)
-        }
-        .map_err(SimulateError::Sim)?;
-        Ok(response)
+        sweep_with_plan(&plan, &self.grid, self.sweep_threads, &mut self.workspace)
+            .map_err(SimulateError::Sim)
     }
 
     /// Sweeps a problem's golden design through the candidates' canonical
@@ -534,7 +528,11 @@ impl Evaluator {
     }
 
     /// [`Evaluator::golden`] given the golden netlist's content hash.
-    fn golden_with_hash(&mut self, problem: &Problem, hash: u64) -> Result<Golden, SimulateError> {
+    pub(crate) fn golden_with_hash(
+        &mut self,
+        problem: &Problem,
+        hash: u64,
+    ) -> Result<Golden, SimulateError> {
         let key = self.sim_key(problem, hash);
         let cached = self.cache.as_ref().and_then(|c| c.peek_sim(&key));
         if let Some(SimOutcome::Response(response)) = cached {

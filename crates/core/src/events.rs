@@ -19,6 +19,10 @@
 //! CampaignFinished { cancelled }
 //! ```
 //!
+//! A golden design that fails to simulate ends the stream early: no cell
+//! starts, and `CampaignFinished { cancelled: false }` follows the
+//! restored cells.
+//!
 //! Sharded campaigns (`Campaign::builder().shards(n)`) emit a shard
 //! lifecycle instead of per-cell pairs — the supervisor observes worker
 //! journals from outside, so cell-level events stay inside the worker

@@ -776,6 +776,7 @@ pub(crate) fn run_sharded(campaign: &Campaign) -> CampaignOutcome {
                 cells_completed,
                 cells_total: cells.len(),
                 cells_restored: 0,
+                golden_failure: None,
             };
         }
 
@@ -925,6 +926,7 @@ pub(crate) fn run_sharded(campaign: &Campaign) -> CampaignOutcome {
         cells_completed: cells.len(),
         cells_total: cells.len(),
         cells_restored: merged.restored as usize,
+        golden_failure: None,
     }
 }
 

@@ -443,10 +443,7 @@ fn get_usize_list(value: &Value, key: &str, default: &[usize]) -> Result<Vec<usi
     }
 }
 
-fn parse_campaign_request(
-    state: &ServerState,
-    body: &Value,
-) -> Result<(CampaignRequest, u64), String> {
+fn parse_campaign_request(state: &ServerState, body: &Value) -> Result<CampaignRequest, String> {
     let models = body
         .get("models")
         .and_then(Value::as_array)
@@ -525,20 +522,17 @@ fn parse_campaign_request(
         Some(Value::Bool(b)) => *b,
         Some(_) => return Err("field 'cache' must be a boolean".to_string()),
     };
-    Ok((
-        CampaignRequest {
-            problems,
-            providers,
-            samples_per_problem,
-            k_values,
-            feedback_iters,
-            seed,
-            threads,
-            restrictions,
-            cache,
-        },
-        pace_ms,
-    ))
+    Ok(CampaignRequest {
+        problems,
+        providers,
+        samples_per_problem,
+        k_values,
+        feedback_iters,
+        seed,
+        threads,
+        restrictions,
+        cache,
+    })
 }
 
 fn post_campaign(
@@ -557,7 +551,7 @@ fn post_campaign(
         Ok(body) => body,
         Err(e) => return http::write_error(stream, 400, &format!("invalid JSON body: {e}")),
     };
-    let (spec, _pace_ms) = match parse_campaign_request(state, &body) {
+    let spec = match parse_campaign_request(state, &body) {
         Ok(parsed) => parsed,
         Err(e) => return http::write_error(stream, 400, &e),
     };
@@ -607,7 +601,10 @@ fn post_campaign(
     };
 
     state.sessions.run(Arc::clone(&session), move || {
-        if campaign.execute().cancelled {
+        let outcome = campaign.execute();
+        if outcome.golden_failure.is_some() {
+            SessionState::Failed
+        } else if outcome.cancelled {
             SessionState::Cancelled
         } else {
             SessionState::Finished

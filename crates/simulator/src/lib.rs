@@ -15,11 +15,17 @@
 //! per circuit (block partition, fill-reducing symbolic factorization,
 //! scatter recipes, memoized dispersionless component S-matrices, the
 //! SIMD kernel tier), and per-point solves run allocation-free on
-//! reusable [`SolveWorkspace`]s — serially for short grids, on scoped
-//! worker threads for grids of [`PARALLEL_THRESHOLD`] points or more,
-//! with element-wise identical results either way. One independent
-//! oracle checks it: the naive dense solve [`evaluate`], swept point by
-//! point by [`sweep_naive`].
+//! reusable [`SolveWorkspace`]s.
+//!
+//! There are three sweep entry points. [`sweep_with_plan`] is the one
+//! plan-level sweep: it runs chunks of the grid through one stripe loop,
+//! [`SweepPlan::evaluate_stripe_into`], the first chunk on the caller's
+//! workspace and the others on scoped worker threads, with element-wise
+//! identical results for every thread count. [`sweep`] plans a circuit
+//! and calls it under the default policy (parallel for grids of
+//! [`PARALLEL_THRESHOLD`] points or more). One independent oracle checks
+//! them: the naive dense solve [`evaluate`], swept point by point by
+//! [`sweep_naive`].
 //!
 //! ## Example
 //!
@@ -59,8 +65,8 @@ pub use oracle::{evaluate, SimError};
 pub use plan::{ScheduleCache, SolveWorkspace, SweepPlan, SweepSchedule};
 pub use registry::ModelRegistry;
 pub use response::{
-    sweep, sweep_naive, sweep_parallel, sweep_planned, sweep_serial, sweep_with_plan,
-    FrequencyResponse, ResponseComparison, WavelengthGrid, PARALLEL_THRESHOLD,
+    sweep, sweep_naive, sweep_with_plan, FrequencyResponse, ResponseComparison, WavelengthGrid,
+    PARALLEL_THRESHOLD,
 };
 
 // Re-exported so downstream crates can name the netlist types this crate

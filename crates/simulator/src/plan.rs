@@ -32,7 +32,13 @@
 //! (dispersive component models still build their own small S-matrices;
 //! every wavelength-independent model is served from the memo) —
 //! property-verified by the counting-allocator test in `tests/alloc.rs`.
-//! Each worker thread of the parallel sweep owns one workspace.
+//!
+//! [`SweepPlan::evaluate_stripe_into`] is the one stripe loop: it runs a
+//! contiguous run of grid points per point, or factors once and
+//! recombines (or copies) when the system is wavelength-independent.
+//! [`crate::sweep_with_plan`] drives it over chunks of the grid — the
+//! first on the caller's workspace, the rest on worker threads that own
+//! one workspace each.
 //!
 //! Two plan-based sweeps on the same SIMD tier (serial or parallel, any
 //! chunking) are bit-identical. Against the oracle the planned solver
@@ -132,10 +138,6 @@ pub struct SweepPlan<'c> {
     /// Per-instance memo; holds the block of every wavelength-independent
     /// model after construction.
     memos: Vec<SMatrixMemo>,
-    /// Whether sweeps may fold a fully wavelength-independent circuit to
-    /// a single solved point (on by default; benchmarks disable it to
-    /// time the per-point solver).
-    allow_constant_fold: bool,
     /// The SIMD kernel table every solve of this plan dispatches.
     kernels: &'static Kernels,
 }
@@ -197,7 +199,6 @@ impl<'c> SweepPlan<'c> {
             circuit,
             schedule,
             memos,
-            allow_constant_fold: true,
             kernels: simd::kernels(),
         })
     }
@@ -211,17 +212,6 @@ impl<'c> SweepPlan<'c> {
     /// Panics if this CPU cannot run `level` ([`simd::is_supported`]).
     pub fn with_simd_level(mut self, level: SimdLevel) -> Self {
         self.kernels = simd::kernels_for(level);
-        self
-    }
-
-    /// Enables or disables the constant-response fold for fully
-    /// wavelength-independent circuits (enabled by default). Disabling it
-    /// forces sweeps to solve every grid point — it also switches the
-    /// factor-once stripe batching off — which is useful for
-    /// benchmarking the per-point solver; results are bit-identical
-    /// either way.
-    pub fn with_constant_fold(mut self, enabled: bool) -> Self {
-        self.allow_constant_fold = enabled;
         self
     }
 
@@ -252,19 +242,13 @@ impl<'c> SweepPlan<'c> {
     }
 
     /// Whether *every* instance is served from the memo. The composed
-    /// response of such a circuit is the same at every wavelength, so
-    /// sweeps evaluate a single point and replicate it — bit-identical to
+    /// response of such a circuit is the same at every wavelength, so a
+    /// stripe evaluates a single point and copies it — bit-identical to
     /// solving each grid point, at 1/points the cost. (Interconnect
     /// meshes — phase shifters, couplers, crossings — are the heavyweight
     /// beneficiaries.)
     pub fn is_wavelength_independent(&self) -> bool {
         self.memos.iter().all(|m| m.is_cached())
-    }
-
-    /// Whether sweeps over this plan may apply the constant-response
-    /// fold: the fold is enabled and every instance is memoized.
-    pub fn folds_to_constant(&self) -> bool {
-        self.allow_constant_fold && self.is_wavelength_independent()
     }
 
     /// Allocates a workspace sized for this plan, with all memoized blocks
@@ -374,30 +358,9 @@ impl<'c> SweepPlan<'c> {
             .all(|(ii, memo)| memo.is_cached() || !self.schedule.block.instance_touches_system(ii))
     }
 
-    /// How a stripe of `points` grid points executes over this plan —
-    /// the single source of truth for the batching eligibility shared by
-    /// [`SweepPlan::evaluate_stripe_into`] and the sweep executor's
-    /// chunk runner (which must branch identically to keep serial and
-    /// parallel sweeps bit-identical).
-    ///
-    /// Disabling the constant fold ([`SweepPlan::with_constant_fold`])
-    /// also disables the factor-once stripe modes: "solve every grid
-    /// point" must mean exactly that, both for benchmarking and so the
-    /// conformance fold axis compares a genuinely recomputed sweep.
-    pub(crate) fn stripe_mode(&self, points: usize) -> StripeMode {
-        if points > 1 && self.allow_constant_fold && self.stripe_factors_once() {
-            if self.is_wavelength_independent() {
-                StripeMode::FactorOnceCopy
-            } else {
-                StripeMode::FactorOnceRecombine
-            }
-        } else {
-            StripeMode::PerPoint
-        }
-    }
-
     /// Evaluates a stripe of wavelength points in one batched pass,
-    /// writing one external S-matrix per point into `outs`.
+    /// writing one external S-matrix per point into `outs` — the one
+    /// stripe loop; every planned sweep runs its chunks through it.
     ///
     /// When [`SweepPlan::stripe_factors_once`] holds, the system is
     /// assembled and factored for the first point only and the solved
@@ -428,24 +391,24 @@ impl<'c> SweepPlan<'c> {
             outs.len(),
             "one output matrix per stripe wavelength"
         );
-        match self.stripe_mode(outs.len()) {
-            StripeMode::PerPoint => {
-                for (offset, (&wl, out)) in wavelengths.iter().zip(outs.iter_mut()).enumerate() {
-                    self.evaluate_into(ws, wl, out).map_err(|e| (offset, e))?;
-                }
+        if !self.stripe_factors_once() {
+            for (offset, (&wl, out)) in wavelengths.iter().zip(outs.iter_mut()).enumerate() {
+                self.evaluate_into(ws, wl, out).map_err(|e| (offset, e))?;
             }
-            mode @ (StripeMode::FactorOnceCopy | StripeMode::FactorOnceRecombine) => {
-                let (first_out, rest) = outs.split_first_mut().expect("points > 1");
-                self.evaluate_into(ws, wavelengths[0], first_out)
-                    .map_err(|e| (0, e))?;
-                for (offset, out) in rest.iter_mut().enumerate() {
-                    match mode {
-                        StripeMode::FactorOnceCopy => out.copy_from(first_out),
-                        _ => self
-                            .evaluate_retained_into(ws, wavelengths[offset + 1], out)
-                            .map_err(|e| (offset + 1, e))?,
-                    }
-                }
+            return Ok(());
+        }
+        let Some((first_out, rest)) = outs.split_first_mut() else {
+            return Ok(());
+        };
+        self.evaluate_into(ws, wavelengths[0], first_out)
+            .map_err(|e| (0, e))?;
+        let copy = self.is_wavelength_independent();
+        for (offset, out) in rest.iter_mut().enumerate() {
+            if copy {
+                out.copy_from(first_out);
+            } else {
+                self.evaluate_retained_into(ws, wavelengths[offset + 1], out)
+                    .map_err(|e| (offset + 1, e))?;
             }
         }
         Ok(())
@@ -506,20 +469,6 @@ impl<'c> SweepPlan<'c> {
         sched.combine(self.kernels, &ws.global, &ws.x, &mut ws.stage, out);
         Ok(())
     }
-}
-
-/// How a stripe of grid points executes over a plan — decided once by
-/// [`SweepPlan::stripe_mode`] and obeyed by both stripe drivers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StripeMode {
-    /// Solve the first point, copy its matrix into every other slot
-    /// (fully wavelength-independent circuit).
-    FactorOnceCopy,
-    /// Solve the first point, recombine the retained panel per point
-    /// (static system, dispersive `S_ee`-only instances).
-    FactorOnceRecombine,
-    /// Full evaluation at every point.
-    PerPoint,
 }
 
 /// Copies a model block onto the diagonal of the global matrix.

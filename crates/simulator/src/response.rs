@@ -1,16 +1,23 @@
 //! Wavelength sweeps and frequency responses.
 //!
-//! [`sweep`] is the production entry point: it builds a [`SweepPlan`] once
-//! per circuit, then executes the per-point solves on reusable
-//! [`SolveWorkspace`]s — serially for short grids, on scoped worker
-//! threads (one workspace each, deterministic output ordering) for grids
-//! of [`PARALLEL_THRESHOLD`] points or more. [`sweep_naive`] sweeps the
-//! independent dense oracle ([`crate::evaluate`]) point by point — the
-//! cross-check reference and the benchmark baseline.
+//! Three sweep entry points:
+//!
+//! * [`sweep_with_plan`] — the one plan-level sweep: a prebuilt
+//!   [`SweepPlan`], a caller-owned [`SolveWorkspace`] and a thread count.
+//!   It splits the grid into contiguous chunks and runs each through
+//!   [`SweepPlan::evaluate_stripe_into`], the one stripe loop — chunk 0
+//!   on the calling thread, the rest on scoped workers (one workspace
+//!   each, deterministic output ordering);
+//! * [`sweep`] — plans a circuit and calls [`sweep_with_plan`] under the
+//!   default policy (parallel for grids of [`PARALLEL_THRESHOLD`] points
+//!   or more);
+//! * [`sweep_naive`] — the independent dense oracle ([`crate::evaluate`])
+//!   point by point: the cross-check reference and the benchmark
+//!   baseline.
 
 use crate::elaborate::Circuit;
 use crate::oracle::{evaluate, SimError};
-use crate::plan::{SolveWorkspace, StripeMode, SweepPlan};
+use crate::plan::{SolveWorkspace, SweepPlan};
 use picbench_math::{CMatrix, Complex};
 use picbench_sparams::SMatrix;
 use std::fmt;
@@ -213,48 +220,21 @@ pub const PARALLEL_THRESHOLD: usize = 16;
 
 /// Sweeps a circuit over a wavelength grid.
 ///
-/// Plan-based: wavelength-independent structure is computed once, every
-/// per-point solve runs allocation-free on a reused workspace, and grids
-/// of [`PARALLEL_THRESHOLD`] or more points are distributed over scoped
-/// worker threads. Serial and parallel execution produce element-wise
-/// identical results.
+/// Plans the circuit and runs [`sweep_with_plan`] on a fresh workspace
+/// under the default thread policy: grids of [`PARALLEL_THRESHOLD`] or
+/// more points are split over scoped worker threads. Every thread count
+/// produces element-wise identical results.
 ///
 /// # Errors
 ///
 /// Returns the [`SimError`] of the lowest-indexed failing grid point.
 pub fn sweep(circuit: &Circuit, grid: &WavelengthGrid) -> Result<FrequencyResponse, SimError> {
-    sweep_with_plan(&SweepPlan::new(circuit)?, grid, 0)
-}
-
-/// Plan-based sweep forced onto a single thread.
-///
-/// # Errors
-///
-/// Returns the [`SimError`] of the lowest-indexed failing grid point.
-pub fn sweep_serial(
-    circuit: &Circuit,
-    grid: &WavelengthGrid,
-) -> Result<FrequencyResponse, SimError> {
-    sweep_parallel(circuit, grid, 1)
-}
-
-/// Plan-based sweep on an explicit number of worker threads (`0` means
-/// one per available CPU).
-///
-/// # Errors
-///
-/// Returns the [`SimError`] of the lowest-indexed failing grid point.
-pub fn sweep_parallel(
-    circuit: &Circuit,
-    grid: &WavelengthGrid,
-    threads: usize,
-) -> Result<FrequencyResponse, SimError> {
-    let threads = if threads == 0 {
-        available_threads()
-    } else {
-        threads
-    };
-    sweep_with_plan(&SweepPlan::new(circuit)?, grid, threads)
+    sweep_with_plan(
+        &SweepPlan::new(circuit)?,
+        grid,
+        0,
+        &mut SolveWorkspace::new(),
+    )
 }
 
 /// The oracle sweep: the dense reference solve ([`evaluate`]) rebuilt
@@ -288,11 +268,21 @@ fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Sweeps over a grid on a prebuilt [`SweepPlan`] — the entry point for
-/// callers that reuse plans/schedules across many sweeps (the evaluation
-/// cache's miss path). `threads == 0` applies the default policy
-/// (parallel for grids of [`PARALLEL_THRESHOLD`] points or more); any
-/// other value forces that worker count. All thread counts produce
+/// Sweeps over a grid on a prebuilt [`SweepPlan`] — the one plan-level
+/// sweep, used by [`sweep`] and by callers that reuse plans, schedules
+/// and workspaces across many sweeps (the evaluation cache's miss path).
+///
+/// `ws` is re-targeted at the plan first ([`SweepPlan::reset_workspace`]),
+/// so one workspace can serve any sequence of circuits without
+/// reallocating once its buffers reach their high-water mark. The grid
+/// is split into contiguous chunks, each run by
+/// [`SweepPlan::evaluate_stripe_into`]: chunk 0 on the calling thread
+/// with `ws`, every other chunk on a scoped worker with its own
+/// [`SweepPlan::workspace`]. `threads == 0` applies the default policy
+/// (one chunk per CPU for grids of [`PARALLEL_THRESHOLD`] points or
+/// more, else one chunk); any other value caps the chunk count. A grid
+/// the plan can factor once ([`SweepPlan::stripe_factors_once`]) always
+/// runs as a single stripe on the caller. All thread counts produce
 /// element-wise identical results.
 ///
 /// # Errors
@@ -302,180 +292,63 @@ pub fn sweep_with_plan(
     plan: &SweepPlan<'_>,
     grid: &WavelengthGrid,
     threads: usize,
-) -> Result<FrequencyResponse, SimError> {
-    let threads = if threads == 0 {
-        if grid.points >= PARALLEL_THRESHOLD {
-            available_threads()
-        } else {
-            1
-        }
-    } else {
-        threads
-    };
-    let circuit = plan.circuit();
-    let wavelengths = grid.wavelengths();
-    let ports = circuit.external_names();
-    let n_ext = ports.len();
-
-    // Preallocate every output sample up front; workers only copy solved
-    // matrices into their slots, keeping the point loop allocation-free
-    // and the output ordering deterministic by construction.
-    let mut samples: Vec<SMatrix> = (0..wavelengths.len())
-        .map(|_| SMatrix::from_matrix(ports.clone(), CMatrix::zeros(n_ext, n_ext)))
-        .collect();
-
-    // A fully memoized circuit answers identically at every wavelength:
-    // solve one point and replicate it (bit-identical to the full loop).
-    if plan.folds_to_constant() && wavelengths.len() > 1 {
-        let mut ws = plan.workspace();
-        run_point(plan, &mut ws, wavelengths[0], &mut samples[0])?;
-        replicate_first_sample(&mut samples);
-        return Ok(FrequencyResponse {
-            wavelengths,
-            ports,
-            samples,
-        });
-    }
-
-    let workers = threads.max(1).min(wavelengths.len().max(1));
-    if workers <= 1 {
-        let mut ws = plan.workspace();
-        run_chunk(plan, &mut ws, &wavelengths, &mut samples, 0).map_err(|(_, e)| e)?;
-    } else {
-        // Contiguous chunks: point cost is uniform across the band, so a
-        // static split balances well and needs no synchronisation.
-        let chunk_len = wavelengths.len().div_ceil(workers);
-        let mut first_error: Option<(usize, SimError)> = None;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for (chunk_index, chunk) in samples.chunks_mut(chunk_len).enumerate() {
-                let plan: &SweepPlan<'_> = plan;
-                let wavelengths = &wavelengths;
-                handles.push(scope.spawn(move || -> Result<(), (usize, SimError)> {
-                    let mut ws = plan.workspace();
-                    let base = chunk_index * chunk_len;
-                    run_chunk(
-                        plan,
-                        &mut ws,
-                        &wavelengths[base..base + chunk.len()],
-                        chunk,
-                        base,
-                    )
-                }));
-            }
-            for handle in handles {
-                if let Err((index, error)) = handle.join().expect("sweep worker panicked") {
-                    // Deterministic error reporting: keep the failure of
-                    // the lowest-indexed grid point.
-                    if first_error.as_ref().is_none_or(|(i, _)| index < *i) {
-                        first_error = Some((index, error));
-                    }
-                }
-            }
-        });
-        if let Some((_, error)) = first_error {
-            return Err(error);
-        }
-    }
-
-    Ok(FrequencyResponse {
-        wavelengths,
-        ports,
-        samples,
-    })
-}
-
-/// Serial sweep on a prebuilt plan **and** a caller-owned workspace.
-///
-/// The workspace is re-targeted at the plan first
-/// ([`SweepPlan::reset_workspace`]), so one workspace can serve an
-/// arbitrary sequence of circuits without reallocating once its buffers
-/// reach their high-water mark — this is the evaluation pipeline's inner
-/// loop. Bit-identical to [`sweep_serial`] and to every parallel worker
-/// count.
-///
-/// # Errors
-///
-/// Returns the [`SimError`] of the lowest-indexed failing grid point.
-pub fn sweep_planned(
-    plan: &SweepPlan<'_>,
-    grid: &WavelengthGrid,
     ws: &mut SolveWorkspace,
 ) -> Result<FrequencyResponse, SimError> {
     plan.reset_workspace(ws);
     let wavelengths = grid.wavelengths();
     let ports = plan.circuit().external_names();
     let n_ext = ports.len();
-    let mut samples: Vec<SMatrix> = (0..wavelengths.len())
-        .map(|_| SMatrix::from_matrix(ports.clone(), CMatrix::zeros(n_ext, n_ext)))
+    let mut outs: Vec<CMatrix> = (0..wavelengths.len())
+        .map(|_| CMatrix::zeros(n_ext, n_ext))
         .collect();
-    if plan.folds_to_constant() && wavelengths.len() > 1 {
-        run_point(plan, ws, wavelengths[0], &mut samples[0])?;
-        replicate_first_sample(&mut samples);
+
+    let threads = match threads {
+        0 if grid.points >= PARALLEL_THRESHOLD => available_threads(),
+        0 => 1,
+        t => t,
+    };
+    let workers = if plan.stripe_factors_once() {
+        1
     } else {
-        run_chunk(plan, ws, &wavelengths, &mut samples, 0).map_err(|(_, e)| e)?;
-    }
+        threads.min(outs.len())
+    };
+    // Contiguous chunks: point cost is uniform across the band, so a
+    // static split balances well and needs no synchronisation.
+    let chunk_len = outs.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        let mut chunks = wavelengths
+            .chunks(chunk_len)
+            .zip(outs.chunks_mut(chunk_len));
+        let (first_wavelengths, first_outs) = chunks.next().expect("grid has at least one point");
+        let handles: Vec<_> = chunks
+            .map(|(wavelengths, outs)| {
+                scope.spawn(move || {
+                    plan.evaluate_stripe_into(&mut plan.workspace(), wavelengths, outs)
+                })
+            })
+            .collect();
+        let first = plan.evaluate_stripe_into(ws, first_wavelengths, first_outs);
+        // Chunks are in grid order, so the first failing chunk holds the
+        // lowest failing grid index, whatever order the workers finished in.
+        std::iter::once(first)
+            .chain(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("sweep worker panicked")),
+            )
+            .collect::<Result<(), _>>()
+            .map_err(|(_, error)| error)
+    })?;
+
+    let samples = outs
+        .into_iter()
+        .map(|m| SMatrix::from_matrix(ports.clone(), m))
+        .collect();
     Ok(FrequencyResponse {
         wavelengths,
         ports,
         samples,
     })
-}
-
-/// Copies the solved first sample into every remaining slot (the
-/// constant-response fold for fully memoized circuits).
-fn replicate_first_sample(samples: &mut [SMatrix]) {
-    let (first, rest) = samples.split_first_mut().expect("at least one sample");
-    for sample in rest {
-        sample.matrix_mut().copy_from(first.matrix());
-    }
-}
-
-fn run_point(
-    plan: &SweepPlan<'_>,
-    ws: &mut SolveWorkspace,
-    wavelength_um: f64,
-    sample: &mut SMatrix,
-) -> Result<(), SimError> {
-    plan.evaluate_into(ws, wavelength_um, sample.matrix_mut())
-}
-
-/// Runs one contiguous chunk of grid points, batching it as a single
-/// stripe when the plan supports factoring once
-/// ([`SweepPlan::stripe_factors_once`]): the first point solves the
-/// system, the rest reuse the retained factorization (or a plain copy
-/// when the whole circuit is wavelength-independent). Per-point results
-/// are element-wise identical regardless of how the grid is chunked, so
-/// serial and parallel sweeps stay bit-identical. Errors carry the
-/// *global* grid index (`base` + offset).
-fn run_chunk(
-    plan: &SweepPlan<'_>,
-    ws: &mut SolveWorkspace,
-    wavelengths: &[f64],
-    samples: &mut [SMatrix],
-    base: usize,
-) -> Result<(), (usize, SimError)> {
-    debug_assert_eq!(wavelengths.len(), samples.len());
-    match plan.stripe_mode(samples.len()) {
-        StripeMode::PerPoint => {
-            for (offset, (&wl, sample)) in wavelengths.iter().zip(samples.iter_mut()).enumerate() {
-                run_point(plan, ws, wl, sample).map_err(|e| (base + offset, e))?;
-            }
-        }
-        mode @ (StripeMode::FactorOnceCopy | StripeMode::FactorOnceRecombine) => {
-            let (first, rest) = samples.split_first_mut().expect("points > 1");
-            run_point(plan, ws, wavelengths[0], first).map_err(|e| (base, e))?;
-            for (offset, sample) in rest.iter_mut().enumerate() {
-                match mode {
-                    StripeMode::FactorOnceCopy => sample.matrix_mut().copy_from(first.matrix()),
-                    _ => plan
-                        .evaluate_retained_into(ws, wavelengths[offset + 1], sample.matrix_mut())
-                        .map_err(|e| (base + offset + 1, e))?,
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -483,6 +356,15 @@ mod tests {
     use super::*;
     use crate::registry::ModelRegistry;
     use picbench_netlist::NetlistBuilder;
+
+    fn sweep_threads(
+        circuit: &Circuit,
+        grid: &WavelengthGrid,
+        threads: usize,
+    ) -> Result<FrequencyResponse, SimError> {
+        let plan = SweepPlan::new(circuit)?;
+        sweep_with_plan(&plan, grid, threads, &mut SolveWorkspace::new())
+    }
 
     fn mzi_circuit(delta: f64) -> Circuit {
         let netlist = NetlistBuilder::new()
@@ -564,11 +446,23 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_element_wise_identical_to_serial() {
-        let c = mzi_circuit(10.0);
+        // An MZI feeding a waveguide: both dispersive and connected, so
+        // the grid is solved per point and really split across workers.
+        let netlist = NetlistBuilder::new()
+            .instance_with("m", "mzi", &[("delta_length", 10.0)])
+            .instance_with("wg", "waveguide", &[("length", 40.0)])
+            .connect("m,O1", "wg,I1")
+            .port("I1", "m,I1")
+            .port("O1", "wg,O1")
+            .model("mzi", "mzi")
+            .model("waveguide", "waveguide")
+            .build();
+        let c = Circuit::elaborate(&netlist, &ModelRegistry::with_builtins(), None).unwrap();
+        assert!(!SweepPlan::new(&c).unwrap().stripe_factors_once());
         let g = WavelengthGrid::paper_default();
-        let serial = sweep_serial(&c, &g).unwrap();
+        let serial = sweep_threads(&c, &g, 1).unwrap();
         for threads in [2, 3, 8] {
-            let parallel = sweep_parallel(&c, &g, threads).unwrap();
+            let parallel = sweep_threads(&c, &g, threads).unwrap();
             // Bit-identical, not merely close: every point runs the exact
             // same plan arithmetic regardless of the worker.
             assert_eq!(serial, parallel, "{threads} threads");
@@ -603,14 +497,14 @@ mod tests {
             .build();
         let c = Circuit::elaborate(&netlist, &ModelRegistry::with_builtins(), None).unwrap();
         let g = WavelengthGrid::paper_default();
-        let serial = sweep_serial(&c, &g);
+        let serial = sweep_threads(&c, &g, 1);
         let Err(serial_err) = serial else {
             // The coupling-0 loop may happen to dodge exact resonance on
             // this grid; nothing to compare then.
             return;
         };
         for threads in [2, 5] {
-            let parallel_err = sweep_parallel(&c, &g, threads).unwrap_err();
+            let parallel_err = sweep_threads(&c, &g, threads).unwrap_err();
             assert_eq!(serial_err, parallel_err, "{threads} threads");
         }
     }

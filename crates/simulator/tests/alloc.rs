@@ -6,12 +6,13 @@
 //! circuit whose models are all wavelength-independent (served from the
 //! plan memo), the per-point solve must perform zero heap allocations — the acceptance bar the reusable-workspace design is
 //! built around. A dispersive circuit is exercised too, asserting that the
-//! only allocations left come from the per-point model evaluations.
+//! only allocations left come from the per-point model evaluations. A
+//! whole warmed [`sweep_with_plan`] allocates only what its result holds.
 
 use picbench_math::simd::{available_level, SimdLevel};
 use picbench_math::CMatrix;
 use picbench_netlist::{Netlist, NetlistBuilder};
-use picbench_sim::{Circuit, ModelRegistry, SweepPlan};
+use picbench_sim::{sweep_with_plan, Circuit, ModelRegistry, SweepPlan, WavelengthGrid};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -154,6 +155,32 @@ fn batched_stripe_solve_is_allocation_free_after_warmup() {
     assert_eq!(
         allocations, 0,
         "batched per-stripe solve must not allocate after warmup"
+    );
+}
+
+#[test]
+fn warmed_planned_sweep_allocates_only_its_result() {
+    // The production sweep over a warmed workspace: the stripe itself is
+    // allocation-free (above), so what remains is the returned response —
+    // per point one matrix and one port list (the list buffer plus one
+    // string per port) — and a few per-sweep buffers (the grid, the
+    // external port list, the sample vectors).
+    const PER_SWEEP: u64 = 16;
+    let circuit = elaborate(&memoizable_ladder(6));
+    let plan = SweepPlan::new(&circuit).unwrap();
+    let grid = WavelengthGrid::new(1.51, 1.59, 32);
+    let mut ws = plan.workspace();
+    let warm = sweep_with_plan(&plan, &grid, 1, &mut ws).unwrap();
+
+    let (allocations, response) = count_allocations(|| sweep_with_plan(&plan, &grid, 1, &mut ws));
+    assert_eq!(response.unwrap(), warm);
+    let n_ext = plan.external_count() as u64;
+    let per_point = 1 + (1 + n_ext);
+    let budget = grid.points as u64 * per_point + PER_SWEEP;
+    assert!(
+        allocations <= budget,
+        "{allocations} allocations for a {}-point sweep exceed the result's budget {budget}",
+        grid.points
     );
 }
 

@@ -3,15 +3,16 @@
 //! naive dense oracle within the conformance tolerance — they solve the
 //! same scattering system through different eliminations — its SIMD
 //! tiers must agree with the scalar reference and never influence each
-//! other, and the batched stripe execution must be element-wise
-//! identical to point-by-point evaluation.
+//! other, and the batched stripe execution — directly and through the
+//! production sweep at any thread count — must be element-wise identical
+//! to point-by-point evaluation.
 
 use picbench_conformance::{CircuitStrategy, Family, GeneratorConfig};
 use picbench_math::simd::{available_level, SimdLevel};
 use picbench_math::CMatrix;
 use picbench_sim::{
-    sweep_naive, sweep_serial, sweep_with_plan, Circuit, FrequencyResponse, ModelRegistry,
-    SimError, SweepPlan, WavelengthGrid,
+    sweep_naive, sweep_with_plan, Circuit, FrequencyResponse, ModelRegistry, SimError,
+    SolveWorkspace, SweepPlan, WavelengthGrid,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -36,7 +37,7 @@ fn sweep_on(
     level: SimdLevel,
 ) -> Result<FrequencyResponse, SimError> {
     let plan = SweepPlan::new(circuit)?.with_simd_level(level);
-    sweep_with_plan(&plan, grid, 1)
+    sweep_with_plan(&plan, grid, 1, &mut SolveWorkspace::new())
 }
 
 #[test]
@@ -57,7 +58,7 @@ fn planned_solver_matches_the_dense_oracle_on_every_generator_family() {
                 // this test's business (the conformance runner owns it).
                 continue;
             };
-            let planned = sweep_serial(&circuit, &grid)
+            let planned = sweep_on(&circuit, &grid, available_level())
                 .unwrap_or_else(|e| panic!("{family} case {k}: planned sweep failed: {e}"));
             assert_eq!(oracle.ports(), planned.ports(), "{family} case {k}");
             for i in 0..grid.points {
@@ -233,19 +234,6 @@ fn recombine_stripe_matches_per_point_evaluation() {
     plan.evaluate_stripe_into(&mut ws, &wavelengths, &mut striped)
         .unwrap();
     assert_eq!(pointwise, striped);
-
-    // Disabling the constant fold must force genuine per-point solves
-    // (the fold axis of the conformance harness relies on this) while
-    // producing the same bits.
-    let unfolded = SweepPlan::new(&circuit).unwrap().with_constant_fold(false);
-    let mut ws = plan.workspace();
-    let mut per_point: Vec<CMatrix> = (0..wavelengths.len())
-        .map(|_| CMatrix::zeros(n_ext, n_ext))
-        .collect();
-    unfolded
-        .evaluate_stripe_into(&mut ws, &wavelengths, &mut per_point)
-        .unwrap();
-    assert_eq!(pointwise, per_point);
 }
 
 #[test]
@@ -292,6 +280,19 @@ fn stripe_execution_is_identical_to_per_point_evaluation() {
                         .unwrap();
                 }
                 assert_eq!(pointwise, striped, "{family}");
+            }
+            // The production sweep chunks the grid itself, serially and
+            // on worker threads; it must reproduce the same bits.
+            for threads in [1, 3] {
+                let swept = sweep_with_plan(&plan, &grid, threads, &mut SolveWorkspace::new())
+                    .unwrap_or_else(|e| panic!("{family}, {threads} threads: {e}"));
+                for (i, expected) in pointwise.iter().enumerate() {
+                    assert_eq!(
+                        swept.sample(i).unwrap().matrix(),
+                        expected,
+                        "{family}, {threads} threads, grid point {i}"
+                    );
+                }
             }
         }
     }

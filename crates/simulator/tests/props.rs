@@ -5,8 +5,8 @@
 
 use picbench_netlist::{Netlist, NetlistBuilder};
 use picbench_sim::{
-    sweep, sweep_naive, sweep_parallel, sweep_planned, sweep_serial, Circuit, ModelRegistry,
-    ScheduleCache, SweepPlan, WavelengthGrid,
+    sweep, sweep_naive, sweep_with_plan, Circuit, FrequencyResponse, ModelRegistry, ScheduleCache,
+    SolveWorkspace, SweepPlan, WavelengthGrid,
 };
 use proptest::prelude::*;
 
@@ -41,6 +41,12 @@ fn elaborate(netlist: &Netlist) -> Circuit {
     Circuit::elaborate(netlist, &ModelRegistry::with_builtins(), None).unwrap()
 }
 
+/// A planned sweep on `threads` workers over a fresh plan and workspace.
+fn sweep_threads(circuit: &Circuit, grid: &WavelengthGrid, threads: usize) -> FrequencyResponse {
+    let plan = SweepPlan::new(circuit).unwrap();
+    sweep_with_plan(&plan, grid, threads, &mut SolveWorkspace::new()).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -52,7 +58,7 @@ proptest! {
         let circuit = elaborate(&chain_netlist(&arms));
         let grid = WavelengthGrid::new(1.51, 1.59, points);
         let naive = sweep_naive(&circuit, &grid).unwrap();
-        let planned = sweep_serial(&circuit, &grid).unwrap();
+        let planned = sweep_threads(&circuit, &grid, 1);
         let cmp = naive.compare(&planned);
         prop_assert!(cmp.is_equivalent(1e-12), "{}", cmp);
     }
@@ -65,8 +71,8 @@ proptest! {
     ) {
         let circuit = elaborate(&chain_netlist(&arms));
         let grid = WavelengthGrid::new(1.51, 1.59, points);
-        let serial = sweep_serial(&circuit, &grid).unwrap();
-        let parallel = sweep_parallel(&circuit, &grid, threads).unwrap();
+        let serial = sweep_threads(&circuit, &grid, 1);
+        let parallel = sweep_threads(&circuit, &grid, threads);
         // Element-wise identical, not merely within tolerance.
         prop_assert_eq!(&serial, &parallel);
         // The public default must agree with both.
@@ -90,13 +96,13 @@ proptest! {
         let plan_a = SweepPlan::with_schedule(&circuit_a, schedules.get_or_build(&circuit_a))
             .unwrap();
         let mut ws = plan_a.workspace();
-        let reused_a = sweep_planned(&plan_a, &grid, &mut ws).unwrap();
+        let reused_a = sweep_with_plan(&plan_a, &grid, 1, &mut ws).unwrap();
         // Same-length arm lists share a topology; the cache must not grow
         // beyond the distinct topologies seen.
         let plan_b = SweepPlan::with_schedule(&circuit_b, schedules.get_or_build(&circuit_b))
             .unwrap();
-        let reused_b = sweep_planned(&plan_b, &grid, &mut ws).unwrap();
-        prop_assert_eq!(&reused_a, &sweep_serial(&circuit_a, &grid).unwrap());
-        prop_assert_eq!(&reused_b, &sweep_serial(&circuit_b, &grid).unwrap());
+        let reused_b = sweep_with_plan(&plan_b, &grid, 1, &mut ws).unwrap();
+        prop_assert_eq!(&reused_a, &sweep_threads(&circuit_a, &grid, 1));
+        prop_assert_eq!(&reused_b, &sweep_threads(&circuit_b, &grid, 1));
     }
 }

@@ -36,30 +36,26 @@ impl SMatrix {
     ///
     /// Panics if the port list contains duplicates.
     pub fn new(ports: Vec<String>) -> Self {
-        for (i, p) in ports.iter().enumerate() {
-            assert!(
-                !ports[..i].contains(p),
-                "duplicate port name {p:?} in S-matrix"
-            );
-        }
         let n = ports.len();
-        SMatrix {
-            ports,
-            m: CMatrix::zeros(n, n),
-        }
+        SMatrix::from_matrix(ports, CMatrix::zeros(n, n))
     }
 
     /// Creates a scattering matrix from a port list and a dense matrix.
     ///
     /// # Panics
     ///
-    /// Panics if `m` is not square with dimension `ports.len()`.
+    /// Panics if `m` is not square with dimension `ports.len()`, or if
+    /// the port list contains duplicates.
     pub fn from_matrix(ports: Vec<String>, m: CMatrix) -> Self {
         assert!(m.is_square(), "S-matrix must be square");
         assert_eq!(m.rows(), ports.len(), "port count must match matrix size");
-        let mut s = SMatrix::new(ports);
-        s.m = m;
-        s
+        for (i, p) in ports.iter().enumerate() {
+            assert!(
+                !ports[..i].contains(p),
+                "duplicate port name {p:?} in S-matrix"
+            );
+        }
+        SMatrix { ports, m }
     }
 
     /// The port names, in index order.
