@@ -32,15 +32,16 @@
 //!
 //! The median over `--reps` repetitions is reported; the plan is
 //! cross-checked against the oracle (`max_abs_diff_vs_oracle` — the
-//! conformance tolerance is 1e-8), and the production sweep, serial and
-//! on `--threads` workers, against the timed per-point loop bit for
-//! bit. `--min-speedup X` turns the run into a CI tripwire: it fails
-//! unless the plan beats the oracle by at least `X×` on the largest
-//! measured workload.
+//! conformance tolerance is 1e-8), and the production sweep against the
+//! timed per-point loop bit for bit. The meshes run as one stripe on the
+//! caller at any thread count, so no parallel sweep is measured here;
+//! `tests/block_sparse.rs` and the simulator's unit tests pin parallel
+//! bit-identity. `--min-speedup X` turns the run into a CI tripwire: it
+//! fails unless the plan beats the oracle by at least `X×` on the
+//! largest measured workload.
 //!
 //! Usage: `cargo run --release -p picbench-bench --bin sweep_bench
-//! [-- --reps N --threads N --out PATH --mesh 8x8|16x16|both
-//!  --min-speedup X]`
+//! [-- --reps N --out PATH --mesh 8x8|16x16|both --min-speedup X]`
 
 use picbench_math::simd::{available_level, SimdLevel};
 use picbench_math::{decomp, CMatrix};
@@ -84,12 +85,11 @@ fn timed_plan(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut reps = 5usize;
-    let mut threads = 4usize;
     let mut out_path = "BENCH_pipeline.json".to_string();
     let mut meshes: Vec<(usize, usize)> = WORKLOADS.to_vec();
     let mut min_speedup: Option<f64> = None;
-    let usage = "usage: sweep_bench [--reps N --threads N --out PATH \
-                 --mesh 8x8|16x16|both --min-speedup X]";
+    let usage = "usage: sweep_bench [--reps N --out PATH --mesh 8x8|16x16|both \
+                 --min-speedup X]";
     let mut i = 0;
     while i < args.len() {
         let fail = |msg: &str| -> ! {
@@ -104,14 +104,6 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| fail("--reps needs a positive integer"));
-            }
-            "--threads" => {
-                i += 1;
-                threads = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail("--threads needs a positive integer"));
             }
             "--out" => {
                 i += 1;
@@ -208,7 +200,7 @@ fn main() {
             }
 
             for (k, out) in outs.iter().enumerate() {
-                let reference = oracle.sample(k).expect("sample exists").matrix();
+                let reference = oracle.sample(k).expect("sample exists");
                 diff_vs_oracle = diff_vs_oracle.max(out.max_abs_diff(reference));
             }
             assert!(
@@ -239,23 +231,18 @@ fn main() {
         };
 
         // Determinism: the production sweep must reproduce the timed
-        // per-point loop bit for bit, serially and on `threads` workers —
-        // the run aborts on any deviation, so a written report always
-        // records `true`.
+        // per-point loop bit for bit; the run aborts on any deviation.
         let sweep_plan = SweepPlan::new(&circuit).expect("plan builds");
-        let mut ws = SolveWorkspace::new();
-        let serial = sweep_with_plan(&sweep_plan, &grid, 1, &mut ws).expect("serial sweep");
-        let parallel =
-            sweep_with_plan(&sweep_plan, &grid, threads, &mut ws).expect("parallel sweep");
-        assert_eq!(serial, parallel, "parallel deviates from serial");
+        let swept = sweep_with_plan(&sweep_plan, &grid, 1, &mut SolveWorkspace::new())
+            .expect("production sweep");
         for (k, out) in outs.iter().enumerate() {
-            let swept = serial.sample(k).expect("sample exists").matrix();
             assert_eq!(
-                swept, out,
+                swept.sample(k).expect("sample exists"),
+                out,
                 "sweep deviates from the per-point solve at point {k}"
             );
         }
-        println!("sweep (serial and {threads} workers) element-wise identical to per-point");
+        println!("sweep element-wise identical to per-point");
 
         if w_index > 0 {
             workload_json.push_str(",\n");
@@ -267,8 +254,7 @@ fn main() {
              \"global_ports\": {},\n      \"external_ports\": {n_ext},\n      \
              \"grid_points\": {grid_points},\n      \"oracle_ms\": {oracle:.3},\n      \
              \"plan_ms\": {plan:.3},\n      \"speedup_vs_oracle\": {tripwire_speedup:.2},\n      \
-             \"max_abs_diff_vs_oracle\": {diff_vs_oracle:.3e}{isa_json},\n      \
-             \"parallel_identical_to_serial\": true\n    }}",
+             \"max_abs_diff_vs_oracle\": {diff_vs_oracle:.3e}{isa_json}\n    }}",
             circuit.instance_count(),
             circuit.total_ports,
         );
@@ -278,7 +264,7 @@ fn main() {
         "{{\n  \"benchmark\": \"wavelength-sweep solver: planned block-sparse vs dense oracle\",\n  \
          \"metric\": \"median wall-clock per full sweep, milliseconds (per-point solve; \
          the production sweep() folds these fully dispersionless meshes to a single point)\",\n  \
-         \"repetitions\": {reps},\n  \"host_cpus\": {cpus},\n  \"threads_used\": {threads},\n  \
+         \"repetitions\": {reps},\n  \"host_cpus\": {cpus},\n  \
          \"simd_level\": \"{level}\",\n  \
          \"workloads\": [\n{workload_json}\n  ],\n  \
          \"generated_by\": {}\n}}\n",

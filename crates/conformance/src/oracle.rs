@@ -63,7 +63,8 @@ impl SolverPath {
                 let grid = WavelengthGrid::new(wavelength_um, wavelength_um, 1);
                 let plan = SweepPlan::new(circuit)?;
                 let response = sweep_with_plan(&plan, &grid, 1, &mut SolveWorkspace::new())?;
-                Ok(response.sample(0).expect("one-point grid").clone())
+                let m = response.sample(0).expect("one-point grid").clone();
+                Ok(SMatrix::from_matrix(response.ports().to_vec(), m))
             }
             SolverPath::Oracle => evaluate(circuit, wavelength_um),
         }

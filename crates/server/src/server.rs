@@ -13,7 +13,7 @@
 //! | Route | Effect |
 //! |---|---|
 //! | `POST /v1/problem-sets` | Validate, sweep and hold a custom problem set (JSON) |
-//! | `POST /v1/campaigns` | Validate knobs, start a campaign session |
+//! | `POST /v1/campaigns` | Validate and bound knobs, start a campaign session |
 //! | `GET /v1/campaigns/{id}` | Session status and cell progress |
 //! | `GET /v1/campaigns/{id}/events` | Long-lived NDJSON event stream |
 //! | `DELETE /v1/campaigns/{id}` | Cooperative cancellation |
@@ -419,27 +419,50 @@ struct CampaignRequest {
     cache: bool,
 }
 
-fn get_usize(value: &Value, key: &str, default: usize) -> Result<usize, String> {
-    match value.get(key) {
-        None => Ok(default),
-        Some(v) => match v.as_f64() {
-            Some(n) if n >= 0.0 && n.fract() == 0.0 && n < 9.0e15 => Ok(n as usize),
-            _ => Err(format!("field '{key}' must be a non-negative integer")),
-        },
-    }
+/// Most samples per problem a campaign body may ask for; also the
+/// largest `k` (a `k` above the sample count is invalid anyway).
+const MAX_SAMPLES: u64 = 100;
+/// Largest feedback-iteration setting.
+const MAX_FEEDBACK_ITERS: u64 = 10;
+/// Most entries in `k_values` or `feedback_iters`.
+const MAX_LIST_LEN: usize = 16;
+/// Most evaluation threads one campaign may ask for.
+const MAX_THREADS: u64 = 64;
+/// Longest per-response provider delay, in milliseconds.
+const MAX_PACE_MS: u64 = 60_000;
+/// Largest seed: below 9e15, every integer is exact as a JSON number.
+const MAX_SEED: u64 = 8_999_999_999_999_999;
+
+/// Reads the integer `v` of field `key`, which must lie in `[0, max]`.
+fn bounded_int(v: &Value, key: &str, max: u64) -> Result<u64, String> {
+    v.as_u64()
+        .filter(|&n| n <= max)
+        .ok_or_else(|| format!("field '{key}' takes integers in [0, {max}]"))
 }
 
-fn get_usize_list(value: &Value, key: &str, default: &[usize]) -> Result<Vec<usize>, String> {
-    match value.get(key) {
-        None => Ok(default.to_vec()),
-        Some(Value::Array(items)) => items
+/// Reads optional integer field `key` in `[0, max]`, or `default`.
+fn get_bounded(body: &Value, key: &str, default: u64, max: u64) -> Result<u64, String> {
+    body.get(key)
+        .map_or(Ok(default), |v| bounded_int(v, key, max))
+}
+
+/// Reads optional field `key`: at most [`MAX_LIST_LEN`] integers, each
+/// in `[0, max]`, or `default`.
+fn get_bounded_list(
+    body: &Value,
+    key: &str,
+    default: usize,
+    max: u64,
+) -> Result<Vec<usize>, String> {
+    match body.get(key) {
+        None => Ok(vec![default]),
+        Some(Value::Array(items)) if items.len() <= MAX_LIST_LEN => items
             .iter()
-            .map(|v| match v.as_f64() {
-                Some(n) if n >= 0.0 && n.fract() == 0.0 && n < 9.0e15 => Ok(n as usize),
-                _ => Err(format!("field '{key}' must hold non-negative integers")),
-            })
+            .map(|v| bounded_int(v, key, max).map(|n| n as usize))
             .collect(),
-        Some(_) => Err(format!("field '{key}' must be an array of integers")),
+        Some(_) => Err(format!(
+            "field '{key}' must be an array of at most {MAX_LIST_LEN} integers"
+        )),
     }
 }
 
@@ -452,13 +475,7 @@ fn parse_campaign_request(state: &ServerState, body: &Value) -> Result<CampaignR
         return Err("field 'models' is empty".to_string());
     }
     let mut providers: Vec<Arc<dyn ModelProvider>> = Vec::new();
-    let pace_ms = match body.get("pace_ms") {
-        None => 0,
-        Some(v) => match v.as_f64() {
-            Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= 60_000.0 => n as u64,
-            _ => return Err("field 'pace_ms' must be an integer in [0, 60000]".to_string()),
-        },
-    };
+    let pace_ms = get_bounded(body, "pace_ms", 0, MAX_PACE_MS)?;
     for model in models {
         let name = model.as_str().ok_or("model names must be strings")?;
         let profile =
@@ -501,17 +518,12 @@ fn parse_campaign_request(state: &ServerState, body: &Value) -> Result<CampaignR
         return Err("no problems: give 'problems' (builtin ids), 'problem_set', or both".into());
     }
 
-    let samples_per_problem = get_usize(body, "samples_per_problem", 2)?;
-    let k_values = get_usize_list(body, "k_values", &[1])?;
-    let feedback_iters = get_usize_list(body, "feedback_iters", &[0])?;
-    let seed = match body.get("seed") {
-        None => picbench_synthllm::PAPER_SEED,
-        Some(v) => match v.as_f64() {
-            Some(n) if n >= 0.0 && n.fract() == 0.0 && n < 9.0e15 => n as u64,
-            _ => return Err("field 'seed' must be a non-negative integer".to_string()),
-        },
-    };
-    let threads = get_usize(body, "threads", state.config.default_threads)?;
+    let samples_per_problem = get_bounded(body, "samples_per_problem", 2, MAX_SAMPLES)? as usize;
+    let k_values = get_bounded_list(body, "k_values", 1, MAX_SAMPLES)?;
+    let feedback_iters = get_bounded_list(body, "feedback_iters", 0, MAX_FEEDBACK_ITERS)?;
+    let seed = get_bounded(body, "seed", picbench_synthllm::PAPER_SEED, MAX_SEED)?;
+    let default_threads = state.config.default_threads as u64;
+    let threads = get_bounded(body, "threads", default_threads, MAX_THREADS)? as usize;
     let restrictions = match body.get("restrictions") {
         None => true,
         Some(Value::Bool(b)) => *b,
@@ -657,8 +669,8 @@ fn get_events(
     let _guard = state.sessions.stream_guard();
     http::write_stream_head(stream)?;
     let mut cursor = 0usize;
-    // Chunks arrive newline-terminated (the log's commit watermark only
-    // rests on line boundaries), so they stream straight through. A
+    // Chunks arrive newline-terminated (the log grows a whole line at a
+    // time), so they stream straight through. A
     // departed client ends the stream, nothing more.
     while let Some(chunk) = session.log.wait_from(cursor) {
         cursor += chunk.len();

@@ -7,11 +7,10 @@
 //! append-only [`EventLog`]; readers replay the log from byte 0 and
 //! block on a condvar for more, so a reader that connects late (or
 //! reconnects) sees exactly the same byte sequence as one that was
-//! there from the start. Publication is gated by a commit watermark
-//! that only ever rests on a newline boundary, so no reader — however
-//! unluckily scheduled against the writer — can observe a torn NDJSON
-//! line. The log closes when the session's campaign finishes, which is
-//! what ends the streams.
+//! there from the start. Each push appends one whole line under the
+//! log's lock, so no reader — however unluckily scheduled against the
+//! writer — can observe a torn NDJSON line. The log closes when the
+//! session's campaign finishes, which is what ends the streams.
 //!
 //! Campaigns run on the table's runner threads (`SessionTable::run`),
 //! and so do the golden sweeps a handler waits for
@@ -55,22 +54,18 @@ impl SessionState {
 
 #[derive(Default)]
 struct LogInner {
-    /// Raw NDJSON bytes: one `\n`-terminated line per event. Bytes past
-    /// `committed` belong to a line still being appended.
+    /// Raw NDJSON bytes: one `\n`-terminated line per event. Only ever
+    /// appended to, a whole line at a time, so it always ends at a
+    /// newline.
     buf: Vec<u8>,
-    /// Publication watermark. Always rests on a newline boundary (or 0),
-    /// and everything below it is immutable — readers are handed
-    /// exactly `buf[..committed]` and can never see a torn line.
-    committed: usize,
     closed: bool,
 }
 
 /// An append-only, multi-reader byte log of encoded event lines.
 ///
-/// Readers address the log by *byte* offset and only ever observe the
-/// committed prefix, which grows monotonically and ends at a newline.
-/// Writers may stage a line incrementally with [`EventLog::append_bytes`];
-/// staged bytes publish when their terminating newline lands.
+/// Readers address the log by *byte* offset. The log grows a whole line
+/// at a time ([`EventLog::push`]), so every prefix a reader sees ends at
+/// a newline.
 #[derive(Default)]
 pub struct EventLog {
     inner: Mutex<LogInner>,
@@ -88,64 +83,30 @@ impl EventLog {
         let mut inner = self.inner.lock().expect("event log poisoned");
         inner.buf.extend_from_slice(line.as_bytes());
         inner.buf.push(b'\n');
-        inner.committed = inner.buf.len();
         self.grew.notify_all();
     }
 
-    /// Appends raw stream bytes, committing only up to the last newline
-    /// they complete. A partial trailing line stays staged — invisible
-    /// to every reader — until a later append delivers its `\n`.
-    pub fn append_bytes(&self, bytes: &[u8]) {
-        let mut inner = self.inner.lock().expect("event log poisoned");
-        inner.buf.extend_from_slice(bytes);
-        let committed = inner.committed;
-        if let Some(last_nl) = inner.buf[committed..].iter().rposition(|&b| b == b'\n') {
-            inner.committed = committed + last_nl + 1;
-            self.grew.notify_all();
-        }
-    }
-
-    /// Closes the log: readers drain the committed prefix and stop. Any
-    /// staged partial line is discarded rather than published torn.
+    /// Closes the log: readers drain what it holds and stop.
     pub fn close(&self) {
-        let mut inner = self.inner.lock().expect("event log poisoned");
-        inner.closed = true;
-        let committed = inner.committed;
-        inner.buf.truncate(committed);
+        self.inner.lock().expect("event log poisoned").closed = true;
         self.grew.notify_all();
     }
 
-    /// Committed (reader-visible) bytes currently in the log.
-    pub fn committed_len(&self) -> usize {
-        self.inner.lock().expect("event log poisoned").committed
-    }
-
-    /// Whether the log holds no committed bytes yet.
-    pub fn is_empty(&self) -> bool {
-        self.committed_len() == 0
-    }
-
-    /// Returns the committed bytes from offset `from` on, blocking until
-    /// some are available or the log closes. `None` means
-    /// closed-and-drained — the reader's stream is complete. The
-    /// returned chunk always ends at a newline boundary.
+    /// Returns the bytes from offset `from` on, blocking until some are
+    /// available or the log closes. `None` means closed-and-drained —
+    /// the reader's stream is complete. The returned chunk always ends
+    /// at a newline boundary.
     pub fn wait_from(&self, from: usize) -> Option<Vec<u8>> {
         let mut inner = self.inner.lock().expect("event log poisoned");
         loop {
-            if inner.committed > from {
-                return Some(inner.buf[from..inner.committed].to_vec());
+            if inner.buf.len() > from {
+                return Some(inner.buf[from..].to_vec());
             }
             if inner.closed {
                 return None;
             }
             inner = self.grew.wait(inner).expect("event log poisoned");
         }
-    }
-
-    /// A snapshot of the committed prefix (non-blocking).
-    pub fn snapshot(&self) -> Vec<u8> {
-        let inner = self.inner.lock().expect("event log poisoned");
-        inner.buf[..inner.committed].to_vec()
     }
 }
 
@@ -449,7 +410,7 @@ mod tests {
         let early = log.wait_from(0).unwrap();
         log.push("c".into());
         log.close();
-        let late = log.snapshot();
+        let late = log.wait_from(0).unwrap();
         assert_eq!(early, b"a\nb\n");
         assert_eq!(late, b"a\nb\nc\n");
         assert_eq!(log.wait_from(late.len()), None, "closed and drained");
@@ -471,41 +432,18 @@ mod tests {
     }
 
     #[test]
-    fn partial_lines_stay_invisible_until_their_newline() {
-        let log = EventLog::default();
-        log.append_bytes(b"{\"event\":\"camp");
-        assert!(log.is_empty(), "no newline yet, nothing published");
-        assert_eq!(log.snapshot(), b"");
-        log.append_bytes(b"aign_started\"}\n{\"torn");
-        // The completed first line publishes; the torn tail does not.
-        assert_eq!(log.snapshot(), b"{\"event\":\"campaign_started\"}\n");
-        log.append_bytes(b"\"}\n");
-        assert_eq!(
-            log.snapshot(),
-            b"{\"event\":\"campaign_started\"}\n{\"torn\"}\n"
-        );
-    }
-
-    #[test]
-    fn close_discards_a_staged_partial_line() {
-        let log = EventLog::default();
-        log.append_bytes(b"whole\nhalf-a-li");
-        log.close();
-        assert_eq!(log.snapshot(), b"whole\n");
-        assert_eq!(log.wait_from(6), None);
-    }
-
-    #[test]
     fn racing_reader_never_observes_a_torn_line() {
-        // A writer streams many lines in deliberately awkward chunks
-        // (splitting mid-line and mid-escape) while a reader tails the
-        // log concurrently. Every chunk the reader is handed must end
-        // on a newline boundary, and the total replay must be exactly
-        // the byte sequence a from-the-start reader would see.
+        // A writer pushes many lines while a reader tails the log
+        // concurrently. Every chunk the reader is handed must end on a
+        // newline boundary, and the total replay must be exactly the
+        // byte sequence a from-the-start reader would see.
         let log = Arc::new(EventLog::default());
-        let n_lines = 500usize;
-        let expected: Vec<u8> = (0..n_lines)
-            .flat_map(|i| format!("{{\"event\":\"tick\",\"seq\":{i}}}\n").into_bytes())
+        let lines: Vec<String> = (0..500)
+            .map(|i| format!("{{\"event\":\"tick\",\"seq\":{i}}}"))
+            .collect();
+        let expected: Vec<u8> = lines
+            .iter()
+            .flat_map(|l| format!("{l}\n").into_bytes())
             .collect();
 
         let reader = {
@@ -523,16 +461,8 @@ mod tests {
                 seen
             })
         };
-
-        // Deterministically vary chunk sizes 1..=7 to hit every split
-        // position across the corpus.
-        let mut pos = 0usize;
-        let mut step = 1usize;
-        while pos < expected.len() {
-            let end = (pos + step).min(expected.len());
-            log.append_bytes(&expected[pos..end]);
-            pos = end;
-            step = step % 7 + 1;
+        for line in lines {
+            log.push(line);
         }
         log.close();
 

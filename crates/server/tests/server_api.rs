@@ -484,6 +484,40 @@ fn nesting_bomb_is_a_400_and_the_server_keeps_serving() {
     server.shutdown();
 }
 
+#[test]
+fn campaign_bodies_over_the_limits_are_rejected_before_admission() {
+    let server = start_default();
+    let client = ApiClient::new(server.addr());
+
+    // Unbounded, the first body preallocates a feedback history of 1e15
+    // entries and aborts the process; the others run a cell that never
+    // ends or spawn a thread per requested worker.
+    let fields = [
+        r#""feedback_iters": [1000000000000000]"#,
+        r#""feedback_iters": [11]"#,
+        r#""samples_per_problem": 101"#,
+        r#""samples_per_problem": 9000000000000000"#,
+        r#""threads": 65"#,
+        r#""threads": 9000000000000000"#,
+        r#""k_values": [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]"#,
+        r#""feedback_iters": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]"#,
+        r#""seed": 9000000000000000"#,
+        r#""pace_ms": 60001"#,
+    ];
+    for field in fields {
+        let body = format!(r#"{{"models": ["GPT-4"], "problems": ["mzi-ps"], {field}}}"#);
+        let response = client
+            .request("POST", "/v1/campaigns", Some(&body))
+            .unwrap();
+        assert_eq!(response.status, 400, "{body} -> {}", response.body);
+    }
+    // Nothing was admitted, so no session exists.
+    let first = client.request("GET", "/v1/campaigns/c-1", None).unwrap();
+    assert_eq!(first.status, 404, "{}", first.body);
+
+    server.shutdown();
+}
+
 /// Runs `body` on its own thread and fails the test if it has not
 /// returned within `limit`, so a hung acceptor fails instead of
 /// stalling the suite.

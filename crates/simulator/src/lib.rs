@@ -27,6 +27,12 @@
 //! them: the naive dense solve [`evaluate`], swept point by point by
 //! [`sweep_naive`].
 //!
+//! Every sweep returns the same format, as SAX does: a
+//! [`FrequencyResponse`] holds the external port list once and one dense
+//! S-matrix per wavelength, indexed in that port order. The planned
+//! sweep moves the matrices its stripes filled straight into the
+//! response; nothing is copied or relabelled per point.
+//!
 //! ## Example
 //!
 //! ```

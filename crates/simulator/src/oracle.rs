@@ -102,14 +102,21 @@ fn assemble_global(circuit: &Circuit, wavelength_um: f64) -> Result<CMatrix, Sim
 /// Returns [`SimError`] when a model fails, the system is singular, or the
 /// result is non-finite.
 pub fn evaluate(circuit: &Circuit, wavelength_um: f64) -> Result<SMatrix, SimError> {
+    let m = evaluate_matrix(circuit, wavelength_um)?;
+    Ok(SMatrix::from_matrix(circuit.external_names(), m))
+}
+
+/// [`evaluate`] without the port labels: the external S-matrix indexed
+/// in [`Circuit::external_names`] order, as [`crate::sweep_naive`] stores it.
+pub(crate) fn evaluate_matrix(circuit: &Circuit, wavelength_um: f64) -> Result<CMatrix, SimError> {
     let result = evaluate_dense(circuit, wavelength_um)?;
-    if !result.matrix().is_finite() {
+    if !result.is_finite() {
         return Err(SimError::NonFiniteResult { wavelength_um });
     }
     Ok(result)
 }
 
-fn evaluate_dense(circuit: &Circuit, wavelength_um: f64) -> Result<SMatrix, SimError> {
+fn evaluate_dense(circuit: &Circuit, wavelength_um: f64) -> Result<CMatrix, SimError> {
     let global = assemble_global(circuit, wavelength_um)?;
 
     // Partition global ports: external vs. internal (connected).
@@ -139,7 +146,7 @@ fn evaluate_dense(circuit: &Circuit, wavelength_um: f64) -> Result<SMatrix, SimE
     let s_ii = global.submatrix(&int_idx, &int_idx);
 
     if int_idx.is_empty() {
-        return Ok(SMatrix::from_matrix(circuit.external_names(), s_ee));
+        return Ok(s_ee);
     }
 
     // P·M permutes rows: (P·M)[r] = M[swap(r)].
@@ -153,8 +160,7 @@ fn evaluate_dense(circuit: &Circuit, wavelength_um: f64) -> Result<SMatrix, SimE
     let lu =
         LuDecomposition::factor(&system).map_err(|_| SimError::SingularSystem { wavelength_um })?;
     let x = lu.solve_matrix(&p_s_ie);
-    let s_ext = &s_ee + &(&s_ei * &x);
-    Ok(SMatrix::from_matrix(circuit.external_names(), s_ext))
+    Ok(&s_ee + &(&s_ei * &x))
 }
 
 #[cfg(test)]

@@ -14,12 +14,17 @@
 //! * [`sweep_naive`] — the independent dense oracle ([`crate::evaluate`])
 //!   point by point: the cross-check reference and the benchmark
 //!   baseline.
+//!
+//! All three return a [`FrequencyResponse`]: the external port list once
+//! and one dense [`CMatrix`] per grid point, indexed in that port order
+//! (the port map plus matrix stack SAX returns). The planned sweep moves
+//! the matrices its stripes filled into the response as they are, and
+//! the oracle sweep keeps each matrix its dense solve returned.
 
 use crate::elaborate::Circuit;
-use crate::oracle::{evaluate, SimError};
+use crate::oracle::{evaluate_matrix, SimError};
 use crate::plan::{SolveWorkspace, SweepPlan};
 use picbench_math::{CMatrix, Complex};
-use picbench_sparams::SMatrix;
 use std::fmt;
 
 /// A uniform wavelength grid in micrometres.
@@ -76,13 +81,19 @@ impl WavelengthGrid {
     }
 }
 
-/// The simulated frequency response of a circuit: one external S-matrix
-/// per grid wavelength.
+/// The simulated frequency response of a circuit: one external port
+/// list and one dense S-matrix per grid wavelength, each indexed in
+/// [`FrequencyResponse::ports`] order.
+///
+/// Follows the S-matrix convention of [`picbench_sparams::SMatrix`]: the
+/// transfer from port `from` to port `to` is the entry at row `to`,
+/// column `from`. The derived `PartialEq` compares ports, grid and every
+/// matrix bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrequencyResponse {
     wavelengths: Vec<f64>,
     ports: Vec<String>,
-    samples: Vec<SMatrix>,
+    samples: Vec<CMatrix>,
 }
 
 impl FrequencyResponse {
@@ -96,22 +107,26 @@ impl FrequencyResponse {
         &self.wavelengths
     }
 
-    /// The S-matrix at grid index `i`.
-    pub fn sample(&self, i: usize) -> Option<&SMatrix> {
+    /// The S-matrix at grid index `i`, indexed in [`Self::ports`] order.
+    pub fn sample(&self, i: usize) -> Option<&CMatrix> {
         self.samples.get(i)
     }
 
     /// Mutable access to the S-matrix at grid index `i` — the seam
     /// fault-injection harnesses use to perturb a computed response and
-    /// prove the checks downstream would catch a solver bug.
-    pub fn sample_mut(&mut self, i: usize) -> Option<&mut SMatrix> {
+    /// prove the checks downstream would catch a solver bug, and that
+    /// per-point cross-checks overwrite in place. The caller keeps the
+    /// matrix square with dimension `ports().len()`.
+    pub fn sample_mut(&mut self, i: usize) -> Option<&mut CMatrix> {
         self.samples.get_mut(i)
     }
 
     /// The complex transfer series from `from` to `to` across the sweep,
     /// or `None` if either port is unknown.
     pub fn transmission(&self, from: &str, to: &str) -> Option<Vec<Complex>> {
-        self.samples.iter().map(|s| s.s(from, to)).collect()
+        let port = |name: &str| self.ports.iter().position(|p| p == name);
+        let (f, t) = (port(from)?, port(to)?);
+        Some(self.samples.iter().map(|m| m[(t, f)]).collect())
     }
 
     /// The power transmission (|S|²) series in dB.
@@ -146,12 +161,12 @@ impl FrequencyResponse {
         let mut max_diff = 0.0f64;
         let mut sum_sq = 0.0f64;
         let mut count = 0usize;
+        let n = self.ports.len();
         for (a, b) in self.samples.iter().zip(&other.samples) {
-            let n = a.dim();
             for r in 0..n {
                 for c in 0..n {
-                    let pa = a.matrix()[(r, c)].norm_sqr();
-                    let pb = b.matrix()[(r, c)].norm_sqr();
+                    let pa = a[(r, c)].norm_sqr();
+                    let pb = b[(r, c)].norm_sqr();
                     let d = (pa - pb).abs();
                     max_diff = max_diff.max(d);
                     sum_sq += d * d;
@@ -237,7 +252,7 @@ pub fn sweep(circuit: &Circuit, grid: &WavelengthGrid) -> Result<FrequencyRespon
     )
 }
 
-/// The oracle sweep: the dense reference solve ([`evaluate`]) rebuilt
+/// The oracle sweep: the dense reference solve ([`crate::evaluate`]) rebuilt
 /// from scratch at every grid point. Shares nothing with the planned
 /// solver, so it is the independent cross-check of every plan-based
 /// sweep — and the baseline benchmarks measure the planned solver
@@ -251,10 +266,10 @@ pub fn sweep_naive(
     grid: &WavelengthGrid,
 ) -> Result<FrequencyResponse, SimError> {
     let wavelengths = grid.wavelengths();
-    let mut samples = Vec::with_capacity(wavelengths.len());
-    for &wl in &wavelengths {
-        samples.push(evaluate(circuit, wl)?);
-    }
+    let samples = wavelengths
+        .iter()
+        .map(|&wl| evaluate_matrix(circuit, wl))
+        .collect::<Result<_, _>>()?;
     Ok(FrequencyResponse {
         wavelengths,
         ports: circuit.external_names(),
@@ -283,7 +298,8 @@ fn available_threads() -> usize {
 /// more, else one chunk); any other value caps the chunk count. A grid
 /// the plan can factor once ([`SweepPlan::stripe_factors_once`]) always
 /// runs as a single stripe on the caller. All thread counts produce
-/// element-wise identical results.
+/// element-wise identical results. The filled output matrices become the
+/// response's samples without a copy.
 ///
 /// # Errors
 ///
@@ -296,8 +312,7 @@ pub fn sweep_with_plan(
 ) -> Result<FrequencyResponse, SimError> {
     plan.reset_workspace(ws);
     let wavelengths = grid.wavelengths();
-    let ports = plan.circuit().external_names();
-    let n_ext = ports.len();
+    let n_ext = plan.external_count();
     let mut outs: Vec<CMatrix> = (0..wavelengths.len())
         .map(|_| CMatrix::zeros(n_ext, n_ext))
         .collect();
@@ -340,14 +355,10 @@ pub fn sweep_with_plan(
             .map_err(|(_, error)| error)
     })?;
 
-    let samples = outs
-        .into_iter()
-        .map(|m| SMatrix::from_matrix(ports.clone(), m))
-        .collect();
     Ok(FrequencyResponse {
         wavelengths,
-        ports,
-        samples,
+        ports: plan.circuit().external_names(),
+        samples: outs,
     })
 }
 

@@ -162,9 +162,9 @@ fn batched_stripe_solve_is_allocation_free_after_warmup() {
 fn warmed_planned_sweep_allocates_only_its_result() {
     // The production sweep over a warmed workspace: the stripe itself is
     // allocation-free (above), so what remains is the returned response —
-    // per point one matrix and one port list (the list buffer plus one
-    // string per port) — and a few per-sweep buffers (the grid, the
-    // external port list, the sample vectors).
+    // per point one matrix buffer, moved into the response as it is — and
+    // a few per-sweep buffers (the grid, the one external port list, the
+    // sample vector).
     const PER_SWEEP: u64 = 16;
     let circuit = elaborate(&memoizable_ladder(6));
     let plan = SweepPlan::new(&circuit).unwrap();
@@ -174,8 +174,7 @@ fn warmed_planned_sweep_allocates_only_its_result() {
 
     let (allocations, response) = count_allocations(|| sweep_with_plan(&plan, &grid, 1, &mut ws));
     assert_eq!(response.unwrap(), warm);
-    let n_ext = plan.external_count() as u64;
-    let per_point = 1 + (1 + n_ext);
+    let per_point = 1;
     let budget = grid.points as u64 * per_point + PER_SWEEP;
     assert!(
         allocations <= budget,
@@ -251,9 +250,10 @@ fn dispersive_circuits_only_allocate_in_model_evaluation() {
         status
     });
     result.unwrap();
-    // Two dispersive waveguides per point; each model evaluation may
-    // allocate a few small buffers (matrix data, port list). Anything
-    // beyond that budget means the solve itself regressed.
+    // Two dispersive waveguides per point; each model evaluation returns
+    // a fresh port-labelled S-matrix (its matrix data, its port list and
+    // one string per port). Anything beyond that budget means the solve
+    // itself regressed.
     let budget = points * 2 * 8;
     assert!(
         allocations <= budget,

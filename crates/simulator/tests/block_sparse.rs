@@ -288,7 +288,7 @@ fn stripe_execution_is_identical_to_per_point_evaluation() {
                     .unwrap_or_else(|e| panic!("{family}, {threads} threads: {e}"));
                 for (i, expected) in pointwise.iter().enumerate() {
                     assert_eq!(
-                        swept.sample(i).unwrap().matrix(),
+                        swept.sample(i).unwrap(),
                         expected,
                         "{family}, {threads} threads, grid point {i}"
                     );

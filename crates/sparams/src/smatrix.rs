@@ -73,16 +73,6 @@ impl SMatrix {
         &self.m
     }
 
-    /// Mutable access to the underlying dense matrix, for sweep engines
-    /// that fill preallocated samples in place.
-    ///
-    /// The caller must keep the matrix square with dimension
-    /// [`SMatrix::dim`] — [`CMatrix::copy_from`] from an equally sized
-    /// matrix is the intended use.
-    pub fn matrix_mut(&mut self) -> &mut CMatrix {
-        &mut self.m
-    }
-
     /// Index of a port by name.
     pub fn port_index(&self, name: &str) -> Option<usize> {
         self.ports.iter().position(|p| p == name)
