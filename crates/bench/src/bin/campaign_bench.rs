@@ -16,9 +16,13 @@
 //!
 //! Both must produce **bit-identical** [`CampaignReport`]s — the bench
 //! asserts it, and additionally re-runs the cached engine at several
-//! thread counts to assert scheduling independence. The median wall
-//! clock over `--reps` repetitions is reported along with cell/sample
-//! throughput and the cache hit rate.
+//! thread counts to assert scheduling independence. The wall clock over
+//! `--reps` repetitions is reported as `{min, median, p90}` along with
+//! the speedup and cell throughput of the medians and the cache
+//! counters. The cache counters are exact at `--threads 1` and move by
+//! a few lookups between runs with more workers (see
+//! [`EvalCacheStats::lookups`](picbench_core::EvalCacheStats::lookups)).
+//! The report ends with the shared `host` and `generated_by` fields.
 //!
 //! Usage: `cargo run --release -p picbench-bench --bin campaign_bench --
 //! [--problems N] [--samples N] [--points N] [--reps N] [--threads N]
@@ -40,10 +44,14 @@
 //! tier), a second campaign over a freshly reopened store handle then
 //! reads it back; the disk-tier hit rate and both wall clocks land in
 //! the JSON. `--store-dir` pins the store location (default: a
-//! temporary directory, removed afterwards); `--resume` makes the warm
+//! fresh scratch directory, removed afterwards); `--resume` makes the warm
 //! run replay journalled cells outright instead of re-evaluating
 //! through the disk tier.
 
+use picbench_bench::{
+    claim_scratch_dir, fields, parse_flags, report, rounded, run_campaign, write_report, Flags,
+    Summary, UsageError,
+};
 use picbench_core::{Campaign, CampaignConfig, CampaignReport, EvalStore, SharedEvalStore};
 use picbench_problems::Problem;
 use picbench_sim::WavelengthGrid;
@@ -51,25 +59,6 @@ use picbench_synthllm::ModelProfile;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-
-fn median_ms(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-fn run_matrix(
-    profiles: &[ModelProfile],
-    problems: &[Problem],
-    config: &CampaignConfig,
-) -> CampaignReport {
-    Campaign::builder()
-        .problems(problems.iter().cloned())
-        .profiles(profiles)
-        .config(config.clone())
-        .build()
-        .expect("valid campaign definition")
-        .run()
-}
 
 /// Builds the cached campaign with a persistent store attached —
 /// journalling (and resuming, when asked) through it.
@@ -109,99 +98,32 @@ struct Args {
     events_ndjson: bool,
 }
 
-fn parse_args() -> Args {
-    let usage = "usage: campaign_bench [--problems N] [--samples N] [--points N] [--reps N] \
-                 [--threads N] [--min-speedup X] [--out PATH] [--store-dir PATH] [--resume] \
-                 [--events ndjson]";
-    let mut args = Args {
-        problems: usize::MAX,
-        samples: 5,
-        points: WavelengthGrid::paper_fast().points,
-        reps: 3,
-        threads: 0,
-        min_speedup: None,
-        out: "BENCH_campaign.json".to_string(),
-        store_dir: None,
-        resume: false,
-        events_ndjson: false,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let numeric = |flag: &str, value: Option<&String>| -> usize {
-        value.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("{flag} needs a non-negative integer; {usage}");
-            std::process::exit(2);
-        })
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--problems" => {
-                i += 1;
-                args.problems = numeric("--problems", argv.get(i)).max(1);
-            }
-            "--samples" => {
-                i += 1;
-                args.samples = numeric("--samples", argv.get(i)).max(1);
-            }
-            "--points" => {
-                i += 1;
-                args.points = numeric("--points", argv.get(i)).max(1);
-            }
-            "--reps" => {
-                i += 1;
-                args.reps = numeric("--reps", argv.get(i)).max(1);
-            }
-            "--threads" => {
-                i += 1;
-                args.threads = numeric("--threads", argv.get(i));
-            }
-            "--min-speedup" => {
-                i += 1;
-                args.min_speedup =
-                    Some(argv.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--min-speedup needs a number; {usage}");
-                        std::process::exit(2);
-                    }));
-            }
-            "--out" => {
-                i += 1;
-                args.out = argv.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--out needs a path; {usage}");
-                    std::process::exit(2);
-                });
-            }
-            "--store-dir" => {
-                i += 1;
-                args.store_dir = Some(argv.get(i).map(PathBuf::from).unwrap_or_else(|| {
-                    eprintln!("--store-dir needs a path; {usage}");
-                    std::process::exit(2);
-                }));
-            }
-            "--resume" => {
-                args.resume = true;
-            }
-            "--events" => {
-                i += 1;
-                match argv.get(i).map(String::as_str) {
-                    Some("ndjson") => args.events_ndjson = true,
-                    _ => {
-                        eprintln!("--events supports exactly one format: ndjson; {usage}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown argument {other}; {usage}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    args
+const USAGE: &str = "usage: campaign_bench [--problems N] [--samples N] [--points N] [--reps N] \
+                     [--threads N] [--min-speedup X] [--out PATH] [--store-dir PATH] [--resume] \
+                     [--events ndjson]";
+
+fn read_args(f: &mut Flags) -> Result<Args, UsageError> {
+    Ok(Args {
+        problems: f.value("--problems")?.unwrap_or(usize::MAX).max(1),
+        samples: f.value("--samples")?.unwrap_or(5).max(1),
+        points: f
+            .value("--points")?
+            .unwrap_or(WavelengthGrid::paper_fast().points)
+            .max(1),
+        reps: f.value("--reps")?.unwrap_or(3).max(1),
+        threads: f.value("--threads")?.unwrap_or(0),
+        min_speedup: f.value("--min-speedup")?,
+        out: f.value("--out")?.unwrap_or("BENCH_campaign.json".into()),
+        store_dir: f.value("--store-dir")?,
+        resume: f.switch("--resume"),
+        events_ndjson: f
+            .value_where("--events", "ndjson", |v: &String| v == "ndjson")?
+            .is_some(),
+    })
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_flags(USAGE, &["--resume"], read_args);
     let profiles = ModelProfile::all_paper_models();
     let mut problems = picbench_problems::suite();
     problems.truncate(args.problems);
@@ -250,7 +172,7 @@ fn main() {
     let mut cached_report: Option<CampaignReport> = None;
     for rep in 0..args.reps {
         let t = Instant::now();
-        let report = run_matrix(&profiles, &problems, &uncached_config);
+        let report = run_campaign(&problems, &profiles, &uncached_config);
         uncached_ms.push(t.elapsed().as_secs_f64() * 1e3);
         if let Some(reference) = &uncached_report {
             assert!(
@@ -261,7 +183,7 @@ fn main() {
         uncached_report = Some(report);
 
         let t = Instant::now();
-        let report = run_matrix(&profiles, &problems, &cached_config);
+        let report = run_campaign(&problems, &profiles, &cached_config);
         cached_ms.push(t.elapsed().as_secs_f64() * 1e3);
         if let Some(reference) = &cached_report {
             assert!(
@@ -289,9 +211,9 @@ fn main() {
     );
     let mut identical_across_threads = true;
     for threads in [1usize, 2, 4] {
-        let report = run_matrix(
-            &profiles,
+        let report = run_campaign(
             &problems,
+            &profiles,
             &CampaignConfig {
                 threads,
                 ..cached_config.clone()
@@ -308,12 +230,10 @@ fn main() {
     // warm run replays journalled cells outright; otherwise it
     // re-evaluates through the disk tier and the disk hit rate shows how
     // much work the store absorbed.
-    let store_path = args.store_dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!(
-            "picbench-campaign-bench-store-{}",
-            std::process::id()
-        ))
-    });
+    let store_path = args
+        .store_dir
+        .clone()
+        .unwrap_or_else(|| claim_scratch_dir("picbench-campaign-bench-store"));
     let ephemeral_store = args.store_dir.is_none();
     let t = Instant::now();
     let cold_store = Arc::new(EvalStore::open(&store_path).expect("open eval store"));
@@ -382,8 +302,9 @@ fn main() {
         store_stats.degraded,
     );
 
-    let uncached = median_ms(uncached_ms);
-    let cached = median_ms(cached_ms);
+    let uncached_ms = Summary::of(&uncached_ms);
+    let cached_ms = Summary::of(&cached_ms);
+    let (uncached, cached) = (uncached_ms.median, cached_ms.median);
     let speedup = uncached / cached;
     let stats = cached_report.cache_stats.expect("cached run has stats");
     let hit_rate = stats.hit_rate();
@@ -405,57 +326,55 @@ fn main() {
         stats.misses,
     );
 
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"benchmark\": \"content-addressed campaign engine\",\n  \
-         \"workload\": {{\n    \"problems\": {},\n    \"models\": {},\n    \
-         \"feedback_settings\": {},\n    \"samples_per_problem\": {},\n    \
-         \"cells\": {cells},\n    \"samples\": {samples_total},\n    \
-         \"grid_points\": {}\n  }},\n  \"repetitions\": {},\n  \
-         \"metric\": \"median wall-clock per full campaign, milliseconds\",\n  \
-         \"host_cpus\": {cpus},\n  \"threads_used\": {},\n  \
-         \"engine\": \"per-cell work queue, serial planned block-sparse sweeps; \
-         cached vs the same engine with the evaluation cache off\",\n  \"results\": {{\n    \
-         \"uncached_ms\": {uncached:.1},\n    \
-         \"cached_ms\": {cached:.1},\n    \"speedup\": {speedup:.2},\n    \
-         \"uncached_cells_per_sec\": {:.2},\n    \"cached_cells_per_sec\": {:.2}\n  }},\n  \
-         \"cache\": {{\n    \"lookups\": {},\n    \"response_hits\": {},\n    \
-         \"sim_hits\": {},\n    \"misses\": {},\n    \
-         \"hit_rate\": {hit_rate:.4}\n  }},\n  \
-         \"store\": {{\n    \"cold_ms\": {cold_ms:.1},\n    \"warm_ms\": {warm_ms:.1},\n    \
-         \"warm_lookups\": {warm_lookups},\n    \"warm_disk_hits\": {warm_disk_hits},\n    \
-         \"warm_start_hit_rate\": {warm_start_hit_rate:.4},\n    \
-         \"cells_restored\": {cells_restored},\n    \"resume\": {},\n    \
-         \"reads\": {},\n    \"read_hits\": {},\n    \"writes\": {},\n    \"syncs\": {},\n    \
-         \"write_errors\": {},\n    \
-         \"warm_report_identical\": true\n  }},\n  \
-         \"report_identical_to_uncached_and_across_threads\": true,\n  \
-         \"generated_by\": {}\n}}\n",
-        problems.len(),
-        profiles.len(),
-        base_config.feedback_iters.len(),
-        args.samples,
-        args.points,
-        args.reps,
-        worker_cap.min(cells),
-        cells as f64 / (uncached / 1e3),
-        cells as f64 / (cached / 1e3),
-        stats.lookups(),
-        stats.response_hits,
-        stats.sim_hits,
-        stats.misses,
-        args.resume,
-        store_stats.reads,
-        store_stats.read_hits,
-        store_stats.writes,
-        store_stats.syncs,
-        store_stats.write_errors,
-        picbench_bench::generated_by("campaign_bench"),
-    );
-    std::fs::write(&args.out, json).expect("write benchmark report");
-    println!("wrote {}", args.out);
+    let fields = fields! {
+        "benchmark": "content-addressed campaign engine",
+        "workload": fields! {
+            "problems": problems.len(),
+            "models": profiles.len(),
+            "feedback_settings": base_config.feedback_iters.len(),
+            "samples_per_problem": args.samples,
+            "cells": cells,
+            "samples": samples_total,
+            "grid_points": args.points,
+        },
+        "repetitions": args.reps,
+        "metric": "wall-clock per full campaign over --reps repetitions, milliseconds, \
+                   as {min, median, p90}; speedup and cells/s use the medians",
+        "threads_used": worker_cap.min(cells),
+        "engine": "per-cell work queue, serial planned block-sparse sweeps; \
+                   cached vs the same engine with the evaluation cache off",
+        "results": fields! {
+            "uncached_ms": uncached_ms,
+            "cached_ms": cached_ms,
+            "speedup": rounded(speedup, 2),
+            "uncached_cells_per_sec": rounded(cells as f64 / (uncached / 1e3), 2),
+            "cached_cells_per_sec": rounded(cells as f64 / (cached / 1e3), 2),
+        },
+        "cache": fields! {
+            "lookups": stats.lookups(),
+            "response_hits": stats.response_hits,
+            "sim_hits": stats.sim_hits,
+            "misses": stats.misses,
+            "hit_rate": rounded(hit_rate, 4),
+        },
+        "store": fields! {
+            "cold_ms": rounded(cold_ms, 1),
+            "warm_ms": rounded(warm_ms, 1),
+            "warm_lookups": warm_lookups,
+            "warm_disk_hits": warm_disk_hits,
+            "warm_start_hit_rate": rounded(warm_start_hit_rate, 4),
+            "cells_restored": cells_restored,
+            "resume": args.resume,
+            "reads": store_stats.reads,
+            "read_hits": store_stats.read_hits,
+            "writes": store_stats.writes,
+            "syncs": store_stats.syncs,
+            "write_errors": store_stats.write_errors,
+            "warm_report_identical": true,
+        },
+        "report_identical_to_uncached_and_across_threads": true,
+    };
+    write_report(&args.out, &report("campaign_bench", fields));
 
     if let Some(min) = args.min_speedup {
         if speedup < min {

@@ -31,138 +31,76 @@
 //! enabled family* into `DIR` — how the checked-in seed corpus under
 //! `tests/corpus/` was produced.
 
+use picbench_bench::{
+    fields, parse_flags, report as bench_report, rounded, write_report, Flags, UsageError,
+};
 use picbench_conformance::{
     check_circuit, load_corpus_dir, run_conformance, ConformanceConfig, CorpusCase, DiffAxis,
-    DiffRunner, Family, SolverPath,
+    DiffRunner, GeneratorConfig, SolverPath,
 };
+use picbench_netlist::json::Value;
 use picbench_sim::{ModelRegistry, WavelengthGrid};
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: conformance [--cases N] [--seed S] [--axes a,b,..] \
-                 [--families f,g,..] [--grid-points P] \
-                 [--solver-paths all|planned|oracle] [--no-shrink] \
-                 [--failures-dir DIR] [--replay FILE] [--emit-corpus DIR] [--out PATH]";
-    let mut config = ConformanceConfig {
-        cases: 64,
-        ..ConformanceConfig::default()
+const USAGE: &str = "usage: conformance [--cases N] [--seed S] [--axes a,b,..] \
+                     [--families f,g,..] [--grid-points P] \
+                     [--solver-paths all|planned|oracle] [--no-shrink] \
+                     [--failures-dir DIR] [--replay FILE] [--emit-corpus DIR] [--out PATH]";
+
+struct Args {
+    config: ConformanceConfig,
+    out_path: Option<String>,
+    failures_dir: Option<PathBuf>,
+    replay: Option<PathBuf>,
+    emit_corpus: Option<PathBuf>,
+}
+
+fn read_args(f: &mut Flags) -> Result<Args, UsageError> {
+    let defaults = ConformanceConfig::default();
+    let oracle_paths = match f.value::<String>("--solver-paths")?.as_deref() {
+        None | Some("all") => defaults.oracle_paths,
+        Some(token) => vec![token
+            .parse()
+            .map_err(|e| UsageError(format!("--solver-paths: {e} (or use `all`)")))?],
     };
-    let mut grid_points = 7usize;
-    let mut out_path: Option<String> = None;
-    let mut failures_dir: Option<PathBuf> = None;
-    let mut replay: Option<PathBuf> = None;
-    let mut emit_corpus: Option<PathBuf> = None;
+    let points = f.value_where("--grid-points", "an integer >= 2", |&n: &usize| n >= 2)?;
+    let config = ConformanceConfig {
+        cases: f
+            .value_where("--cases", "a positive integer", |&n: &usize| n >= 1)?
+            .unwrap_or(defaults.cases),
+        seed: f.value("--seed")?.unwrap_or(defaults.seed),
+        axes: f.list("--axes")?.unwrap_or(defaults.axes),
+        generator: GeneratorConfig {
+            families: f.list("--families")?.unwrap_or(defaults.generator.families),
+            ..defaults.generator
+        },
+        grid: points.map_or(defaults.grid, |n| WavelengthGrid::new(1.51, 1.59, n)),
+        oracle_paths,
+        shrink: !f.switch("--no-shrink"),
+        ..defaults
+    };
+    Ok(Args {
+        config,
+        out_path: f.value("--out")?,
+        failures_dir: f.value("--failures-dir")?,
+        replay: f.value("--replay")?,
+        emit_corpus: f.value("--emit-corpus")?,
+    })
+}
 
-    let mut i = 0;
-    while i < args.len() {
-        let fail = |msg: &str| -> ! {
-            eprintln!("{msg}; {usage}");
-            std::process::exit(2);
-        };
-        match args[i].as_str() {
-            "--cases" => {
-                i += 1;
-                config.cases = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail("--cases needs a positive integer"));
-            }
-            "--seed" => {
-                i += 1;
-                config.seed = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail("--seed needs an integer"));
-            }
-            "--axes" => {
-                i += 1;
-                let list = args.get(i).unwrap_or_else(|| fail("--axes needs a list"));
-                config.axes = list
-                    .split(',')
-                    .map(|token| {
-                        token
-                            .trim()
-                            .parse::<DiffAxis>()
-                            .unwrap_or_else(|e| fail(&e))
-                    })
-                    .collect();
-            }
-            "--families" => {
-                i += 1;
-                let list = args
-                    .get(i)
-                    .unwrap_or_else(|| fail("--families needs a list"));
-                config.generator.families = list
-                    .split(',')
-                    .map(|token| token.trim().parse::<Family>().unwrap_or_else(|e| fail(&e)))
-                    .collect();
-            }
-            "--grid-points" => {
-                i += 1;
-                grid_points = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 2)
-                    .unwrap_or_else(|| fail("--grid-points needs an integer >= 2"));
-            }
-            "--solver-paths" => {
-                i += 1;
-                config.oracle_paths = match args.get(i).map(String::as_str) {
-                    Some("all") => SolverPath::ALL.to_vec(),
-                    Some(token) => vec![token
-                        .parse::<SolverPath>()
-                        .unwrap_or_else(|e| fail(&format!("--solver-paths: {e} (or use `all`)")))],
-                    None => fail("--solver-paths needs all|planned|oracle"),
-                };
-            }
-            "--no-shrink" => config.shrink = false,
-            "--failures-dir" => {
-                i += 1;
-                failures_dir = Some(PathBuf::from(
-                    args.get(i)
-                        .unwrap_or_else(|| fail("--failures-dir needs a path")),
-                ));
-            }
-            "--replay" => {
-                i += 1;
-                replay = Some(PathBuf::from(
-                    args.get(i).unwrap_or_else(|| fail("--replay needs a path")),
-                ));
-            }
-            "--emit-corpus" => {
-                i += 1;
-                emit_corpus = Some(PathBuf::from(
-                    args.get(i)
-                        .unwrap_or_else(|| fail("--emit-corpus needs a path")),
-                ));
-            }
-            "--out" => {
-                i += 1;
-                out_path = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| fail("--out needs a path")),
-                );
-            }
-            other => fail(&format!("unknown argument {other:?}")),
-        }
-        i += 1;
+fn main() {
+    let args = parse_flags(USAGE, &["--no-shrink"], read_args);
+    let config = &args.config;
+    if let Some(path) = &args.replay {
+        std::process::exit(replay_cases(path, config));
     }
-    config.grid = WavelengthGrid::new(1.51, 1.59, grid_points);
-
-    if let Some(path) = replay {
-        std::process::exit(replay_cases(&path, &config));
-    }
-    if let Some(dir) = emit_corpus {
-        std::process::exit(emit_corpus_cases(&dir, &config));
+    if let Some(dir) = &args.emit_corpus {
+        std::process::exit(emit_corpus_cases(dir, config));
     }
 
     let start = Instant::now();
-    let report = run_conformance(&config);
+    let report = run_conformance(config);
     let elapsed = start.elapsed().as_secs_f64();
 
     println!(
@@ -170,7 +108,12 @@ fn main() {
         report.cases,
         config.seed,
         config.grid.points,
-        join_tokens(report.axes.iter().map(DiffAxis::token)),
+        report
+            .axes
+            .iter()
+            .map(DiffAxis::token)
+            .collect::<Vec<_>>()
+            .join(", "),
     );
     for (family, count) in &report.family_counts {
         if *count > 0 {
@@ -188,7 +131,7 @@ fn main() {
             failure.case_index, failure.family, failure.kind
         );
         let case = failure.to_corpus_case(config.seed, config.grid);
-        if let Some(dir) = &failures_dir {
+        if let Some(dir) = &args.failures_dir {
             std::fs::create_dir_all(dir).expect("create failures dir");
             let path = dir.join(format!("{}.json", case.name));
             std::fs::write(&path, case.to_json_string()).expect("write failure case");
@@ -198,21 +141,17 @@ fn main() {
         }
     }
 
-    if let Some(path) = out_path {
-        let mut json = String::from("{\n");
-        let _ = writeln!(json, "  \"cases\": {},", report.cases);
-        let _ = writeln!(json, "  \"seed\": {},", config.seed);
-        let _ = writeln!(json, "  \"grid_points\": {},", config.grid.points);
-        let _ = writeln!(json, "  \"failures\": {},", report.failures.len());
-        let _ = writeln!(
-            json,
-            "  \"axes\": [{}],",
-            join_tokens(report.axes.iter().map(|a| format!("\"{a}\"")))
-        );
-        let _ = writeln!(json, "  \"elapsed_s\": {elapsed:.3}");
-        json.push('}');
-        std::fs::write(&path, json).expect("write report");
-        println!("  report written to {path}");
+    if let Some(path) = &args.out_path {
+        let axes = report.axes.iter().map(|a| Value::String(a.token().into()));
+        let fields = fields! {
+            "cases": report.cases,
+            "seed": config.seed,
+            "grid_points": config.grid.points,
+            "failures": report.failures.len(),
+            "axes": axes.collect::<Vec<_>>(),
+            "elapsed_s": rounded(elapsed, 3),
+        };
+        write_report(path, &bench_report("conformance", fields));
     }
 
     if !report.failures.is_empty() {
@@ -274,7 +213,7 @@ fn replay_cases(path: &Path, config: &ConformanceConfig) -> i32 {
 /// family into `dir`. Every case is checked through all axes and both
 /// solver paths' oracles before it is written, so the corpus starts green.
 fn emit_corpus_cases(dir: &Path, config: &ConformanceConfig) -> i32 {
-    use picbench_conformance::{CircuitStrategy, GeneratorConfig};
+    use picbench_conformance::CircuitStrategy;
 
     std::fs::create_dir_all(dir).expect("create corpus dir");
     let registry = ModelRegistry::with_builtins();
@@ -326,11 +265,4 @@ fn emit_corpus_cases(dir: &Path, config: &ConformanceConfig) -> i32 {
     }
     println!("emitted {written} corpus case(s)");
     0
-}
-
-fn join_tokens<T: AsRef<str>>(tokens: impl Iterator<Item = T>) -> String {
-    tokens
-        .map(|t| t.as_ref().to_string())
-        .collect::<Vec<_>>()
-        .join(", ")
 }

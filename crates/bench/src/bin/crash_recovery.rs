@@ -25,7 +25,8 @@
 //! [--kill-after N] [--problems N] [--samples N] [--threads N]
 //! [--store-dir PATH] [--timeout-secs N]`
 
-use picbench_core::{Campaign, CampaignConfig, CampaignReport, EvalStore, KillPoint};
+use picbench_bench::{claim_scratch_dir, parse_flags, run_campaign, Flags, UsageError};
+use picbench_core::{Campaign, CampaignConfig, EvalStore, KillPoint};
 use picbench_problems::Problem;
 use picbench_sim::WavelengthGrid;
 use picbench_synthllm::ModelProfile;
@@ -46,64 +47,19 @@ struct Args {
     child: bool,
 }
 
-fn parse_args() -> Args {
-    let usage = "usage: crash_recovery [--kill-after N] [--problems N] [--samples N] \
-                 [--threads N] [--store-dir PATH] [--timeout-secs N]";
-    let mut args = Args {
-        kill_after: 3,
-        problems: 6,
-        samples: 2,
-        threads: 2,
-        store_dir: None,
-        timeout_secs: 300,
-        child: false,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let numeric = |flag: &str, value: Option<&String>| -> usize {
-        value.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("{flag} needs a non-negative integer; {usage}");
-            std::process::exit(2);
-        })
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--kill-after" => {
-                i += 1;
-                args.kill_after = numeric("--kill-after", argv.get(i));
-            }
-            "--problems" => {
-                i += 1;
-                args.problems = numeric("--problems", argv.get(i)).max(1);
-            }
-            "--samples" => {
-                i += 1;
-                args.samples = numeric("--samples", argv.get(i)).max(1);
-            }
-            "--threads" => {
-                i += 1;
-                args.threads = numeric("--threads", argv.get(i));
-            }
-            "--store-dir" => {
-                i += 1;
-                args.store_dir = Some(argv.get(i).map(PathBuf::from).unwrap_or_else(|| {
-                    eprintln!("--store-dir needs a path; {usage}");
-                    std::process::exit(2);
-                }));
-            }
-            "--timeout-secs" => {
-                i += 1;
-                args.timeout_secs = numeric("--timeout-secs", argv.get(i)).max(1) as u64;
-            }
-            "--child" => args.child = true,
-            other => {
-                eprintln!("unknown argument {other}; {usage}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    args
+const USAGE: &str = "usage: crash_recovery [--kill-after N] [--problems N] [--samples N] \
+                     [--threads N] [--store-dir PATH] [--timeout-secs N]";
+
+fn read_args(f: &mut Flags) -> Result<Args, UsageError> {
+    Ok(Args {
+        kill_after: f.value("--kill-after")?.unwrap_or(3),
+        problems: f.value("--problems")?.unwrap_or(6).max(1),
+        samples: f.value("--samples")?.unwrap_or(2).max(1),
+        threads: f.value("--threads")?.unwrap_or(2),
+        store_dir: f.value("--store-dir")?,
+        timeout_secs: f.value("--timeout-secs")?.unwrap_or(300).max(1),
+        child: f.switch("--child"),
+    })
 }
 
 fn workload(args: &Args) -> (Vec<Problem>, Vec<ModelProfile>, CampaignConfig) {
@@ -141,17 +97,6 @@ fn run_child(args: &Args, store_dir: &PathBuf) -> ! {
         .expect("valid campaign definition");
     let _ = campaign.execute();
     std::process::exit(0);
-}
-
-fn control_run(args: &Args) -> CampaignReport {
-    let (problems, profiles, config) = workload(args);
-    Campaign::builder()
-        .problems(problems)
-        .profiles(&profiles)
-        .config(config)
-        .build()
-        .expect("valid campaign definition")
-        .run()
 }
 
 /// Runs the crash child under a wall-clock watchdog, draining its
@@ -204,41 +149,12 @@ fn render_stderr(stderr: &str) -> String {
     format!("\n  child stderr:{indented}")
 }
 
-/// Claims a fresh ephemeral directory under the system temp dir.
-///
-/// The name mixes the wall clock, the PID and a process-local counter,
-/// and creation is fail-closed (`create_dir`, not `create_dir_all`): a
-/// nonce collision — pid reuse against a leftover dir, a coarse or
-/// backwards clock, two claims inside one process — surfaces as a retry
-/// with a bumped counter instead of two runs silently sharing a store.
-fn claim_ephemeral_dir(prefix: &str) -> PathBuf {
-    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let pid = std::process::id();
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos())
-        .unwrap_or(0);
-    for _ in 0..64 {
-        let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("{prefix}-{pid}-{stamp}-{seq}"));
-        match std::fs::create_dir(&dir) {
-            Ok(()) => return dir,
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-            Err(e) => panic!("create ephemeral dir {}: {e}", dir.display()),
-        }
-    }
-    panic!(
-        "could not claim an ephemeral directory under {} after 64 attempts",
-        std::env::temp_dir().display()
-    );
-}
-
 fn main() {
-    let args = parse_args();
+    let args = parse_flags(USAGE, &["--child"], read_args);
     let store_dir = args
         .store_dir
         .clone()
-        .unwrap_or_else(|| claim_ephemeral_dir("picbench-crash-recovery"));
+        .unwrap_or_else(|| claim_scratch_dir("picbench-crash-recovery"));
     if args.child {
         run_child(&args, &store_dir);
     }
@@ -256,7 +172,7 @@ fn main() {
     );
 
     println!("control: uninterrupted in-memory run...");
-    let control = control_run(&args);
+    let control = run_campaign(&problems, &profiles, &config);
 
     println!("crash: spawning child with an abort kill point...");
     let exe = std::env::current_exe().expect("current_exe");

@@ -14,8 +14,9 @@
 //!    across tenants against the one shared evaluation cache. Bursts
 //!    repeat on the same server for at least 2 s and at least 5 bursts;
 //!    each burst's sessions over its wall clock is one sessions/sec
-//!    sample, and the JSON reports their median with the min and max.
-//!    Wall-clock per session over all bursts gives p50/p99 latency.
+//!    sample, and the JSON reports them as `{min, median, p90}`.
+//!    Wall-clock per session over all bursts gives the latency summary
+//!    (`latency_ms`, whose median is the p50) and `latency_p99_ms`.
 //!    Identical submissions mean later sessions are served almost
 //!    entirely from cache warmed by *other* tenants — the cross-tenant
 //!    hit rate lands in the JSON.
@@ -29,6 +30,9 @@
 //! when the median burst falls below X sessions/sec. CI runs both as
 //! tripwires.
 
+use picbench_bench::{
+    fields, nearest_rank, parse_flags, report, rounded, write_report, Flags, Summary, UsageError,
+};
 use picbench_server::client::ApiClient;
 use picbench_server::server::{PicbenchServer, ServerConfig};
 use std::net::SocketAddr;
@@ -51,71 +55,19 @@ struct Args {
     out: String,
 }
 
-fn parse_args() -> Args {
-    let usage = "usage: load_bench [--clients N] [--rounds N] [--tenants N] [--pace-ms MS] \
-                 [--min-concurrent N] [--min-throughput X] [--out PATH]";
-    let mut args = Args {
-        clients: 8,
-        rounds: 4,
-        tenants: 4,
-        pace_ms: 100,
-        min_concurrent: None,
-        min_throughput: None,
-        out: "BENCH_server.json".to_string(),
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let numeric = |flag: &str, value: Option<&String>| -> usize {
-        value.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("{flag} needs a non-negative integer; {usage}");
-            std::process::exit(2);
-        })
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--clients" => {
-                i += 1;
-                args.clients = numeric("--clients", argv.get(i)).max(1);
-            }
-            "--rounds" => {
-                i += 1;
-                args.rounds = numeric("--rounds", argv.get(i)).max(1);
-            }
-            "--tenants" => {
-                i += 1;
-                args.tenants = numeric("--tenants", argv.get(i)).max(1);
-            }
-            "--pace-ms" => {
-                i += 1;
-                args.pace_ms = numeric("--pace-ms", argv.get(i)) as u64;
-            }
-            "--min-concurrent" => {
-                i += 1;
-                args.min_concurrent = Some(numeric("--min-concurrent", argv.get(i)));
-            }
-            "--min-throughput" => {
-                i += 1;
-                args.min_throughput =
-                    Some(argv.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--min-throughput needs a number; {usage}");
-                        std::process::exit(2);
-                    }));
-            }
-            "--out" => {
-                i += 1;
-                args.out = argv.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--out needs a path; {usage}");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument {other}; {usage}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    args
+const USAGE: &str = "usage: load_bench [--clients N] [--rounds N] [--tenants N] [--pace-ms MS] \
+                     [--min-concurrent N] [--min-throughput X] [--out PATH]";
+
+fn read_args(f: &mut Flags) -> Result<Args, UsageError> {
+    Ok(Args {
+        clients: f.value("--clients")?.unwrap_or(8).max(1),
+        rounds: f.value("--rounds")?.unwrap_or(4).max(1),
+        tenants: f.value("--tenants")?.unwrap_or(4).max(1),
+        pace_ms: f.value("--pace-ms")?.unwrap_or(100),
+        min_concurrent: f.value("--min-concurrent")?,
+        min_throughput: f.value("--min-throughput")?,
+        out: f.value("--out")?.unwrap_or("BENCH_server.json".into()),
+    })
 }
 
 fn campaign_body(pace_ms: u64) -> String {
@@ -174,13 +126,8 @@ fn run_burst(addr: SocketAddr, args: &Args) -> (Vec<f64>, u64) {
     })
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[idx]
-}
-
 fn main() {
-    let args = parse_args();
+    let args = parse_flags(USAGE, &[], read_args);
     let server = PicbenchServer::start(ServerConfig {
         workers: args.clients * 2 + 8,
         max_sessions: args.clients * 2 + 8,
@@ -243,12 +190,10 @@ fn main() {
     let wall_s = t.elapsed().as_secs_f64();
     let sessions = latencies.len();
     let bursts = rates.len();
-    rates.sort_by(f64::total_cmp);
-    let sessions_per_sec = percentile(&rates, 0.50);
-    let (min_rate, max_rate) = (rates[0], rates[bursts - 1]);
-    latencies.sort_by(f64::total_cmp);
-    let p50 = percentile(&latencies, 0.50);
-    let p99 = percentile(&latencies, 0.99);
+    let rate = Summary::of(&rates);
+    let sessions_per_sec = rate.median;
+    let latency = Summary::of(&latencies);
+    let p99 = nearest_rank(&latencies, 0.99);
 
     let stats = ApiClient::new(addr)
         .request("GET", "/v1/stats", None)
@@ -284,9 +229,9 @@ fn main() {
     );
     println!(
         "throughput: {sessions} sessions in {bursts} bursts over {wall_s:.2} s, median \
-         {sessions_per_sec:.1} sessions/s (min {min_rate:.1}, max {max_rate:.1}), \
-         p50 {p50:.1} ms, p99 {p99:.1} ms, {transport_retries} transient-failure \
-         retries absorbed by clients"
+         {sessions_per_sec:.1} sessions/s (min {:.1}, p90 {:.1}), p50 {:.1} ms, \
+         p99 {p99:.1} ms, {transport_retries} transient-failure retries absorbed by clients",
+        rate.min, rate.p90, latency.median
     );
     println!(
         "shared cache across {} tenants: {:.1}% of lookups served without a sweep \
@@ -296,32 +241,27 @@ fn main() {
         finished,
     );
 
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"benchmark\": \"picbench-server streaming sessions\",\n  \
-         \"workload\": {{\n    \"clients\": {0},\n    \"rounds\": {1},\n    \
-         \"tenants\": {2},\n    \"pace_ms\": {3},\n    \
-         \"submission\": \"2 problems x 1 model x 2 feedback settings x 4 samples\"\n  }},\n  \
-         \"host_cpus\": {cpus},\n  \"results\": {{\n    \
-         \"concurrent_streaming_ceiling\": {peak_streams},\n    \
-         \"sessions\": {sessions},\n    \"bursts\": {bursts},\n    \
-         \"sessions_per_sec\": {sessions_per_sec:.2},\n    \
-         \"sessions_per_sec_min\": {min_rate:.2},\n    \
-         \"sessions_per_sec_max\": {max_rate:.2},\n    \
-         \"latency_p50_ms\": {p50:.1},\n    \"latency_p99_ms\": {p99:.1},\n    \
-         \"transport_retries\": {transport_retries},\n    \
-         \"cross_tenant_cache_hit_rate\": {hit_rate:.4}\n  }},\n  \
-         \"generated_by\": {4}\n}}\n",
-        args.clients,
-        args.rounds,
-        args.tenants,
-        args.pace_ms,
-        picbench_bench::generated_by("load_bench"),
-    );
-    std::fs::write(&args.out, json).expect("write benchmark report");
-    println!("wrote {}", args.out);
+    let fields = fields! {
+        "benchmark": "picbench-server streaming sessions",
+        "workload": fields! {
+            "clients": args.clients,
+            "rounds": args.rounds,
+            "tenants": args.tenants,
+            "pace_ms": args.pace_ms,
+            "submission": "2 problems x 1 model x 2 feedback settings x 4 samples",
+        },
+        "results": fields! {
+            "concurrent_streaming_ceiling": peak_streams,
+            "sessions": sessions,
+            "bursts": bursts,
+            "sessions_per_sec": rate,
+            "latency_ms": latency,
+            "latency_p99_ms": rounded(p99, 3),
+            "transport_retries": transport_retries,
+            "cross_tenant_cache_hit_rate": rounded(hit_rate, 4),
+        },
+    };
+    write_report(&args.out, &report("load_bench", fields));
 
     let mut failed = false;
     if let Some(min) = args.min_concurrent {

@@ -27,8 +27,8 @@
 //! `picbench-server` streams, one JSON object per line.
 
 use picbench_bench::{
-    error_histograms, fig1, fig2, fig3, fig4, list_problems, restriction_ablation_table, table1,
-    table2, table3, table4, ReproScale,
+    error_histograms, fig1, fig2, fig3, fig4, list_problems, parse_flags,
+    restriction_ablation_table, table1, table2, table3, table4, ReproScale, UsageError,
 };
 
 /// Unwraps a Monte-Carlo artifact or exits with its error message.
@@ -39,118 +39,50 @@ fn ok_or_exit(result: Result<String, String>) -> String {
     })
 }
 
-fn print_usage() {
-    eprintln!(
-        "usage: repro <artifact> [--samples N] [--seed S] [--threads N] [--problems id,id,...]\n\
-         \x20             [--store-dir PATH] [--resume] [--shards N] [--events ndjson]\n\
-         artifacts: table1 table2 table3 table4 fig1 fig2 fig3 fig4 all\n\
-         extensions: errors (failure-category histogram), ablation (leave-one-out restrictions)\n\
-         --list-problems prints the registry inventory and exits\n\
-         --problems restricts the Monte-Carlo artifacts (table3/table4/errors/ablation)\n\
-         --threads 0 (default) uses one worker per core; tables are bit-identical either way\n\
-         --store-dir journals campaign cells through a crash-safe persistent store\n\
-         --resume replays cells journalled by a previous identical run from --store-dir\n\
-         --shards N (>1) partitions campaigns over N supervised worker shards with\n\
-         \x20        lease-fenced journals; tables are bit-identical for every shard count\n\
-         --events ndjson mirrors every campaign event to stderr in the picbench-server\n\
-         \x20        wire format (one JSON object per line)"
-    );
-}
+const USAGE: &str = "\
+usage: repro <artifact> [--samples N] [--seed S] [--threads N] [--problems id,id,...]
+              [--store-dir PATH] [--resume] [--shards N] [--events ndjson]
+artifacts: table1 table2 table3 table4 fig1 fig2 fig3 fig4 all
+extensions: errors (failure-category histogram), ablation (leave-one-out restrictions)
+--list-problems prints the registry inventory and exits
+--problems restricts the Monte-Carlo artifacts (table3/table4/errors/ablation)
+--threads 0 (default) uses one worker per core; tables are bit-identical either way
+--store-dir journals campaign cells through a crash-safe persistent store
+--resume replays cells journalled by a previous identical run from --store-dir
+--shards N (>1) partitions campaigns over N supervised worker shards with
+         lease-fenced journals; tables are bit-identical for every shard count
+--events ndjson mirrors every campaign event to stderr in the picbench-server
+         wire format (one JSON object per line)";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        print_usage();
-        std::process::exit(2);
-    }
-    let mut scale = ReproScale::default();
-    let mut artifacts: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--samples" => {
-                i += 1;
-                scale.samples = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--samples needs a positive integer");
-                    std::process::exit(2);
-                });
-            }
-            "--seed" => {
-                i += 1;
-                scale.seed = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs an integer");
-                    std::process::exit(2);
-                });
-            }
-            "--threads" => {
-                i += 1;
-                scale.threads = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--threads needs a non-negative integer");
-                    std::process::exit(2);
-                });
-            }
-            "--problems" => {
-                i += 1;
-                let ids: Vec<String> = args
-                    .get(i)
-                    .map(|v| {
-                        v.split(',')
-                            .map(str::trim)
-                            .filter(|id| !id.is_empty())
-                            .map(str::to_string)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                if ids.is_empty() {
-                    eprintln!("--problems needs a comma-separated list of problem ids");
-                    std::process::exit(2);
-                }
-                scale.problems = Some(ids);
-            }
-            "--store-dir" => {
-                i += 1;
-                scale.store_dir = Some(args.get(i).map(std::path::PathBuf::from).unwrap_or_else(
-                    || {
-                        eprintln!("--store-dir needs a directory path");
-                        std::process::exit(2);
-                    },
-                ));
-            }
-            "--resume" => {
-                scale.resume = true;
-            }
-            "--shards" => {
-                i += 1;
-                scale.shards = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--shards needs a positive integer");
-                    std::process::exit(2);
-                });
-            }
-            "--events" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("ndjson") => scale.events_ndjson = true,
-                    _ => {
-                        eprintln!("--events supports exactly one format: ndjson");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--list-problems" => {
-                print!("{}", list_problems());
-                return;
-            }
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other => artifacts.push(other.to_string()),
+    let switches = ["--resume", "--list-problems", "--help", "-h"];
+    let (mut artifacts, scale, list, help) = parse_flags(USAGE, &switches, |f| {
+        let defaults = ReproScale::default();
+        let scale = ReproScale {
+            samples: f.value("--samples")?.unwrap_or(defaults.samples),
+            seed: f.value("--seed")?.unwrap_or(defaults.seed),
+            threads: f.value("--threads")?.unwrap_or(defaults.threads),
+            problems: f.list("--problems")?,
+            store_dir: f.value("--store-dir")?,
+            resume: f.switch("--resume"),
+            shards: f.value("--shards")?.unwrap_or(defaults.shards),
+            events_ndjson: f
+                .value_where("--events", "ndjson", |v: &String| v == "ndjson")?
+                .is_some(),
+        };
+        if scale.resume && scale.store_dir.is_none() {
+            return Err(UsageError("--resume needs --store-dir".into()));
         }
-        i += 1;
+        let help = f.switch("--help") | f.switch("-h");
+        Ok((f.positionals(), scale, f.switch("--list-problems"), help))
+    });
+    if list {
+        print!("{}", list_problems());
+        return;
     }
-    if scale.resume && scale.store_dir.is_none() {
-        eprintln!("--resume needs --store-dir");
-        std::process::exit(2);
+    if help || artifacts.is_empty() {
+        eprintln!("{USAGE}");
+        std::process::exit(if help { 0 } else { 2 });
     }
     if artifacts.iter().any(|a| a == "all") {
         artifacts = [
@@ -175,8 +107,7 @@ fn main() {
             "errors" => ok_or_exit(error_histograms(&scale)),
             "ablation" => ok_or_exit(restriction_ablation_table(&scale)),
             other => {
-                eprintln!("unknown artifact: {other}");
-                print_usage();
+                eprintln!("unknown artifact: {other}\n{USAGE}");
                 std::process::exit(2);
             }
         };

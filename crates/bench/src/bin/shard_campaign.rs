@@ -16,7 +16,8 @@
 //! and reassignment, and the merged report is **bit-identical** to the
 //! control run (`CampaignReport::same_results`). The `"shards"` section
 //! (fault counts, reassignments, redundant-cell ratio, wall clocks) is
-//! spliced into an existing `BENCH_campaign.json` or written standalone.
+//! inserted into the JSON object already at `--out`, before its `host`
+//! and `generated_by` keys, or written as a standalone report.
 //!
 //! With `--transport http` the drill becomes a *network* chaos drill:
 //! the parent embeds a coordinator ([`PicbenchServer`] with
@@ -43,20 +44,24 @@
 //! can upload them as artifacts when the drill fails (default: a
 //! temporary directory, removed on success).
 
+use picbench_bench::{
+    claim_scratch_dir, fields, parse_flags, report, rounded, run_campaign, write_report, Flags,
+    UsageError,
+};
 use picbench_coord::{
     CoordClient, FaultyTransport, HttpTransport, NetFaultPlan, RemoteJournal, RemoteLauncher,
 };
 use picbench_core::{
-    run_shard_worker, run_shard_worker_with, Campaign, CampaignConfig, CampaignEvent,
-    CampaignReport, ChaosPlan, LeaseConfig, ProcessLauncher, ShardLauncher, ShardLossReason,
-    ShardWorkerConfig, ShardWorkload, WorkerStall,
+    run_shard_worker, run_shard_worker_with, Campaign, CampaignConfig, CampaignEvent, ChaosPlan,
+    LeaseConfig, ProcessLauncher, ShardLauncher, ShardLossReason, ShardWorkerConfig, ShardWorkload,
+    WorkerStall,
 };
+use picbench_netlist::json::{self, Value};
 use picbench_problems::Problem;
-use picbench_prompt::Conversation;
-use picbench_server::{PicbenchServer, ServerConfig, ServerHandle};
+use picbench_server::{PacedProvider, PicbenchServer, ServerConfig, ServerHandle};
 use picbench_sim::WavelengthGrid;
 use picbench_store::xorshift64;
-use picbench_synthllm::{LanguageModel, ModelProfile, ModelProvider, RetryPolicy};
+use picbench_synthllm::{ModelProfile, ModelProvider, RetryPolicy};
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -100,190 +105,48 @@ struct Args {
     net_partition_spec: String,
 }
 
-fn parse_args() -> Args {
-    let usage = "usage: shard_campaign [--shards N] [--kill-random N] [--stall-random N] \
-                 [--stall-ms MS] [--lease-ttl-ms MS] [--problems N] [--samples N] \
-                 [--threads N] [--seed S] [--chaos-seed S] [--models a,b] \
-                 [--cell-delay-ms MS] [--shard-root PATH] [--transport process|http] \
-                 [--net-partitions N] [--net-partition-ms MS] [--net-duplicate-period N] \
-                 [--net-seed S] [--net-timeout-ms MS] [--coord-restart] [--out PATH]";
-    let mut args = Args {
-        shards: 4,
-        kill_random: 2,
-        stall_random: 1,
-        stall_ms: None,
-        lease_ttl_ms: 5_000,
-        problems: 6,
-        samples: 2,
-        threads: 2,
-        seed: 20_250_205,
-        chaos_seed: 7,
-        models: vec!["GPT-4".to_string(), "Claude 3.5 Sonnet".to_string()],
-        cell_delay_ms: 150,
-        shard_root: None,
-        out: "BENCH_campaign.json".to_string(),
-        transport: "process".to_string(),
-        net_partitions: 2,
-        net_partition_ms: None,
-        net_duplicate_period: 7,
-        net_seed: 11,
-        net_timeout_ms: 2_000,
-        coord_restart: false,
-        worker_shard: None,
-        worker_generation: 0,
-        stall_after_cells: None,
-        coord_addr: None,
-        net_partition_spec: String::new(),
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let numeric = |flag: &str, value: Option<&String>| -> u64 {
-        value.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("{flag} needs a non-negative integer; {usage}");
-            std::process::exit(2);
-        })
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--shards" => {
-                i += 1;
-                args.shards = numeric("--shards", argv.get(i)).max(1) as u32;
-            }
-            "--kill-random" => {
-                i += 1;
-                args.kill_random = numeric("--kill-random", argv.get(i)) as usize;
-            }
-            "--stall-random" => {
-                i += 1;
-                args.stall_random = numeric("--stall-random", argv.get(i)) as usize;
-            }
-            "--stall-ms" => {
-                i += 1;
-                args.stall_ms = Some(numeric("--stall-ms", argv.get(i)));
-            }
-            "--lease-ttl-ms" => {
-                i += 1;
-                args.lease_ttl_ms = numeric("--lease-ttl-ms", argv.get(i)).max(1);
-            }
-            "--problems" => {
-                i += 1;
-                args.problems = numeric("--problems", argv.get(i)).max(1) as usize;
-            }
-            "--samples" => {
-                i += 1;
-                args.samples = numeric("--samples", argv.get(i)).max(1) as usize;
-            }
-            "--threads" => {
-                i += 1;
-                args.threads = numeric("--threads", argv.get(i)) as usize;
-            }
-            "--seed" => {
-                i += 1;
-                args.seed = numeric("--seed", argv.get(i));
-            }
-            "--chaos-seed" => {
-                i += 1;
-                args.chaos_seed = numeric("--chaos-seed", argv.get(i));
-            }
-            "--models" => {
-                i += 1;
-                let names: Vec<String> = argv
-                    .get(i)
-                    .map(|v| {
-                        v.split(',')
-                            .map(str::trim)
-                            .filter(|n| !n.is_empty())
-                            .map(str::to_string)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                if names.is_empty() {
-                    eprintln!("--models needs a comma-separated list of profile names; {usage}");
-                    std::process::exit(2);
-                }
-                args.models = names;
-            }
-            "--cell-delay-ms" => {
-                i += 1;
-                args.cell_delay_ms = numeric("--cell-delay-ms", argv.get(i));
-            }
-            "--shard-root" => {
-                i += 1;
-                args.shard_root = Some(argv.get(i).map(PathBuf::from).unwrap_or_else(|| {
-                    eprintln!("--shard-root needs a path; {usage}");
-                    std::process::exit(2);
-                }));
-            }
-            "--out" => {
-                i += 1;
-                args.out = argv.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--out needs a path; {usage}");
-                    std::process::exit(2);
-                });
-            }
-            "--transport" => {
-                i += 1;
-                args.transport = argv.get(i).cloned().unwrap_or_default();
-                if args.transport != "process" && args.transport != "http" {
-                    eprintln!("--transport must be `process` or `http`; {usage}");
-                    std::process::exit(2);
-                }
-            }
-            "--net-partitions" => {
-                i += 1;
-                args.net_partitions = numeric("--net-partitions", argv.get(i)) as usize;
-            }
-            "--net-partition-ms" => {
-                i += 1;
-                args.net_partition_ms = Some(numeric("--net-partition-ms", argv.get(i)));
-            }
-            "--net-duplicate-period" => {
-                i += 1;
-                args.net_duplicate_period = numeric("--net-duplicate-period", argv.get(i));
-            }
-            "--net-seed" => {
-                i += 1;
-                args.net_seed = numeric("--net-seed", argv.get(i));
-            }
-            "--net-timeout-ms" => {
-                i += 1;
-                args.net_timeout_ms = numeric("--net-timeout-ms", argv.get(i)).max(1);
-            }
-            "--coord-restart" => {
-                args.coord_restart = true;
-            }
-            "--coord-addr" => {
-                i += 1;
-                args.coord_addr =
-                    Some(argv.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--coord-addr needs host:port; {usage}");
-                        std::process::exit(2);
-                    }));
-            }
-            "--net-partition-spec" => {
-                i += 1;
-                args.net_partition_spec = argv.get(i).cloned().unwrap_or_default();
-            }
-            "--worker-shard" => {
-                i += 1;
-                args.worker_shard = Some(numeric("--worker-shard", argv.get(i)) as u32);
-            }
-            "--worker-generation" => {
-                i += 1;
-                args.worker_generation = numeric("--worker-generation", argv.get(i)) as u32;
-            }
-            "--stall-after-cells" => {
-                i += 1;
-                args.stall_after_cells = Some(numeric("--stall-after-cells", argv.get(i)) as usize);
-            }
-            other => {
-                eprintln!("unknown argument {other}; {usage}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    args
+const USAGE: &str = "usage: shard_campaign [--shards N] [--kill-random N] [--stall-random N] \
+                     [--stall-ms MS] [--lease-ttl-ms MS] [--problems N] [--samples N] \
+                     [--threads N] [--seed S] [--chaos-seed S] [--models a,b] \
+                     [--cell-delay-ms MS] [--shard-root PATH] [--transport process|http] \
+                     [--net-partitions N] [--net-partition-ms MS] [--net-duplicate-period N] \
+                     [--net-seed S] [--net-timeout-ms MS] [--coord-restart] [--out PATH]";
+
+fn read_args(f: &mut Flags) -> Result<Args, UsageError> {
+    Ok(Args {
+        shards: f.value("--shards")?.unwrap_or(4).max(1),
+        kill_random: f.value("--kill-random")?.unwrap_or(2),
+        stall_random: f.value("--stall-random")?.unwrap_or(1),
+        stall_ms: f.value("--stall-ms")?,
+        lease_ttl_ms: f.value("--lease-ttl-ms")?.unwrap_or(5_000).max(1),
+        problems: f.value("--problems")?.unwrap_or(6).max(1),
+        samples: f.value("--samples")?.unwrap_or(2).max(1),
+        threads: f.value("--threads")?.unwrap_or(2),
+        seed: f.value("--seed")?.unwrap_or(20_250_205),
+        chaos_seed: f.value("--chaos-seed")?.unwrap_or(7),
+        models: f
+            .list("--models")?
+            .unwrap_or_else(|| vec!["GPT-4".to_string(), "Claude 3.5 Sonnet".to_string()]),
+        cell_delay_ms: f.value("--cell-delay-ms")?.unwrap_or(150),
+        shard_root: f.value("--shard-root")?,
+        out: f.value("--out")?.unwrap_or("BENCH_campaign.json".into()),
+        transport: f
+            .value_where("--transport", "`process` or `http`", |t: &String| {
+                t == "process" || t == "http"
+            })?
+            .unwrap_or_else(|| "process".to_string()),
+        net_partitions: f.value("--net-partitions")?.unwrap_or(2),
+        net_partition_ms: f.value("--net-partition-ms")?,
+        net_duplicate_period: f.value("--net-duplicate-period")?.unwrap_or(7),
+        net_seed: f.value("--net-seed")?.unwrap_or(11),
+        net_timeout_ms: f.value("--net-timeout-ms")?.unwrap_or(2_000).max(1),
+        coord_restart: f.switch("--coord-restart"),
+        worker_shard: f.value("--worker-shard")?,
+        worker_generation: f.value("--worker-generation")?.unwrap_or(0),
+        stall_after_cells: f.value("--stall-after-cells")?,
+        coord_addr: f.value("--coord-addr")?,
+        net_partition_spec: f.value("--net-partition-spec")?.unwrap_or_default(),
+    })
 }
 
 /// The campaign definition shared — bit for bit — by the control run,
@@ -313,58 +176,6 @@ fn workload(args: &Args) -> (Vec<Problem>, Vec<ModelProfile>, CampaignConfig) {
         ..CampaignConfig::default()
     };
     (problems, profiles, config)
-}
-
-/// Worker-only pacing: the same provider, plus a fixed sleep before
-/// every model response. Chaos kills are delivered by the supervisor
-/// once a victim's journal shows progress, so a worker must stay
-/// killable for several 50 ms poll ticks per cell — purely additive
-/// latency keeps the window open without touching names, seeding or
-/// responses, so the merged report stays bit-identical to the un-paced
-/// control run.
-struct PacedProvider {
-    inner: Arc<dyn ModelProvider>,
-    delay: Duration,
-}
-
-struct PacedLlm {
-    inner: Box<dyn LanguageModel>,
-    delay: Duration,
-}
-
-impl ModelProvider for PacedProvider {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn spawn(&self) -> Box<dyn LanguageModel> {
-        Box::new(PacedLlm {
-            inner: self.inner.spawn(),
-            delay: self.delay,
-        })
-    }
-
-    fn spawn_seeded(&self, seed: u64) -> Box<dyn LanguageModel> {
-        Box::new(PacedLlm {
-            inner: self.inner.spawn_seeded(seed),
-            delay: self.delay,
-        })
-    }
-}
-
-impl LanguageModel for PacedLlm {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn begin_sample(&mut self, problem: &Problem, sample_index: u64) {
-        self.inner.begin_sample(problem, sample_index);
-    }
-
-    fn respond(&mut self, conversation: &Conversation) -> String {
-        std::thread::sleep(self.delay);
-        self.inner.respond(conversation)
-    }
 }
 
 /// How long an http worker keeps retrying a dead wire before it
@@ -416,7 +227,7 @@ fn run_worker(args: &Args, shard: u32, root: PathBuf) -> ! {
                 if delay.is_zero() {
                     inner
                 } else {
-                    Arc::new(PacedProvider { inner, delay }) as Arc<dyn ModelProvider>
+                    Arc::new(PacedProvider::new(inner, delay)) as Arc<dyn ModelProvider>
                 }
             })
             .collect(),
@@ -474,68 +285,33 @@ fn run_worker(args: &Args, shard: u32, root: PathBuf) -> ! {
     std::process::exit(i32::from(!report.completed));
 }
 
-fn control_run(args: &Args) -> CampaignReport {
-    let (problems, profiles, config) = workload(args);
-    Campaign::builder()
-        .problems(problems)
-        .profiles(&profiles)
-        .config(config)
-        .build()
-        .expect("valid campaign definition")
-        .run()
-}
-
-/// Splices the `"shards"` section into an existing `BENCH_campaign.json`
-/// (immediately before its trailing `"generated_by"` key) or writes a
-/// standalone report when the file is absent or foreign.
-fn write_report(out: &str, section: &str) {
-    let spliced = std::fs::read_to_string(out).ok().and_then(|text| {
-        let marker = "  \"generated_by\"";
-        let at = text.rfind(marker)?;
-        let mut spliced = String::with_capacity(text.len() + section.len());
-        spliced.push_str(&text[..at]);
-        spliced.push_str(section);
-        spliced.push_str(&text[at..]);
-        Some(spliced)
-    });
-    let json = spliced.unwrap_or_else(|| {
-        format!(
-            "{{\n  \"benchmark\": \"fault-tolerant sharded campaign execution\",\n{section}  \
-             \"generated_by\": {}\n}}\n",
-            picbench_bench::generated_by("shard_campaign"),
-        )
-    });
-    std::fs::write(out, json).expect("write benchmark report");
-    println!("wrote {out}");
-}
-
-/// Claims a fresh ephemeral directory under the system temp dir.
-///
-/// The name mixes the wall clock, the PID and a process-local counter,
-/// and creation is fail-closed (`create_dir`, not `create_dir_all`): a
-/// nonce collision — pid reuse against a leftover dir, a coarse or
-/// backwards clock, two claims inside one process — surfaces as a retry
-/// with a bumped counter instead of two runs silently sharing journals.
-fn claim_ephemeral_dir(prefix: &str) -> PathBuf {
-    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let pid = std::process::id();
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos())
-        .unwrap_or(0);
-    for _ in 0..64 {
-        let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("{prefix}-{pid}-{stamp}-{seq}"));
-        match std::fs::create_dir(&dir) {
-            Ok(()) => return dir,
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-            Err(e) => panic!("create ephemeral dir {}: {e}", dir.display()),
+/// Inserts the `"shards"` section into the report already at `out`
+/// (before its `host` and `generated_by` keys, replacing an earlier
+/// section), or writes a standalone report when the file is absent or
+/// not a JSON object.
+fn write_shards_section(out: &str, section: Vec<(String, Value)>) {
+    let existing = std::fs::read_to_string(out)
+        .ok()
+        .and_then(|text| json::parse(&text).ok());
+    let report = match existing {
+        Some(Value::Object(mut entries)) => {
+            entries.retain(|(key, _)| key != "shards");
+            let at = entries
+                .iter()
+                .position(|(key, _)| key == "host" || key == "generated_by")
+                .unwrap_or(entries.len());
+            entries.insert(at, ("shards".into(), Value::Object(section)));
+            Value::Object(entries)
         }
-    }
-    panic!(
-        "could not claim an ephemeral directory under {} after 64 attempts",
-        std::env::temp_dir().display()
-    );
+        _ => report(
+            "shard_campaign",
+            fields! {
+                "benchmark": "fault-tolerant sharded campaign execution",
+                "shards": section,
+            },
+        ),
+    };
+    write_report(out, &report);
 }
 
 /// Takes the live coordinator down and rebinds a fresh instance on the
@@ -567,11 +343,11 @@ fn restart_coordinator(slot: &Arc<Mutex<Option<ServerHandle>>>, root: &Path) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_flags(USAGE, &["--coord-restart"], read_args);
     let shard_root = args
         .shard_root
         .clone()
-        .unwrap_or_else(|| claim_ephemeral_dir("picbench-shard-campaign"));
+        .unwrap_or_else(|| claim_scratch_dir("picbench-shard-campaign"));
     if let Some(shard) = args.worker_shard {
         run_worker(&args, shard, shard_root);
     }
@@ -662,7 +438,7 @@ fn main() {
 
     println!("control: uninterrupted single-process run...");
     let t = Instant::now();
-    let control = control_run(&args);
+    let control = run_campaign(&problems, &profiles, &config);
     let single_process_ms = t.elapsed().as_secs_f64() * 1e3;
 
     println!("sharded: spawning worker processes under chaos...");
@@ -907,29 +683,28 @@ fn main() {
          sharded-under-chaos {sharded_ms:.0} ms"
     );
 
-    let section = format!(
-        "  \"shards\": {{\n    \"shards\": {},\n    \"transport\": \"{}\",\n    \
-         \"kills_injected\": {kills_injected},\n    \
-         \"stalls_injected\": {stalls_injected},\n    \
-         \"partitions_injected\": {partitions_injected},\n    \
-         \"duplicates_deduped\": {},\n    \"coord_restarts\": {},\n    \
-         \"lease_ttl_ms\": {},\n    \
-         \"unclean_exits\": {unclean_exits},\n    \"lease_expiries\": {lease_expiries},\n    \
-         \"reassignments\": {reassignments},\n    \"cells_total\": {cells},\n    \
-         \"cells_reassigned\": {cells_reassigned},\n    \"cells_inherited\": {},\n    \
-         \"cells_quarantined\": {quarantined},\n    \
-         \"redundant_cell_ratio\": {redundant_ratio:.4},\n    \
-         \"single_process_ms\": {single_process_ms:.1},\n    \
-         \"sharded_chaos_ms\": {sharded_ms:.1},\n    \
-         \"report_identical_to_single_process\": true\n  }},\n",
-        args.shards,
-        args.transport,
-        duplicates_deduped.unwrap_or(0),
-        u64::from(args.coord_restart && http),
-        args.lease_ttl_ms,
-        outcome.cells_restored,
-    );
-    write_report(&args.out, &section);
+    let section = fields! {
+        "shards": f64::from(args.shards),
+        "transport": args.transport.as_str(),
+        "kills_injected": kills_injected,
+        "stalls_injected": stalls_injected,
+        "partitions_injected": partitions_injected,
+        "duplicates_deduped": duplicates_deduped.unwrap_or(0),
+        "coord_restarts": usize::from(args.coord_restart && http),
+        "lease_ttl_ms": args.lease_ttl_ms,
+        "unclean_exits": unclean_exits,
+        "lease_expiries": lease_expiries,
+        "reassignments": reassignments,
+        "cells_total": cells,
+        "cells_reassigned": cells_reassigned,
+        "cells_inherited": outcome.cells_restored,
+        "cells_quarantined": quarantined,
+        "redundant_cell_ratio": rounded(redundant_ratio, 4),
+        "single_process_ms": rounded(single_process_ms, 1),
+        "sharded_chaos_ms": rounded(sharded_ms, 1),
+        "report_identical_to_single_process": true,
+    };
+    write_shards_section(&args.out, section);
 
     if ephemeral {
         let _ = std::fs::remove_dir_all(&shard_root);

@@ -28,9 +28,10 @@
 //! The plan is additionally re-measured on a plan pinned to the scalar
 //! SIMD tier, producing per-ISA rows (`plan_by_isa`) and the
 //! `simd_speedup` of the detected vector tier over scalar; the report
-//! records the default tier in `simd_level`.
+//! records the default tier in `host.simd_level`.
 //!
-//! The median over `--reps` repetitions is reported; the plan is
+//! Each timing is reported as `{min, median, p90}` over `--reps`
+//! repetitions, and the speedups compare medians; the plan is
 //! cross-checked against the oracle (`max_abs_diff_vs_oracle` — the
 //! conformance tolerance is 1e-8), and the production sweep against the
 //! timed per-point loop bit for bit. The meshes run as one stripe on the
@@ -43,24 +44,22 @@
 //! Usage: `cargo run --release -p picbench-bench --bin sweep_bench
 //! [-- --reps N --out PATH --mesh 8x8|16x16|both --min-speedup X]`
 
+use picbench_bench::{
+    fields, parse_flags, report, rounded, write_report, Summary, ToJson, UsageError,
+};
 use picbench_math::simd::{available_level, SimdLevel};
 use picbench_math::{decomp, CMatrix};
+use picbench_netlist::json::Value;
 use picbench_problems::meshes::mesh_netlist;
 use picbench_sim::{
     sweep_naive, sweep_with_plan, Circuit, ModelRegistry, SolveWorkspace, SweepPlan, WavelengthGrid,
 };
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// `(mesh size, grid points)` per workload. 8×8 keeps the historical
 /// 64-point configuration; 16×16 uses a shorter grid (per-point cost is
 /// what is compared, and the dense oracle is far dearer per point).
 const WORKLOADS: [(usize, usize); 2] = [(8, 64), (16, 16)];
-
-fn median_ms(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
 
 /// Times one planned sweep on `level`, driving the per-point solve
 /// directly (plan construction included, as in the oracle path).
@@ -83,69 +82,35 @@ fn timed_plan(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut reps = 5usize;
-    let mut out_path = "BENCH_pipeline.json".to_string();
-    let mut meshes: Vec<(usize, usize)> = WORKLOADS.to_vec();
-    let mut min_speedup: Option<f64> = None;
-    let usage = "usage: sweep_bench [--reps N --out PATH --mesh 8x8|16x16|both \
-                 --min-speedup X]";
-    let mut i = 0;
-    while i < args.len() {
-        let fail = |msg: &str| -> ! {
-            eprintln!("{msg}; {usage}");
-            std::process::exit(2);
-        };
-        match args[i].as_str() {
-            "--reps" => {
-                i += 1;
-                reps = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail("--reps needs a positive integer"));
-            }
-            "--out" => {
-                i += 1;
-                out_path = args
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| fail("--out needs a path"));
-            }
-            "--mesh" => {
-                i += 1;
-                meshes = match args.get(i).map(String::as_str) {
-                    Some("8x8") => vec![WORKLOADS[0]],
-                    Some("16x16") => vec![WORKLOADS[1]],
-                    Some("both") => WORKLOADS.to_vec(),
-                    _ => fail("--mesh needs 8x8|16x16|both"),
-                };
-            }
-            "--min-speedup" => {
-                i += 1;
-                min_speedup = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&x: &f64| x > 0.0)
-                        .unwrap_or_else(|| fail("--min-speedup needs a positive number")),
-                );
-            }
-            other => fail(&format!("unknown argument {other:?}")),
-        }
-        i += 1;
-    }
+    let (reps, out_path, meshes, min_speedup) = parse_flags(
+        "usage: sweep_bench [--reps N --out PATH --mesh 8x8|16x16|both --min-speedup X]",
+        &[],
+        |f| {
+            let meshes = match f.value::<String>("--mesh")?.as_deref() {
+                None | Some("both") => WORKLOADS.to_vec(),
+                Some("8x8") => vec![WORKLOADS[0]],
+                Some("16x16") => vec![WORKLOADS[1]],
+                Some(_) => return Err(UsageError("--mesh needs 8x8|16x16|both".into())),
+            };
+            Ok((
+                f.value_where("--reps", "a positive integer", |&n: &usize| n >= 1)?
+                    .unwrap_or(5),
+                f.value::<String>("--out")?
+                    .unwrap_or("BENCH_pipeline.json".into()),
+                meshes,
+                f.value_where("--min-speedup", "a positive number", |&x: &f64| x > 0.0)?,
+            ))
+        },
+    );
 
     let registry = ModelRegistry::with_builtins();
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let level = available_level();
     // The per-ISA row is only interesting when a vector tier is active.
     let isa_row = level != SimdLevel::Scalar;
-    let mut workload_json = String::new();
+    let mut workloads = Vec::new();
     let mut tripwire_speedup = 0.0f64;
 
-    for (w_index, &(mesh_size, grid_points)) in meshes.iter().enumerate() {
+    for &(mesh_size, grid_points) in &meshes {
         let target = decomp::dft_matrix(mesh_size);
         let mesh = decomp::clements_decompose(&target).expect("DFT is unitary");
         let netlist = mesh_netlist(&mesh);
@@ -208,27 +173,42 @@ fn main() {
                 "plan disagrees with the dense oracle by {diff_vs_oracle:.3e}"
             );
         }
-        let oracle = median_ms(oracle_ms);
-        let plan = median_ms(plan_ms);
-        tripwire_speedup = oracle / plan;
+        let oracle = Summary::of(&oracle_ms);
+        let plan = Summary::of(&plan_ms);
+        tripwire_speedup = oracle.median / plan.median;
         println!(
-            "oracle {oracle:.2} ms -> plan {plan:.2} ms ({tripwire_speedup:.2}x, \
-             max |dS| vs oracle {diff_vs_oracle:.2e})"
+            "oracle {:.2} ms -> plan {:.2} ms ({tripwire_speedup:.2}x, \
+             max |dS| vs oracle {diff_vs_oracle:.2e})",
+            oracle.median, plan.median
         );
-        let isa_json = if isa_row {
-            let scalar = median_ms(scalar_ms);
-            println!(
-                "ISA dispatch: scalar {scalar:.2} ms -> {level} {plan:.2} ms ({:.2}x)",
-                scalar / plan
-            );
-            format!(
-                ",\n      \"plan_by_isa\": {{\n        \"scalar\": {scalar:.3},\n        \
-                 \"{level}\": {plan:.3}\n      }},\n      \"simd_speedup\": {:.2}",
-                scalar / plan
-            )
-        } else {
-            String::new()
+        let mut fields = fields! {
+            "mesh": format!("clements-{mesh_size}x{mesh_size}"),
+            "instances": circuit.instance_count(),
+            "memoized_instances": memoized,
+            "global_ports": circuit.total_ports,
+            "external_ports": n_ext,
+            "grid_points": grid_points,
+            "oracle_ms": oracle,
+            "plan_ms": plan,
+            "speedup_vs_oracle": rounded(tripwire_speedup, 2),
+            "max_abs_diff_vs_oracle": diff_vs_oracle,
         };
+        if isa_row {
+            let scalar = Summary::of(&scalar_ms);
+            let simd_speedup = scalar.median / plan.median;
+            println!(
+                "ISA dispatch: scalar {:.2} ms -> {level} {:.2} ms ({simd_speedup:.2}x)",
+                scalar.median, plan.median
+            );
+            let by_isa = vec![
+                ("scalar".into(), scalar.to_json()),
+                (level.token().into(), plan.to_json()),
+            ];
+            fields.extend(fields! {
+                "plan_by_isa": by_isa,
+                "simd_speedup": rounded(simd_speedup, 2),
+            });
+        }
 
         // Determinism: the production sweep must reproduce the timed
         // per-point loop bit for bit; the run aborts on any deviation.
@@ -244,34 +224,18 @@ fn main() {
         }
         println!("sweep element-wise identical to per-point");
 
-        if w_index > 0 {
-            workload_json.push_str(",\n");
-        }
-        let _ = write!(
-            workload_json,
-            "    {{\n      \"mesh\": \"clements-{mesh_size}x{mesh_size}\",\n      \
-             \"instances\": {},\n      \"memoized_instances\": {memoized},\n      \
-             \"global_ports\": {},\n      \"external_ports\": {n_ext},\n      \
-             \"grid_points\": {grid_points},\n      \"oracle_ms\": {oracle:.3},\n      \
-             \"plan_ms\": {plan:.3},\n      \"speedup_vs_oracle\": {tripwire_speedup:.2},\n      \
-             \"max_abs_diff_vs_oracle\": {diff_vs_oracle:.3e}{isa_json}\n    }}",
-            circuit.instance_count(),
-            circuit.total_ports,
-        );
+        workloads.push(Value::Object(fields));
     }
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"wavelength-sweep solver: planned block-sparse vs dense oracle\",\n  \
-         \"metric\": \"median wall-clock per full sweep, milliseconds (per-point solve; \
-         the production sweep() folds these fully dispersionless meshes to a single point)\",\n  \
-         \"repetitions\": {reps},\n  \"host_cpus\": {cpus},\n  \
-         \"simd_level\": \"{level}\",\n  \
-         \"workloads\": [\n{workload_json}\n  ],\n  \
-         \"generated_by\": {}\n}}\n",
-        picbench_bench::generated_by("sweep_bench"),
-    );
-    std::fs::write(&out_path, json).expect("write benchmark report");
-    println!("wrote {out_path}");
+    let fields = fields! {
+        "benchmark": "wavelength-sweep solver: planned block-sparse vs dense oracle",
+        "metric": "wall-clock per full sweep over --reps repetitions, milliseconds, as \
+                   {min, median, p90} (per-point solve; the production sweep folds these \
+                   fully dispersionless meshes to a single point); speedups compare medians",
+        "repetitions": reps,
+        "workloads": workloads,
+    };
+    write_report(&out_path, &report("sweep_bench", fields));
 
     if let Some(min) = min_speedup {
         if tripwire_speedup >= min {

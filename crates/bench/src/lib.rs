@@ -22,11 +22,13 @@ use picbench_core::{
     collect_error_histogram, render_table, restriction_ablation, run_sample, Campaign,
     CampaignConfig, CampaignEvent, CampaignReport, EvalStore, Evaluator, LoopConfig,
 };
+use picbench_netlist::json::Value;
 use picbench_netlist::{FailureType, PortRef};
 use picbench_prompt::{render_system_prompt, syntax_feedback, SystemPromptConfig};
 use picbench_sim::WavelengthGrid;
 use picbench_synthllm::{ModelProfile, SyntheticLlm};
 use std::fmt::Write as _;
+use std::str::FromStr;
 
 /// Campaign scale knobs for the table reproductions.
 #[derive(Debug, Clone)]
@@ -140,20 +142,325 @@ pub fn list_problems() -> String {
     out
 }
 
-/// The `generated_by` value of a bench report, as a JSON string: the
-/// `cargo run` command of `bin` with the arguments this process was
-/// started with, so a report names the flags that wrote it.
-pub fn generated_by(bin: &str) -> String {
-    let mut command = format!("cargo run --release -p picbench-bench --bin {bin}");
-    let mut args = std::env::args_os().skip(1).peekable();
-    if args.peek().is_some() {
-        command.push_str(" --");
-        for arg in args {
-            command.push(' ');
-            command.push_str(&arg.to_string_lossy());
+/// A command-line mistake: an unknown flag, a flag without its value,
+/// or a value the flag does not accept. [`parse_flags`] prints it with
+/// the binary's usage line and exits with status 2.
+#[derive(Debug, PartialEq, Eq)]
+pub struct UsageError(pub String);
+
+/// The flag reader of the bench binaries, built from an explicit argv
+/// (without the program name).
+///
+/// A token is a flag when it starts with `--` or is one of the
+/// `switches` given to [`Flags::new`]. A flag that is not a switch takes
+/// the next token as its value, whatever it is; any other token is a
+/// positional argument. Each getter marks the flag it reads, and
+/// [`Flags::read`] rejects every flag no getter asked for. When a flag
+/// is repeated, every value must parse and the last one wins.
+#[derive(Debug)]
+pub struct Flags {
+    /// `(flag, value, read)` in argv order.
+    flags: Vec<(String, Option<String>, bool)>,
+    positionals: Vec<String>,
+}
+
+impl Flags {
+    /// Splits `argv` into flags and positional arguments.
+    pub fn new(argv: impl IntoIterator<Item = String>, switches: &[&str]) -> Flags {
+        let mut flags = Vec::new();
+        let mut positionals = Vec::new();
+        let mut argv = argv.into_iter();
+        while let Some(token) = argv.next() {
+            if switches.contains(&token.as_str()) {
+                flags.push((token, None, false));
+            } else if token.starts_with("--") {
+                flags.push((token, argv.next(), false));
+            } else {
+                positionals.push(token);
+            }
+        }
+        Flags { flags, positionals }
+    }
+
+    /// Marks `flag` read and parses each of its values with `parse`,
+    /// keeping the last.
+    fn each<T>(
+        &mut self,
+        flag: &str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, UsageError> {
+        let mut last = None;
+        for (_, value, read) in self.flags.iter_mut().filter(|(name, ..)| name == flag) {
+            *read = true;
+            let value = value
+                .as_deref()
+                .ok_or_else(|| format!("{flag} needs a value"));
+            last = Some(value.and_then(&parse).map_err(UsageError)?);
+        }
+        Ok(last)
+    }
+
+    /// The value of `flag` parsed as `T`, or `None` when it is absent.
+    ///
+    /// # Errors
+    ///
+    /// A missing value, or one `T` does not parse; the message names the
+    /// flag.
+    pub fn value<T: FromStr>(&mut self, flag: &str) -> Result<Option<T>, UsageError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.each(flag, |v| {
+            v.parse().map_err(|e| format!("{flag}: {e} (got {v:?})"))
+        })
+    }
+
+    /// [`Flags::value`], refusing a value `keep` rejects with
+    /// "`flag` needs `what`".
+    ///
+    /// # Errors
+    ///
+    /// A missing value, or one that does not parse or `keep` rejects.
+    pub fn value_where<T: FromStr>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        keep: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, UsageError> {
+        self.each(flag, |v| {
+            v.parse()
+                .ok()
+                .filter(|x| keep(x))
+                .ok_or_else(|| format!("{flag} needs {what} (got {v:?})"))
+        })
+    }
+
+    /// The comma-separated value of `flag` (items trimmed, empty items
+    /// dropped), each parsed as `T`; `None` when the flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// A missing or empty list, or an item `T` does not parse.
+    pub fn list<T: FromStr>(&mut self, flag: &str) -> Result<Option<Vec<T>>, UsageError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.each(flag, |v| {
+            let items = v
+                .split(',')
+                .map(str::trim)
+                .filter(|item| !item.is_empty())
+                .map(|item| {
+                    item.parse()
+                        .map_err(|e| format!("{flag}: {e} (got {item:?})"))
+                })
+                .collect::<Result<Vec<T>, _>>()?;
+            let empty = || format!("{flag} needs a comma-separated list");
+            (!items.is_empty()).then_some(items).ok_or_else(empty)
+        })
+    }
+
+    /// Whether the switch `flag` was given.
+    pub fn switch(&mut self, flag: &str) -> bool {
+        let mut seen = false;
+        for (.., read) in self.flags.iter_mut().filter(|(name, ..)| name == flag) {
+            (*read, seen) = (true, true);
+        }
+        seen
+    }
+
+    /// The positional arguments, in order.
+    pub fn positionals(&mut self) -> Vec<String> {
+        std::mem::take(&mut self.positionals)
+    }
+
+    /// Runs `read` over these flags, then checks that it read every flag
+    /// and positional argument.
+    ///
+    /// # Errors
+    ///
+    /// The first error of `read`; else the first flag no getter asked
+    /// for, or the first positional argument [`Flags::positionals`] did
+    /// not take.
+    pub fn read<T>(
+        mut self,
+        read: impl FnOnce(&mut Flags) -> Result<T, UsageError>,
+    ) -> Result<T, UsageError> {
+        let value = read(&mut self)?;
+        if let Some((name, ..)) = self.flags.iter().find(|(.., read)| !read) {
+            return Err(UsageError(format!("unknown flag {name}")));
+        }
+        match self.positionals.first() {
+            Some(extra) => Err(UsageError(format!("unexpected argument {extra:?}"))),
+            None => Ok(value),
         }
     }
-    picbench_netlist::json::to_string(&picbench_netlist::json::Value::String(command))
+}
+
+/// Reads this process's arguments through [`Flags::read`]. On a
+/// [`UsageError`] it prints the error and `usage` to stderr and exits
+/// with status 2, before the binary does any work.
+pub fn parse_flags<T>(
+    usage: &str,
+    switches: &[&str],
+    read: impl FnOnce(&mut Flags) -> Result<T, UsageError>,
+) -> T {
+    Flags::new(std::env::args().skip(1), switches)
+        .read(read)
+        .unwrap_or_else(|e| {
+            eprintln!("{}\n{usage}", e.0);
+            std::process::exit(2);
+        })
+}
+
+/// Min, median and 90th percentile of repeated measurements, each a
+/// nearest-rank value (an actual sample).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Summary {
+    /// The smallest sample.
+    pub min: f64,
+    /// The nearest-rank median: the lower middle sample of an even count.
+    pub median: f64,
+    /// The nearest-rank 90th percentile.
+    pub p90: f64,
+}
+
+impl Summary {
+    /// Summarizes `samples`.
+    ///
+    /// # Panics
+    ///
+    /// On an empty slice.
+    pub fn of(samples: &[f64]) -> Summary {
+        Summary {
+            min: nearest_rank(samples, 0.0),
+            median: nearest_rank(samples, 0.5),
+            p90: nearest_rank(samples, 0.9),
+        }
+    }
+}
+
+/// The nearest-rank `p`-quantile of `samples` (`0 <= p <= 1`): the
+/// smallest sample with at least `p·n` samples at or below it; `p = 0`
+/// gives the minimum.
+///
+/// # Panics
+///
+/// On an empty slice.
+pub fn nearest_rank(samples: &[f64], p: f64) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = (p * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// A value a report field can hold; see [`fields!`].
+pub trait ToJson {
+    /// This value as JSON.
+    fn to_json(self) -> Value;
+}
+
+/// Report fields from `"key": value` pairs, each value converted by
+/// [`ToJson`]; a nested `fields!` becomes a JSON object.
+#[macro_export]
+macro_rules! fields {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        vec![$(($key.to_string(), $crate::ToJson::to_json($value))),*]
+    };
+}
+
+macro_rules! impl_to_json {
+    ($($ty:ty => |$v:ident| $json:expr;)*) => {
+        $(impl ToJson for $ty {
+            fn to_json(self) -> Value {
+                let $v = self;
+                $json
+            }
+        })*
+    };
+}
+
+impl_to_json! {
+    Value => |v| v;
+    bool => |b| Value::Bool(b);
+    f64 => |x| Value::Number(x);
+    usize => |n| Value::Number(n as f64);
+    u64 => |n| Value::Uint(n);
+    &str => |s| Value::String(s.to_string());
+    String => |s| Value::String(s);
+    Vec<Value> => |items| Value::Array(items);
+    Vec<(String, Value)> => |fields| Value::Object(fields);
+    Summary => |s| Value::Object(fields! {
+        "min": rounded(s.min, 3),
+        "median": rounded(s.median, 3),
+        "p90": rounded(s.p90, 3),
+    });
+}
+
+/// A JSON number rounded to `decimals` places.
+pub fn rounded(x: f64, decimals: i32) -> Value {
+    let scale = 10f64.powi(decimals);
+    Value::Number((x * scale).round() / scale)
+}
+
+/// The `cargo run` command of `bin` with the arguments this process was
+/// started with, so a report names the flags that wrote it.
+pub fn generated_by(bin: &str) -> String {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let dashes = if args.is_empty() { "" } else { " -- " };
+    format!(
+        "cargo run --release -p picbench-bench --bin {bin}{dashes}{}",
+        args.join(" ")
+    )
+}
+
+/// A bench report: `fields` in order, then `host` (`{cpus,
+/// simd_level}`) and, last, `generated_by` ([`generated_by`]).
+pub fn report(bin: &str, mut fields: Vec<(String, Value)>) -> Value {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let simd_level = picbench_math::simd::available_level().token();
+    fields.extend(fields! {
+        "host": fields! { "cpus": cpus, "simd_level": simd_level },
+        "generated_by": generated_by(bin),
+    });
+    Value::Object(fields)
+}
+
+/// Writes `report` to `path` as pretty-printed JSON.
+///
+/// # Panics
+///
+/// When the file cannot be written.
+pub fn write_report(path: &str, report: &Value) {
+    let text = picbench_netlist::json::to_string_pretty(report) + "\n";
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("write benchmark report {path}: {e}"));
+    println!("wrote {path}");
+}
+
+/// Claims a fresh, empty scratch directory `<temp>/<prefix>-<pid>-<n>`.
+///
+/// Creation is fail-closed (`create_dir`, not `create_dir_all`): a name
+/// that already exists, such as one a crashed run with the same pid
+/// left behind or one another thread just claimed, is skipped for the
+/// next `n`, so two runs never share a store or journal.
+///
+/// # Panics
+///
+/// When the directory cannot be created, or 1024 names are taken.
+pub fn claim_scratch_dir(prefix: &str) -> std::path::PathBuf {
+    let pid = std::process::id();
+    for n in 0..1024 {
+        let dir = std::env::temp_dir().join(format!("{prefix}-{pid}-{n}"));
+        match std::fs::create_dir(&dir) {
+            Ok(()) => return dir,
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            Err(e) => panic!("create scratch dir {}: {e}", dir.display()),
+        }
+    }
+    panic!(
+        "could not claim a scratch directory {prefix}-{pid}-* under {}",
+        std::env::temp_dir().display()
+    );
 }
 
 /// Regenerates Table I: the 24-problem inventory with categories, golden
@@ -215,6 +522,22 @@ pub fn table2() -> String {
     out
 }
 
+/// Runs `problems × profiles` under `config` in memory: no store, no
+/// shards, no observer.
+pub fn run_campaign(
+    problems: &[picbench_problems::Problem],
+    profiles: &[ModelProfile],
+    config: &CampaignConfig,
+) -> CampaignReport {
+    Campaign::builder()
+        .problems(problems.iter().cloned())
+        .profiles(profiles)
+        .config(config.clone())
+        .build()
+        .expect("valid campaign definition")
+        .run()
+}
+
 fn campaign(restrictions: bool, scale: &ReproScale) -> Result<CampaignReport, String> {
     let profiles = ModelProfile::all_paper_models();
     let problems = resolve_problems(scale)?;
@@ -254,12 +577,7 @@ fn campaign(restrictions: bool, scale: &ReproScale) -> Result<CampaignReport, St
         let dir = match &scale.store_dir {
             Some(store_dir) => store_dir.join("shards"),
             None => {
-                static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-                let dir = std::env::temp_dir().join(format!(
-                    "picbench-repro-shards-{}-{}",
-                    std::process::id(),
-                    SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                ));
+                let dir = claim_scratch_dir("picbench-repro-shards");
                 ephemeral_shard_dir = Some(dir.clone());
                 dir
             }
@@ -513,15 +831,186 @@ pub fn restriction_ablation_table(scale: &ReproScale) -> Result<String, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use picbench_netlist::json;
 
     #[test]
     fn generated_by_is_a_json_cargo_command() {
-        let rendered = generated_by("sweep_bench");
-        let command = picbench_netlist::json::parse(&rendered).unwrap();
-        assert!(command
-            .as_str()
+        let command = generated_by("sweep_bench");
+        assert!(command.starts_with("cargo run --release -p picbench-bench --bin sweep_bench"));
+        let rendered = json::to_string(&report("sweep_bench", Vec::new()));
+        let parsed = json::parse(&rendered).unwrap();
+        assert_eq!(
+            parsed.get("generated_by").and_then(|v| v.as_str()),
+            Some(command.as_str())
+        );
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_read_values_lists_switches_and_positionals() {
+        let args = argv(&[
+            "table3",
+            "--samples",
+            "3",
+            "--resume",
+            "--problems",
+            "mzm, mzi-ps,",
+            "table4",
+            "--samples",
+            "7",
+        ]);
+        let read = Flags::new(args, &["--resume"]).read(|f| {
+            // A repeated flag: the last value wins.
+            assert_eq!(f.value::<usize>("--samples"), Ok(Some(7)));
+            assert_eq!(f.value::<u64>("--seed"), Ok(None));
+            assert_eq!(
+                f.list::<String>("--problems"),
+                Ok(Some(vec!["mzm".to_string(), "mzi-ps".to_string()]))
+            );
+            assert!(f.switch("--resume"));
+            assert!(!f.switch("--list-problems"));
+            Ok(f.positionals())
+        });
+        assert_eq!(read, Ok(argv(&["table3", "table4"])));
+    }
+
+    #[test]
+    fn flags_reject_unknown_flags_missing_and_bad_values() {
+        let unknown = Flags::new(argv(&["--reps", "2", "--no-such-flag"]), &[])
+            .read(|f| f.value::<usize>("--reps"));
+        assert_eq!(
+            unknown,
+            Err(UsageError("unknown flag --no-such-flag".into()))
+        );
+
+        let missing = Flags::new(argv(&["--reps"]), &[]).read(|f| f.value::<usize>("--reps"));
+        assert_eq!(missing, Err(UsageError("--reps needs a value".into())));
+
+        // A switch never swallows the next token, a value flag always does.
+        let mut f = Flags::new(argv(&["--resume", "--out", "--resume"]), &["--resume"]);
+        assert_eq!(f.value::<String>("--out"), Ok(Some("--resume".to_string())));
+
+        let bad = Flags::new(argv(&["--reps", "x"]), &[]).read(|f| f.value::<usize>("--reps"));
+        assert!(bad.unwrap_err().0.starts_with("--reps: "));
+
+        let refused = Flags::new(argv(&["--reps", "0"]), &[])
+            .read(|f| f.value_where("--reps", "a positive integer", |&n: &usize| n >= 1));
+        assert_eq!(
+            refused,
+            Err(UsageError(
+                "--reps needs a positive integer (got \"0\")".into()
+            ))
+        );
+
+        // Every repeat must parse, not only the last.
+        let early = Flags::new(argv(&["--reps", "x", "--reps", "2"]), &[])
+            .read(|f| f.value::<usize>("--reps"));
+        assert!(early.is_err());
+
+        let empty =
+            Flags::new(argv(&["--models", " , "]), &[]).read(|f| f.list::<String>("--models"));
+        assert!(empty.is_err());
+
+        let stray = Flags::new(argv(&["table3"]), &[]).read(|_| Ok(()));
+        assert_eq!(
+            stray,
+            Err(UsageError("unexpected argument \"table3\"".into()))
+        );
+    }
+
+    #[test]
+    fn summary_takes_nearest_rank_values() {
+        let even = Summary::of(&[4.0, 1.0, 3.0, 2.0]);
+        assert_eq!(
+            even,
+            Summary {
+                min: 1.0,
+                median: 2.0,
+                p90: 4.0
+            }
+        );
+        let odd = Summary::of(&[5.0, 1.0, 3.0]);
+        assert_eq!((odd.min, odd.median, odd.p90), (1.0, 3.0, 5.0));
+        let one = Summary::of(&[7.5]);
+        assert_eq!((one.min, one.median, one.p90), (7.5, 7.5, 7.5));
+        let hundred: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(nearest_rank(&hundred, 0.99), 99.0);
+        assert_eq!(Summary::of(&hundred).p90, 90.0);
+    }
+
+    #[test]
+    fn report_parses_with_host_and_ends_with_generated_by() {
+        let fields = vec![
+            ("benchmark".into(), Value::String("test".into())),
+            ("timing_ms".into(), Summary::of(&[2.0, 1.0]).to_json()),
+        ];
+        let text = json::to_string_pretty(&report("sweep_bench", fields));
+        let parsed = json::parse(&text).unwrap();
+        let host = parsed.get("host").unwrap();
+        assert!(host.get("cpus").and_then(Value::as_u64).unwrap() >= 1);
+        assert_eq!(
+            host.get("simd_level").and_then(Value::as_str),
+            Some(picbench_math::simd::available_level().token())
+        );
+        let timing = parsed.get("timing_ms").unwrap();
+        assert_eq!(timing.get("median").and_then(Value::as_f64), Some(1.0));
+        let keys: Vec<&str> = parsed
+            .as_object()
             .unwrap()
-            .starts_with("cargo run --release -p picbench-bench --bin sweep_bench"));
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["benchmark", "timing_ms", "host", "generated_by"]);
+    }
+
+    #[test]
+    fn committed_reports_come_from_the_report_writer() {
+        let summary = |v: &Value| ["min", "median", "p90"].map(|k| v.get(k).is_some());
+        let reports = [
+            (include_str!("../../../BENCH_pipeline.json"), "workloads"),
+            (include_str!("../../../BENCH_campaign.json"), "results"),
+            (include_str!("../../../BENCH_server.json"), "results"),
+        ];
+        for (text, section) in reports {
+            let report = json::parse(text).unwrap();
+            let host = report.get("host").unwrap();
+            assert!(host.get("cpus").is_some() && host.get("simd_level").is_some());
+            let (last, _) = report.as_object().unwrap().last().unwrap();
+            assert_eq!(last, "generated_by");
+            let section = report.get(section).unwrap();
+            let timings: Vec<&Value> = match section.as_array() {
+                Some(workloads) => workloads.iter().flat_map(|w| w.get("plan_ms")).collect(),
+                None => ["cached_ms", "uncached_ms", "sessions_per_sec", "latency_ms"]
+                    .iter()
+                    .flat_map(|k| section.get(k))
+                    .collect(),
+            };
+            assert!(!timings.is_empty());
+            for timing in timings {
+                assert_eq!(summary(timing), [true; 3], "{timing:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_dirs_are_distinct_fresh_and_skip_taken_names() {
+        let prefix = "picbench-bench-claim-test";
+        let taken = std::env::temp_dir().join(format!("{prefix}-{}-0", std::process::id()));
+        std::fs::create_dir_all(taken.join("leftover")).unwrap();
+        let first = claim_scratch_dir(prefix);
+        let second = claim_scratch_dir(prefix);
+        for dir in [&first, &second] {
+            assert_ne!(dir, &taken);
+            assert!(dir.is_dir());
+            assert_eq!(std::fs::read_dir(dir).unwrap().count(), 0);
+        }
+        assert_ne!(first, second);
+        for dir in [taken, first, second] {
+            std::fs::remove_dir_all(dir).unwrap();
+        }
     }
 
     #[test]

@@ -192,6 +192,14 @@ impl EvalCacheStats {
     /// Cache hits plus executed simulations. (Structurally invalid
     /// first-sight responses run no sweep and are counted on neither
     /// side; their repeats surface as `response_hits`.)
+    ///
+    /// The split is exact for a single worker and varies by a few
+    /// lookups between runs with two or more, because workers that meet
+    /// the same text or design at once each count their own outcome:
+    /// every worker that misses a sim key before the first `put_sim`
+    /// lands counts a miss (where one worker would count one miss, then
+    /// hits), and an invalid text both workers see first counts nothing
+    /// twice where one worker would count one `response_hits`.
     pub fn lookups(&self) -> u64 {
         self.response_hits + self.report_hits + self.sim_hits + self.disk_hits + self.misses
     }
