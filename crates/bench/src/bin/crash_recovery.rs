@@ -4,10 +4,13 @@
 //! The parent process runs one campaign three ways:
 //!
 //! 1. **control** — uninterrupted, fully in-memory;
-//! 2. **crash** — re-executes itself as a child with a
-//!    [`KillPoint::Abort`] installed: the child journals cells through a
-//!    persistent store and hard-aborts (`std::process::abort`, no
-//!    destructors) the moment the N-th cell's journal record is fsync'd;
+//! 2. **crash** — re-executes itself as a child whose campaign observer
+//!    hard-aborts (`std::process::abort`, no destructors) on the N-th
+//!    `CellFinished` event: the child journals cells through a
+//!    persistent store, and `CellFinished` is emitted only after the
+//!    cell's journal record is fsync'd, so the abort lands right after
+//!    the N-th fsync. With `--kill-after 0` it aborts on the first
+//!    `CellStarted`, before any cell is journalled;
 //! 3. **resume** — reopens the store the dead child left behind and
 //!    resumes the campaign from its journal.
 //!
@@ -16,7 +19,7 @@
 //! **bit-identical** to the control run (`CampaignReport::same_results`).
 //!
 //! A wall-clock watchdog (`--timeout-secs`, default 300) bounds the
-//! child: a kill point that never trips would otherwise hang CI with no
+//! child: an abort that never trips would otherwise hang CI with no
 //! diagnostic. The child's stderr is captured and folded into every
 //! failure message, so a child that panics — instead of aborting at the
 //! boundary — names its actual error in the drill output.
@@ -26,13 +29,14 @@
 //! [--store-dir PATH] [--timeout-secs N]`
 
 use picbench_bench::{claim_scratch_dir, parse_flags, run_campaign, Flags, UsageError};
-use picbench_core::{Campaign, CampaignConfig, EvalStore, KillPoint};
+use picbench_core::{Campaign, CampaignConfig, CampaignEvent, EvalStore};
 use picbench_problems::Problem;
 use picbench_sim::WavelengthGrid;
 use picbench_synthllm::ModelProfile;
 use std::io::Read as _;
 use std::path::PathBuf;
 use std::process::{ExitStatus, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -81,18 +85,26 @@ fn workload(args: &Args) -> (Vec<Problem>, Vec<ModelProfile>, CampaignConfig) {
 
 /// The crash child: journal through the store and hard-abort at the
 /// configured cell boundary. Reaching the end of `execute` means the
-/// kill point never tripped — exit 0 and let the parent flag it.
+/// abort never tripped — exit 0 and let the parent flag it.
 fn run_child(args: &Args, store_dir: &PathBuf) -> ! {
     let (problems, profiles, config) = workload(args);
     let store = Arc::new(EvalStore::open(store_dir).expect("child: open eval store"));
+    let kill_after = args.kill_after;
+    let finished = AtomicUsize::new(0);
     let campaign = Campaign::builder()
         .problems(problems)
         .profiles(&profiles)
         .config(config)
         .store(store)
-        .kill_point(KillPoint::Abort {
-            after_cells: args.kill_after,
-        })
+        .observer(Arc::new(move |event: &CampaignEvent| match event {
+            CampaignEvent::CellStarted { .. } if kill_after == 0 => std::process::abort(),
+            CampaignEvent::CellFinished { .. }
+                if finished.fetch_add(1, Ordering::Relaxed) + 1 == kill_after =>
+            {
+                std::process::abort()
+            }
+            _ => {}
+        }))
         .build()
         .expect("valid campaign definition");
     let _ = campaign.execute();
@@ -101,7 +113,7 @@ fn run_child(args: &Args, store_dir: &PathBuf) -> ! {
 
 /// Runs the crash child under a wall-clock watchdog, draining its
 /// stderr on a reader thread. On timeout the child is killed and the
-/// drill panics with whatever the child managed to say — a kill point
+/// drill panics with whatever the child managed to say — an abort
 /// that never trips must not hang CI silently.
 fn supervise_child(cmd: &mut std::process::Command, timeout: Duration) -> (ExitStatus, String) {
     let mut child = cmd
@@ -124,7 +136,7 @@ fn supervise_child(cmd: &mut std::process::Command, timeout: Duration) -> (ExitS
                 let stderr = reader.join().unwrap_or_default();
                 panic!(
                     "crash child exceeded the {}s watchdog and was killed — \
-                     the kill point likely never tripped{}",
+                     the abort likely never tripped{}",
                     timeout.as_secs(),
                     render_stderr(&stderr)
                 );
@@ -174,7 +186,7 @@ fn main() {
     println!("control: uninterrupted in-memory run...");
     let control = run_campaign(&problems, &profiles, &config);
 
-    println!("crash: spawning child with an abort kill point...");
+    println!("crash: spawning the aborting child...");
     let exe = std::env::current_exe().expect("current_exe");
     let (status, child_stderr) = supervise_child(
         std::process::Command::new(exe)

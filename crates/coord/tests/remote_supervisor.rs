@@ -317,6 +317,7 @@ fn faulty_transport_campaign_reassigns_dedupes_and_stays_bit_identical() {
         counters.duplicates >= 1,
         "duplicated deliveries must hit the dedup path: {counters:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 const FP: u64 = 0xabad_1dea_0000_0042;

@@ -27,9 +27,9 @@
 //! ([`ModelProvider::spawn_seeded`] with the campaign seed); because the
 //! synthetic models reseed per `(model, problem, sample)` and cached
 //! replay is bit-identical to cold evaluation, the resulting
-//! [`CampaignReport`] is **bit-identical** for any thread count and with
-//! the cache on or off. Aggregation iterates cells in a fixed
-//! problem-major order, never in hash-map order.
+//! [`CampaignReport`] is **bit-identical** for any thread count and to
+//! an uncached evaluation of every cell. Aggregation iterates cells in a
+//! fixed problem-major order, never in hash-map order.
 //!
 //! Campaigns are also **crash-safe**: attach a persistent
 //! [`EvalStore`](crate::persist::EvalStore) with
@@ -37,8 +37,9 @@
 //! (fsync'd before the cell counts as complete); reopen the store after
 //! a crash and [`CampaignBuilder::resume_from`] replays the journalled
 //! cells and re-runs only the remainder — the merged report stays
-//! bit-identical to an uninterrupted run. [`KillPoint`]s inject crashes
-//! at those same boundaries for recovery drills, and a
+//! bit-identical to an uninterrupted run. Recovery drills stop or crash
+//! a run from an observer on [`CampaignEvent::CellFinished`], which is
+//! emitted only after the cell's journal record is fsync'd, and a
 //! [`RetryPolicy`] wrapped around the providers absorbs transient
 //! transport failures deterministically.
 
@@ -78,8 +79,6 @@ pub struct CampaignConfig {
     /// count). The calling thread is worker 0, so `n` workers spawn
     /// `n - 1` threads and a 1-worker campaign spawns none.
     pub threads: usize,
-    /// Whether workers share a content-addressed evaluation cache.
-    pub cache: bool,
     /// Retry policy wrapped around every provider at execute time
     /// (`None` = no retry layer). The wrapped providers keep their
     /// display names, so report rows are unchanged; retry decisions
@@ -98,37 +97,7 @@ impl Default for CampaignConfig {
             seed: 20_250_205, // the paper's arXiv date
             grid: WavelengthGrid::paper_fast(),
             threads: 0,
-            cache: true,
             retry: None,
-        }
-    }
-}
-
-/// A crash-injection hook for recovery drills: trips once `after_cells`
-/// *freshly evaluated* cells have been journalled this run (restored
-/// cells don't count). The final cell's journal record is fsync'd before
-/// the kill fires, so a resumed run always sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KillPoint {
-    /// Stop claiming new cells and return a cancelled-style
-    /// [`CampaignOutcome`] (`report: None`), exactly as if a
-    /// [`CancelToken`] had fired at that boundary. In-process drills.
-    Stop {
-        /// Fresh cells to complete before stopping (0 = before any).
-        after_cells: usize,
-    },
-    /// `std::process::abort()` at the same boundary — a hard crash
-    /// running no destructors, for out-of-process recovery drills.
-    Abort {
-        /// Fresh cells to complete before aborting (0 = before any).
-        after_cells: usize,
-    },
-}
-
-impl KillPoint {
-    fn after_cells(self) -> usize {
-        match self {
-            KillPoint::Stop { after_cells } | KillPoint::Abort { after_cells } => after_cells,
         }
     }
 }
@@ -170,7 +139,8 @@ pub struct CampaignReport {
     pub cells: Vec<CellScore>,
     /// Raw per-problem tallies for every condition.
     pub conditions: Vec<ConditionTallies>,
-    /// Hit/miss counters of the shared evaluation cache (when enabled).
+    /// Hit/miss counters of the shared evaluation cache (`None` for a
+    /// sharded run, whose merge reads journals only).
     pub cache_stats: Option<EvalCacheStats>,
 }
 
@@ -323,7 +293,6 @@ pub struct Campaign {
     pub(crate) shared_cache: Option<Arc<EvalCache>>,
     pub(crate) scope: Option<Arc<CacheScope>>,
     pub(crate) resume: bool,
-    pub(crate) kill: Option<KillPoint>,
     pub(crate) shards: u32,
     pub(crate) shard_dir: Option<PathBuf>,
     pub(crate) launcher: Option<Arc<dyn ShardLauncher>>,
@@ -351,7 +320,6 @@ impl fmt::Debug for Campaign {
             .field("shared_cache", &self.shared_cache.is_some())
             .field("scoped", &self.scope.is_some())
             .field("resume", &self.resume)
-            .field("kill", &self.kill)
             .field("shards", &self.shards)
             .field("shard_dir", &self.shard_dir)
             .finish()
@@ -364,9 +332,9 @@ pub struct CampaignOutcome {
     /// The aggregated report — `None` when the run was cancelled before
     /// every cell completed.
     pub report: Option<CampaignReport>,
-    /// Whether the run was actually cut short — by a [`CancelToken`] or
-    /// a [`KillPoint::Stop`]. A cancel request that lands after the last
-    /// cell completed still yields the full report and `cancelled: false`.
+    /// Whether the run was actually cut short by its [`CancelToken`]. A
+    /// cancel request that lands after the last cell completed still
+    /// yields the full report and `cancelled: false`.
     pub cancelled: bool,
     /// Cells accounted for — freshly evaluated plus restored.
     pub cells_completed: usize,
@@ -456,7 +424,6 @@ impl Campaign {
             self.shared_cache.as_ref(),
             self.scope.as_ref(),
             self.resume,
-            self.kill,
         )
     }
 
@@ -465,8 +432,8 @@ impl Campaign {
     /// names, samples, feedback settings, restrictions, seed, grid and
     /// retry policy. Journal records are keyed by it, so a store can
     /// hold journals of many campaigns and a resumed run only replays
-    /// cells whose inputs provably match. Scheduling knobs (threads,
-    /// cache) and `k_values` are excluded — they cannot change tallies.
+    /// cells whose inputs provably match. The thread count and `k_values`
+    /// are excluded — they cannot change tallies.
     pub fn fingerprint(&self) -> u64 {
         let names: Vec<String> = self
             .providers
@@ -506,7 +473,6 @@ pub struct CampaignBuilder {
     shared_cache: Option<Arc<EvalCache>>,
     scope: Option<Arc<CacheScope>>,
     resume: bool,
-    kill: Option<KillPoint>,
     shards: u32,
     shard_dir: Option<PathBuf>,
     launcher: Option<Arc<dyn ShardLauncher>>,
@@ -610,12 +576,6 @@ impl CampaignBuilder {
         self
     }
 
-    /// Whether workers share a content-addressed evaluation cache.
-    pub fn cache(mut self, cache: bool) -> Self {
-        self.config_mut().cache = cache;
-        self
-    }
-
     /// Wraps every provider in a retrying decorator at execute time.
     ///
     /// Transient transport failures (rate limits, connection resets,
@@ -647,12 +607,6 @@ impl CampaignBuilder {
     pub fn resume_from(mut self, store: SharedEvalStore) -> Self {
         self.store = Some(store);
         self.resume = true;
-        self
-    }
-
-    /// Installs a crash-injection [`KillPoint`] for recovery drills.
-    pub fn kill_point(mut self, kill: KillPoint) -> Self {
-        self.kill = Some(kill);
         self
     }
 
@@ -718,10 +672,9 @@ impl CampaignBuilder {
     /// results. The cache's own disk tier (if it was built
     /// [`EvalCache::with_disk`]) is used as-is — an attached
     /// [`CampaignBuilder::store`] still journals cells but is *not*
-    /// re-wrapped under a shared cache. Ignored when
-    /// [`CampaignBuilder::cache`] is `false` or the campaign is sharded
-    /// across processes ([`CampaignBuilder::shards`] above 1 — worker
-    /// processes cannot share memory).
+    /// re-wrapped under a shared cache. Ignored when the campaign is
+    /// sharded across processes ([`CampaignBuilder::shards`] above 1 —
+    /// worker processes cannot share memory).
     pub fn shared_cache(mut self, cache: Arc<EvalCache>) -> Self {
         self.shared_cache = Some(cache);
         self
@@ -805,7 +758,6 @@ impl CampaignBuilder {
             shared_cache: self.shared_cache,
             scope: self.scope,
             resume: self.resume,
-            kill: self.kill,
             shards: self.shards,
             shard_dir: self.shard_dir,
             launcher: Some(
@@ -1052,7 +1004,6 @@ fn execute_campaign(
     shared_cache: Option<&Arc<EvalCache>>,
     scope: Option<&Arc<CacheScope>>,
     resume: bool,
-    kill: Option<KillPoint>,
 ) -> CampaignOutcome {
     assert!(!problems.is_empty(), "campaign needs problems");
     assert!(!providers.is_empty(), "campaign needs model providers");
@@ -1070,10 +1021,7 @@ fn execute_campaign(
     let providers: Vec<Arc<dyn ModelProvider>> = wrap_retry_providers(providers, config, observer);
     let providers = &providers[..];
 
-    // A kill point folds into the same cooperative halt path as the
-    // cancel token: both stop new cells at cell boundaries.
-    let killed = AtomicBool::new(false);
-    let halted = || killed.load(Ordering::Acquire) || cancel.is_some_and(CancelToken::is_cancelled);
+    let halted = || cancel.is_some_and(CancelToken::is_cancelled);
     let provider_names: Vec<String> = providers.iter().map(|p| p.name().to_string()).collect();
 
     // Cells in problem-major order, claimed one at a time by workers.
@@ -1126,24 +1074,14 @@ fn execute_campaign(
         }
     }
 
-    // A kill point at boundary 0 trips before any evaluation work.
-    if let Some(kill) = kill {
-        if kill.after_cells() == 0 && cells_restored < cells.len() {
-            match kill {
-                KillPoint::Stop { .. } => killed.store(true, Ordering::Release),
-                KillPoint::Abort { .. } => std::process::abort(),
-            }
-        }
-    }
-
     // Goldens, indexed by problem: simulated once, borrowed by every
     // worker, and seeded into the evaluation cache so golden-identical
     // candidates are instant hits. This serial priming phase honours the
-    // halt switch per problem, so an early abort responds promptly
+    // cancel token per problem, so an early abort responds promptly
     // instead of sweeping every golden first; a resume that restored
     // every cell has nothing to compare and primes none. When a store is attached
     // it doubles as the disk tier under the shared cache.
-    let cache = config.cache.then(|| match shared_cache {
+    let cache = match shared_cache {
         // Multi-tenant path: reuse the injected process-wide cache
         // verbatim (including whatever disk tier it was built with).
         Some(shared) => Arc::clone(shared),
@@ -1154,13 +1092,6 @@ fn execute_campaign(
             }
             Arc::new(cache)
         }
-    });
-    // With a per-tenant scope attached, reported cache stats are the
-    // scope's counters — a session sharing a process-wide cache must not
-    // see (or leak) other tenants' traffic in its own stream/report.
-    let reported_stats = |cache: &Arc<EvalCache>| match scope {
-        Some(scope) => scope.stats(),
-        None => cache.stats(),
     };
     let mut goldens: Vec<Golden> = Vec::with_capacity(problems.len());
     let mut golden_failure = None;
@@ -1168,10 +1099,8 @@ fn execute_campaign(
         // The priming evaluator sweeps on the calling thread's workspace,
         // which grows to the largest golden; it is dropped before any
         // cell runs so that memory is not held for the whole campaign.
-        let mut evaluator = Evaluator::new(config.grid, Default::default());
-        if let Some(cache) = &cache {
-            evaluator = evaluator.with_cache(Arc::clone(cache));
-        }
+        let mut evaluator =
+            Evaluator::new(config.grid, Default::default()).with_cache(Arc::clone(&cache));
         for (problem, &hash) in problems.iter().zip(&golden_hashes) {
             if cells_restored == cells.len() || halted() {
                 break;
@@ -1231,17 +1160,15 @@ fn execute_campaign(
 
     let next_cell = AtomicUsize::new(0);
     let completed = AtomicUsize::new(cells_restored);
-    let fresh = AtomicUsize::new(0);
     let store_degraded_reported = AtomicBool::new(false);
     let results: Mutex<Vec<(usize, ProblemTally)>> = Mutex::new(Vec::with_capacity(cells.len()));
 
     // One worker body, run by `worker_count - 1` scoped threads and by
     // the calling thread as worker 0: a 1-thread campaign spawns nothing.
     let worker = || {
-        let mut evaluator = Evaluator::new(config.grid, Default::default()).with_sweep_threads(1);
-        if let Some(cache) = &cache {
-            evaluator = evaluator.with_cache(Arc::clone(cache));
-        }
+        let mut evaluator = Evaluator::new(config.grid, Default::default())
+            .with_sweep_threads(1)
+            .with_cache(Arc::clone(&cache));
         if let Some(scope) = scope {
             evaluator = evaluator.with_cache_scope(Arc::clone(scope));
         }
@@ -1299,16 +1226,6 @@ fn execute_campaign(
                 total: cells.len(),
             });
             local.push((cell_index, tally));
-            if let Some(kill) = kill {
-                if fresh.fetch_add(1, Ordering::Relaxed) + 1 >= kill.after_cells() {
-                    match kill {
-                        KillPoint::Stop { .. } => {
-                            killed.store(true, Ordering::Release);
-                        }
-                        KillPoint::Abort { .. } => std::process::abort(),
-                    }
-                }
-            }
         }
         results.lock().expect("results poisoned").extend(local);
     };
@@ -1342,6 +1259,10 @@ fn execute_campaign(
         by_cell[index] = Some(tally);
     }
 
+    // With a per-tenant scope attached, reported cache stats are the
+    // scope's counters — a session sharing a process-wide cache must not
+    // see (or leak) other tenants' traffic in its own stream/report.
+    let cache_stats = scope.map_or_else(|| cache.stats(), |scope| scope.stats());
     // Aggregation iterates problems in input order — deterministic and
     // independent of scheduling, hashing and thread count.
     let report = aggregate_report(
@@ -1349,12 +1270,10 @@ fn execute_campaign(
         &provider_names,
         config,
         &by_cell,
-        cache.as_ref().map(&reported_stats),
+        Some(cache_stats),
     );
 
-    if let Some(cache) = &cache {
-        emit(CampaignEvent::CacheStats(reported_stats(cache)));
-    }
+    emit(CampaignEvent::CacheStats(cache_stats));
     emit(CampaignEvent::CampaignFinished {
         cells_completed,
         cells_total: cells.len(),
@@ -1584,21 +1503,57 @@ mod tests {
     }
 
     #[test]
-    fn report_is_identical_with_and_without_cache() {
+    fn cached_campaign_matches_an_uncached_recomputation_of_every_cell() {
         let profiles = vec![ModelProfile::gpt4(), ModelProfile::claude35_sonnet()];
         let problems = small_problems();
-        let reference = run_matrix(&profiles, &problems, &small_config());
-        assert!(reference.cache_stats.is_some());
-        let uncached = run_matrix(
-            &profiles,
-            &problems,
-            &CampaignConfig {
-                cache: false,
-                ..small_config()
-            },
-        );
-        assert!(reference.same_results(&uncached));
-        assert!(uncached.cache_stats.is_none());
+        let config = small_config();
+        let report = run_matrix(&profiles, &problems, &config);
+        assert!(report.cache_stats.expect("campaigns run cached").lookups() > 0);
+
+        let mut evaluator = Evaluator::new(config.grid, Default::default());
+        let goldens: Vec<Golden> = problems
+            .iter()
+            .map(|problem| evaluator.golden(problem).unwrap())
+            .collect();
+        let mut conditions = report.conditions.iter();
+        for profile in &profiles {
+            for &feedback_iters in &config.feedback_iters {
+                let condition = conditions.next().expect("one condition per cell column");
+                assert_eq!(condition.model, profile.name());
+                assert_eq!(condition.feedback_iters, feedback_iters);
+                assert_eq!(condition.tallies.len(), problems.len());
+                let loop_config = LoopConfig {
+                    max_feedback_iters: feedback_iters,
+                    restrictions: config.restrictions,
+                };
+                for (problem, golden) in problems.iter().zip(&goldens) {
+                    let mut llm = profile.spawn_seeded(config.seed);
+                    let mut tally = ProblemTally {
+                        n: config.samples_per_problem,
+                        syntax_passes: 0,
+                        functional_passes: 0,
+                    };
+                    for sample in 0..config.samples_per_problem as u64 {
+                        let result = run_sample(
+                            &mut *llm,
+                            problem,
+                            golden,
+                            &mut evaluator,
+                            loop_config,
+                            sample,
+                        );
+                        tally.syntax_passes += usize::from(result.syntax_pass());
+                        tally.functional_passes += usize::from(result.functional_pass());
+                    }
+                    assert_eq!(
+                        condition.tallies[&problem.id], tally,
+                        "{} with {feedback_iters} feedback iterations on {}",
+                        condition.model, problem.id
+                    );
+                }
+            }
+        }
+        assert!(conditions.next().is_none());
     }
 
     #[test]

@@ -74,7 +74,7 @@ mod trace;
 
 pub use campaign::{
     Campaign, CampaignBuildError, CampaignBuilder, CampaignConfig, CampaignOutcome, CampaignReport,
-    CellScore, ConditionTallies, GoldenFailure, KillPoint,
+    CellScore, ConditionTallies, GoldenFailure,
 };
 pub use evaluate::{
     CacheScope, EvalCache, EvalCacheStats, EvalReport, Evaluator, Golden,

@@ -562,13 +562,11 @@ fn shard_worker_body(
 
     // Mirror the engine's evaluator setup: the goldens of pending
     // problems primed up front, keyed by problem position, the same
-    // serial sweeps, an in-memory cache when configured (no disk tier —
-    // worker journals hold cells and leases only, keeping supervisor
-    // polls cheap).
-    let mut evaluator = Evaluator::new(cfg.grid, Default::default()).with_sweep_threads(1);
-    if cfg.cache {
-        evaluator = evaluator.with_cache(Arc::new(EvalCache::new()));
-    }
+    // serial sweeps, an in-memory cache (no disk tier — worker journals
+    // hold cells and leases only, keeping supervisor polls cheap).
+    let mut evaluator = Evaluator::new(cfg.grid, Default::default())
+        .with_sweep_threads(1)
+        .with_cache(Arc::new(EvalCache::new()));
     let mut goldens: HashMap<usize, Golden> = HashMap::new();
     for &index in &pending {
         let p = cells[index].problem;

@@ -12,14 +12,14 @@
 //!   never panics the campaign.
 
 use picbench_core::{
-    Campaign, CampaignConfig, CampaignEvent, CampaignReport, EvalStore, KillPoint, RetryPolicy,
-    SharedEvalStore, TransportErrorKind,
+    Campaign, CampaignConfig, CampaignEvent, CampaignObserver, CampaignReport, CancelToken,
+    EvalStore, RetryPolicy, SharedEvalStore, TransportErrorKind,
 };
 use picbench_problems::Problem;
 use picbench_sim::WavelengthGrid;
 use picbench_synthllm::{FailureKind, FlakyProvider, FlakySchedule, ModelProfile, ModelProvider};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -72,6 +72,27 @@ fn open_store(dir: &PathBuf) -> SharedEvalStore {
     Arc::new(EvalStore::open(dir).expect("open eval store"))
 }
 
+/// A cancel token and an observer that cancels it on the
+/// `after_cells`-th `CellFinished` (0 = cancelled before the run
+/// starts). `CellFinished` follows the cell's journal fsync, so the
+/// halted run leaves at least `after_cells` cells journalled.
+fn stop_after(after_cells: usize) -> (CancelToken, Arc<dyn CampaignObserver>) {
+    let token = CancelToken::new();
+    if after_cells == 0 {
+        token.cancel();
+    }
+    let cancel = token.clone();
+    let finished = AtomicUsize::new(0);
+    let observer = Arc::new(move |event: &CampaignEvent| {
+        if matches!(event, CampaignEvent::CellFinished { .. })
+            && finished.fetch_add(1, Ordering::Relaxed) + 1 == after_cells
+        {
+            cancel.cancel();
+        }
+    });
+    (token, observer)
+}
+
 #[test]
 fn killed_at_every_cell_boundary_then_resumed_is_bit_identical() {
     let control = control_report();
@@ -80,30 +101,33 @@ fn killed_at_every_cell_boundary_then_resumed_is_bit_identical() {
     for boundary in 0..=cells {
         let dir = temp_dir(&format!("boundary-{boundary}"));
 
-        // Phase 1: run with a kill point at this boundary. The store
+        // Phase 1: run until the stop at this boundary. The store
         // handle is dropped before reopening, as a crashed process's
         // would be.
         {
             let store = open_store(&dir);
+            let (token, observer) = stop_after(boundary);
             let outcome = builder()
                 .store(Arc::clone(&store))
-                .kill_point(KillPoint::Stop {
-                    after_cells: boundary,
-                })
+                .cancel_token(token)
+                .observer(observer)
                 .build()
                 .unwrap()
                 .execute();
-            // The kill point guarantees at least `boundary` fresh cells
-            // were journalled before the halt — racing workers may add
-            // more, and near the end of the matrix they can finish the
-            // whole run before the stop lands.
+            // The stop guarantees at least `boundary` fresh cells were
+            // journalled before the halt — racing workers may add more,
+            // and near the end of the matrix they can finish the whole
+            // run before the stop lands.
             assert!(
                 outcome.cells_completed >= boundary,
                 "boundary {boundary}: only {} cells completed",
                 outcome.cells_completed
             );
             if outcome.cancelled {
-                assert!(boundary < cells, "a kill point past the matrix never fires");
+                assert!(
+                    boundary < cells,
+                    "a stop after the last cell cannot cut the run short"
+                );
                 assert!(outcome.report.is_none());
             } else {
                 assert!(outcome.report.expect("complete").same_results(&control));
@@ -139,10 +163,11 @@ fn resumed_runs_emit_cell_restored_events_with_sane_counters() {
     let dir = temp_dir("events");
     let cells = problems().len() * profiles().len() * config().feedback_iters.len();
     {
-        let store = open_store(&dir);
+        let (token, observer) = stop_after(2);
         let outcome = builder()
-            .store(store)
-            .kill_point(KillPoint::Stop { after_cells: 2 })
+            .store(open_store(&dir))
+            .cancel_token(token)
+            .observer(observer)
             .build()
             .unwrap()
             .execute();

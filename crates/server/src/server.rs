@@ -416,7 +416,6 @@ struct CampaignRequest {
     seed: u64,
     threads: usize,
     restrictions: bool,
-    cache: bool,
 }
 
 /// Most samples per problem a campaign body may ask for; also the
@@ -529,11 +528,6 @@ fn parse_campaign_request(state: &ServerState, body: &Value) -> Result<CampaignR
         Some(Value::Bool(b)) => *b,
         Some(_) => return Err("field 'restrictions' must be a boolean".to_string()),
     };
-    let cache = match body.get("cache") {
-        None => true,
-        Some(Value::Bool(b)) => *b,
-        Some(_) => return Err("field 'cache' must be a boolean".to_string()),
-    };
     Ok(CampaignRequest {
         problems,
         providers,
@@ -543,7 +537,6 @@ fn parse_campaign_request(state: &ServerState, body: &Value) -> Result<CampaignR
         seed,
         threads,
         restrictions,
-        cache,
     })
 }
 
@@ -574,7 +567,7 @@ fn post_campaign(
 
     let campaign = {
         let observer_session = Arc::clone(&session);
-        let mut builder = Campaign::builder()
+        let built = Campaign::builder()
             .problems(spec.problems)
             .providers(spec.providers)
             .samples_per_problem(spec.samples_per_problem)
@@ -583,7 +576,8 @@ fn post_campaign(
             .seed(spec.seed)
             .threads(spec.threads)
             .restrictions(spec.restrictions)
-            .cache(spec.cache)
+            .shared_cache(Arc::clone(&state.cache))
+            .cache_scope(state.scope_for(&tenant))
             .cancel_token(session.cancel.clone())
             .observer(Arc::new(move |event: &CampaignEvent| {
                 match event {
@@ -597,13 +591,9 @@ fn post_campaign(
                     _ => {}
                 }
                 observer_session.log.push(wire::encode_event(event));
-            }));
-        if spec.cache {
-            builder = builder
-                .shared_cache(Arc::clone(&state.cache))
-                .cache_scope(state.scope_for(&tenant));
-        }
-        match builder.build() {
+            }))
+            .build();
+        match built {
             Ok(campaign) => campaign,
             Err(e) => {
                 state.sessions.finish(&session, SessionState::Failed);
