@@ -92,8 +92,9 @@ fn tally_entries(tally: &ProblemTally) -> Vec<(String, Value)> {
 // Journal records
 // ---------------------------------------------------------------------
 
-/// One journal record inside an append batch — the wire mirror of the
-/// [`ShardJournal`](picbench_core::ShardJournal) write operations.
+/// One journal record inside an append batch — the wire mirror of
+/// [`CellJournal::record_cell`](picbench_core::CellJournal::record_cell)
+/// and the [`ShardJournal`](picbench_core::ShardJournal) write operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecordMsg {
     /// A freshly evaluated cell.

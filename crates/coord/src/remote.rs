@@ -6,7 +6,7 @@
 //! Durability contract mirrors [`LocalShardJournal`]: fresh cells and
 //! stats ship with `sync: true` (the coordinator fsyncs before
 //! replying `applied`), inherited cells batch unsynced and ride the
-//! restore pass's single [`ShardJournal::sync`]. Every batch carries a
+//! restore pass's single [`CellJournal::sync`]. Every batch carries a
 //! worker-monotonic `seq` in a generation-scoped sequence space, so a
 //! delivery duplicated by the network (or replayed by a retry whose
 //! first delivery *did* land) dedupes exactly on the coordinator, and a
@@ -17,8 +17,8 @@
 use crate::client::CoordClient;
 use crate::proto::{AppendOutcome, AppendRequest, RecordMsg};
 use picbench_core::{
-    LeaseAdvance, LeaseRecord, ProblemTally, ProcessLauncher, ShardGenStats, ShardJournal,
-    ShardLauncher, ShardWorkerHandle, ShardWorkload, WorkerRequest,
+    CellJournal, LeaseAdvance, LeaseRecord, ProblemTally, ProcessLauncher, ShardGenStats,
+    ShardJournal, ShardLauncher, ShardWorkerHandle, ShardWorkload, WorkerRequest,
 };
 use std::io;
 use std::net::SocketAddr;
@@ -41,7 +41,7 @@ pub struct RemoteJournal {
     /// process.
     next_seq: AtomicU64,
     /// Fingerprint of the campaign being journalled, captured from the
-    /// first record so [`ShardJournal::sync`] (which takes none) can
+    /// first record so [`CellJournal::sync`] (which takes none) can
     /// flush pending records under the right key.
     fingerprint: AtomicU64,
     /// Unsynced inherited-cell records awaiting the next flush.
@@ -112,12 +112,7 @@ impl RemoteJournal {
     }
 }
 
-impl ShardJournal for RemoteJournal {
-    fn advance_lease(&self, fingerprint: u64, shard: u32, lease: &LeaseRecord) -> LeaseAdvance {
-        self.fingerprint.store(fingerprint, Ordering::Relaxed);
-        self.client.advance_lease(fingerprint, shard, lease)
-    }
-
+impl CellJournal for RemoteJournal {
     fn record_cell(&self, fingerprint: u64, cell: u64, tally: &ProblemTally) -> bool {
         self.flush(
             fingerprint,
@@ -127,6 +122,22 @@ impl ShardJournal for RemoteJournal {
                 tally: *tally,
             }),
         )
+    }
+
+    fn sync(&self) -> bool {
+        let fingerprint = self.fingerprint.load(Ordering::Relaxed);
+        self.flush(fingerprint, true, None) && !self.degraded.load(Ordering::Relaxed)
+    }
+
+    fn degraded(&self) -> bool {
+        self.degraded.load(Ordering::Relaxed)
+    }
+}
+
+impl ShardJournal for RemoteJournal {
+    fn advance_lease(&self, fingerprint: u64, shard: u32, lease: &LeaseRecord) -> LeaseAdvance {
+        self.fingerprint.store(fingerprint, Ordering::Relaxed);
+        self.client.advance_lease(fingerprint, shard, lease)
     }
 
     fn record_inherited_cell(&self, fingerprint: u64, cell: u64, tally: &ProblemTally) {
@@ -145,18 +156,9 @@ impl ShardJournal for RemoteJournal {
         }
     }
 
-    fn sync(&self) -> bool {
-        let fingerprint = self.fingerprint.load(Ordering::Relaxed);
-        self.flush(fingerprint, true, None) && !self.degraded.load(Ordering::Relaxed)
-    }
-
     fn record_shard_stats(&self, fingerprint: u64, shard: u32, stats: &ShardGenStats) -> bool {
         debug_assert_eq!(shard, self.shard);
         self.flush(fingerprint, true, Some(RecordMsg::Stats { stats: *stats }))
-    }
-
-    fn degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
     }
 
     fn prior_generation_cells(

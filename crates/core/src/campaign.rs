@@ -46,6 +46,7 @@
 use crate::evaluate::{CacheScope, EvalCache, EvalCacheStats, Evaluator, Golden};
 use crate::events::{CampaignEvent, CampaignObserver, CancelToken};
 use crate::feedback_loop::{run_sample, LoopConfig};
+use crate::journal::CellJournal;
 use crate::lease::{Clock, LeaseConfig, SystemClock};
 use crate::passk::{aggregate_pass_at_k, ProblemTally};
 use crate::persist::SharedEvalStore;
@@ -164,56 +165,6 @@ impl CampaignReport {
                 a.model == b.model && a.feedback_iters == b.feedback_iters && a.tallies == b.tallies
             })
     }
-}
-
-/// One `(problem × model × feedback)` evaluation cell.
-#[derive(Clone, Copy)]
-pub(crate) struct Cell {
-    pub(crate) problem: usize,
-    pub(crate) profile: usize,
-    pub(crate) ef_idx: usize,
-}
-
-/// The campaign's cell list in canonical problem-major order — the
-/// order every execution path (single-process engine, shard planner,
-/// merge) agrees on.
-pub(crate) fn matrix_cells(
-    problems: usize,
-    providers: usize,
-    feedback_settings: usize,
-) -> Vec<Cell> {
-    let mut cells = Vec::with_capacity(problems * providers * feedback_settings);
-    for problem in 0..problems {
-        for profile in 0..providers {
-            for ef_idx in 0..feedback_settings {
-                cells.push(Cell {
-                    problem,
-                    profile,
-                    ef_idx,
-                });
-            }
-        }
-    }
-    cells
-}
-
-/// Journal keys for every cell, in the same canonical order.
-pub(crate) fn matrix_cell_keys(
-    problems: &[Problem],
-    provider_names: &[String],
-    config: &CampaignConfig,
-    cells: &[Cell],
-) -> Vec<u64> {
-    cells
-        .iter()
-        .map(|cell| {
-            cell_journal_key(
-                &problems[cell.problem].id,
-                &provider_names[cell.profile],
-                config.feedback_iters[cell.ef_idx],
-            )
-        })
-        .collect()
 }
 
 /// Why [`CampaignBuilder::build`] rejected a session.
@@ -414,17 +365,7 @@ impl Campaign {
         if self.shards > 1 {
             return run_sharded(self);
         }
-        execute_campaign(
-            &self.problems,
-            &self.providers,
-            &self.config,
-            self.observer.as_ref(),
-            self.cancel.as_ref(),
-            self.store.as_ref(),
-            self.shared_cache.as_ref(),
-            self.scope.as_ref(),
-            self.resume,
-        )
+        execute_campaign(self)
     }
 
     /// The fingerprint identifying this campaign's result-relevant
@@ -435,13 +376,7 @@ impl Campaign {
     /// cells whose inputs provably match. The thread count and `k_values`
     /// are excluded — they cannot change tallies.
     pub fn fingerprint(&self) -> u64 {
-        let names: Vec<String> = self
-            .providers
-            .iter()
-            .map(|p| p.name().to_string())
-            .collect();
-        let hashes = golden_hashes(&self.problems);
-        campaign_fingerprint(&self.problems, &hashes, &names, &self.config)
+        CellMatrix::new(&self.problems, &self.providers, &self.config).fingerprint
     }
 }
 
@@ -771,23 +706,155 @@ impl CampaignBuilder {
     }
 }
 
-/// Each problem's golden netlist `content_hash`, in problem order.
-pub(crate) fn golden_hashes(problems: &[Problem]) -> Vec<u64> {
-    problems.iter().map(|p| p.golden.content_hash()).collect()
+/// One `(problem × model × feedback)` evaluation cell.
+#[derive(Clone, Copy)]
+pub(crate) struct Cell {
+    pub(crate) problem: usize,
+    pub(crate) profile: usize,
+    pub(crate) ef_idx: usize,
+}
+
+/// The campaign's cell matrix, built once per run from its problems,
+/// providers and config. Every execution path — the in-process engine,
+/// the shard supervisor, each shard worker and the merge — reads the
+/// cell order, the journal keys and the fingerprint from here, so they
+/// cannot disagree.
+pub(crate) struct CellMatrix<'c> {
+    pub(crate) problems: &'c [Problem],
+    pub(crate) config: &'c CampaignConfig,
+    /// Provider display names, in input order.
+    pub(crate) provider_names: Vec<String>,
+    /// Cells in canonical problem-major order.
+    pub(crate) cells: Vec<Cell>,
+    /// Each cell's journal key, in the same order — derived from
+    /// identities (problem id, provider name, feedback setting), not
+    /// matrix indices, so reordering the problem or provider lists does
+    /// not orphan journal records.
+    pub(crate) keys: Vec<u64>,
+    /// Each problem's golden netlist `content_hash`, in problem order.
+    pub(crate) golden_hashes: Vec<u64>,
+    /// Journal records are keyed by it; see [`Campaign::fingerprint`].
+    pub(crate) fingerprint: u64,
+}
+
+impl<'c> CellMatrix<'c> {
+    pub(crate) fn new(
+        problems: &'c [Problem],
+        providers: &[Arc<dyn ModelProvider>],
+        config: &'c CampaignConfig,
+    ) -> Self {
+        let provider_names: Vec<String> = providers.iter().map(|p| p.name().to_string()).collect();
+        let settings = config.feedback_iters.len();
+        let mut cells = Vec::with_capacity(problems.len() * providers.len() * settings);
+        for problem in 0..problems.len() {
+            for profile in 0..providers.len() {
+                for ef_idx in 0..settings {
+                    cells.push(Cell {
+                        problem,
+                        profile,
+                        ef_idx,
+                    });
+                }
+            }
+        }
+        let mut buf = Vec::new();
+        let keys = cells
+            .iter()
+            .map(|cell| {
+                buf.clear();
+                push_str(&mut buf, &problems[cell.problem].id);
+                push_str(&mut buf, &provider_names[cell.profile]);
+                let feedback_iters = config.feedback_iters[cell.ef_idx] as u64;
+                buf.extend_from_slice(&feedback_iters.to_le_bytes());
+                fnv1a64(&buf)
+            })
+            .collect();
+        let golden_hashes: Vec<u64> = problems.iter().map(|p| p.golden.content_hash()).collect();
+        let fingerprint = campaign_fingerprint(problems, &golden_hashes, &provider_names, config);
+        CellMatrix {
+            problems,
+            config,
+            provider_names,
+            cells,
+            keys,
+            golden_hashes,
+            fingerprint,
+        }
+    }
+
+    /// Folds per-cell tallies into a [`CampaignReport`], iterating
+    /// problems in input order — deterministic and independent of
+    /// scheduling. The in-process engine and the multi-shard merge both
+    /// fold here, which is what makes the merged report bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a cell is missing — callers verify coverage first.
+    pub(crate) fn report(
+        &self,
+        by_cell: &[Option<ProblemTally>],
+        cache_stats: Option<EvalCacheStats>,
+    ) -> CampaignReport {
+        let config = self.config;
+        let cell_index = |problem: usize, profile: usize, ef_idx: usize| {
+            (problem * self.provider_names.len() + profile) * config.feedback_iters.len() + ef_idx
+        };
+        let mut conditions: Vec<ConditionTallies> = Vec::new();
+        let mut scores = Vec::new();
+        for (profile_idx, model_name) in self.provider_names.iter().enumerate() {
+            for (ef_idx, &ef) in config.feedback_iters.iter().enumerate() {
+                let ordered: Vec<(usize, ProblemTally)> = (0..self.problems.len())
+                    .map(|p| {
+                        let tally = by_cell[cell_index(p, profile_idx, ef_idx)]
+                            .expect("every cell was computed");
+                        (p, tally)
+                    })
+                    .collect();
+                for &k in &config.k_values {
+                    let tally_vec: Vec<ProblemTally> = ordered.iter().map(|(_, t)| *t).collect();
+                    let (syntax, functional) = aggregate_pass_at_k(&tally_vec, k);
+                    scores.push(CellScore {
+                        model: model_name.clone(),
+                        feedback_iters: ef,
+                        k,
+                        syntax,
+                        functional,
+                    });
+                }
+                conditions.push(ConditionTallies {
+                    model: model_name.clone(),
+                    feedback_iters: ef,
+                    tallies: ordered
+                        .into_iter()
+                        .map(|(p, tally)| (self.problems[p].id.clone(), tally))
+                        .collect(),
+                });
+            }
+        }
+        CampaignReport {
+            restrictions: config.restrictions,
+            samples_per_problem: config.samples_per_problem,
+            cells: scores,
+            conditions,
+            cache_stats,
+        }
+    }
+}
+
+/// Appends a length-prefixed string to a hash input.
+fn push_str(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u64).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
 /// FNV-1a over the campaign's result-relevant inputs, given the
-/// problems' [`golden_hashes`]; see [`Campaign::fingerprint`].
-pub(crate) fn campaign_fingerprint(
+/// problems' golden hashes; see [`Campaign::fingerprint`].
+fn campaign_fingerprint(
     problems: &[Problem],
     golden_hashes: &[u64],
     provider_names: &[String],
     config: &CampaignConfig,
 ) -> u64 {
-    fn push_str(buf: &mut Vec<u8>, s: &str) {
-        buf.extend_from_slice(&(s.len() as u64).to_le_bytes());
-        buf.extend_from_slice(s.as_bytes());
-    }
     let mut buf = Vec::with_capacity(256);
     buf.extend_from_slice(b"picbench-campaign-v1");
     buf.extend_from_slice(&(problems.len() as u64).to_le_bytes());
@@ -816,19 +883,6 @@ pub(crate) fn campaign_fingerprint(
         }
         None => buf.push(0),
     }
-    fnv1a64(&buf)
-}
-
-/// Stable journal key of one `(problem × model × feedback)` cell —
-/// derived from identities, not matrix indices, so reordering the
-/// problem or provider lists does not orphan journal records.
-pub(crate) fn cell_journal_key(problem_id: &str, provider: &str, feedback_iters: usize) -> u64 {
-    let mut buf = Vec::with_capacity(problem_id.len() + provider.len() + 24);
-    buf.extend_from_slice(&(problem_id.len() as u64).to_le_bytes());
-    buf.extend_from_slice(problem_id.as_bytes());
-    buf.extend_from_slice(&(provider.len() as u64).to_le_bytes());
-    buf.extend_from_slice(provider.as_bytes());
-    buf.extend_from_slice(&(feedback_iters as u64).to_le_bytes());
     fnv1a64(&buf)
 }
 
@@ -866,123 +920,175 @@ fn bridge_retry_event(event: &RetryEvent) -> CampaignEvent {
     }
 }
 
-/// Wraps providers in the retry decorator when the config asks for one,
-/// preserving display names; retry decisions bridge into the observer.
-/// Shard workers apply the identical wrapping, so a cell evaluates the
-/// same bytes whether it runs in-process or in a worker.
-pub(crate) fn wrap_retry_providers(
-    providers: &[Arc<dyn ModelProvider>],
-    config: &CampaignConfig,
-    observer: Option<&Arc<dyn CampaignObserver>>,
-) -> Vec<Arc<dyn ModelProvider>> {
-    match config.retry {
-        Some(policy) => providers
-            .iter()
-            .map(|provider| {
-                let mut retrying = RetryProvider::new(Arc::clone(provider), policy);
-                if let Some(observer) = observer {
-                    let observer = Arc::clone(observer);
-                    retrying = retrying.with_sink(Arc::new(move |event: &RetryEvent| {
-                        observer.on_event(&bridge_retry_event(event));
-                    }));
-                }
-                Arc::new(retrying) as Arc<dyn ModelProvider>
-            })
-            .collect(),
-        None => providers.to_vec(),
-    }
+/// How every worker evaluates cells — the engine's threads and shard
+/// workers alike, so a cell evaluates the same bytes wherever it runs:
+/// retry-wrapped providers, goldens primed by problem position, one
+/// serially sweeping evaluator per worker over a shared cache, and each
+/// cell journalled through a [`CellJournal`] before it counts.
+pub(crate) struct CellRunner<'m> {
+    matrix: &'m CellMatrix<'m>,
+    providers: Vec<Arc<dyn ModelProvider>>,
+    cache: Arc<EvalCache>,
+    scope: Option<Arc<CacheScope>>,
 }
 
-/// Evaluates one cell exactly as the engine's worker loop does: a fresh
-/// model instance seeded with the campaign seed, `samples_per_problem`
-/// runs through the feedback loop against the problem's `golden`,
-/// tallied. Extracted so shard workers produce bit-identical tallies.
-pub(crate) fn evaluate_cell(
-    provider: &Arc<dyn ModelProvider>,
-    problem: &Problem,
-    golden: &Golden,
-    feedback_iters: usize,
-    config: &CampaignConfig,
-    evaluator: &mut Evaluator,
-) -> ProblemTally {
-    let mut llm = provider.spawn_seeded(config.seed);
-    let loop_config = LoopConfig {
-        max_feedback_iters: feedback_iters,
-        restrictions: config.restrictions,
-    };
-    let mut tally = ProblemTally {
-        n: config.samples_per_problem,
-        syntax_passes: 0,
-        functional_passes: 0,
-    };
-    for sample in 0..config.samples_per_problem as u64 {
-        let result = run_sample(&mut *llm, problem, golden, evaluator, loop_config, sample);
-        if result.syntax_pass() {
-            tally.syntax_passes += 1;
-        }
-        if result.functional_pass() {
-            tally.functional_passes += 1;
-        }
-    }
-    tally
-}
-
-/// Folds per-cell tallies into a [`CampaignReport`], iterating problems
-/// in input order — deterministic and independent of scheduling. Shared
-/// by the in-process engine and the multi-shard merge, which is what
-/// makes the merged report bit-identical.
-///
-/// # Panics
-///
-/// Panics when a cell is missing — callers verify coverage first.
-pub(crate) fn aggregate_report(
-    problems: &[Problem],
-    provider_names: &[String],
-    config: &CampaignConfig,
-    by_cell: &[Option<ProblemTally>],
-    cache_stats: Option<EvalCacheStats>,
-) -> CampaignReport {
-    let cell_index = |problem: usize, profile: usize, ef_idx: usize| {
-        (problem * provider_names.len() + profile) * config.feedback_iters.len() + ef_idx
-    };
-    let mut conditions: Vec<ConditionTallies> = Vec::new();
-    let mut scores = Vec::new();
-    for (profile_idx, model_name) in provider_names.iter().enumerate() {
-        for (ef_idx, &ef) in config.feedback_iters.iter().enumerate() {
-            let ordered: Vec<(usize, ProblemTally)> = (0..problems.len())
-                .map(|p| {
-                    let tally = by_cell[cell_index(p, profile_idx, ef_idx)]
-                        .expect("every cell was computed");
-                    (p, tally)
+impl<'m> CellRunner<'m> {
+    /// A runner over `matrix` evaluating through `cache` (and counting
+    /// into `scope`, if any). The providers are wrapped in the retry
+    /// decorator when the config asks for one, keeping their display
+    /// names; retry decisions bridge into `observer`.
+    pub(crate) fn new(
+        matrix: &'m CellMatrix<'m>,
+        providers: &[Arc<dyn ModelProvider>],
+        observer: Option<&Arc<dyn CampaignObserver>>,
+        cache: Arc<EvalCache>,
+        scope: Option<Arc<CacheScope>>,
+    ) -> Self {
+        let providers = match matrix.config.retry {
+            Some(policy) => providers
+                .iter()
+                .map(|provider| {
+                    let mut retrying = RetryProvider::new(Arc::clone(provider), policy);
+                    if let Some(observer) = observer {
+                        let observer = Arc::clone(observer);
+                        retrying = retrying.with_sink(Arc::new(move |event: &RetryEvent| {
+                            observer.on_event(&bridge_retry_event(event));
+                        }));
+                    }
+                    Arc::new(retrying) as Arc<dyn ModelProvider>
                 })
-                .collect();
-            for &k in &config.k_values {
-                let tally_vec: Vec<ProblemTally> = ordered.iter().map(|(_, t)| *t).collect();
-                let (syntax, functional) = aggregate_pass_at_k(&tally_vec, k);
-                scores.push(CellScore {
-                    model: model_name.clone(),
-                    feedback_iters: ef,
-                    k,
-                    syntax,
-                    functional,
-                });
-            }
-            conditions.push(ConditionTallies {
-                model: model_name.clone(),
-                feedback_iters: ef,
-                tallies: ordered
-                    .into_iter()
-                    .map(|(p, tally)| (problems[p].id.clone(), tally))
-                    .collect(),
-            });
+                .collect(),
+            None => providers.to_vec(),
+        };
+        CellRunner {
+            matrix,
+            providers,
+            cache,
+            scope,
         }
     }
-    CampaignReport {
-        restrictions: config.restrictions,
-        samples_per_problem: config.samples_per_problem,
-        cells: scores,
-        conditions,
-        cache_stats,
+
+    /// Simulates the goldens of the `problems` at these positions
+    /// (repeats are simulated once) and seeds the cache with them, so
+    /// golden-identical candidates are instant hits. Indexed by problem
+    /// position; stops before the next golden once `halted` holds,
+    /// returning those primed so far.
+    ///
+    /// The priming evaluator sweeps on the calling thread's workspace,
+    /// which grows to the largest golden; it is dropped before this
+    /// returns, so that memory is not held while cells run.
+    ///
+    /// # Errors
+    ///
+    /// The first golden that fails to simulate (boxed: it carries the
+    /// whole simulator error): no candidate can be scored against it.
+    pub(crate) fn prime(
+        &self,
+        problems: impl IntoIterator<Item = usize>,
+        halted: impl Fn() -> bool,
+    ) -> Result<Vec<Option<Golden>>, Box<GoldenFailure>> {
+        let matrix = self.matrix;
+        let mut evaluator = Evaluator::new(matrix.config.grid, Default::default())
+            .with_cache(Arc::clone(&self.cache));
+        let mut goldens = vec![None; matrix.problems.len()];
+        for p in problems {
+            if halted() {
+                break;
+            }
+            if goldens[p].is_some() {
+                continue;
+            }
+            let problem = &matrix.problems[p];
+            let golden = evaluator
+                .golden_with_hash(problem, matrix.golden_hashes[p])
+                .map_err(|error| {
+                    Box::new(GoldenFailure {
+                        problem_id: problem.id.clone(),
+                        error,
+                    })
+                })?;
+            goldens[p] = Some(golden);
+        }
+        Ok(goldens)
+    }
+
+    /// A worker's evaluator: serial sweeps (campaigns parallelize across
+    /// cells, not within sweeps) over the shared cache, counting into the
+    /// tenant scope if there is one.
+    pub(crate) fn evaluator(&self) -> Evaluator {
+        let evaluator = Evaluator::new(self.matrix.config.grid, Default::default())
+            .with_sweep_threads(1)
+            .with_cache(Arc::clone(&self.cache));
+        match &self.scope {
+            Some(scope) => evaluator.with_cache_scope(Arc::clone(scope)),
+            None => evaluator,
+        }
+    }
+
+    /// Evaluates the cell at `index`: a fresh model instance seeded with
+    /// the campaign seed runs `samples_per_problem` samples through the
+    /// feedback loop against the problem's primed golden. The tally is
+    /// then recorded in `journal` — the durability barrier a cell passes
+    /// before the caller counts it complete. Returns the tally and
+    /// whether its record is durable (`true` without a journal).
+    pub(crate) fn run_cell(
+        &self,
+        index: usize,
+        goldens: &[Option<Golden>],
+        evaluator: &mut Evaluator,
+        journal: Option<&dyn CellJournal>,
+    ) -> (ProblemTally, bool) {
+        let matrix = self.matrix;
+        let config = matrix.config;
+        let cell = matrix.cells[index];
+        let problem = &matrix.problems[cell.problem];
+        let golden = goldens[cell.problem]
+            .as_ref()
+            .expect("the cell's golden was primed");
+        let mut llm = self.providers[cell.profile].spawn_seeded(config.seed);
+        let loop_config = LoopConfig {
+            max_feedback_iters: config.feedback_iters[cell.ef_idx],
+            restrictions: config.restrictions,
+        };
+        let mut tally = ProblemTally {
+            n: config.samples_per_problem,
+            syntax_passes: 0,
+            functional_passes: 0,
+        };
+        for sample in 0..config.samples_per_problem as u64 {
+            let result = run_sample(&mut *llm, problem, golden, evaluator, loop_config, sample);
+            tally.syntax_passes += usize::from(result.syntax_pass());
+            tally.functional_passes += usize::from(result.functional_pass());
+        }
+        let durable = journal.is_none_or(|journal| {
+            journal.record_cell(matrix.fingerprint, matrix.keys[index], &tally)
+        });
+        (tally, durable)
+    }
+}
+
+/// Ends a run without a report — on a cancel, or on a golden that
+/// failed to simulate (`golden_failure` is `Some`; not a cancel).
+pub(crate) fn stopped(
+    emit: impl Fn(CampaignEvent),
+    cells_completed: usize,
+    cells_total: usize,
+    cells_restored: usize,
+    golden_failure: Option<GoldenFailure>,
+) -> CampaignOutcome {
+    let cancelled = golden_failure.is_none();
+    emit(CampaignEvent::CampaignFinished {
+        cells_completed,
+        cells_total,
+        cancelled,
+    });
+    CampaignOutcome {
+        report: None,
+        cancelled,
+        cells_completed,
+        cells_total,
+        cells_restored,
+        golden_failure,
     }
 }
 
@@ -993,97 +1099,68 @@ pub(crate) fn aggregate_report(
 /// The calling thread is worker 0: it runs the same worker body as the
 /// `worker_count - 1` scoped threads beside it, so a 1-worker campaign
 /// spawns no thread and delivers every event on the caller's thread.
-#[allow(clippy::too_many_arguments)]
-fn execute_campaign(
-    problems: &[Problem],
-    providers: &[Arc<dyn ModelProvider>],
-    config: &CampaignConfig,
-    observer: Option<&Arc<dyn CampaignObserver>>,
-    cancel: Option<&CancelToken>,
-    store: Option<&SharedEvalStore>,
-    shared_cache: Option<&Arc<EvalCache>>,
-    scope: Option<&Arc<CacheScope>>,
-    resume: bool,
-) -> CampaignOutcome {
-    assert!(!problems.is_empty(), "campaign needs problems");
-    assert!(!providers.is_empty(), "campaign needs model providers");
-    assert!(!config.k_values.is_empty(), "campaign needs k values");
-
+fn execute_campaign(campaign: &Campaign) -> CampaignOutcome {
+    let config = &campaign.config;
     let emit = |event: CampaignEvent| {
-        if let Some(observer) = observer {
+        if let Some(observer) = &campaign.observer {
             observer.on_event(&event);
         }
     };
-
-    // The retry layer decorates providers at execute time, preserving
-    // their display names; its decisions are bridged into the campaign
-    // event stream through the observer.
-    let providers: Vec<Arc<dyn ModelProvider>> = wrap_retry_providers(providers, config, observer);
-    let providers = &providers[..];
-
-    let halted = || cancel.is_some_and(CancelToken::is_cancelled);
-    let provider_names: Vec<String> = providers.iter().map(|p| p.name().to_string()).collect();
+    let halted = || {
+        campaign
+            .cancel
+            .as_ref()
+            .is_some_and(CancelToken::is_cancelled)
+    };
 
     // Cells in problem-major order, claimed one at a time by workers.
-    let cells = matrix_cells(problems.len(), providers.len(), config.feedback_iters.len());
+    let matrix = CellMatrix::new(&campaign.problems, &campaign.providers, config);
+    let cells = &matrix.cells;
 
     emit(CampaignEvent::CampaignStarted {
-        problems: problems.len(),
-        providers: providers.len(),
+        problems: campaign.problems.len(),
+        providers: campaign.providers.len(),
         cells: cells.len(),
-    });
-
-    // Hashed once: the journal fingerprint and golden priming read these.
-    let golden_hashes = golden_hashes(problems);
-
-    // Journal identity, computed only when there is a journal: the
-    // fingerprint scopes records to this exact campaign, the per-cell
-    // keys are derived from identities (problem id, provider name,
-    // feedback setting), not matrix indices.
-    let journal = store.map(|store| {
-        let fingerprint = campaign_fingerprint(problems, &golden_hashes, &provider_names, config);
-        let cell_keys = matrix_cell_keys(problems, &provider_names, config, &cells);
-        (store, fingerprint, cell_keys)
     });
 
     // Resume: replay cells journalled by a previous run of the same
     // campaign before any worker starts. Restored tallies were computed
     // by the same deterministic engine, so the merged report is
     // bit-identical to an uninterrupted run.
+    let store = campaign.store.as_ref();
     let mut restored: Vec<Option<ProblemTally>> = vec![None; cells.len()];
     let mut cells_restored = 0usize;
-    if resume {
-        if let Some((store, fingerprint, cell_keys)) = &journal {
-            let journalled: HashMap<u64, ProblemTally> =
-                store.completed_cells(*fingerprint).into_iter().collect();
-            for (index, key) in cell_keys.iter().enumerate() {
-                if let Some(tally) = journalled.get(key) {
-                    restored[index] = Some(*tally);
-                    cells_restored += 1;
-                    let cell = cells[index];
-                    emit(CampaignEvent::CellRestored {
-                        problem_id: problems[cell.problem].id.clone(),
-                        model: provider_names[cell.profile].clone(),
-                        feedback_iters: config.feedback_iters[cell.ef_idx],
-                        tally: *tally,
-                        completed: cells_restored,
-                        total: cells.len(),
-                    });
-                }
+    if let Some(store) = store.filter(|_| campaign.resume) {
+        let journalled: HashMap<u64, ProblemTally> = store
+            .completed_cells(matrix.fingerprint)
+            .into_iter()
+            .collect();
+        for (index, key) in matrix.keys.iter().enumerate() {
+            if let Some(tally) = journalled.get(key) {
+                restored[index] = Some(*tally);
+                cells_restored += 1;
+                let cell = cells[index];
+                emit(CampaignEvent::CellRestored {
+                    problem_id: campaign.problems[cell.problem].id.clone(),
+                    model: matrix.provider_names[cell.profile].clone(),
+                    feedback_iters: config.feedback_iters[cell.ef_idx],
+                    tally: *tally,
+                    completed: cells_restored,
+                    total: cells.len(),
+                });
             }
         }
     }
 
     // Goldens, indexed by problem: simulated once, borrowed by every
-    // worker, and seeded into the evaluation cache so golden-identical
-    // candidates are instant hits. This serial priming phase honours the
+    // worker, and seeded into the evaluation cache. Priming honours the
     // cancel token per problem, so an early abort responds promptly
     // instead of sweeping every golden first; a resume that restored
-    // every cell has nothing to compare and primes none. When a store is attached
-    // it doubles as the disk tier under the shared cache.
-    let cache = match shared_cache {
-        // Multi-tenant path: reuse the injected process-wide cache
-        // verbatim (including whatever disk tier it was built with).
+    // every cell has nothing to compare and primes none. When a store
+    // is attached it doubles as the disk tier under the campaign's own
+    // cache; an injected process-wide cache is used verbatim (including
+    // whatever disk tier it was built with).
+    let cache = match &campaign.shared_cache {
         Some(shared) => Arc::clone(shared),
         None => {
             let mut cache = EvalCache::new();
@@ -1093,59 +1170,32 @@ fn execute_campaign(
             Arc::new(cache)
         }
     };
-    let mut goldens: Vec<Golden> = Vec::with_capacity(problems.len());
-    let mut golden_failure = None;
-    {
-        // The priming evaluator sweeps on the calling thread's workspace,
-        // which grows to the largest golden; it is dropped before any
-        // cell runs so that memory is not held for the whole campaign.
-        let mut evaluator =
-            Evaluator::new(config.grid, Default::default()).with_cache(Arc::clone(&cache));
-        for (problem, &hash) in problems.iter().zip(&golden_hashes) {
-            if cells_restored == cells.len() || halted() {
-                break;
-            }
-            match evaluator.golden_with_hash(problem, hash) {
-                Ok(golden) => goldens.push(golden),
-                Err(error) => {
-                    golden_failure = Some(GoldenFailure {
-                        problem_id: problem.id.clone(),
-                        error,
-                    });
-                    break;
-                }
-            }
+    let runner = CellRunner::new(
+        &matrix,
+        &campaign.providers,
+        campaign.observer.as_ref(),
+        Arc::clone(&cache),
+        campaign.scope.clone(),
+    );
+    let to_prime = if cells_restored == cells.len() {
+        0
+    } else {
+        campaign.problems.len()
+    };
+    let goldens = match runner.prime(0..to_prime, halted) {
+        Ok(goldens) => goldens,
+        Err(failure) => {
+            return stopped(
+                emit,
+                cells_restored,
+                cells.len(),
+                cells_restored,
+                Some(*failure),
+            )
         }
-    }
-    if golden_failure.is_some() {
-        emit(CampaignEvent::CampaignFinished {
-            cells_completed: cells_restored,
-            cells_total: cells.len(),
-            cancelled: false,
-        });
-        return CampaignOutcome {
-            report: None,
-            cancelled: false,
-            cells_completed: cells_restored,
-            cells_total: cells.len(),
-            cells_restored,
-            golden_failure,
-        };
-    }
+    };
     if halted() && cells_restored < cells.len() {
-        emit(CampaignEvent::CampaignFinished {
-            cells_completed: cells_restored,
-            cells_total: cells.len(),
-            cancelled: true,
-        });
-        return CampaignOutcome {
-            report: None,
-            cancelled: true,
-            cells_completed: cells_restored,
-            cells_total: cells.len(),
-            cells_restored,
-            golden_failure: None,
-        };
+        return stopped(emit, cells_restored, cells.len(), cells_restored, None);
     }
 
     let worker_count = if config.threads > 0 {
@@ -1158,6 +1208,7 @@ fn execute_campaign(
     .min(cells.len())
     .max(1);
 
+    let journal = store.map(|store| store as &dyn CellJournal);
     let next_cell = AtomicUsize::new(0);
     let completed = AtomicUsize::new(cells_restored);
     let store_degraded_reported = AtomicBool::new(false);
@@ -1166,12 +1217,7 @@ fn execute_campaign(
     // One worker body, run by `worker_count - 1` scoped threads and by
     // the calling thread as worker 0: a 1-thread campaign spawns nothing.
     let worker = || {
-        let mut evaluator = Evaluator::new(config.grid, Default::default())
-            .with_sweep_threads(1)
-            .with_cache(Arc::clone(&cache));
-        if let Some(scope) = scope {
-            evaluator = evaluator.with_cache_scope(Arc::clone(scope));
-        }
+        let mut evaluator = runner.evaluator();
         let mut local: Vec<(usize, ProblemTally)> = Vec::new();
         loop {
             // Cooperative abort at cell boundaries: a started cell always
@@ -1189,37 +1235,27 @@ fn execute_campaign(
                 continue;
             }
             let cell = cells[cell_index];
-            let problem = &problems[cell.problem];
+            let problem_id = &campaign.problems[cell.problem].id;
+            let model = &matrix.provider_names[cell.profile];
             let feedback_iters = config.feedback_iters[cell.ef_idx];
             emit(CampaignEvent::CellStarted {
-                problem_id: problem.id.clone(),
-                model: provider_names[cell.profile].clone(),
+                problem_id: problem_id.clone(),
+                model: model.clone(),
                 feedback_iters,
             });
-            let tally = evaluate_cell(
-                &providers[cell.profile],
-                problem,
-                &goldens[cell.problem],
-                feedback_iters,
-                config,
-                &mut evaluator,
-            );
-            // Durability barrier: the cell's journal record is written and
-            // fsync'd *before* the cell is counted complete, so any crash
-            // after this point leaves a resumable journal.
-            if let Some((store, fingerprint, cell_keys)) = &journal {
-                if !store.record_cell(*fingerprint, cell_keys[cell_index], &tally)
-                    && !store_degraded_reported.swap(true, Ordering::AcqRel)
-                {
-                    emit(CampaignEvent::StoreDegraded {
-                        write_errors: store.write_errors(),
-                    });
-                }
+            // The runner journals the cell (fsync'd) before it counts as
+            // complete, so any crash after this point leaves a resumable
+            // journal.
+            let (tally, durable) = runner.run_cell(cell_index, &goldens, &mut evaluator, journal);
+            if !durable && !store_degraded_reported.swap(true, Ordering::AcqRel) {
+                emit(CampaignEvent::StoreDegraded {
+                    write_errors: store.map_or(0, |store| store.write_errors()),
+                });
             }
             let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
             emit(CampaignEvent::CellFinished {
-                problem_id: problem.id.clone(),
-                model: provider_names[cell.profile].clone(),
+                problem_id: problem_id.clone(),
+                model: model.clone(),
                 feedback_iters,
                 tally,
                 completed: done,
@@ -1238,40 +1274,24 @@ fn execute_campaign(
 
     let cells_completed = completed.load(Ordering::Relaxed);
     if halted() && cells_completed < cells.len() {
-        emit(CampaignEvent::CampaignFinished {
-            cells_completed,
-            cells_total: cells.len(),
-            cancelled: true,
-        });
-        return CampaignOutcome {
-            report: None,
-            cancelled: true,
-            cells_completed,
-            cells_total: cells.len(),
-            cells_restored,
-            golden_failure: None,
-        };
+        return stopped(emit, cells_completed, cells.len(), cells_restored, None);
     }
 
-    let raw = results.into_inner().expect("results poisoned");
-    let mut by_cell: Vec<Option<ProblemTally>> = restored;
-    for (index, tally) in raw {
+    let mut by_cell = restored;
+    for (index, tally) in results.into_inner().expect("results poisoned") {
         by_cell[index] = Some(tally);
     }
 
     // With a per-tenant scope attached, reported cache stats are the
     // scope's counters — a session sharing a process-wide cache must not
     // see (or leak) other tenants' traffic in its own stream/report.
-    let cache_stats = scope.map_or_else(|| cache.stats(), |scope| scope.stats());
+    let cache_stats = campaign
+        .scope
+        .as_ref()
+        .map_or_else(|| cache.stats(), |scope| scope.stats());
     // Aggregation iterates problems in input order — deterministic and
     // independent of scheduling, hashing and thread count.
-    let report = aggregate_report(
-        problems,
-        &provider_names,
-        config,
-        &by_cell,
-        Some(cache_stats),
-    );
+    let report = matrix.report(&by_cell, Some(cache_stats));
 
     emit(CampaignEvent::CacheStats(cache_stats));
     emit(CampaignEvent::CampaignFinished {
@@ -1419,38 +1439,52 @@ mod tests {
 
     #[test]
     fn an_unsimulable_golden_ends_the_campaign_with_a_typed_error() {
-        let events = Arc::new(Mutex::new(Vec::new()));
-        let seen = Arc::clone(&events);
-        let outcome = Campaign::builder()
-            .problem(unsimulable_mzi_ps())
-            .profiles(&[ModelProfile::gpt4()])
-            .samples_per_problem(1)
-            .k_values([1])
-            .feedback_iters([0])
-            .observer(Arc::new(move |event: &CampaignEvent| {
-                seen.lock().unwrap().push(event.clone());
-            }))
-            .build()
-            .unwrap()
-            .execute();
-        assert!(outcome.report.is_none());
-        assert!(!outcome.cancelled);
-        assert_eq!(outcome.cells_completed, 0);
-        let failure = outcome
-            .golden_failure
-            .expect("the golden failure is reported");
-        assert_eq!(failure.problem_id, "mzi-ps");
-        assert!(matches!(failure.error, SimulateError::Sim(_)), "{failure}");
-        let events = events.lock().unwrap();
-        assert!(matches!(events[0], CampaignEvent::CampaignStarted { .. }));
-        assert!(matches!(
-            events[1..],
-            [CampaignEvent::CampaignFinished {
-                cells_completed: 0,
-                cancelled: false,
-                ..
-            }]
+        // In process, and sharded: the supervisor primes the goldens
+        // before it launches any worker.
+        let shard_dir = std::env::temp_dir().join(format!(
+            "picbench-unsimulable-golden-{}",
+            std::process::id()
         ));
+        for shards in [1, 2] {
+            let events = Arc::new(Mutex::new(Vec::new()));
+            let seen = Arc::clone(&events);
+            let outcome = Campaign::builder()
+                .problem(unsimulable_mzi_ps())
+                .profiles(&[ModelProfile::gpt4(), ModelProfile::gpt4o()])
+                .samples_per_problem(1)
+                .k_values([1])
+                .feedback_iters([0])
+                .shards(shards)
+                .shard_dir(&shard_dir)
+                .observer(Arc::new(move |event: &CampaignEvent| {
+                    seen.lock().unwrap().push(event.clone());
+                }))
+                .build()
+                .unwrap()
+                .execute();
+            assert!(outcome.report.is_none(), "{shards} shard(s)");
+            assert!(!outcome.cancelled, "{shards} shard(s)");
+            assert_eq!(outcome.cells_completed, 0);
+            let failure = outcome
+                .golden_failure
+                .expect("the golden failure is reported");
+            assert_eq!(failure.problem_id, "mzi-ps");
+            assert!(matches!(failure.error, SimulateError::Sim(_)), "{failure}");
+            let events = events.lock().unwrap();
+            assert!(matches!(events[0], CampaignEvent::CampaignStarted { .. }));
+            assert!(
+                matches!(
+                    events[1..],
+                    [CampaignEvent::CampaignFinished {
+                        cells_completed: 0,
+                        cancelled: false,
+                        ..
+                    }]
+                ),
+                "{shards} shard(s): {events:?}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&shard_dir);
     }
 
     #[test]

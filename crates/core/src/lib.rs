@@ -70,7 +70,6 @@ mod report;
 mod shard;
 mod stats;
 pub mod supervisor;
-mod trace;
 
 pub use campaign::{
     Campaign, CampaignBuildError, CampaignBuilder, CampaignConfig, CampaignOutcome, CampaignReport,
@@ -82,7 +81,7 @@ pub use evaluate::{
 };
 pub use events::{CampaignEvent, CampaignObserver, CancelToken, ShardLossReason};
 pub use feedback_loop::{run_sample, AttemptRecord, LoopConfig, SampleResult};
-pub use journal::{LocalShardJournal, ShardJournal};
+pub use journal::{CellJournal, LocalShardJournal, ShardJournal};
 pub use lease::{lease_expired, Clock, LeaseConfig, SystemClock, TestClock};
 pub use passk::{aggregate_pass_at_k, pass_at_k, ProblemTally};
 pub use persist::{
@@ -103,4 +102,3 @@ pub use supervisor::{
 pub use picbench_synthllm::{RetryEvent, RetryPolicy, RetryProvider, TransportErrorKind};
 pub use report::{render_csv, render_table};
 pub use stats::{collect_error_histogram, restriction_ablation, AblationRow, ErrorHistogram};
-pub use trace::render_trace_markdown;

@@ -13,15 +13,12 @@
 //! The merge itself is a union keyed by cell journal keys with a global
 //! coverage check — deliberately independent of how cells were
 //! partitioned, which is what the any-partition merge property test
-//! exercises — followed by the same [`aggregate_report`] the in-process
-//! engine uses. Same tallies, same fold ⇒ bit-identical report.
+//! exercises — followed by the same fold (`CellMatrix::report`) the
+//! in-process engine uses. Same tallies, same fold ⇒ bit-identical report.
 
-use crate::campaign::{
-    aggregate_report, matrix_cell_keys, matrix_cells, Campaign, CampaignConfig, CampaignReport,
-};
+use crate::campaign::{Campaign, CampaignReport, CellMatrix};
 use crate::passk::ProblemTally;
 use crate::persist::{EvalSnapshot, ShardGenStats};
-use picbench_problems::Problem;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
@@ -278,13 +275,10 @@ pub fn collect_shard_cells(root: &Path, fingerprint: u64) -> io::Result<Vec<Shar
 /// Merges every shard's final-generation journal under `root` into one
 /// report. See the module docs for the fencing/quarantine semantics.
 pub(crate) fn merge_shard_journals(
-    problems: &[Problem],
-    provider_names: &[String],
-    config: &CampaignConfig,
-    fingerprint: u64,
-    cell_keys: &[u64],
+    matrix: &CellMatrix,
     root: &Path,
 ) -> Result<ShardMergeOutcome, ShardMergeError> {
+    let cell_keys = &matrix.keys;
     let key_to_index: HashMap<u64, usize> = cell_keys
         .iter()
         .enumerate()
@@ -294,7 +288,7 @@ pub(crate) fn merge_shard_journals(
     let mut shards = Vec::new();
     let mut restored = 0u64;
     let mut evaluated = 0u64;
-    for collected in collect_shard_cells(root, fingerprint)? {
+    for collected in collect_shard_cells(root, matrix.fingerprint)? {
         let mut contributed = 0;
         for (key, tally) in &collected.cells {
             if let Some(&index) = key_to_index.get(key) {
@@ -320,7 +314,7 @@ pub(crate) fn merge_shard_journals(
             total: cell_keys.len(),
         });
     }
-    let report = aggregate_report(problems, provider_names, config, &by_cell, None);
+    let report = matrix.report(&by_cell, None);
     Ok(ShardMergeOutcome {
         report,
         shards,
@@ -340,25 +334,8 @@ impl Campaign {
     /// [`ShardMergeError::MissingCells`] when the journals do not cover
     /// the full matrix; [`ShardMergeError::Io`] on unreadable journals.
     pub fn merge_from_shards(&self, root: &Path) -> Result<ShardMergeOutcome, ShardMergeError> {
-        let provider_names: Vec<String> = self
-            .providers
-            .iter()
-            .map(|p| p.name().to_string())
-            .collect();
-        let cells = matrix_cells(
-            self.problems.len(),
-            self.providers.len(),
-            self.config.feedback_iters.len(),
-        );
-        let cell_keys = matrix_cell_keys(&self.problems, &provider_names, &self.config, &cells);
-        merge_shard_journals(
-            &self.problems,
-            &provider_names,
-            &self.config,
-            self.fingerprint(),
-            &cell_keys,
-            root,
-        )
+        let matrix = CellMatrix::new(&self.problems, &self.providers, &self.config);
+        merge_shard_journals(&matrix, root)
     }
 }
 

@@ -26,13 +26,10 @@
 //! [`ProcessLauncher`] spawns real worker processes for chaos drills
 //! and production fan-out.
 
-use crate::campaign::{
-    campaign_fingerprint, evaluate_cell, golden_hashes, matrix_cell_keys, matrix_cells,
-    wrap_retry_providers, Campaign, CampaignConfig, CampaignOutcome,
-};
-use crate::evaluate::{EvalCache, Evaluator, Golden};
-use crate::events::{CampaignEvent, ShardLossReason};
-use crate::journal::{LocalShardJournal, ShardJournal};
+use crate::campaign::{stopped, Campaign, CampaignConfig, CampaignOutcome, CellMatrix, CellRunner};
+use crate::evaluate::EvalCache;
+use crate::events::{CampaignEvent, CancelToken, ShardLossReason};
+use crate::journal::{CellJournal, LocalShardJournal, ShardJournal};
 use crate::lease::{lease_expired, Clock, SystemClock};
 use crate::persist::{EvalSnapshot, LeaseAdvance, LeaseRecord, ShardGenStats};
 use crate::shard::{latest_generation, merge_shard_journals, shard_journal_dir, ShardPlan};
@@ -486,22 +483,9 @@ fn shard_worker_body(
     hooks: &WorkerHooks,
 ) -> io::Result<ShardWorkerReport> {
     let clock = SystemClock;
-    let cfg = &workload.config;
-    let provider_names: Vec<String> = workload
-        .providers
-        .iter()
-        .map(|p| p.name().to_string())
-        .collect();
-    let cells = matrix_cells(
-        workload.problems.len(),
-        workload.providers.len(),
-        cfg.feedback_iters.len(),
-    );
-    let cell_keys = matrix_cell_keys(&workload.problems, &provider_names, cfg, &cells);
-    let golden_hashes = golden_hashes(&workload.problems);
-    let fingerprint =
-        campaign_fingerprint(&workload.problems, &golden_hashes, &provider_names, cfg);
-    let plan = ShardPlan::partition(cells.len(), config.shards);
+    let matrix = CellMatrix::new(&workload.problems, &workload.providers, &workload.config);
+    let (cell_keys, fingerprint) = (&matrix.keys, matrix.fingerprint);
+    let plan = ShardPlan::partition(cell_keys.len(), config.shards);
     let mut report = ShardWorkerReport {
         restored: 0,
         evaluated: 0,
@@ -560,26 +544,26 @@ fn shard_worker_body(
         .filter(|&index| !have.contains(&cell_keys[index]))
         .collect();
 
-    // Mirror the engine's evaluator setup: the goldens of pending
-    // problems primed up front, keyed by problem position, the same
-    // serial sweeps, an in-memory cache (no disk tier — worker journals
-    // hold cells and leases only, keeping supervisor polls cheap).
-    let mut evaluator = Evaluator::new(cfg.grid, Default::default())
-        .with_sweep_threads(1)
-        .with_cache(Arc::new(EvalCache::new()));
-    let mut goldens: HashMap<usize, Golden> = HashMap::new();
-    for &index in &pending {
-        let p = cells[index].problem;
-        goldens
-            .entry(p)
-            .or_insert_with(|| evaluator.expect_golden(&workload.problems[p], golden_hashes[p]));
-    }
+    // The engine's cell runner over an in-memory cache (no disk tier —
+    // worker journals hold cells and leases only, keeping supervisor
+    // polls cheap), priming the goldens of pending problems only. A
+    // golden that fails to simulate leaves the shard incomplete.
+    let runner = CellRunner::new(
+        &matrix,
+        &workload.providers,
+        None,
+        Arc::new(EvalCache::new()),
+        None,
+    );
+    let pending_problems = pending.iter().map(|&index| matrix.cells[index].problem);
+    let Ok(goldens) = runner.prime(pending_problems, || false) else {
+        return Ok(report);
+    };
     if !heartbeat(journal) {
         return Ok(report);
     }
 
-    let providers = wrap_retry_providers(&workload.providers, cfg, None);
-
+    let mut evaluator = runner.evaluator();
     let mut stalled = false;
     for index in pending {
         if hooks.kill.load(Ordering::Acquire) {
@@ -612,16 +596,12 @@ fn shard_worker_body(
                 clock.sleep_ms(stall.hold_ms);
             }
         }
-        let cell = cells[index];
-        let tally = evaluate_cell(
-            &providers[cell.profile],
-            &workload.problems[cell.problem],
-            &goldens[&cell.problem],
-            cfg.feedback_iters[cell.ef_idx],
-            cfg,
+        runner.run_cell(
+            index,
+            &goldens,
             &mut evaluator,
+            Some(journal as &dyn CellJournal),
         );
-        journal.record_cell(fingerprint, cell_keys[index], &tally);
         report.evaluated += 1;
         if !heartbeat(journal) {
             return Ok(report);
@@ -656,25 +636,21 @@ struct ShardState {
 
 /// Runs a `shards > 1` campaign: plan, launch, supervise, merge.
 pub(crate) fn run_sharded(campaign: &Campaign) -> CampaignOutcome {
-    let config = &campaign.config;
     let emit = |event: CampaignEvent| {
         if let Some(observer) = &campaign.observer {
             observer.on_event(&event);
         }
     };
-    let provider_names: Vec<String> = campaign
-        .providers
-        .iter()
-        .map(|p| p.name().to_string())
-        .collect();
-    let cells = matrix_cells(
-        campaign.problems.len(),
-        campaign.providers.len(),
-        config.feedback_iters.len(),
-    );
-    let cell_keys = matrix_cell_keys(&campaign.problems, &provider_names, config, &cells);
-    let fingerprint = campaign.fingerprint();
-    let plan = ShardPlan::partition(cells.len(), campaign.shards);
+    let halted = || {
+        campaign
+            .cancel
+            .as_ref()
+            .is_some_and(CancelToken::is_cancelled)
+    };
+    let matrix = CellMatrix::new(&campaign.problems, &campaign.providers, &campaign.config);
+    let (cell_keys, fingerprint) = (&matrix.keys, matrix.fingerprint);
+    let cells_total = cell_keys.len();
+    let plan = ShardPlan::partition(cells_total, campaign.shards);
     let root = campaign
         .shard_dir
         .clone()
@@ -690,14 +666,31 @@ pub(crate) fn run_sharded(campaign: &Campaign) -> CampaignOutcome {
     let workload = Arc::new(ShardWorkload {
         problems: campaign.problems.clone(),
         providers: campaign.providers.clone(),
-        config: config.clone(),
+        config: campaign.config.clone(),
     });
 
     emit(CampaignEvent::CampaignStarted {
         problems: campaign.problems.len(),
         providers: campaign.providers.len(),
-        cells: cells.len(),
+        cells: cells_total,
     });
+
+    // Every golden is simulated here before any worker launches, through
+    // the engine's priming: a golden that fails ends the campaign with
+    // the engine's typed error instead of failing every worker.
+    let runner = CellRunner::new(
+        &matrix,
+        &campaign.providers,
+        None,
+        Arc::new(EvalCache::new()),
+        None,
+    );
+    if let Err(failure) = runner.prime(0..campaign.problems.len(), halted) {
+        return stopped(emit, 0, cells_total, 0, Some(*failure));
+    }
+    // The supervisor scores no cell: its goldens are not held while the
+    // workers run.
+    drop(runner);
 
     let launch = |shard: u32, generation: u32| -> Option<Box<dyn ShardWorkerHandle>> {
         let stall = (generation == 0)
@@ -749,11 +742,7 @@ pub(crate) fn run_sharded(campaign: &Campaign) -> CampaignOutcome {
     let mut takeovers = 0u32;
     let mut gave_up = false;
     loop {
-        let cancelled = campaign
-            .cancel
-            .as_ref()
-            .is_some_and(crate::events::CancelToken::is_cancelled);
-        if cancelled || gave_up {
+        if halted() || gave_up {
             for state in &mut states {
                 if let Some(handle) = &mut state.handle {
                     handle.kill();
@@ -763,19 +752,7 @@ pub(crate) fn run_sharded(campaign: &Campaign) -> CampaignOutcome {
                 orphan.kill();
             }
             let cells_completed = states.iter().map(|s| s.cells_done.min(s.expected)).sum();
-            emit(CampaignEvent::CampaignFinished {
-                cells_completed,
-                cells_total: cells.len(),
-                cancelled: true,
-            });
-            return CampaignOutcome {
-                report: None,
-                cancelled: true,
-                cells_completed,
-                cells_total: cells.len(),
-                cells_restored: 0,
-                golden_failure: None,
-            };
+            return stopped(emit, cells_completed, cells_total, 0, None);
         }
 
         let mut all_done = true;
@@ -896,15 +873,8 @@ pub(crate) fn run_sharded(campaign: &Campaign) -> CampaignOutcome {
         }
     }
 
-    let merged = merge_shard_journals(
-        &campaign.problems,
-        &provider_names,
-        config,
-        fingerprint,
-        &cell_keys,
-        &root,
-    )
-    .expect("supervisor verified journal coverage before merging");
+    let merged = merge_shard_journals(&matrix, &root)
+        .expect("supervisor verified journal coverage before merging");
     for info in &merged.shards {
         emit(CampaignEvent::ShardMerged {
             shard: info.shard,
@@ -914,15 +884,15 @@ pub(crate) fn run_sharded(campaign: &Campaign) -> CampaignOutcome {
         });
     }
     emit(CampaignEvent::CampaignFinished {
-        cells_completed: cells.len(),
-        cells_total: cells.len(),
+        cells_completed: cells_total,
+        cells_total,
         cancelled: false,
     });
     CampaignOutcome {
         report: Some(merged.report),
         cancelled: false,
-        cells_completed: cells.len(),
-        cells_total: cells.len(),
+        cells_completed: cells_total,
+        cells_total,
         cells_restored: merged.restored as usize,
         golden_failure: None,
     }

@@ -276,11 +276,6 @@ impl CMatrix {
         })
     }
 
-    /// Frobenius norm `√Σ|a_ij|²`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
-    }
-
     /// Largest entry-wise magnitude of `self - other`.
     ///
     /// # Panics
@@ -569,11 +564,6 @@ mod tests {
         a.apply_right_2x2(0, g);
         assert!(a.is_unitary(1e-12));
         assert!(a[(0, 0)].approx_eq(Complex::real(th.cos()), 1e-12));
-    }
-
-    #[test]
-    fn frobenius_norm_of_identity() {
-        assert!((CMatrix::identity(9).frobenius_norm() - 3.0).abs() < 1e-12);
     }
 
     #[test]
