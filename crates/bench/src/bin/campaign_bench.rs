@@ -1,8 +1,10 @@
 //! `campaign_bench` — end-to-end campaign throughput, written to
 //! `BENCH_campaign.json`.
 //!
-//! The production engine — `(problem × model × feedback)` cells claimed
-//! from an atomic queue, serial planned block-sparse sweeps per worker,
+//! The production engine — `(problem × model)` pairs claimed from an
+//! atomic queue, one feedback trajectory per pair that scores each of
+//! its `(problem × model × feedback)` cells, serial planned
+//! block-sparse sweeps per worker,
 //! one shared sharded [`EvalCache`](picbench_core::EvalCache) seeded
 //! with the golden responses — runs the synthetic campaign
 //! (`problems × models × feedback settings × samples`) once per
@@ -130,15 +132,18 @@ fn main() {
         ..CampaignConfig::default()
     };
 
-    let cells = problems.len() * profiles.len() * config.feedback_iters.len();
+    let pairs = problems.len() * profiles.len();
+    let cells = pairs * config.feedback_iters.len();
     let samples_total = cells * args.samples;
-    let worker_cap = if args.threads > 0 {
+    // The engine runs one worker at most per (problem, model) pair.
+    let workers = if args.threads > 0 {
         args.threads
     } else {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-    };
+    }
+    .min(pairs);
     println!(
         "workload: {} problems x {} models x {} feedback settings x {} samples \
          ({cells} cells, {samples_total} samples), {}-point grid, {} reps, {} worker(s)",
@@ -148,7 +153,7 @@ fn main() {
         args.samples,
         args.points,
         args.reps,
-        worker_cap.min(cells),
+        workers,
     );
 
     let mut campaign_ms = Vec::with_capacity(args.reps);
@@ -292,8 +297,9 @@ fn main() {
         "repetitions": args.reps,
         "metric": "wall-clock per full campaign over --reps repetitions, milliseconds, \
                    as {min, median, p90}; cells/s uses the median",
-        "threads_used": worker_cap.min(cells),
-        "engine": "per-cell work queue, serial planned block-sparse sweeps, \
+        "threads_used": workers,
+        "engine": "(problem, model) pair work queue, one feedback trajectory per pair \
+                   scored at every setting, serial planned block-sparse sweeps, \
                    one shared content-addressed evaluation cache",
         "results": fields! {
             "cached_ms": cached_ms,

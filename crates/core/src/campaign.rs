@@ -11,25 +11,34 @@
 //!
 //! * every problem's **golden** is hashed and simulated once up front
 //!   and shared immutably across all workers;
-//! * work is distributed at the granularity of
-//!   `(problem × model × feedback)` **cells** claimed from an atomic
-//!   queue — a straggler problem never idles the rest of the machine,
-//!   and the worker count is not capped by the problem count;
+//! * every `(problem × model)` **pair** runs one feedback trajectory
+//!   per sample, at the campaign's largest feedback budget, and each of
+//!   the pair's `(problem × model × feedback)` **cells** reads its
+//!   verdict off that one loop — no setting replays the responses a
+//!   smaller one already produced and scored;
+//! * work is distributed at the granularity of pairs claimed from an
+//!   atomic queue — a straggler problem never idles the rest of the
+//!   machine, and the worker count is not capped by the problem count;
 //! * all workers share one sharded, content-addressed [`EvalCache`], so
-//!   structurally identical candidates (identical first attempts across
-//!   feedback settings, retries converging to the golden, clean samples
-//!   from different models) are simulated once;
+//!   structurally identical candidates (retries converging to the
+//!   golden, clean samples from different models) are simulated once;
 //! * each worker owns its evaluator (schedule cache + solve workspace)
 //!   and sweeps serially with the planned block-sparse solver — the
-//!   campaign parallelizes *across* cells, not within sweeps.
+//!   campaign parallelizes *across* pairs, not within sweeps.
 //!
-//! Each cell spawns a fresh model instance from its provider
-//! ([`ModelProvider::spawn_seeded`] with the campaign seed); because the
-//! synthetic models reseed per `(model, problem, sample)` and cached
-//! replay is bit-identical to cold evaluation, the resulting
-//! [`CampaignReport`] is **bit-identical** for any thread count and to
-//! an uncached evaluation of every cell. Aggregation iterates cells in a
-//! fixed problem-major order, never in hash-map order.
+//! Each pair spawns one fresh model instance from its provider
+//! ([`ModelProvider::spawn_seeded`] with the campaign seed). The loop
+//! stops at the first functional pass, so a run with budget `f` is the
+//! first `f + 1` attempts of the longer run, and setting `f` scores
+//! attempt `min(f, attempts - 1)`: for the synthetic models, which
+//! reseed per `(model, problem, sample)`, that is exactly the verdict of
+//! a separate run at budget `f`. The budget never depends on which
+//! cells are pending, and cached replay is bit-identical to cold
+//! evaluation, so the resulting [`CampaignReport`] is **bit-identical**
+//! for any thread count, shard count and resume point, and (for the
+//! synthetic models) to an uncached evaluation of every cell.
+//! Aggregation iterates cells in a fixed problem-major order, never in
+//! hash-map order.
 //!
 //! Campaigns are also **crash-safe**: attach a persistent
 //! [`EvalStore`](crate::persist::EvalStore) with
@@ -57,6 +66,7 @@ use picbench_store::fnv1a64;
 use picbench_synthllm::{ModelProfile, ModelProvider, RetryEvent, RetryPolicy, RetryProvider};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -68,7 +78,10 @@ pub struct CampaignConfig {
     pub samples_per_problem: usize,
     /// Pass@k values to report (the paper uses 1 and 5).
     pub k_values: Vec<usize>,
-    /// Feedback-iteration settings (the paper uses 0, 1 and 3).
+    /// Feedback-iteration settings (the paper uses 0, 1 and 3), each
+    /// listed once. Every `(problem, model)` pair runs one trajectory per
+    /// sample at the largest setting, and each setting scores the
+    /// attempt its own budget would have ended on.
     pub feedback_iters: Vec<usize>,
     /// Whether the system prompt carries the Table II restrictions.
     pub restrictions: bool,
@@ -76,9 +89,10 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Wavelength grid for simulation/comparison.
     pub grid: WavelengthGrid,
-    /// Campaign workers (0 = one per available core, capped by the cell
-    /// count). The calling thread is worker 0, so `n` workers spawn
-    /// `n - 1` threads and a 1-worker campaign spawns none.
+    /// Campaign workers (0 = one per available core, capped by the
+    /// `(problem, model)` pair count). The calling thread is worker 0,
+    /// so `n` workers spawn `n - 1` threads and a 1-worker campaign
+    /// spawns none.
     pub threads: usize,
     /// Retry policy wrapped around every provider at execute time
     /// (`None` = no retry layer). The wrapped providers keep their
@@ -178,6 +192,9 @@ pub enum CampaignBuildError {
     NoKValues,
     /// `feedback_iters` is empty.
     NoFeedbackSettings,
+    /// A feedback setting is listed twice (cells, journal keys and
+    /// [`CampaignReport::cell`] lookups are keyed by it).
+    DuplicateFeedbackSetting(usize),
     /// `samples_per_problem` is zero.
     ZeroSamples,
     /// A Pass@k `k` outside `1..=samples_per_problem`.
@@ -205,6 +222,9 @@ impl fmt::Display for CampaignBuildError {
             CampaignBuildError::NoKValues => write!(f, "campaign needs k values"),
             CampaignBuildError::NoFeedbackSettings => {
                 write!(f, "campaign needs feedback-iteration settings")
+            }
+            CampaignBuildError::DuplicateFeedbackSetting(iters) => {
+                write!(f, "duplicate feedback setting {iters} in campaign")
             }
             CampaignBuildError::ZeroSamples => {
                 write!(f, "campaign needs at least one sample per problem")
@@ -642,9 +662,10 @@ impl CampaignBuilder {
     /// # Errors
     ///
     /// Returns a [`CampaignBuildError`] when the matrix is degenerate:
-    /// no problems, no providers, empty `k_values`/`feedback_iters`,
-    /// zero samples, a `k` outside `1..=samples_per_problem`, duplicate
-    /// problem ids, or duplicate provider names.
+    /// no problems, no providers, empty `k_values`/`feedback_iters`, a
+    /// repeated feedback setting, zero samples, a `k` outside
+    /// `1..=samples_per_problem`, duplicate problem ids, or duplicate
+    /// provider names.
     pub fn build(self) -> Result<Campaign, CampaignBuildError> {
         let config = self.config.unwrap_or_default();
         if self.problems.is_empty() {
@@ -658,6 +679,14 @@ impl CampaignBuilder {
         }
         if config.feedback_iters.is_empty() {
             return Err(CampaignBuildError::NoFeedbackSettings);
+        }
+        let mut seen_settings = HashSet::new();
+        if let Some(&iters) = config
+            .feedback_iters
+            .iter()
+            .find(|&&iters| !seen_settings.insert(iters))
+        {
+            return Err(CampaignBuildError::DuplicateFeedbackSetting(iters));
         }
         if config.samples_per_problem == 0 {
             return Err(CampaignBuildError::ZeroSamples);
@@ -724,7 +753,8 @@ pub(crate) struct CellMatrix<'c> {
     pub(crate) config: &'c CampaignConfig,
     /// Provider display names, in input order.
     pub(crate) provider_names: Vec<String>,
-    /// Cells in canonical problem-major order.
+    /// Cells in canonical problem-major order, feedback innermost: the
+    /// cells of one `(problem, model)` pair are contiguous.
     pub(crate) cells: Vec<Cell>,
     /// Each cell's journal key, in the same order — derived from
     /// identities (problem id, provider name, feedback setting), not
@@ -780,6 +810,17 @@ impl<'c> CellMatrix<'c> {
             golden_hashes,
             fingerprint,
         }
+    }
+
+    /// The number of `(problem, model)` pairs.
+    pub(crate) fn pairs(&self) -> usize {
+        self.cells.len() / self.config.feedback_iters.len()
+    }
+
+    /// The cell indices of `pair`, one per feedback setting.
+    pub(crate) fn pair_cells(&self, pair: usize) -> Range<usize> {
+        let settings = self.config.feedback_iters.len();
+        pair * settings..(pair + 1) * settings
     }
 
     /// Folds per-cell tallies into a [`CampaignReport`], iterating
@@ -923,8 +964,10 @@ fn bridge_retry_event(event: &RetryEvent) -> CampaignEvent {
 /// How every worker evaluates cells — the engine's threads and shard
 /// workers alike, so a cell evaluates the same bytes wherever it runs:
 /// retry-wrapped providers, goldens primed by problem position, one
-/// serially sweeping evaluator per worker over a shared cache, and each
-/// cell journalled through a [`CellJournal`] before it counts.
+/// serially sweeping evaluator per worker over a shared cache, one
+/// feedback trajectory per `(problem, model)` pair that all of the
+/// pair's cells score off, and each cell journalled through a
+/// [`CellJournal`] before it counts.
 pub(crate) struct CellRunner<'m> {
     matrix: &'m CellMatrix<'m>,
     providers: Vec<Arc<dyn ModelProvider>>,
@@ -1025,41 +1068,81 @@ impl<'m> CellRunner<'m> {
         }
     }
 
-    /// Evaluates the cell at `index`: a fresh model instance seeded with
-    /// the campaign seed runs `samples_per_problem` samples through the
-    /// feedback loop against the problem's primed golden. The tally is
-    /// then recorded in `journal` — the durability barrier a cell passes
-    /// before the caller counts it complete. Returns the tally and
-    /// whether its record is durable (`true` without a journal).
+    /// Runs the feedback trajectory of the `(problem, profile)` pair and
+    /// returns one tally per feedback setting, in config order.
+    ///
+    /// One fresh model instance seeded with the campaign seed runs
+    /// `samples_per_problem` samples through the feedback loop at the
+    /// campaign's largest feedback budget, against the problem's primed
+    /// golden. The loop stops at the first functional pass, so a run with
+    /// budget `f` is the first `f + 1` attempts of this one: setting `f`
+    /// scores attempt `min(f, attempts - 1)`. The budget is always the
+    /// campaign maximum, never that of the pending cells, so a tally does
+    /// not depend on which cells are restored or in another shard's range
+    /// — also for a stateful provider whose answers depend on its earlier
+    /// calls.
+    pub(crate) fn run_pair(
+        &self,
+        problem: usize,
+        profile: usize,
+        goldens: &[Option<Golden>],
+        evaluator: &mut Evaluator,
+    ) -> Vec<ProblemTally> {
+        let config = self.matrix.config;
+        let golden = goldens[problem]
+            .as_ref()
+            .expect("the pair's golden was primed");
+        let problem = &self.matrix.problems[problem];
+        let mut llm = self.providers[profile].spawn_seeded(config.seed);
+        let loop_config = LoopConfig {
+            max_feedback_iters: config.feedback_iters.iter().copied().max().unwrap_or(0),
+            restrictions: config.restrictions,
+        };
+        let empty = ProblemTally {
+            n: config.samples_per_problem,
+            syntax_passes: 0,
+            functional_passes: 0,
+        };
+        let mut tallies = vec![empty; config.feedback_iters.len()];
+        for sample in 0..config.samples_per_problem as u64 {
+            let result = run_sample(&mut *llm, problem, golden, evaluator, loop_config, sample);
+            let last = result.attempts.len() - 1;
+            for (tally, &iters) in tallies.iter_mut().zip(&config.feedback_iters) {
+                let report = &result.attempts[iters.min(last)].report;
+                tally.syntax_passes += usize::from(report.syntax_pass());
+                tally.functional_passes += usize::from(report.functional_pass());
+            }
+        }
+        tallies
+    }
+
+    /// Evaluates the cell at `index` and records its tally in `journal` —
+    /// the durability barrier a cell passes before the caller counts it
+    /// complete. The tally comes from `trajectory`, the worker's last
+    /// pair trajectory (its pair index and tallies), which is computed
+    /// with [`CellRunner::run_pair`] when `index` belongs to another
+    /// pair: a worker that walks a pair's cells in order runs its loop
+    /// once. Returns the tally and whether its record is durable (`true`
+    /// without a journal).
     pub(crate) fn run_cell(
         &self,
         index: usize,
+        trajectory: &mut Option<(usize, Vec<ProblemTally>)>,
         goldens: &[Option<Golden>],
         evaluator: &mut Evaluator,
         journal: Option<&dyn CellJournal>,
     ) -> (ProblemTally, bool) {
         let matrix = self.matrix;
-        let config = matrix.config;
         let cell = matrix.cells[index];
-        let problem = &matrix.problems[cell.problem];
-        let golden = goldens[cell.problem]
-            .as_ref()
-            .expect("the cell's golden was primed");
-        let mut llm = self.providers[cell.profile].spawn_seeded(config.seed);
-        let loop_config = LoopConfig {
-            max_feedback_iters: config.feedback_iters[cell.ef_idx],
-            restrictions: config.restrictions,
+        let pair = index / matrix.config.feedback_iters.len();
+        let (_, tallies) = match trajectory {
+            Some(last) if last.0 == pair => last,
+            _ => trajectory.insert((
+                pair,
+                self.run_pair(cell.problem, cell.profile, goldens, evaluator),
+            )),
         };
-        let mut tally = ProblemTally {
-            n: config.samples_per_problem,
-            syntax_passes: 0,
-            functional_passes: 0,
-        };
-        for sample in 0..config.samples_per_problem as u64 {
-            let result = run_sample(&mut *llm, problem, golden, evaluator, loop_config, sample);
-            tally.syntax_passes += usize::from(result.syntax_pass());
-            tally.functional_passes += usize::from(result.functional_pass());
-        }
+        let tally = tallies[cell.ef_idx];
         let durable = journal.is_none_or(|journal| {
             journal.record_cell(matrix.fingerprint, matrix.keys[index], &tally)
         });
@@ -1092,9 +1175,11 @@ pub(crate) fn stopped(
     }
 }
 
-/// The campaign engine: fans `(problem × model × feedback)` cells out
-/// over workers, spawning one model instance per cell from the cell's
-/// provider, and aggregates deterministically.
+/// The campaign engine: fans `(problem × model)` pairs out over
+/// workers, spawning one model instance per pair from the pair's
+/// provider, journals and announces each of the pair's
+/// `(problem × model × feedback)` cells, and aggregates
+/// deterministically.
 ///
 /// The calling thread is worker 0: it runs the same worker body as the
 /// `worker_count - 1` scoped threads beside it, so a 1-worker campaign
@@ -1113,7 +1198,7 @@ fn execute_campaign(campaign: &Campaign) -> CampaignOutcome {
             .is_some_and(CancelToken::is_cancelled)
     };
 
-    // Cells in problem-major order, claimed one at a time by workers.
+    // Cells in problem-major order, claimed a pair at a time by workers.
     let matrix = CellMatrix::new(&campaign.problems, &campaign.providers, config);
     let cells = &matrix.cells;
 
@@ -1205,11 +1290,11 @@ fn execute_campaign(campaign: &Campaign) -> CampaignOutcome {
             .map(|n| n.get())
             .unwrap_or(4)
     }
-    .min(cells.len())
+    .min(matrix.pairs())
     .max(1);
 
     let journal = store.map(|store| store as &dyn CellJournal);
-    let next_cell = AtomicUsize::new(0);
+    let next_pair = AtomicUsize::new(0);
     let completed = AtomicUsize::new(cells_restored);
     let store_degraded_reported = AtomicBool::new(false);
     let results: Mutex<Vec<(usize, ProblemTally)>> = Mutex::new(Vec::with_capacity(cells.len()));
@@ -1218,50 +1303,61 @@ fn execute_campaign(campaign: &Campaign) -> CampaignOutcome {
     // the calling thread as worker 0: a 1-thread campaign spawns nothing.
     let worker = || {
         let mut evaluator = runner.evaluator();
+        let mut trajectory = None;
         let mut local: Vec<(usize, ProblemTally)> = Vec::new();
-        loop {
-            // Cooperative abort at cell boundaries: a started cell always
-            // finishes (and emits CellFinished), so the event stream stays
-            // well-formed.
-            if halted() {
+        'pairs: loop {
+            let pair = next_pair.fetch_add(1, Ordering::Relaxed);
+            if pair >= matrix.pairs() {
                 break;
             }
-            let cell_index = next_cell.fetch_add(1, Ordering::Relaxed);
-            if cell_index >= cells.len() {
-                break;
-            }
-            // Restored cells were replayed up front.
-            if restored[cell_index].is_some() {
-                continue;
-            }
-            let cell = cells[cell_index];
-            let problem_id = &campaign.problems[cell.problem].id;
-            let model = &matrix.provider_names[cell.profile];
-            let feedback_iters = config.feedback_iters[cell.ef_idx];
-            emit(CampaignEvent::CellStarted {
-                problem_id: problem_id.clone(),
-                model: model.clone(),
-                feedback_iters,
-            });
-            // The runner journals the cell (fsync'd) before it counts as
-            // complete, so any crash after this point leaves a resumable
-            // journal.
-            let (tally, durable) = runner.run_cell(cell_index, &goldens, &mut evaluator, journal);
-            if !durable && !store_degraded_reported.swap(true, Ordering::AcqRel) {
-                emit(CampaignEvent::StoreDegraded {
-                    write_errors: store.map_or(0, |store| store.write_errors()),
+            // Restored cells were replayed up front; a pair whose cells
+            // were all restored runs no trajectory.
+            for cell_index in matrix.pair_cells(pair) {
+                if restored[cell_index].is_some() {
+                    continue;
+                }
+                // Cooperative abort at cell boundaries, also inside a
+                // pair: a started cell always finishes (and emits
+                // CellFinished), so the event stream stays well-formed.
+                if halted() {
+                    break 'pairs;
+                }
+                let cell = cells[cell_index];
+                let problem_id = &campaign.problems[cell.problem].id;
+                let model = &matrix.provider_names[cell.profile];
+                let feedback_iters = config.feedback_iters[cell.ef_idx];
+                emit(CampaignEvent::CellStarted {
+                    problem_id: problem_id.clone(),
+                    model: model.clone(),
+                    feedback_iters,
                 });
+                // The pair's first pending cell runs its trajectory. The
+                // runner journals the cell (fsync'd) before it counts as
+                // complete, so any crash after this point leaves a
+                // resumable journal.
+                let (tally, durable) = runner.run_cell(
+                    cell_index,
+                    &mut trajectory,
+                    &goldens,
+                    &mut evaluator,
+                    journal,
+                );
+                if !durable && !store_degraded_reported.swap(true, Ordering::AcqRel) {
+                    emit(CampaignEvent::StoreDegraded {
+                        write_errors: store.map_or(0, |store| store.write_errors()),
+                    });
+                }
+                let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+                emit(CampaignEvent::CellFinished {
+                    problem_id: problem_id.clone(),
+                    model: model.clone(),
+                    feedback_iters,
+                    tally,
+                    completed: done,
+                    total: cells.len(),
+                });
+                local.push((cell_index, tally));
             }
-            let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-            emit(CampaignEvent::CellFinished {
-                problem_id: problem_id.clone(),
-                model: model.clone(),
-                feedback_iters,
-                tally,
-                completed: done,
-                total: cells.len(),
-            });
-            local.push((cell_index, tally));
         }
         results.lock().expect("results poisoned").extend(local);
     };
@@ -1598,7 +1694,7 @@ mod tests {
         assert!(stats.lookups() > 0);
         assert!(
             stats.hit_rate() > 0.2,
-            "identical first attempts across feedback settings must hit: {stats:?}"
+            "repeated responses and golden-identical candidates must hit: {stats:?}"
         );
     }
 

@@ -10,9 +10,9 @@
 //!    response against the golden design's over the full sweep.
 //!
 //! Campaigns evaluate enormous numbers of *structurally identical*
-//! candidates: feedback retries converge toward the golden design, the
-//! same sample seed produces the same first attempt across feedback
-//! settings, and distinct model profiles emit identical clean designs.
+//! candidates: feedback retries converge toward the golden design, a
+//! model often answers the same text twice within one sample, and
+//! distinct model profiles emit identical clean designs.
 //! The evaluator therefore works **content-addressed**:
 //!
 //! * every structurally valid candidate is [canonicalized]

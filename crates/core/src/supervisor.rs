@@ -563,7 +563,10 @@ fn shard_worker_body(
         return Ok(report);
     }
 
+    // Pending cells come in matrix order, so a pair's trajectory runs
+    // once and its pending cells are recorded one by one.
     let mut evaluator = runner.evaluator();
+    let mut trajectory = None;
     let mut stalled = false;
     for index in pending {
         if hooks.kill.load(Ordering::Acquire) {
@@ -598,6 +601,7 @@ fn shard_worker_body(
         }
         runner.run_cell(
             index,
+            &mut trajectory,
             &goldens,
             &mut evaluator,
             Some(journal as &dyn CellJournal),

@@ -250,6 +250,17 @@ fn builder_validates_degenerate_matrices() {
             .unwrap_err(),
         CampaignBuildError::NoFeedbackSettings
     );
+    // Cells are keyed by their feedback setting, so a repeat would make
+    // two cells share one journal key.
+    assert_eq!(
+        Campaign::builder()
+            .problems(problems())
+            .profiles(&[ModelProfile::gpt4()])
+            .feedback_iters([0, 1, 0])
+            .build()
+            .unwrap_err(),
+        CampaignBuildError::DuplicateFeedbackSetting(0)
+    );
     assert_eq!(
         Campaign::builder()
             .problems(problems())

@@ -168,6 +168,7 @@ fn custom_problem_sets_are_registered_and_runnable() {
         r#"{"problem_set": "ps-none", "models": ["GPT-4"]}"#,
         r#"{"models": ["GPT-4"]}"#,
         r#"{"problems": ["mzi-ps"], "models": ["GPT-4"], "samples_per_problem": 2, "k_values": [5]}"#,
+        r#"{"problems": ["mzi-ps"], "models": ["GPT-4"], "feedback_iters": [1, 1]}"#,
         "not json",
     ] {
         let response = client.request("POST", "/v1/campaigns", Some(bad)).unwrap();

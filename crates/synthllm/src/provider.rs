@@ -31,8 +31,9 @@ pub const PAPER_SEED: u64 = 20_250_205;
 /// An object-safe factory of per-worker [`LanguageModel`] instances.
 ///
 /// Campaigns hold `Arc<dyn ModelProvider>`s and spawn one model per
-/// evaluation cell; implementations must therefore be `Send + Sync`,
-/// while the spawned models only need `Send`.
+/// `(problem, model)` pair, whose feedback trajectory every feedback
+/// setting of the pair is scored off; implementations must therefore be
+/// `Send + Sync`, while the spawned models only need `Send`.
 pub trait ModelProvider: Send + Sync {
     /// Display name used in reports (one column per provider).
     fn name(&self) -> &str;
@@ -221,7 +222,11 @@ pub enum FailureKind {
 #[derive(Debug, Clone)]
 pub enum FlakySchedule {
     /// Every `period`-th response of each spawned instance fails
-    /// (1-based; `0` disables injection), cycling through `kinds`.
+    /// (1-based; `0` disables injection), cycling through `kinds`. A
+    /// campaign spawns one instance per `(problem, model)` pair and runs
+    /// it at the largest feedback budget, so the count runs over all
+    /// samples of the pair's one trajectory, whatever the other
+    /// feedback settings are.
     Periodic {
         /// The failure period (`0` = never fail).
         period: usize,
@@ -230,7 +235,7 @@ pub enum FlakySchedule {
     },
     /// Each response independently fails with probability
     /// `rate_percent`/100, drawn from a seeded xorshift stream (combined
-    /// with the spawn seed, so distinct campaign cells see distinct but
+    /// with the spawn seed, so distinct campaign seeds see distinct but
     /// reproducible schedules).
     Seeded {
         /// Stream seed.
