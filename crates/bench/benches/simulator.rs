@@ -90,7 +90,7 @@ fn plan_vs_naive_sweep(c: &mut Criterion) {
         |b, grid| {
             b.iter(|| {
                 let plan = SweepPlan::new(&circuit).unwrap();
-                sweep_with_plan(&plan, grid, 1, &mut SolveWorkspace::new()).unwrap()
+                sweep_with_plan(&plan, grid, &mut SolveWorkspace::new()).unwrap()
             });
         },
     );

@@ -2,8 +2,8 @@
 //!
 //! Generates `--cases` seeded circuits across the structural families,
 //! sweeps each through every configured differential axis (planned solver
-//! vs dense oracle, constant fold, parallelism, cache, canonicalization,
-//! default vs scalar SIMD tier) and the physics oracles (reciprocity,
+//! vs dense oracle, constant fold, cache, canonicalization, default vs
+//! scalar SIMD tier) and the physics oracles (reciprocity,
 //! passivity, unitarity for lossless mixes, wavelength continuity) on
 //! each selected solver path, shrinks any failure to a minimal
 //! counterexample and writes it as a replayable corpus case.

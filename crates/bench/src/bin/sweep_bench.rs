@@ -34,12 +34,10 @@
 //! repetitions, and the speedups compare medians; the plan is
 //! cross-checked against the oracle (`max_abs_diff_vs_oracle` — the
 //! conformance tolerance is 1e-8), and the production sweep against the
-//! timed per-point loop bit for bit. The meshes run as one stripe on the
-//! caller at any thread count, so no parallel sweep is measured here;
-//! `tests/block_sparse.rs` and the simulator's unit tests pin parallel
-//! bit-identity. `--min-speedup X` turns the run into a CI tripwire: it
-//! fails unless the plan beats the oracle by at least `X×` on the
-//! largest measured workload.
+//! timed per-point loop bit for bit (every sweep runs serially, as one
+//! stripe on the caller). `--min-speedup X` turns the run into a CI
+//! tripwire: it fails unless the plan beats the oracle by at least `X×`
+//! on the largest measured workload.
 //!
 //! Usage: `cargo run --release -p picbench-bench --bin sweep_bench
 //! [-- --reps N --out PATH --mesh 8x8|16x16|both --min-speedup X]`
@@ -213,7 +211,7 @@ fn main() {
         // Determinism: the production sweep must reproduce the timed
         // per-point loop bit for bit; the run aborts on any deviation.
         let sweep_plan = SweepPlan::new(&circuit).expect("plan builds");
-        let swept = sweep_with_plan(&sweep_plan, &grid, 1, &mut SolveWorkspace::new())
+        let swept = sweep_with_plan(&sweep_plan, &grid, &mut SolveWorkspace::new())
             .expect("production sweep");
         for (k, out) in outs.iter().enumerate() {
             assert_eq!(

@@ -1,7 +1,7 @@
 //! Cross-configuration differential checking.
 //!
 //! Every configuration axis the engine exposes is *required* to agree
-//! with the production path — a serial planned block-sparse sweep — some
+//! with the production path — the planned block-sparse sweep — some
 //! bit-for-bit (they run the same arithmetic), some to a tight tolerance
 //! (they run a genuinely different algorithm):
 //!
@@ -9,7 +9,6 @@
 //! |------|----------------|-----------|
 //! | `oracle` | planned block-sparse sweep vs the naive dense oracle | ≤ [`ORACLE_TOL`] |
 //! | `constant-fold` | planned sweep (factor-once grids as one stripe) vs per-point `evaluate_into` on the same plan | bit-identical |
-//! | `parallelism` | serial sweep vs 3-worker sweep | bit-identical |
 //! | `cache` | cold, cached-cold and cached-hit evaluator | bit-identical |
 //! | `canonicalization` | raw vs canonicalized document | bit-identical via the evaluator, ≤ [`ORACLE_TOL`] direct |
 //! | `simd` | planned sweep, default SIMD tier vs scalar tier | ≤ [`SIMD_TOL`] |
@@ -30,7 +29,7 @@ use picbench_math::SimdLevel;
 use picbench_netlist::{Netlist, PortSpec};
 use picbench_problems::{Category, Problem};
 use picbench_sim::{
-    sweep_naive, sweep_with_plan, Circuit, FrequencyResponse, ModelRegistry, SimError,
+    sweep, sweep_naive, sweep_with_plan, Circuit, FrequencyResponse, ModelRegistry, SimError,
     SolveWorkspace, SweepPlan, WavelengthGrid,
 };
 use std::fmt;
@@ -47,8 +46,6 @@ pub enum DiffAxis {
     /// one stripe (a single solve, copied or recombined per point), vs
     /// evaluating the same plan point by point.
     ConstantFold,
-    /// Serial vs multi-worker sweep execution.
-    Parallelism,
     /// Cold evaluator vs shared-cache evaluator (miss and hit).
     Cache,
     /// Raw document vs its canonical form.
@@ -62,10 +59,9 @@ pub enum DiffAxis {
 
 impl DiffAxis {
     /// Every axis, in documentation order.
-    pub const ALL: [DiffAxis; 6] = [
+    pub const ALL: [DiffAxis; 5] = [
         DiffAxis::Oracle,
         DiffAxis::ConstantFold,
-        DiffAxis::Parallelism,
         DiffAxis::Cache,
         DiffAxis::Canonicalization,
         DiffAxis::Simd,
@@ -76,7 +72,6 @@ impl DiffAxis {
         match self {
             DiffAxis::Oracle => "oracle",
             DiffAxis::ConstantFold => "constant-fold",
-            DiffAxis::Parallelism => "parallelism",
             DiffAxis::Cache => "cache",
             DiffAxis::Canonicalization => "canonicalization",
             DiffAxis::Simd => "simd",
@@ -198,7 +193,7 @@ impl DiffRunner {
 
     /// Runs every configured axis on one netlist.
     ///
-    /// Circuits whose *reference* path — the serial planned sweep — fails
+    /// Circuits whose *reference* path — the planned sweep — fails
     /// to simulate (e.g. a shrink candidate that became singular) are
     /// vacuously conformant: there is nothing to compare against.
     ///
@@ -221,13 +216,12 @@ impl DiffRunner {
         let Ok(circuit) = Circuit::elaborate(netlist, &self.registry, None) else {
             return Ok(());
         };
-        let Ok(reference) = planned_sweep(&circuit, &self.grid, 1) else {
+        let Ok(reference) = sweep(&circuit, &self.grid) else {
             return Ok(());
         };
         match axis {
             DiffAxis::Oracle => self.check_oracle(netlist, &circuit, &reference),
             DiffAxis::ConstantFold => self.check_constant_fold(&circuit, &reference),
-            DiffAxis::Parallelism => self.check_parallelism(&circuit, &reference),
             DiffAxis::Cache => self.check_cache(netlist),
             DiffAxis::Canonicalization => self.check_canonicalization(netlist, &reference),
             DiffAxis::Simd => self.check_simd(&circuit, &reference),
@@ -275,19 +269,6 @@ impl DiffRunner {
             })?;
         }
         bit_identical(DiffAxis::ConstantFold, &per_point, reference)
-    }
-
-    fn check_parallelism(
-        &self,
-        circuit: &Circuit,
-        reference: &FrequencyResponse,
-    ) -> Result<(), Disagreement> {
-        let parallel = planned_sweep(circuit, &self.grid, 3).map_err(|e| Disagreement {
-            axis: DiffAxis::Parallelism,
-            max_diff: f64::INFINITY,
-            detail: format!("parallel sweep failed where serial succeeded: {e}"),
-        })?;
-        bit_identical(DiffAxis::Parallelism, reference, &parallel)
     }
 
     fn check_cache(&self, netlist: &Netlist) -> Result<(), Disagreement> {
@@ -356,7 +337,7 @@ impl DiffRunner {
                 detail: "canonical form failed to elaborate".to_string(),
             });
         };
-        let direct = planned_sweep(&canon_circuit, &self.grid, 1).map_err(|e| Disagreement {
+        let direct = sweep(&canon_circuit, &self.grid).map_err(|e| Disagreement {
             axis: DiffAxis::Canonicalization,
             max_diff: f64::INFINITY,
             detail: format!("canonical form failed to sweep: {e}"),
@@ -390,7 +371,7 @@ impl DiffRunner {
         let scalar = SweepPlan::new(circuit)
             .and_then(|plan| {
                 let plan = plan.with_simd_level(SimdLevel::Scalar);
-                sweep_with_plan(&plan, &self.grid, 1, &mut SolveWorkspace::new())
+                sweep_with_plan(&plan, &self.grid, &mut SolveWorkspace::new())
             })
             .map_err(|e: SimError| Disagreement {
                 axis: DiffAxis::Simd,
@@ -427,21 +408,6 @@ impl DiffRunner {
             self.check_axis(candidate, axis).is_err()
         })
     }
-}
-
-/// The production planned sweep on `threads` workers, on a fresh
-/// workspace.
-fn planned_sweep(
-    circuit: &Circuit,
-    grid: &WavelengthGrid,
-    threads: usize,
-) -> Result<FrequencyResponse, SimError> {
-    sweep_with_plan(
-        &SweepPlan::new(circuit)?,
-        grid,
-        threads,
-        &mut SolveWorkspace::new(),
-    )
 }
 
 /// Exact comparison: the paths run the same arithmetic and must agree on

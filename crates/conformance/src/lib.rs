@@ -18,7 +18,7 @@
 //! 3. [`differential`] — a runner sweeping every circuit through the
 //!    configuration axes that are required to agree (the planned
 //!    block-sparse solver vs the naive dense oracle, the batched sweep
-//!    vs per-point evaluation, serial vs parallel, cached vs uncached evaluation,
+//!    vs per-point evaluation, cached vs uncached evaluation,
 //!    canonicalized vs raw documents, default vs scalar SIMD tier), with
 //!    greedy counterexample [`shrink`]ing and a replayable JSON
 //!    [`corpus`].

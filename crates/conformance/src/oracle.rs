@@ -62,7 +62,7 @@ impl SolverPath {
             SolverPath::Planned => {
                 let grid = WavelengthGrid::new(wavelength_um, wavelength_um, 1);
                 let plan = SweepPlan::new(circuit)?;
-                let response = sweep_with_plan(&plan, &grid, 1, &mut SolveWorkspace::new())?;
+                let response = sweep_with_plan(&plan, &grid, &mut SolveWorkspace::new())?;
                 let m = response.sample(0).expect("one-point grid").clone();
                 Ok(SMatrix::from_matrix(response.ports().to_vec(), m))
             }

@@ -9,8 +9,8 @@
 //! cooperatively through a [`CancelToken`]. The engine is built for
 //! throughput and determinism:
 //!
-//! * every problem's **golden** is hashed and simulated once up front
-//!   and shared immutably across all workers;
+//! * every problem's **golden** is hashed and simulated once up front,
+//!   on the campaign's own workers, and shared immutably across them;
 //! * every `(problem × model)` **pair** runs one feedback trajectory
 //!   per sample, at the campaign's largest feedback budget, and each of
 //!   the pair's `(problem × model × feedback)` **cells** reads its
@@ -24,7 +24,8 @@
 //!   golden, clean samples from different models) are simulated once;
 //! * each worker owns its evaluator (schedule cache + solve workspace)
 //!   and sweeps serially with the planned block-sparse solver — the
-//!   campaign parallelizes *across* pairs, not within sweeps.
+//!   campaign parallelizes *across* goldens and pairs; a sweep is never
+//!   split.
 //!
 //! Each pair spawns one fresh model instance from its provider
 //! ([`ModelProvider::spawn_seeded`] with the campaign seed). The loop
@@ -89,8 +90,9 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Wavelength grid for simulation/comparison.
     pub grid: WavelengthGrid,
-    /// Campaign workers (0 = one per available core, capped by the
-    /// `(problem, model)` pair count). The calling thread is worker 0,
+    /// Campaign workers, which prime the goldens and then run pairs
+    /// (0 = one per available core, capped by the `(problem, model)`
+    /// pair count). The calling thread is worker 0,
     /// so `n` workers spawn `n - 1` threads and a 1-worker campaign
     /// spawns none.
     pub threads: usize,
@@ -963,8 +965,8 @@ fn bridge_retry_event(event: &RetryEvent) -> CampaignEvent {
 
 /// How every worker evaluates cells — the engine's threads and shard
 /// workers alike, so a cell evaluates the same bytes wherever it runs:
-/// retry-wrapped providers, goldens primed by problem position, one
-/// serially sweeping evaluator per worker over a shared cache, one
+/// retry-wrapped providers, goldens primed by problem position on the
+/// caller's workers, one evaluator per worker over a shared cache, one
 /// feedback trajectory per `(problem, model)` pair that all of the
 /// pair's cells score off, and each cell journalled through a
 /// [`CellJournal`] before it counts.
@@ -1012,55 +1014,85 @@ impl<'m> CellRunner<'m> {
     }
 
     /// Simulates the goldens of the `problems` at these positions
-    /// (repeats are simulated once) and seeds the cache with them, so
-    /// golden-identical candidates are instant hits. Indexed by problem
-    /// position; stops before the next golden once `halted` holds,
-    /// returning those primed so far.
+    /// (repeats are simulated once) on `workers` workers and seeds the
+    /// cache with them, so golden-identical candidates are instant hits.
+    /// Indexed by problem position.
     ///
-    /// The priming evaluator sweeps on the calling thread's workspace,
-    /// which grows to the largest golden; it is dropped before this
-    /// returns, so that memory is not held while cells run.
+    /// The calling thread is worker 0 and `workers - 1` scoped threads
+    /// run beside it (none with one worker). Each worker sweeps serially
+    /// on its own evaluator over the shared cache and claims positions,
+    /// in the given order, from an atomic counter. A worker checks
+    /// `halted` before each claim; once it holds, this returns the
+    /// goldens primed so far. Each evaluator's workspace grows to the
+    /// largest golden it swept; all are dropped before this returns, so
+    /// that memory is not held while cells run.
     ///
     /// # Errors
     ///
-    /// The first golden that fails to simulate (boxed: it carries the
+    /// The earliest golden that fails to simulate (boxed: it carries the
     /// whole simulator error): no candidate can be scored against it.
+    /// Once a golden fails no worker claims another position. Positions
+    /// are claimed in order, so every one before a failed position was
+    /// claimed and finishes, and the error names the same problem at
+    /// any worker count.
     pub(crate) fn prime(
         &self,
         problems: impl IntoIterator<Item = usize>,
-        halted: impl Fn() -> bool,
+        workers: usize,
+        halted: impl Fn() -> bool + Sync,
     ) -> Result<Vec<Option<Golden>>, Box<GoldenFailure>> {
         let matrix = self.matrix;
-        let mut evaluator = Evaluator::new(matrix.config.grid, Default::default())
-            .with_cache(Arc::clone(&self.cache));
+        let mut queued = vec![false; matrix.problems.len()];
+        let queue: Vec<usize> = problems
+            .into_iter()
+            .filter(|&p| !std::mem::replace(&mut queued[p], true))
+            .collect();
+        let next = AtomicUsize::new(0);
+        let failed = AtomicBool::new(false);
+        let swept = Mutex::new(Vec::with_capacity(queue.len()));
+        let worker = || {
+            let mut evaluator = Evaluator::new(matrix.config.grid, Default::default())
+                .with_cache(Arc::clone(&self.cache));
+            while !failed.load(Ordering::Relaxed) && !halted() {
+                let slot = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&p) = queue.get(slot) else {
+                    break;
+                };
+                let golden =
+                    evaluator.golden_with_hash(&matrix.problems[p], matrix.golden_hashes[p]);
+                if golden.is_err() {
+                    failed.store(true, Ordering::Relaxed);
+                }
+                swept.lock().expect("goldens poisoned").push((slot, golden));
+            }
+        };
+        std::thread::scope(|threads| {
+            for _ in 1..workers.min(queue.len()) {
+                threads.spawn(worker);
+            }
+            worker();
+        });
+
+        let mut swept = swept.into_inner().expect("goldens poisoned");
+        swept.sort_unstable_by_key(|&(slot, _)| slot);
         let mut goldens = vec![None; matrix.problems.len()];
-        for p in problems {
-            if halted() {
-                break;
-            }
-            if goldens[p].is_some() {
-                continue;
-            }
-            let problem = &matrix.problems[p];
-            let golden = evaluator
-                .golden_with_hash(problem, matrix.golden_hashes[p])
-                .map_err(|error| {
-                    Box::new(GoldenFailure {
-                        problem_id: problem.id.clone(),
-                        error,
-                    })
-                })?;
+        for (slot, golden) in swept {
+            let p = queue[slot];
+            let golden = golden.map_err(|error| {
+                Box::new(GoldenFailure {
+                    problem_id: matrix.problems[p].id.clone(),
+                    error,
+                })
+            })?;
             goldens[p] = Some(golden);
         }
         Ok(goldens)
     }
 
-    /// A worker's evaluator: serial sweeps (campaigns parallelize across
-    /// cells, not within sweeps) over the shared cache, counting into the
+    /// A worker's evaluator over the shared cache, counting into the
     /// tenant scope if there is one.
     pub(crate) fn evaluator(&self) -> Evaluator {
         let evaluator = Evaluator::new(self.matrix.config.grid, Default::default())
-            .with_sweep_threads(1)
             .with_cache(Arc::clone(&self.cache));
         match &self.scope {
             Some(scope) => evaluator.with_cache_scope(Arc::clone(scope)),
@@ -1182,8 +1214,9 @@ pub(crate) fn stopped(
 /// deterministically.
 ///
 /// The calling thread is worker 0: it runs the same worker body as the
-/// `worker_count - 1` scoped threads beside it, so a 1-worker campaign
-/// spawns no thread and delivers every event on the caller's thread.
+/// `worker_count - 1` scoped threads beside it, and the same workers
+/// prime the goldens first, so a 1-worker campaign spawns no thread and
+/// delivers every event on the caller's thread.
 fn execute_campaign(campaign: &Campaign) -> CampaignOutcome {
     let config = &campaign.config;
     let emit = |event: CampaignEvent| {
@@ -1237,14 +1270,24 @@ fn execute_campaign(campaign: &Campaign) -> CampaignOutcome {
         }
     }
 
-    // Goldens, indexed by problem: simulated once, borrowed by every
-    // worker, and seeded into the evaluation cache. Priming honours the
-    // cancel token per problem, so an early abort responds promptly
-    // instead of sweeping every golden first; a resume that restored
-    // every cell has nothing to compare and primes none. When a store
-    // is attached it doubles as the disk tier under the campaign's own
-    // cache; an injected process-wide cache is used verbatim (including
-    // whatever disk tier it was built with).
+    let worker_count = if config.threads > 0 {
+        config.threads
+    } else {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    }
+    .min(matrix.pairs())
+    .max(1);
+
+    // Goldens, indexed by problem: simulated once on the campaign's
+    // workers, borrowed by every worker, and seeded into the evaluation
+    // cache. Priming honours the cancel token per problem, so an early
+    // abort responds promptly instead of sweeping every golden first; a
+    // resume that restored every cell has nothing to compare and primes
+    // none. When a store is attached it doubles as the disk tier under
+    // the campaign's own cache; an injected process-wide cache is used
+    // verbatim (including whatever disk tier it was built with).
     let cache = match &campaign.shared_cache {
         Some(shared) => Arc::clone(shared),
         None => {
@@ -1267,7 +1310,7 @@ fn execute_campaign(campaign: &Campaign) -> CampaignOutcome {
     } else {
         campaign.problems.len()
     };
-    let goldens = match runner.prime(0..to_prime, halted) {
+    let goldens = match runner.prime(0..to_prime, worker_count, halted) {
         Ok(goldens) => goldens,
         Err(failure) => {
             return stopped(
@@ -1282,16 +1325,6 @@ fn execute_campaign(campaign: &Campaign) -> CampaignOutcome {
     if halted() && cells_restored < cells.len() {
         return stopped(emit, cells_restored, cells.len(), cells_restored, None);
     }
-
-    let worker_count = if config.threads > 0 {
-        config.threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    }
-    .min(matrix.pairs())
-    .max(1);
 
     let journal = store.map(|store| store as &dyn CellJournal);
     let next_pair = AtomicUsize::new(0);
@@ -1581,6 +1614,67 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&shard_dir);
+    }
+
+    #[test]
+    fn the_first_unsimulable_golden_is_reported_at_every_worker_count() {
+        use picbench_math::decomp::MeshScheme;
+        use picbench_netlist::PortSpec;
+        // Goldens at positions 1 and 3 fail. Position 1, a 16×16 mesh
+        // with an unknown setting, fails only after its schedule is
+        // built; position 3 fails at once. So with several workers the
+        // later failure usually lands first, and the earlier position
+        // must still be the one reported.
+        let mut mesh = picbench_problems::find("clements-8x8").unwrap();
+        mesh.id = "broken-at-1".to_string();
+        mesh.spec = PortSpec::new(16, 16);
+        mesh.golden = picbench_problems::meshes::mesh_golden(16, MeshScheme::Clements);
+        mesh.golden
+            .instances
+            .get_mut("ophase16")
+            .unwrap()
+            .settings
+            .insert("bogus".to_string(), 1.0);
+        let mut mzi = unsimulable_mzi_ps();
+        mzi.id = "broken-at-3".to_string();
+        let mut problems = small_problems();
+        problems[1] = mesh;
+        problems[3] = mzi;
+        for threads in [1, 2, 4] {
+            let events = Arc::new(Mutex::new(Vec::new()));
+            let seen = Arc::clone(&events);
+            let outcome = Campaign::builder()
+                .problems(problems.clone())
+                .profiles(&[ModelProfile::gpt4(), ModelProfile::gpt4o()])
+                .config(small_config())
+                .threads(threads)
+                .observer(Arc::new(move |event: &CampaignEvent| {
+                    seen.lock().unwrap().push(event.clone());
+                }))
+                .build()
+                .unwrap()
+                .execute();
+            assert_eq!(outcome.cells_completed, 0, "{threads} threads");
+            let failure = outcome
+                .golden_failure
+                .expect("the golden failure is reported");
+            assert_eq!(failure.problem_id, "broken-at-1", "{threads} threads");
+            let events = events.lock().unwrap();
+            assert!(
+                matches!(
+                    events[..],
+                    [
+                        CampaignEvent::CampaignStarted { .. },
+                        CampaignEvent::CampaignFinished {
+                            cells_completed: 0,
+                            cancelled: false,
+                            ..
+                        }
+                    ]
+                ),
+                "{threads} threads: {events:?}"
+            );
+        }
     }
 
     #[test]

@@ -405,11 +405,6 @@ pub struct Evaluator {
     grid: WavelengthGrid,
     /// SIMD tier of every sweep's kernels.
     simd: SimdLevel,
-    /// Worker threads per sweep: `0` applies the simulator's default
-    /// policy (parallel for large grids), `1` runs serially. Campaign
-    /// workers use `1` — the campaign parallelizes *across* evaluations
-    /// instead.
-    sweep_threads: usize,
     /// Shared evaluation cache (optional; campaigns share one).
     cache: Option<Arc<EvalCache>>,
     /// Per-tenant accounting scope: every cache hit/miss this evaluator
@@ -445,7 +440,6 @@ impl Evaluator {
         Evaluator {
             grid,
             simd,
-            sweep_threads: 0,
             cache: None,
             scope: None,
             schedules: ScheduleCache::new(),
@@ -467,10 +461,11 @@ impl Evaluator {
         self
     }
 
-    /// Sets the per-sweep worker count (`0` = simulator default policy,
-    /// `1` = serial).
-    pub fn with_sweep_threads(mut self, threads: usize) -> Self {
-        self.sweep_threads = threads;
+    /// Returns `self` unchanged: sweeps are always serial. Kept only
+    /// because the `perfbench` replay still calls it; the next benchmark
+    /// change moves that call to [`Evaluator::new`] and deletes this.
+    #[doc(hidden)]
+    pub fn with_sweep_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -518,8 +513,7 @@ impl Evaluator {
         let plan = SweepPlan::with_schedule(&circuit, schedule)
             .map_err(SimulateError::Sim)?
             .with_simd_level(self.simd);
-        sweep_with_plan(&plan, &self.grid, self.sweep_threads, &mut self.workspace)
-            .map_err(SimulateError::Sim)
+        sweep_with_plan(&plan, &self.grid, &mut self.workspace).map_err(SimulateError::Sim)
     }
 
     /// Sweeps a problem's golden design through the candidates' canonical

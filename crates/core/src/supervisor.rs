@@ -546,8 +546,9 @@ fn shard_worker_body(
 
     // The engine's cell runner over an in-memory cache (no disk tier —
     // worker journals hold cells and leases only, keeping supervisor
-    // polls cheap), priming the goldens of pending problems only. A
-    // golden that fails to simulate leaves the shard incomplete.
+    // polls cheap), priming the goldens of pending problems only, on
+    // this thread: shard workers already run side by side. A golden
+    // that fails to simulate leaves the shard incomplete.
     let runner = CellRunner::new(
         &matrix,
         &workload.providers,
@@ -556,7 +557,7 @@ fn shard_worker_body(
         None,
     );
     let pending_problems = pending.iter().map(|&index| matrix.cells[index].problem);
-    let Ok(goldens) = runner.prime(pending_problems, || false) else {
+    let Ok(goldens) = runner.prime(pending_problems, 1, || false) else {
         return Ok(report);
     };
     if !heartbeat(journal) {
@@ -679,9 +680,10 @@ pub(crate) fn run_sharded(campaign: &Campaign) -> CampaignOutcome {
         cells: cells_total,
     });
 
-    // Every golden is simulated here before any worker launches, through
-    // the engine's priming: a golden that fails ends the campaign with
-    // the engine's typed error instead of failing every worker.
+    // Every golden is simulated here, on this thread, before any worker
+    // launches, through the engine's priming: a golden that fails ends
+    // the campaign with the engine's typed error instead of failing
+    // every worker.
     let runner = CellRunner::new(
         &matrix,
         &campaign.providers,
@@ -689,7 +691,7 @@ pub(crate) fn run_sharded(campaign: &Campaign) -> CampaignOutcome {
         Arc::new(EvalCache::new()),
         None,
     );
-    if let Err(failure) = runner.prime(0..campaign.problems.len(), halted) {
+    if let Err(failure) = runner.prime(0..campaign.problems.len(), 1, halted) {
         return stopped(emit, 0, cells_total, 0, Some(*failure));
     }
     // The supervisor scores no cell: its goldens are not held while the

@@ -58,8 +58,7 @@
 //!   grouping.
 //!
 //! Within one tier, results are deterministic and bit-stable: refactor
-//! and re-solve reproduce identical bits, and serial vs parallel sweeps
-//! stay element-wise identical (every worker dispatches the same tier).
+//! and re-solve reproduce identical bits, on any thread.
 
 use crate::Complex;
 use std::fmt;

@@ -18,12 +18,11 @@
 //! reusable [`SolveWorkspace`]s.
 //!
 //! There are three sweep entry points. [`sweep_with_plan`] is the one
-//! plan-level sweep: it runs chunks of the grid through one stripe loop,
-//! [`SweepPlan::evaluate_stripe_into`], the first chunk on the caller's
-//! workspace and the others on scoped worker threads, with element-wise
-//! identical results for every thread count. [`sweep`] plans a circuit
-//! and calls it under the default policy (parallel for grids of
-//! [`PARALLEL_THRESHOLD`] points or more). One independent oracle checks
+//! plan-level sweep: it runs the whole grid through one stripe loop,
+//! [`SweepPlan::evaluate_stripe_into`], on the caller's thread and
+//! workspace. Sweeps are serial; parallelism lives a level up, where a
+//! campaign runs several sweeps at once. [`sweep`] plans a circuit and
+//! calls it on a fresh workspace. One independent oracle checks
 //! them: the naive dense solve [`evaluate`], swept point by point by
 //! [`sweep_naive`].
 //!
@@ -72,7 +71,6 @@ pub use plan::{ScheduleCache, SolveWorkspace, SweepPlan, SweepSchedule};
 pub use registry::ModelRegistry;
 pub use response::{
     sweep, sweep_naive, sweep_with_plan, FrequencyResponse, ResponseComparison, WavelengthGrid,
-    PARALLEL_THRESHOLD,
 };
 
 // Re-exported so downstream crates can name the netlist types this crate

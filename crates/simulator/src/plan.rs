@@ -36,12 +36,11 @@
 //! [`SweepPlan::evaluate_stripe_into`] is the one stripe loop: it runs a
 //! contiguous run of grid points per point, or factors once and
 //! recombines (or copies) when the system is wavelength-independent.
-//! [`crate::sweep_with_plan`] drives it over chunks of the grid — the
-//! first on the caller's workspace, the rest on worker threads that own
-//! one workspace each.
+//! [`crate::sweep_with_plan`] drives it over the whole grid on the
+//! caller's workspace.
 //!
-//! Two plan-based sweeps on the same SIMD tier (serial or parallel, any
-//! chunking) are bit-identical. Against the oracle the planned solver
+//! Two plan-based sweeps on the same SIMD tier (whole grid or any split
+//! into stripes) are bit-identical. Against the oracle the planned solver
 //! agrees to machine precision (~1e-15), not bit for bit — it eliminates
 //! in a different order — so cross-checks compare with a tolerance.
 
@@ -360,7 +359,7 @@ impl<'c> SweepPlan<'c> {
 
     /// Evaluates a stripe of wavelength points in one batched pass,
     /// writing one external S-matrix per point into `outs` — the one
-    /// stripe loop; every planned sweep runs its chunks through it.
+    /// stripe loop; every planned sweep runs its grid through it.
     ///
     /// When [`SweepPlan::stripe_factors_once`] holds, the system is
     /// assembled and factored for the first point only and the solved

@@ -3,14 +3,11 @@
 //! Three sweep entry points:
 //!
 //! * [`sweep_with_plan`] — the one plan-level sweep: a prebuilt
-//!   [`SweepPlan`], a caller-owned [`SolveWorkspace`] and a thread count.
-//!   It splits the grid into contiguous chunks and runs each through
-//!   [`SweepPlan::evaluate_stripe_into`], the one stripe loop — chunk 0
-//!   on the calling thread, the rest on scoped workers (one workspace
-//!   each, deterministic output ordering);
-//! * [`sweep`] — plans a circuit and calls [`sweep_with_plan`] under the
-//!   default policy (parallel for grids of [`PARALLEL_THRESHOLD`] points
-//!   or more);
+//!   [`SweepPlan`] and a caller-owned [`SolveWorkspace`]. It runs the
+//!   whole grid through [`SweepPlan::evaluate_stripe_into`], the one
+//!   stripe loop, on the calling thread;
+//! * [`sweep`] — plans a circuit and calls [`sweep_with_plan`] on a
+//!   fresh workspace;
 //! * [`sweep_naive`] — the independent dense oracle ([`crate::evaluate`])
 //!   point by point: the cross-check reference and the benchmark
 //!   baseline.
@@ -229,27 +226,14 @@ impl fmt::Display for ResponseComparison {
     }
 }
 
-/// Grids with at least this many points sweep on parallel workers by
-/// default (when more than one CPU is available).
-pub const PARALLEL_THRESHOLD: usize = 16;
-
-/// Sweeps a circuit over a wavelength grid.
-///
-/// Plans the circuit and runs [`sweep_with_plan`] on a fresh workspace
-/// under the default thread policy: grids of [`PARALLEL_THRESHOLD`] or
-/// more points are split over scoped worker threads. Every thread count
-/// produces element-wise identical results.
+/// Sweeps a circuit over a wavelength grid: plans the circuit and runs
+/// [`sweep_with_plan`] on a fresh workspace.
 ///
 /// # Errors
 ///
 /// Returns the [`SimError`] of the lowest-indexed failing grid point.
 pub fn sweep(circuit: &Circuit, grid: &WavelengthGrid) -> Result<FrequencyResponse, SimError> {
-    sweep_with_plan(
-        &SweepPlan::new(circuit)?,
-        grid,
-        0,
-        &mut SolveWorkspace::new(),
-    )
+    sweep_with_plan(&SweepPlan::new(circuit)?, grid, &mut SolveWorkspace::new())
 }
 
 /// The oracle sweep: the dense reference solve ([`crate::evaluate`]) rebuilt
@@ -277,29 +261,18 @@ pub fn sweep_naive(
     })
 }
 
-fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Sweeps over a grid on a prebuilt [`SweepPlan`] — the one plan-level
 /// sweep, used by [`sweep`] and by callers that reuse plans, schedules
 /// and workspaces across many sweeps (the evaluation cache's miss path).
 ///
 /// `ws` is re-targeted at the plan first ([`SweepPlan::reset_workspace`]),
 /// so one workspace can serve any sequence of circuits without
-/// reallocating once its buffers reach their high-water mark. The grid
-/// is split into contiguous chunks, each run by
-/// [`SweepPlan::evaluate_stripe_into`]: chunk 0 on the calling thread
-/// with `ws`, every other chunk on a scoped worker with its own
-/// [`SweepPlan::workspace`]. `threads == 0` applies the default policy
-/// (one chunk per CPU for grids of [`PARALLEL_THRESHOLD`] points or
-/// more, else one chunk); any other value caps the chunk count. A grid
-/// the plan can factor once ([`SweepPlan::stripe_factors_once`]) always
-/// runs as a single stripe on the caller. All thread counts produce
-/// element-wise identical results. The filled output matrices become the
-/// response's samples without a copy.
+/// reallocating once its buffers reach their high-water mark. The whole
+/// grid then runs as one stripe through
+/// [`SweepPlan::evaluate_stripe_into`] on the calling thread; the filled
+/// output matrices become the response's samples without a copy.
+/// Sweeps are serial: callers that want parallelism run several sweeps
+/// at once, one workspace each.
 ///
 /// # Errors
 ///
@@ -307,58 +280,20 @@ fn available_threads() -> usize {
 pub fn sweep_with_plan(
     plan: &SweepPlan<'_>,
     grid: &WavelengthGrid,
-    threads: usize,
     ws: &mut SolveWorkspace,
 ) -> Result<FrequencyResponse, SimError> {
     plan.reset_workspace(ws);
     let wavelengths = grid.wavelengths();
     let n_ext = plan.external_count();
-    let mut outs: Vec<CMatrix> = (0..wavelengths.len())
+    let mut samples: Vec<CMatrix> = (0..wavelengths.len())
         .map(|_| CMatrix::zeros(n_ext, n_ext))
         .collect();
-
-    let threads = match threads {
-        0 if grid.points >= PARALLEL_THRESHOLD => available_threads(),
-        0 => 1,
-        t => t,
-    };
-    let workers = if plan.stripe_factors_once() {
-        1
-    } else {
-        threads.min(outs.len())
-    };
-    // Contiguous chunks: point cost is uniform across the band, so a
-    // static split balances well and needs no synchronisation.
-    let chunk_len = outs.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let mut chunks = wavelengths
-            .chunks(chunk_len)
-            .zip(outs.chunks_mut(chunk_len));
-        let (first_wavelengths, first_outs) = chunks.next().expect("grid has at least one point");
-        let handles: Vec<_> = chunks
-            .map(|(wavelengths, outs)| {
-                scope.spawn(move || {
-                    plan.evaluate_stripe_into(&mut plan.workspace(), wavelengths, outs)
-                })
-            })
-            .collect();
-        let first = plan.evaluate_stripe_into(ws, first_wavelengths, first_outs);
-        // Chunks are in grid order, so the first failing chunk holds the
-        // lowest failing grid index, whatever order the workers finished in.
-        std::iter::once(first)
-            .chain(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sweep worker panicked")),
-            )
-            .collect::<Result<(), _>>()
-            .map_err(|(_, error)| error)
-    })?;
-
+    plan.evaluate_stripe_into(ws, &wavelengths, &mut samples)
+        .map_err(|(_, error)| error)?;
     Ok(FrequencyResponse {
         wavelengths,
         ports: plan.circuit().external_names(),
-        samples: outs,
+        samples,
     })
 }
 
@@ -367,15 +302,6 @@ mod tests {
     use super::*;
     use crate::registry::ModelRegistry;
     use picbench_netlist::NetlistBuilder;
-
-    fn sweep_threads(
-        circuit: &Circuit,
-        grid: &WavelengthGrid,
-        threads: usize,
-    ) -> Result<FrequencyResponse, SimError> {
-        let plan = SweepPlan::new(circuit)?;
-        sweep_with_plan(&plan, grid, threads, &mut SolveWorkspace::new())
-    }
 
     fn mzi_circuit(delta: f64) -> Circuit {
         let netlist = NetlistBuilder::new()
@@ -456,31 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_is_element_wise_identical_to_serial() {
-        // An MZI feeding a waveguide: both dispersive and connected, so
-        // the grid is solved per point and really split across workers.
-        let netlist = NetlistBuilder::new()
-            .instance_with("m", "mzi", &[("delta_length", 10.0)])
-            .instance_with("wg", "waveguide", &[("length", 40.0)])
-            .connect("m,O1", "wg,I1")
-            .port("I1", "m,I1")
-            .port("O1", "wg,O1")
-            .model("mzi", "mzi")
-            .model("waveguide", "waveguide")
-            .build();
-        let c = Circuit::elaborate(&netlist, &ModelRegistry::with_builtins(), None).unwrap();
-        assert!(!SweepPlan::new(&c).unwrap().stripe_factors_once());
-        let g = WavelengthGrid::paper_default();
-        let serial = sweep_threads(&c, &g, 1).unwrap();
-        for threads in [2, 3, 8] {
-            let parallel = sweep_threads(&c, &g, threads).unwrap();
-            // Bit-identical, not merely close: every point runs the exact
-            // same plan arithmetic regardless of the worker.
-            assert_eq!(serial, parallel, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn default_sweep_matches_oracle_sweep() {
         let c = mzi_circuit(10.0);
         let g = WavelengthGrid::paper_default();
@@ -488,36 +389,6 @@ mod tests {
         let oracle = sweep_naive(&c, &g).unwrap();
         let cmp = planned.compare(&oracle);
         assert!(cmp.is_equivalent(1e-12), "{cmp}");
-    }
-
-    #[test]
-    fn parallel_error_reporting_is_deterministic() {
-        // An undamped resonant loop: a lossless ring exactly on resonance
-        // is singular at some grid points. The sweep
-        // must report the lowest-indexed failure no matter how many
-        // workers raced.
-        let netlist = NetlistBuilder::new()
-            .instance_with("dc", "coupler", &[("coupling", 0.0)])
-            .instance_with("loop", "waveguide", &[("length", 100.0), ("loss", 0.0)])
-            .connect("dc,O2", "loop,I1")
-            .connect("loop,O1", "dc,I2")
-            .port("I1", "dc,I1")
-            .port("O1", "dc,O1")
-            .model("coupler", "coupler")
-            .model("waveguide", "waveguide")
-            .build();
-        let c = Circuit::elaborate(&netlist, &ModelRegistry::with_builtins(), None).unwrap();
-        let g = WavelengthGrid::paper_default();
-        let serial = sweep_threads(&c, &g, 1);
-        let Err(serial_err) = serial else {
-            // The coupling-0 loop may happen to dodge exact resonance on
-            // this grid; nothing to compare then.
-            return;
-        };
-        for threads in [2, 5] {
-            let parallel_err = sweep_threads(&c, &g, threads).unwrap_err();
-            assert_eq!(serial_err, parallel_err, "{threads} threads");
-        }
     }
 
     #[test]

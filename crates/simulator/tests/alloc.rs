@@ -170,9 +170,9 @@ fn warmed_planned_sweep_allocates_only_its_result() {
     let plan = SweepPlan::new(&circuit).unwrap();
     let grid = WavelengthGrid::new(1.51, 1.59, 32);
     let mut ws = plan.workspace();
-    let warm = sweep_with_plan(&plan, &grid, 1, &mut ws).unwrap();
+    let warm = sweep_with_plan(&plan, &grid, &mut ws).unwrap();
 
-    let (allocations, response) = count_allocations(|| sweep_with_plan(&plan, &grid, 1, &mut ws));
+    let (allocations, response) = count_allocations(|| sweep_with_plan(&plan, &grid, &mut ws));
     assert_eq!(response.unwrap(), warm);
     let per_point = 1;
     let budget = grid.points as u64 * per_point + PER_SWEEP;

@@ -30,14 +30,14 @@ fn cases_per_family() -> usize {
         .unwrap_or(6)
 }
 
-/// A serial planned sweep on an explicit SIMD tier.
+/// A planned sweep on an explicit SIMD tier.
 fn sweep_on(
     circuit: &Circuit,
     grid: &WavelengthGrid,
     level: SimdLevel,
 ) -> Result<FrequencyResponse, SimError> {
     let plan = SweepPlan::new(circuit)?.with_simd_level(level);
-    sweep_with_plan(&plan, grid, 1, &mut SolveWorkspace::new())
+    sweep_with_plan(&plan, grid, &mut SolveWorkspace::new())
 }
 
 #[test]
@@ -267,8 +267,7 @@ fn stripe_execution_is_identical_to_per_point_evaluation() {
             }
 
             // One whole-grid stripe, and an uneven split — both must be
-            // element-wise identical to the per-point loop (this is what
-            // keeps serial and parallel sweeps bit-identical).
+            // element-wise identical to the per-point loop.
             for bounds in [vec![0, 13], vec![0, 5, 13]] {
                 let mut ws = plan.workspace();
                 let mut striped: Vec<CMatrix> = (0..wavelengths.len())
@@ -281,18 +280,16 @@ fn stripe_execution_is_identical_to_per_point_evaluation() {
                 }
                 assert_eq!(pointwise, striped, "{family}");
             }
-            // The production sweep chunks the grid itself, serially and
-            // on worker threads; it must reproduce the same bits.
-            for threads in [1, 3] {
-                let swept = sweep_with_plan(&plan, &grid, threads, &mut SolveWorkspace::new())
-                    .unwrap_or_else(|e| panic!("{family}, {threads} threads: {e}"));
-                for (i, expected) in pointwise.iter().enumerate() {
-                    assert_eq!(
-                        swept.sample(i).unwrap(),
-                        expected,
-                        "{family}, {threads} threads, grid point {i}"
-                    );
-                }
+            // The production sweep runs the grid as one stripe; it must
+            // reproduce the same bits.
+            let swept = sweep_with_plan(&plan, &grid, &mut SolveWorkspace::new())
+                .unwrap_or_else(|e| panic!("{family}: {e}"));
+            for (i, expected) in pointwise.iter().enumerate() {
+                assert_eq!(
+                    swept.sample(i).unwrap(),
+                    expected,
+                    "{family}, grid point {i}"
+                );
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Property-based equivalence checks for the sweep pipeline: over random
 //! circuits and grids, the plan/execute path must match the naive
-//! per-point rebuild to machine precision, and the parallel executor must
-//! be element-wise identical to the serial one.
+//! per-point rebuild to machine precision, and a sweep on a reused
+//! workspace must be element-wise identical to one on a fresh workspace.
 
 use picbench_netlist::{Netlist, NetlistBuilder};
 use picbench_sim::{
@@ -41,10 +41,10 @@ fn elaborate(netlist: &Netlist) -> Circuit {
     Circuit::elaborate(netlist, &ModelRegistry::with_builtins(), None).unwrap()
 }
 
-/// A planned sweep on `threads` workers over a fresh plan and workspace.
-fn sweep_threads(circuit: &Circuit, grid: &WavelengthGrid, threads: usize) -> FrequencyResponse {
+/// A planned sweep over a fresh plan and workspace.
+fn fresh_sweep(circuit: &Circuit, grid: &WavelengthGrid) -> FrequencyResponse {
     let plan = SweepPlan::new(circuit).unwrap();
-    sweep_with_plan(&plan, grid, threads, &mut SolveWorkspace::new()).unwrap()
+    sweep_with_plan(&plan, grid, &mut SolveWorkspace::new()).unwrap()
 }
 
 proptest! {
@@ -58,26 +58,11 @@ proptest! {
         let circuit = elaborate(&chain_netlist(&arms));
         let grid = WavelengthGrid::new(1.51, 1.59, points);
         let naive = sweep_naive(&circuit, &grid).unwrap();
-        let planned = sweep_threads(&circuit, &grid, 1);
+        let planned = fresh_sweep(&circuit, &grid);
         let cmp = naive.compare(&planned);
         prop_assert!(cmp.is_equivalent(1e-12), "{}", cmp);
-    }
-
-    #[test]
-    fn parallel_sweep_identical_to_serial(
-        arms in proptest::collection::vec((1.0f64..80.0, 1.0f64..80.0), 1..3),
-        points in 1usize..40,
-        threads in 2usize..6,
-    ) {
-        let circuit = elaborate(&chain_netlist(&arms));
-        let grid = WavelengthGrid::new(1.51, 1.59, points);
-        let serial = sweep_threads(&circuit, &grid, 1);
-        let parallel = sweep_threads(&circuit, &grid, threads);
-        // Element-wise identical, not merely within tolerance.
-        prop_assert_eq!(&serial, &parallel);
-        // The public default must agree with both.
-        let default = sweep(&circuit, &grid).unwrap();
-        prop_assert_eq!(&serial, &default);
+        // The public entry point must agree bit for bit.
+        prop_assert_eq!(&planned, &sweep(&circuit, &grid).unwrap());
     }
 
     #[test]
@@ -96,13 +81,13 @@ proptest! {
         let plan_a = SweepPlan::with_schedule(&circuit_a, schedules.get_or_build(&circuit_a))
             .unwrap();
         let mut ws = plan_a.workspace();
-        let reused_a = sweep_with_plan(&plan_a, &grid, 1, &mut ws).unwrap();
+        let reused_a = sweep_with_plan(&plan_a, &grid, &mut ws).unwrap();
         // Same-length arm lists share a topology; the cache must not grow
         // beyond the distinct topologies seen.
         let plan_b = SweepPlan::with_schedule(&circuit_b, schedules.get_or_build(&circuit_b))
             .unwrap();
-        let reused_b = sweep_with_plan(&plan_b, &grid, 1, &mut ws).unwrap();
-        prop_assert_eq!(&reused_a, &sweep_threads(&circuit_a, &grid, 1));
-        prop_assert_eq!(&reused_b, &sweep_threads(&circuit_b, &grid, 1));
+        let reused_b = sweep_with_plan(&plan_b, &grid, &mut ws).unwrap();
+        prop_assert_eq!(&reused_a, &fresh_sweep(&circuit_a, &grid));
+        prop_assert_eq!(&reused_b, &fresh_sweep(&circuit_b, &grid));
     }
 }

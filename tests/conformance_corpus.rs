@@ -6,7 +6,7 @@
 //! interesting — generator-seeded representatives of each structural
 //! family plus hand-seeded edge topologies. Each must keep agreeing
 //! across all configuration axes (planned solver vs dense oracle,
-//! constant fold, parallelism, cache, canonicalization, SIMD tier) and
+//! constant fold, cache, canonicalization, SIMD tier) and
 //! keep satisfying the physics oracles on both solver paths forever; a solver or cache regression that breaks one
 //! fails this test with the offending file named.
 //!
